@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     by_cause_table.row()
         .add(label)
         .add(phase)
-        .add(net.maintenance_updates())
+        .add(net.maintenance_metrics().total())
         .add(cause(dht::MaintenanceCause::kJoinRepair))
         .add(cause(dht::MaintenanceCause::kLeaveRepair))
         .add(cause(dht::MaintenanceCause::kStabilizeRefresh))
@@ -70,13 +70,13 @@ int main(int argc, char** argv) {
       if (net->join(seed++) != dht::kNoNode) ++joins;
     }
     const double per_join =
-        static_cast<double>(net->maintenance_updates()) / events;
+        static_cast<double>(net->maintenance_metrics().total()) / events;
     add_by_cause(exp::overlay_label(kind), "join", *net);
 
     net->reset_maintenance();
     for (int i = 0; i < events; ++i) net->leave(net->random_node(rng));
     const double per_leave =
-        static_cast<double>(net->maintenance_updates()) / events;
+        static_cast<double>(net->maintenance_metrics().total()) / events;
     add_by_cause(exp::overlay_label(kind), "leave", *net);
 
     net->reset_maintenance();
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       net->stabilize_all();
     }
     const double per_stabilize =
-        static_cast<double>(net->maintenance_updates()) /
+        static_cast<double>(net->maintenance_metrics().total()) /
         static_cast<double>(net->node_count());
     add_by_cause(exp::overlay_label(kind), "stabilize", *net);
 

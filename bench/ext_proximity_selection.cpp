@@ -35,13 +35,15 @@ int main(int argc, char** argv) {
       util::Rng rng(bench::kBenchSeed + static_cast<std::uint64_t>(d));
       stats::Summary hops;
       stats::Summary latency;
+      dht::LookupMetrics sink;
       for (std::uint64_t i = 0; i < lookups; ++i) {
         const dht::NodeHandle from = net->random_node(rng);
         const ccc::CccId key = net->key_id(rng());
-        std::vector<CycloidNetwork::RouteStep> trace;
-        const dht::LookupResult result = net->lookup_id(from, key, &trace);
+        std::vector<dht::TraceStep> trace;
+        const dht::LookupResult result =
+            net->lookup_id(from, key, sink, &trace);
         hops.add(result.hops);
-        latency.add(net->route_latency(from, trace));
+        latency.add(net->route_latency(trace));
       }
       util::Table& r = table.row()
                            .add(net->node_count())

@@ -43,8 +43,10 @@ void BM_CycloidLookup(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   auto net = ccc::CycloidNetwork::build_complete(d);
   util::Rng rng(1);
+  dht::LookupMetrics sink;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net->lookup(net->random_node(rng), rng()).hops);
+    benchmark::DoNotOptimize(
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
 }
 BENCHMARK(BM_CycloidLookup)->Arg(4)->Arg(6)->Arg(8);
@@ -82,8 +84,10 @@ BENCHMARK(BM_CycloidStabilizeOne);
 void BM_ChordLookup(benchmark::State& state) {
   auto net = chord::ChordNetwork::build_complete(11);
   util::Rng rng(5);
+  dht::LookupMetrics sink;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net->lookup(net->random_node(rng), rng()).hops);
+    benchmark::DoNotOptimize(
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
 }
 BENCHMARK(BM_ChordLookup);
@@ -91,8 +95,10 @@ BENCHMARK(BM_ChordLookup);
 void BM_KoordeLookup(benchmark::State& state) {
   auto net = koorde::KoordeNetwork::build_complete(11);
   util::Rng rng(6);
+  dht::LookupMetrics sink;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net->lookup(net->random_node(rng), rng()).hops);
+    benchmark::DoNotOptimize(
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
 }
 BENCHMARK(BM_KoordeLookup);
@@ -101,8 +107,10 @@ void BM_ViceroyLookup(benchmark::State& state) {
   util::Rng build_rng(7);
   auto net = viceroy::ViceroyNetwork::build_random(2048, build_rng);
   util::Rng rng(8);
+  dht::LookupMetrics sink;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net->lookup(net->random_node(rng), rng()).hops);
+    benchmark::DoNotOptimize(
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
 }
 BENCHMARK(BM_ViceroyLookup);

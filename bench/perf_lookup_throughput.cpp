@@ -8,7 +8,7 @@
 // from a routing change.
 //
 // The lookup hot path is allocation-free after warm-up (DESIGN.md §8): each
-// shard of exp::run_lookup_batch reuses one dht::RouterScratch and one
+// shard of exp::run_lookup_batch reuses one dht::BatchScratch and one
 // dense-slot query-load plane, so these numbers measure routing, not the
 // allocator.
 //

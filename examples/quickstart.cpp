@@ -83,7 +83,8 @@ int main() {
   //    cube and cycle edges, traverse the final cycle.
   const dht::NodeHandle source = net->random_node(rng);
   const dht::KeyHash key = hash::hash_name("alice.txt");
-  const dht::LookupResult result = net->lookup(source, key);
+  dht::LookupMetrics sink;
+  const dht::LookupResult result = net->lookup(source, key, sink);
   std::cout << "\nLookup of alice.txt from "
             << ccc::to_string(CycloidNetwork::id_of(source), 5) << ":\n"
             << "  hops = " << result.hops << " (ascend "

@@ -17,9 +17,10 @@ int main() {
             << net->node_count() << " nodes)\n";
 
   const auto show_route = [&](const CccId& from, const CccId& key) {
-    std::vector<CycloidNetwork::RouteStep> trace;
+    dht::LookupMetrics sink;
+    std::vector<dht::TraceStep> trace;
     const dht::LookupResult result =
-        net->lookup_id(CycloidNetwork::handle_of(from), key, &trace);
+        net->lookup_id(CycloidNetwork::handle_of(from), key, sink, &trace);
     static const char* kPhaseNames[] = {"ascend  ", "descend ", "traverse"};
     std::cout << "\nlookup " << ccc::to_string(key, d) << " from "
               << ccc::to_string(from, d) << ":\n";
@@ -52,10 +53,10 @@ int main() {
   std::cout << "\n*** after 50% simultaneous departures (" << net->node_count()
             << " nodes remain) ***\n";
   const dht::NodeHandle start = net->random_node(rng);
-  std::vector<CycloidNetwork::RouteStep> trace;
+  dht::LookupMetrics sink;
+  std::vector<dht::TraceStep> trace;
   const CccId key{2, 0b1111};
-  const auto result =
-      net->lookup_id(start, key, &trace);
+  const auto result = net->lookup_id(start, key, sink, &trace);
   std::cout << "\nlookup " << ccc::to_string(key, d) << " from "
             << ccc::to_string(CycloidNetwork::id_of(start), d) << ":\n";
   for (const auto& step : trace) {

@@ -418,14 +418,6 @@ class CanStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult CanNetwork::route_impl(NodeHandle from, dht::KeyHash key,
-                               dht::LookupMetrics& sink,
-                               const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  CanStepPolicy policy(*this, point_from_hash(key));
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void CanNetwork::route_batch_impl(const NodeHandle* froms,
                                   const dht::KeyHash* keys, std::size_t count,
                                   int width, dht::LookupMetrics& sink,

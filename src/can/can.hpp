@@ -108,11 +108,6 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
  private:
   friend class CanMaintenancePolicy;
 
-  dht::LookupResult route_impl(dht::NodeHandle from, dht::KeyHash key,
-                               dht::LookupMetrics& sink,
-                               const dht::RouterOptions& options)
-      const override;
-
   void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
                         std::size_t count, int width, dht::LookupMetrics& sink,
                         dht::LookupResult* results, dht::BatchScratch& lanes,

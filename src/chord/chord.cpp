@@ -376,14 +376,6 @@ class ChordStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult ChordNetwork::route_impl(NodeHandle from, dht::KeyHash key,
-                                 dht::LookupMetrics& sink,
-                                 const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  ChordStepPolicy policy(*this, key % space_size_);
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void ChordNetwork::route_batch_impl(const NodeHandle* froms,
                                     const dht::KeyHash* keys,
                                     std::size_t count, int width,

@@ -700,14 +700,6 @@ class CycloidStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult CycloidNetwork::route_impl(
-    NodeHandle from, dht::KeyHash key, dht::LookupMetrics& sink,
-    const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  CycloidStepPolicy policy(*this, key_id(key));
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void CycloidNetwork::route_batch_impl(const dht::NodeHandle* froms,
                                       const dht::KeyHash* keys,
                                       std::size_t count, int width,
@@ -722,15 +714,22 @@ void CycloidNetwork::route_batch_impl(const dht::NodeHandle* froms,
                            });
 }
 
-LookupResult CycloidNetwork::lookup_id(NodeHandle from, const CccId& key,
-                                       dht::LookupMetrics& sink,
-                                       std::vector<RouteStep>* trace) const {
+LookupResult CycloidNetwork::lookup_id(
+    NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
+    std::vector<dht::TraceStep>* trace) const {
   CYCLOID_EXPECTS(contains(from));
-  sink.bind(*this);  // route() binds automatically; this entry is direct
+  sink.bind(*this);  // route_batch() binds automatically; this is direct
   dht::RouterOptions options;
   options.trace = trace;
-  CycloidStepPolicy policy(*this, key);
-  return dht::Router::run(policy, from, sink, options);
+  // The policy routes toward `key` directly; the batch's hash key is unused.
+  const dht::KeyHash unused_hash = 0;
+  LookupResult result;
+  dht::BatchScratch lanes;
+  dht::Router::route_batch(&from, &unused_hash, 1, 1, sink, &result, lanes,
+                           options, [&](NodeHandle, dht::KeyHash) {
+                             return CycloidStepPolicy(*this, key);
+                           });
+  return result;
 }
 
 // --------------------------------------------------------------------------

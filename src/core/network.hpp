@@ -96,50 +96,18 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   /// sets" traverse-phase trigger).
   bool key_in_leaf_range(const CycloidNode& node, const CccId& key) const;
 
-  /// One forwarding step of a traced lookup. Now the engine-level trace
-  /// record (every overlay traces through dht::Router); the name is kept
-  /// for the pre-engine call sites.
-  using RouteStep = dht::TraceStep;
-
   /// Routing support: lookup toward an explicit CCC position, accounting
-  /// into `sink`. When `trace` is non-null, every forwarding step is
-  /// appended to it (one entry per counted hop).
-  dht::LookupResult lookup_id(dht::NodeHandle from, const CccId& key,
-                              dht::LookupMetrics& sink,
-                              std::vector<RouteStep>* trace = nullptr) const;
-
-  /// Sequential convenience: route against the network-resident registry
-  /// (mirrors the 2-arg DhtNetwork::lookup wrapper).
-  dht::LookupResult lookup_id(dht::NodeHandle from, const CccId& key,
-                              std::vector<RouteStep>* trace = nullptr) {
-    dht::LookupMetrics sink;
-    const dht::LookupResult result = lookup_id(from, key, sink, trace);
-    absorb(sink);
-    return result;
-  }
+  /// into `sink` (a one-lookup Router::route_batch, like route()). When
+  /// `trace` is non-null, every forwarding step is appended to it (one
+  /// entry per counted hop). Times the routing safety net (pure numeric
+  /// leaf-set descent) engaged land in sink.guard_fallbacks.
+  dht::LookupResult lookup_id(
+      dht::NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
+      std::vector<dht::TraceStep>* trace = nullptr) const;
 
   // link_latency(a, b) and route_latency(trace) come from DhtNetwork (the
   // shared per-handle latency plane — both are pure and never trap on
   // departed handles).
-  using dht::DhtNetwork::route_latency;
-
-  /// Total simulated latency of a traced route starting at `from`: the sum
-  /// of the trace's recorded per-hop latencies (the pre-hoist signature;
-  /// `from` is retained for call-site compatibility and unused — the trace
-  /// is the single source of truth).
-  static double route_latency(dht::NodeHandle from,
-                              const std::vector<RouteStep>& trace) noexcept {
-    (void)from;
-    return dht::trace_latency(trace);
-  }
-
-  /// Times the routing safety net (pure numeric leaf-set descent) engaged
-  /// after the phase algorithm exceeded its step budget. Expected ~0; exposed
-  /// so tests can assert the phase algorithm itself converges. Counts only
-  /// lookups routed through the registry wrapper (like query_loads()).
-  std::uint64_t guard_fallbacks() const noexcept {
-    return metrics_.lookups.guard_fallbacks;
-  }
 
   // DhtNetwork interface -----------------------------------------------
   // node_handles() uses the base registry implementation: a handle packs
@@ -158,11 +126,6 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
 
  private:
   friend class CycloidMaintenancePolicy;
-
-  dht::LookupResult route_impl(dht::NodeHandle from, dht::KeyHash key,
-                               dht::LookupMetrics& sink,
-                               const dht::RouterOptions& options)
-      const override;
 
   void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
                         std::size_t count, int width, dht::LookupMetrics& sink,

@@ -138,22 +138,14 @@ class MaintenanceMetrics {
     if (per_node_.size() < count) per_node_.resize(count);
   }
 
-  /// Sum over all nodes (live + departed) and all causes — the legacy
-  /// `maintenance_updates()` value.
+  /// Sum over all nodes (live + departed) and all causes — the overlay's
+  /// total maintenance overhead.
   std::uint64_t total() const {
     std::uint64_t sum = 0;
     for (const MaintenanceBreakdown& row : per_node_) {
       for (const std::uint64_t v : row) sum += v;
     }
     for (const std::uint64_t v : departed_) sum += v;
-    return sum;
-  }
-
-  /// Sum over all nodes for one cause.
-  std::uint64_t total(MaintenanceCause cause) const {
-    const std::size_t c = static_cast<std::size_t>(cause);
-    std::uint64_t sum = departed_[c];
-    for (const MaintenanceBreakdown& row : per_node_) sum += row[c];
     return sum;
   }
 

@@ -1,7 +1,5 @@
 #include "dht/metrics.hpp"
 
-#include <algorithm>
-
 #include "dht/network.hpp"
 #include "util/contracts.hpp"
 
@@ -49,21 +47,6 @@ std::vector<std::uint64_t> LookupMetrics::query_load_vector(
   return loads;
 }
 
-std::unordered_map<NodeHandle, std::uint64_t> LookupMetrics::query_load()
-    const {
-  std::unordered_map<NodeHandle, std::uint64_t> loads = query_load_overflow_;
-  for (std::size_t slot = 0; slot < query_load_dense_.size(); ++slot) {
-    if (query_load_dense_[slot] == 0) continue;
-    loads[net_->handle_at(slot)] += query_load_dense_[slot];
-  }
-  return loads;
-}
-
-void LookupMetrics::clear_query_load() {
-  std::fill(query_load_dense_.begin(), query_load_dense_.end(), 0);
-  query_load_overflow_.clear();
-}
-
 std::optional<NodeHandle> LookupMetrics::learned_link(NodeHandle node) const {
   const auto it = learned_links_.find(node);
   if (it == learned_links_.end()) return std::nullopt;
@@ -89,28 +72,16 @@ void LookupMetrics::merge(const LookupMetrics& other) {
 }
 
 void LookupMetrics::merge_query_load(const LookupMetrics& other) {
-  if (other.slots_ != nullptr) {
-    if (slots_ != nullptr) {
-      // Dense + dense: shards of one batch are bound to the same network,
-      // so the planes add element-wise (the fast fig8/fig10 merge).
-      CYCLOID_EXPECTS(net_ == other.net_);
-      if (query_load_dense_.size() < other.query_load_dense_.size()) {
-        query_load_dense_.resize(other.query_load_dense_.size(), 0);
-      }
-      for (std::size_t slot = 0; slot < other.query_load_dense_.size();
-           ++slot) {
-        query_load_dense_[slot] += other.query_load_dense_[slot];
-      }
-    } else {
-      // Unbound registry absorbing a bound batch: fold the dense plane back
-      // into handle keys. Never adopt the binding — the registry outlives
-      // membership changes, and slots are only stable between them.
-      for (std::size_t slot = 0; slot < other.query_load_dense_.size();
-           ++slot) {
-        if (other.query_load_dense_[slot] == 0) continue;
-        query_load_overflow_[other.net_->handle_at(slot)] +=
-            other.query_load_dense_[slot];
-      }
+  if (other.net_ != nullptr) {
+    // Shards of one batch are bound to the same network (bind traps any
+    // other), so the dense planes add element-wise.
+    bind(*other.net_);
+    if (query_load_dense_.size() < other.query_load_dense_.size()) {
+      query_load_dense_.resize(other.query_load_dense_.size(), 0);
+    }
+    for (std::size_t slot = 0; slot < other.query_load_dense_.size();
+         ++slot) {
+      query_load_dense_[slot] += other.query_load_dense_[slot];
     }
   }
   for (const auto& [node, load] : other.query_load_overflow_) {

@@ -1,10 +1,11 @@
 // Caller-owned accounting for the read-only lookup core.
 //
-// Routing is split from mutation: `DhtNetwork::lookup(from, key, sink)` is
-// const and records everything it would previously have written into
-// network-resident counters — per-phase hops, timeouts, guard fallbacks,
-// per-node query load, and any repair-on-timeout promotions it *learned* —
-// into a caller-owned LookupMetrics. Per-thread sinks merge deterministically
+// Routing is split from mutation: `DhtNetwork::route_batch` (and `route`,
+// its one-lookup case) is const and records everything a lookup observes —
+// per-phase hops, timeouts, guard fallbacks, per-node query load, and any
+// repair-on-timeout promotions it *learned* — into a caller-owned
+// LookupMetrics. The sink is the only place these live: the network keeps
+// no lookup counters of its own. Per-thread sinks merge deterministically
 // (merge order fixed by the caller), which is what makes lookup-level
 // parallelism bit-reproducible at any thread count.
 #pragma once
@@ -50,7 +51,7 @@ class LookupMetrics {
   // Per-node query load (paper Fig. 10) ----------------------------------
   //
   // Two representations, one logical plane. A sink *bound* to a network
-  // (DhtNetwork::route binds automatically) charges a dense
+  // (DhtNetwork::route_batch binds automatically) charges a dense
   // vector indexed by the network's stable node slot — no hashing and no
   // allocation on the hot path. Unbound sinks (engine unit tests driving
   // dht::Router directly) and handles the bound network does not know fall
@@ -61,7 +62,7 @@ class LookupMetrics {
   // sink must not span membership changes — swap-remove reuses slots, so a
   // leave+join between counts would misattribute load. Every driver in
   // this repo already obeys this (batch sinks live inside one frozen-
-  // membership batch; the sequential wrapper uses a fresh sink per lookup).
+  // membership batch; the churn driver uses a fresh sink per lookup).
 
   /// Bind the query-load plane to `net`'s dense slot index. Idempotent for
   /// the same network; binding to a second network is a contract violation.
@@ -95,11 +96,6 @@ class LookupMetrics {
   /// Per-node loads in the network's canonical node order — one entry per
   /// live node, zeros included.
   std::vector<std::uint64_t> query_load_vector(const DhtNetwork& net) const;
-  /// Legacy handle-keyed view (thin adapter: materialized from the dense
-  /// plane plus the overflow map; nodes with zero load are omitted).
-  std::unordered_map<NodeHandle, std::uint64_t> query_load() const;
-  /// Zero the loads; a bound sink stays bound and keeps its capacity.
-  void clear_query_load();
 
   // Repair-on-timeout plane ----------------------------------------------
   // A const lookup cannot rewrite a node's stale link, but it can record
@@ -127,6 +123,7 @@ class LookupMetrics {
   /// Fold `other` into this sink. Counter sums are order-independent;
   /// learned links keep the first-merged value (all shards learn the same
   /// promotion for a given node, since it is a function of network state).
+  /// An unbound sink merging a bound one binds to its network.
   void merge(const LookupMetrics& other);
 
  private:
@@ -139,8 +136,7 @@ class LookupMetrics {
 
   void merge_query_load(const LookupMetrics& other);
 
-  /// Bound network (cold-path operations: materializing handle-keyed views,
-  /// folding the dense plane into an unbound sink on merge).
+  /// Bound network (cold path: binding an unbound sink on merge).
   const DhtNetwork* net_ = nullptr;
   /// The bound network's handle -> slot index (hot path; pointer to the
   /// index object itself, which outlives any rehash).
@@ -151,16 +147,6 @@ class LookupMetrics {
   std::unordered_map<NodeHandle, std::uint64_t> query_load_overflow_;
   std::unordered_map<NodeHandle, NodeHandle> learned_links_;
   std::unordered_set<NodeHandle> broken_links_;
-};
-
-/// Network-resident accounting kept behind DhtNetwork's legacy adapters
-/// (`query_loads()`, Cycloid's `guard_fallbacks()`): the registry the
-/// sequential convenience wrapper absorbs sinks into. Maintenance-overhead
-/// accounting moved to the per-node, per-cause plane owned by
-/// dht::Maintainer (dht/maintenance.hpp); `maintenance_updates()` on
-/// DhtNetwork is a thin adapter over it.
-struct MetricsRegistry {
-  LookupMetrics lookups;
 };
 
 }  // namespace cycloid::dht

@@ -8,13 +8,15 @@
 //
 // Routing core vs. mutation plane
 // -------------------------------
-// The routing hot path is const: `route(from, key, sink, options)` only
-// reads the membership and per-node routing state, and writes every side
-// effect — hops, timeouts, per-node query load, learned repair promotions —
-// into the caller-owned LookupMetrics sink. Concurrent lookups against the
-// same network (each thread with its own sink) are therefore data-race-free,
-// as long as no mutation-plane call (join/leave/fail_*/stabilize_*/absorb or
-// the 2-arg lookup wrapper) runs concurrently with them.
+// The routing hot path is const: `route_batch` (and `route`, its
+// one-lookup case) only reads the membership and per-node routing state,
+// and writes every side effect — hops, timeouts, per-node query load,
+// learned repair promotions — into the caller-owned LookupMetrics sink.
+// Concurrent lookups against the same network (each thread with its own
+// sink) are therefore data-race-free, as long as no mutation-plane call
+// (join/leave/fail_*/stabilize_*/absorb) runs concurrently with them. A
+// caller that wants the repairs a lookup learned applied to the network
+// hands its sink to absorb() afterwards.
 //
 // Both planes are engine-owned; an overlay contributes only policies:
 //
@@ -23,14 +25,15 @@
 //   join/leave/fail_*/stabilize_*
 //          ──► dht::Maintainer ── MaintenancePolicy ──► [overlay state]
 //
-// dht::Router (dht/router.hpp) owns the hop loop: `route` builds a
-// per-lookup step policy and hands it to the engine, which owns timeout
-// detection, phase accounting, query-load charging, tracing, and the
-// universal hop cap. dht::Maintainer (dht/maintenance.hpp) owns the
-// mutation plane's shared machinery: departure sampling for the fail_*
-// experiments, stale-entry bookkeeping, departure-semantics recording, the
-// parallel stabilization pass, and the dense per-node/per-cause
-// maintenance-metrics plane charged through note_maintenance(node).
+// dht::Router (dht/router.hpp) owns the hop loop: each overlay's one
+// route_batch_impl hands a per-lookup step-policy factory to
+// Router::route_batch, which owns timeout detection, phase accounting,
+// query-load charging, tracing, and the universal hop cap.
+// dht::Maintainer (dht/maintenance.hpp) owns the mutation plane's shared
+// machinery: departure sampling for the fail_* experiments, stale-entry
+// bookkeeping, departure-semantics recording, the parallel stabilization
+// pass, and the dense per-node/per-cause maintenance-metrics plane charged
+// through note_maintenance(node).
 #pragma once
 
 #include <algorithm>
@@ -126,33 +129,36 @@ class DhtNetwork {
   virtual NodeHandle owner_of(KeyHash key) const = 0;
 
   /// Route a lookup from `from` toward the node responsible for `key`,
-  /// counting hops, timeouts, and per-phase costs into `sink`. Read-only
-  /// with respect to the network: safe to call from many threads at once
-  /// (one sink per thread) provided no mutating member runs concurrently.
-  /// Binds the sink's query-load plane to this network's dense slot index,
-  /// then dispatches to the overlay's route_impl, which builds a per-lookup
-  /// step policy and hands it to dht::Router (the hop loop owner).
+  /// counting hops, timeouts, and per-phase costs into `sink`: a one-lookup
+  /// route_batch at width 1. Same read-only/thread-safety contract as
+  /// route_batch. Callers routing many lookups should batch them and reuse
+  /// a BatchScratch instead.
   LookupResult route(NodeHandle from, KeyHash key, LookupMetrics& sink,
                      const RouterOptions& options) const {
-    sink.bind(*this);
-    return route_impl(from, key, sink, options);
+    LookupResult result;
+    BatchScratch lanes;
+    route_batch(&from, &key, 1, 1, sink, &result, lanes, options);
+    return result;
   }
 
-  /// Route with default engine options (the common batch-driver entry).
+  /// route() with default engine options.
   LookupResult lookup(NodeHandle from, KeyHash key,
                       LookupMetrics& sink) const {
     return route(from, key, sink, RouterOptions{});
   }
 
-  /// Route `count` lookups with up to `width` kept in flight at once
-  /// (Router::route_batch's interleaved hop loop — DESIGN.md §14). Same
-  /// read-only/thread-safety contract as route(); results land in
-  /// `results[0..count)` in input order and every per-lookup result, sink
-  /// total, and metrics value is identical to routing the same inputs
-  /// sequentially at width 1 — interleaving is a latency-hiding detail,
-  /// never an observable one. `lanes` is caller-owned scratch (reused
-  /// across batches for an allocation-free warm path). width <= 1 runs the
-  /// plain sequential path.
+  /// The routing entry: route `count` lookups with up to `width` kept in
+  /// flight at once (Router::route_batch's interleaved hop loop —
+  /// DESIGN.md §14). Read-only with respect to the network: safe to call
+  /// from many threads at once (one sink per thread) provided no mutating
+  /// member runs concurrently. Binds the sink's query-load plane to this
+  /// network's dense slot index, then hands the overlay's step-policy
+  /// factory to dht::Router. Results land in `results[0..count)` in input
+  /// order and every per-lookup result, sink total, and metrics value is
+  /// identical to routing the same inputs one at a time — interleaving is a
+  /// latency-hiding detail, never an observable one. `lanes` is
+  /// caller-owned scratch (reused across batches for an allocation-free
+  /// warm path). width <= 1 runs each lookup to completion in turn.
   void route_batch(const NodeHandle* froms, const KeyHash* keys,
                    std::size_t count, int width, LookupMetrics& sink,
                    LookupResult* results, BatchScratch& lanes,
@@ -160,18 +166,6 @@ class DhtNetwork {
     sink.bind(*this);
     route_batch_impl(froms, keys, count, width, sink, results, lanes,
                      options);
-  }
-
-  /// Sequential convenience wrapper: route against the network-resident
-  /// registry and immediately apply any repair promotions the lookup
-  /// learned (the pre-split mutating behaviour, kept for tests, examples,
-  /// and the churn driver).
-  LookupResult lookup(NodeHandle from, KeyHash key) {
-    LookupMetrics sink;
-    const LookupResult result =
-        static_cast<const DhtNetwork&>(*this).lookup(from, key, sink);
-    absorb(sink);
-    return result;
   }
 
   // Shared latency plane -------------------------------------------------
@@ -192,16 +186,13 @@ class DhtNetwork {
     return trace_latency(trace);
   }
 
-  /// Fold a finished batch into the registry and let the overlay apply the
-  /// repair promotions the batch learned (Koorde's backup promotion). The
-  /// promotions run under the engine's kLookupPromotion cause scope.
+  /// Let the overlay apply the repair promotions a finished batch learned
+  /// (Koorde's backup promotion). The promotions run under the engine's
+  /// kLookupPromotion cause scope.
   void absorb(const LookupMetrics& batch) {
-    {
-      Maintainer::CauseScope scope(maintainer_,
-                                   MaintenanceCause::kLookupPromotion);
-      apply_repairs(batch);
-    }
-    metrics_.lookups.merge(batch);
+    Maintainer::CauseScope scope(maintainer_,
+                                 MaintenanceCause::kLookupPromotion);
+    apply_repairs(batch);
   }
 
   // Mutation plane ---------------------------------------------------------
@@ -328,64 +319,32 @@ class DhtNetwork {
   /// insert to defer per-insert table work.
   bool bulk_building() const noexcept { return bulk_building_; }
 
-  /// Query-load accounting (paper Fig. 10): number of lookup messages each
-  /// node received as an intermediate or final destination. Thin adapters
-  /// over the registry the sequential wrapper absorbs into; batch runs keep
-  /// their own sinks and never touch these.
-  void reset_query_load() { metrics_.lookups.clear_query_load(); }
-  std::vector<std::uint64_t> query_loads() const {
-    return metrics_.lookups.query_load_vector(*this);
-  }
-
   /// Maintenance-overhead accounting — the fifth DHT metric of paper
   /// Sec. 4: the number of per-node state updates the protocol performed
   /// (leaf-set/successor repairs on join/leave, stabilization refreshes).
-  /// One update ~ one maintenance message exchange with that node. The
-  /// engine keeps the full per-node, per-cause plane; this adapter reports
-  /// the grand total the pre-engine atomic counter held.
-  std::uint64_t maintenance_updates() const {
-    return maintainer_.metrics().total();
-  }
-  /// Updates attributed to one cause (join repair, leave repair,
+  /// One update ~ one maintenance message exchange with that node. This
+  /// call gives the four per-cause totals (join repair, leave repair,
   /// stabilization refresh, lookup-learned promotion).
-  std::uint64_t maintenance_updates(MaintenanceCause cause) const {
-    return maintainer_.metrics().total(cause);
-  }
-  /// All four per-cause totals at once.
   MaintenanceBreakdown maintenance_by_cause() const {
     return maintainer_.metrics().by_cause();
   }
-  /// The full plane (per-node rows + departed aggregate).
+  /// The full plane (per-node rows + departed aggregate; total() is the
+  /// grand total).
   const MaintenanceMetrics& maintenance_metrics() const {
     return maintainer_.metrics();
   }
   void reset_maintenance() { maintainer_.reset(); }
 
-  /// The network-resident registry (sequential-wrapper accounting).
-  const MetricsRegistry& metrics() const { return metrics_; }
-
  protected:
-  /// The overlay half of route(): pure routing against the overlay's state.
-  virtual LookupResult route_impl(NodeHandle from, KeyHash key,
-                                  LookupMetrics& sink,
-                                  const RouterOptions& options) const = 0;
-
-  /// The overlay half of route_batch(): overlays override to hand their
-  /// step-policy factory to Router::route_batch (gaining lane interleaving
-  /// and slot prefetching). The base implementation is the always-correct
-  /// sequential fallback, and overlays must produce results identical to it
-  /// at every width (pinned per overlay in tests/dht_conformance_test.cpp).
+  /// The overlay half of route_batch() — the only per-overlay routing
+  /// override: hand the overlay's step-policy factory to
+  /// Router::route_batch. Results must be identical at every width (pinned
+  /// per overlay in tests/dht_conformance_test.cpp).
   virtual void route_batch_impl(const NodeHandle* froms, const KeyHash* keys,
                                 std::size_t count, int width,
                                 LookupMetrics& sink, LookupResult* results,
                                 BatchScratch& lanes,
-                                const RouterOptions& options) const {
-    (void)width;
-    (void)lanes;
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = route_impl(froms[i], keys[i], sink, options);
-    }
-  }
+                                const RouterOptions& options) const = 0;
 
   /// Membership-registry hooks: overlays call these exactly where they
   /// insert/erase their node-state maps, so the registry and the overlay
@@ -442,8 +401,6 @@ class DhtNetwork {
   /// state mutates outside membership events (Koorde's lookup-learned
   /// promotions in apply_repairs) call it directly.
   void mark_dirty(NodeHandle node) { maintainer_.mark_dirty(node); }
-
-  MetricsRegistry metrics_;
 
  private:
   /// Dense handle list + positions: O(1) random_node and removal, and the

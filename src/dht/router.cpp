@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/contracts.hpp"
-
 namespace cycloid::dht {
 
 bool RouteState::attempt(NodeHandle node) const {
@@ -43,37 +41,6 @@ NodeHandle RouteState::resolve_chain(NodeHandle owner, NodeHandle primary,
   }
   sink_->mark_broken(owner);
   return kNoNode;
-}
-
-LookupResult Router::run(StepPolicy& policy, NodeHandle from,
-                         LookupMetrics& sink, const RouterOptions& options) {
-  // Caller-provided scratch makes repeated lookups allocation-free once the
-  // buffers are warm; without one the engine falls back to per-call locals.
-  RouterScratch local_scratch;
-  RouterScratch& scratch =
-      options.scratch != nullptr ? *options.scratch : local_scratch;
-  scratch.clear();
-
-  LookupResult result;
-  RouteState state;
-  state.bind(policy, sink, result, scratch);
-  state.current_ = from;
-  state.current_slot_ = policy.slot_of(from);
-  if (policy.track_visited()) scratch.visited.push_back(from);
-
-  const int max_hops =
-      options.max_hops > 0 ? options.max_hops : policy.default_max_hops();
-  CYCLOID_EXPECTS(max_hops > 0);
-  const int budget = policy.fallback_budget();
-
-  // The loop body lives in step_once (router.hpp), shared verbatim with the
-  // route_batch lanes so the two paths cannot drift apart.
-  while (!step_once(state, policy, sink, options, max_hops, budget)) {
-  }
-
-  result.destination = state.current_;
-  sink.note(result);
-  return result;
 }
 
 }  // namespace cycloid::dht

@@ -3,8 +3,9 @@
 // The simulator is message-level — a lookup is a sequence of hop decisions —
 // and every overlay used to re-implement the same `while (true)` loop with
 // its own copy of dead-contact timeout accounting, phase bookkeeping, and
-// loop guards. dht::Router owns that loop end to end. An overlay's
-// `route(from, key, sink, options)` shrinks to a *step policy*: given the
+// loop guards. dht::Router owns that loop end to end, and
+// Router::route_batch is its only entry: DhtNetwork::route is a one-lookup
+// batch at width 1. An overlay contributes a *step policy*: given the
 // current position, decide the next hop (forward / deliver / fail) with a
 // phase tag. The engine centrally handles everything the overlays used to
 // duplicate:
@@ -19,7 +20,7 @@
 //     counted in LookupMetrics::guard_fallbacks) once the step count
 //     exceeds it;
 //   - optional per-hop route tracing with link-latency accumulation
-//     (RouterOptions::trace);
+//     (RouterOptions::trace, one lookup at a time);
 //   - a universal hop cap that turns would-be infinite routing loops into
 //     an explicit LookupStatus::kHopLimit instead of a hang.
 //
@@ -43,11 +44,10 @@
 
 namespace cycloid::dht {
 
-/// Reusable per-lookup buffers of the engine. A caller that routes many
-/// lookups passes the same scratch every time (RouterOptions::scratch):
-/// the engine clears the buffers but keeps their capacity, so a warmed-up
-/// batch performs zero heap allocations per lookup. One scratch per thread
-/// — it is engine working state, never shared and never read back.
+/// Reusable per-lookup buffers of one in-flight lane. The engine clears
+/// the buffers on every refill but keeps their capacity, so a warmed-up
+/// batch performs zero heap allocations per lookup. Engine working state,
+/// never shared and never read back.
 struct RouterScratch {
   /// Distinct departed nodes contacted (RouteState::attempt dedup).
   std::vector<NodeHandle> dead_seen;
@@ -70,16 +70,15 @@ struct RouterOptions {
   /// LookupStatus::kHopLimit. 0 selects the policy's default cap
   /// (8 * bits of the overlay's identifier space).
   int max_hops = 0;
-  /// When non-null, every counted hop is appended as a TraceStep.
+  /// When non-null, every counted hop is appended as a TraceStep. One
+  /// vector holds one route, so tracing requires a single in-flight lane
+  /// (width 1 or a one-lookup batch).
   std::vector<TraceStep>* trace = nullptr;
   /// Accumulate per-hop link latencies into LookupResult::route_latency
   /// without recording a trace (the churn drivers' per-lookup pricing).
   /// Tracing implies pricing; with both off the engine never evaluates
   /// link_latency, so untraced batches pay nothing.
   bool price_links = false;
-  /// When non-null, the engine routes out of these caller-owned buffers
-  /// instead of per-call locals (the zero-allocation batch hot path).
-  RouterScratch* scratch = nullptr;
 };
 
 /// A step policy's verdict for the current position.
@@ -116,9 +115,9 @@ struct HopDecision {
 class RouteState;
 
 /// The per-overlay half of a lookup: pure routing logic, no accounting.
-/// Policies are cheap per-lookup objects (constructed on the stack by the
-/// overlay's `route()`), so they may carry per-lookup state such as
-/// Koorde's imaginary-node path or Viceroy's phase machine.
+/// Policies are cheap per-lookup objects (built by value in each batch lane
+/// by the overlay's policy factory), so they may carry per-lookup state
+/// such as Koorde's imaginary-node path or Viceroy's phase machine.
 class StepPolicy {
  public:
   /// fallback_budget() value meaning "no step budget".
@@ -261,7 +260,7 @@ class RouteState {
   friend class Router;
 
   /// Default-constructed states are unbound lane slots of route_batch;
-  /// bind() targets them at a lookup (and run() uses it the same way).
+  /// bind() targets them at a lookup.
   RouteState() = default;
 
   /// Re-target this state at one lookup: wire the policy/sink/result/
@@ -284,9 +283,8 @@ class RouteState {
   LookupMetrics* sink_ = nullptr;
   LookupResult* result_ = nullptr;
   /// Engine buffers (dead-seen dedup — small, linear scan beats hashing —
-  /// visited tracking, and the policy candidate buffer). Either the
-  /// caller's reusable scratch, Router::run's per-call local, or the lane's
-  /// slice of a BatchScratch.
+  /// visited tracking, and the policy candidate buffer): the lane's slice
+  /// of a BatchScratch.
   RouterScratch* scratch_ = nullptr;
   NodeHandle current_ = kNoNode;
   std::size_t current_slot_ = kNoSlot;
@@ -296,25 +294,24 @@ class RouteState {
 };
 
 /// Reusable per-lane engine buffers for Router::route_batch: one
-/// RouterScratch per in-flight lane. Like RouterScratch itself, a caller
-/// that batches repeatedly passes the same object every time so the lane
-/// buffers warm once and the hot path allocates nothing. One BatchScratch
-/// per thread — never shared.
+/// RouterScratch per in-flight lane. A caller that batches repeatedly
+/// passes the same object every time so the lane buffers warm once and the
+/// hot path allocates nothing. One BatchScratch per thread — never shared.
 struct BatchScratch {
   std::vector<RouterScratch> lanes;
 };
 
-/// The hop loop. `run` drives `policy` from `from` until it delivers,
-/// fails, or exceeds the hop cap, accounting every hop into `sink`.
-/// `route_batch` drives many lookups through the same loop with up to
-/// kMaxBatchWidth of them in flight at once (software pipelining): each
-/// lane owns a RouteState and a RouterScratch slice, lanes advance
-/// round-robin, and the policy's prefetch hints overlap one lane's DRAM
-/// misses with the other lanes' compute. Lanes are fully independent and
-/// the engine is const, so per-lookup results and sink totals are
-/// bit-identical to a sequential `run` loop at every width (the notes — the
-/// only order-sensitive sink writes — are issued in lookup-index order
-/// after the lanes drain).
+/// The hop loop. `route_batch` drives each lookup's policy from its source
+/// until it delivers, fails, or exceeds the hop cap, accounting every hop
+/// into `sink`, with up to kMaxBatchWidth lookups in flight at once
+/// (software pipelining): each lane owns a RouteState and a RouterScratch
+/// slice, lanes advance round-robin, and the policy's prefetch hints
+/// overlap one lane's DRAM misses with the other lanes' compute. At width 1
+/// a lane runs each lookup to completion before the next starts — the
+/// sequential schedule. Lanes are fully independent and the engine is
+/// const, so per-lookup results and sink totals are bit-identical to the
+/// width-1 schedule at every width (the notes — the only order-sensitive
+/// sink writes — are issued in lookup-index order after the lanes drain).
 class Router {
  public:
   /// Hard cap on in-flight lanes. Eight lanes already saturate the MLP of
@@ -322,18 +319,13 @@ class Router {
   /// the lane array live in a fixed-size std::array (no per-batch heap).
   static constexpr int kMaxBatchWidth = 16;
 
-  static LookupResult run(StepPolicy& policy, NodeHandle from,
-                          LookupMetrics& sink,
-                          const RouterOptions& options = {});
-
   /// Route `count` lookups (froms[i] toward keys[i]) with up to `width`
   /// in flight, writing per-lookup outcomes into results[0..count) and
-  /// accounting into `sink` exactly as `count` sequential run() calls
-  /// would. `make_policy(from, key)` builds the overlay's per-lookup step
-  /// policy by value; the concrete policy type lets the compiler
-  /// devirtualize the hop loop. Widths outside [1, kMaxBatchWidth] are
-  /// clamped. RouterOptions::scratch is ignored — each lane routes out of
-  /// its own slice of `batch`.
+  /// accounting into `sink` exactly as routing them one at a time would.
+  /// `make_policy(from, key)` builds the overlay's per-lookup step policy
+  /// by value; the concrete policy type lets the compiler devirtualize the
+  /// hop loop. Widths outside [1, kMaxBatchWidth] are clamped. Each lane
+  /// routes out of its own slice of `batch`.
   template <typename MakePolicy>
   static void route_batch(const NodeHandle* froms, const KeyHash* keys,
                           std::size_t count, int width, LookupMetrics& sink,
@@ -345,6 +337,9 @@ class Router {
     if (count == 0) return;
     const std::size_t lane_count = std::min<std::size_t>(
         static_cast<std::size_t>(std::clamp(width, 1, kMaxBatchWidth)), count);
+    // Lanes share options.trace, so interleaved lanes would mix their
+    // steps into one vector.
+    CYCLOID_EXPECTS(options.trace == nullptr || lane_count == 1);
     if (batch.lanes.size() < lane_count) batch.lanes.resize(lane_count);
 
     // One lane = one in-flight lookup. A lane cycles through three visits
@@ -428,12 +423,11 @@ class Router {
   }
 
  private:
-  /// One iteration of the hop loop — exactly the body `run` executes per
-  /// decision, shared verbatim with the batch lanes. Returns true when the
-  /// lookup terminated (result status/success already set; destination is
-  /// the caller's to fill from state.current_). Templated on the concrete
-  /// policy type so route_batch's instantiation devirtualizes the per-hop
-  /// calls; run() instantiates it at the StepPolicy base.
+  /// One iteration of the hop loop: a lane's step visit. Returns true when
+  /// the lookup terminated (result status/success already set; destination
+  /// is the caller's to fill from state.current_). Templated on the
+  /// concrete policy type so each instantiation devirtualizes the per-hop
+  /// calls.
   template <typename P>
   static bool step_once(RouteState& state, P& policy, LookupMetrics& sink,
                         const RouterOptions& options, int max_hops,

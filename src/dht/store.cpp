@@ -42,7 +42,10 @@ std::vector<NodeHandle> DhtStore::replica_set(const std::string& key) const {
 LookupResult DhtStore::put(const std::string& key, std::string value,
                            NodeHandle source) {
   if (source == kNoNode) source = net_.random_node(rng_);
-  const LookupResult result = net_.lookup(source, hash::hash_name(key));
+  // Fresh sink per lookup; absorb applies the repairs it learned (Koorde).
+  LookupMetrics sink;
+  const LookupResult result = net_.lookup(source, hash::hash_name(key), sink);
+  net_.absorb(sink);
   directory_[key] = Entry{std::move(value), replica_set(key)};
   return result;
 }
@@ -51,7 +54,9 @@ std::optional<std::string> DhtStore::get(const std::string& key,
                                          NodeHandle source,
                                          LookupResult* result) {
   if (source == kNoNode) source = net_.random_node(rng_);
-  const LookupResult lookup = net_.lookup(source, hash::hash_name(key));
+  LookupMetrics sink;
+  const LookupResult lookup = net_.lookup(source, hash::hash_name(key), sink);
+  net_.absorb(sink);
   if (result != nullptr) *result = lookup;
 
   const auto it = directory_.find(key);

@@ -330,7 +330,7 @@ ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
   row.timeouts_p99 = stats.lookups == 0 ? 0.0 : stats.timeouts.p99();
   row.failures = stats.failures + stats.incorrect;
   row.final_size = net->node_count();
-  row.maintenance_total = net->maintenance_updates();
+  row.maintenance_total = net->maintenance_metrics().total();
   row.maintenance_by_cause = net->maintenance_by_cause();
   row.nodes_refreshed_dirty = net->nodes_refreshed_dirty();
   row.nodes_skipped_clean = net->nodes_skipped_clean();

@@ -1,5 +1,6 @@
 #include "exp/workloads.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -46,55 +47,42 @@ namespace {
 /// the test thread, never concurrently with a running batch.
 int g_lookup_interleave = 1;
 
-/// The shared inner loop: `count` lookups drawn from `rng` into `out`.
-/// `scratch` is this worker's reusable engine buffer — after the first few
-/// lookups warm its capacity, the loop performs no per-lookup allocations.
-void run_into(const dht::DhtNetwork& net, std::uint64_t count, util::Rng& rng,
-              bool check_owner, WorkloadStats& out,
-              dht::RouterScratch& scratch) {
-  dht::RouterOptions options;
-  options.scratch = &scratch;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const dht::NodeHandle source = net.random_node(rng);
-    const dht::KeyHash key = rng();
-    const dht::LookupResult result = net.route(source, key, out.metrics, options);
-    out.note(result, !check_owner || !result.success ||
-                         result.destination == net.owner_of(key));
-  }
-}
-
-/// Per-shard buffers for the interleaved path, reused across a worker's
-/// shards so steady-state batches allocate nothing.
-struct InterleaveScratch {
+/// Per-worker buffers of the lookup loop, reused across its chunks so
+/// steady-state batches allocate nothing.
+struct LookupScratch {
   std::vector<dht::NodeHandle> sources;
   std::vector<dht::KeyHash> keys;
   std::vector<dht::LookupResult> results;
   dht::BatchScratch lanes;
 };
 
-/// run_into's interleaved twin: same draws, same notes, same sink — only
-/// the hop loops of up to `width` lookups overlap. Sources and keys are
-/// pre-drawn in run_into's exact order (source, key, source, key, ...), so
-/// the shard's RNG stream is untouched by the width; route_batch guarantees
-/// the per-lookup results and sink writes match the sequential schedule.
-void run_interleaved(const dht::DhtNetwork& net, std::uint64_t count,
-                     util::Rng& rng, bool check_owner, int width,
-                     WorkloadStats& out, InterleaveScratch& scratch) {
-  const std::size_t n = static_cast<std::size_t>(count);
-  scratch.sources.resize(n);
-  scratch.keys.resize(n);
-  scratch.results.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.sources[i] = net.random_node(rng);
-    scratch.keys[i] = rng();
-  }
-  net.route_batch(scratch.sources.data(), scratch.keys.data(), n, width,
-                  out.metrics, scratch.results.data(), scratch.lanes,
-                  dht::RouterOptions{});
-  for (std::size_t i = 0; i < n; ++i) {
-    const dht::LookupResult& result = scratch.results[i];
-    out.note(result, !check_owner || !result.success ||
-                         result.destination == net.owner_of(scratch.keys[i]));
+/// The one lookup loop: `count` lookups drawn from `rng` into `out`, with
+/// up to `width` in flight through route_batch. Sources and keys are
+/// pre-drawn in chunks of kLookupShardSize, in (source, key, source, key,
+/// ...) order, so the RNG stream is the same at every width and chunking;
+/// route_batch guarantees the per-lookup results and sink writes match
+/// routing them one at a time.
+void run_lookups(const dht::DhtNetwork& net, std::uint64_t count,
+                 util::Rng& rng, bool check_owner, int width,
+                 WorkloadStats& out, LookupScratch& scratch) {
+  for (std::uint64_t begin = 0; begin < count; begin += kLookupShardSize) {
+    const auto n =
+        static_cast<std::size_t>(std::min(kLookupShardSize, count - begin));
+    scratch.sources.resize(n);
+    scratch.keys.resize(n);
+    scratch.results.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch.sources[i] = net.random_node(rng);
+      scratch.keys[i] = rng();
+    }
+    net.route_batch(scratch.sources.data(), scratch.keys.data(), n, width,
+                    out.metrics, scratch.results.data(), scratch.lanes,
+                    dht::RouterOptions{});
+    for (std::size_t i = 0; i < n; ++i) {
+      const dht::LookupResult& result = scratch.results[i];
+      out.note(result, !check_owner || !result.success ||
+                           result.destination == net.owner_of(scratch.keys[i]));
+    }
   }
 }
 
@@ -111,8 +99,8 @@ WorkloadStats run_random_lookups(const dht::DhtNetwork& net,
                                  bool check_owner) {
   WorkloadStats out;
   out.phase_names = net.phase_names();
-  dht::RouterScratch scratch;
-  run_into(net, count, rng, check_owner, out, scratch);
+  LookupScratch scratch;
+  run_lookups(net, count, rng, check_owner, /*width=*/1, out, scratch);
   return out;
 }
 
@@ -134,20 +122,12 @@ WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
     // Per-shard scratch: engine buffers warm up once per shard and are
     // reused across its kLookupShardSize lookups (never shared; DESIGN.md
     // §8). Results do not depend on scratch reuse or interleave width.
-    if (width <= 1) {
-      dht::RouterScratch scratch;
-      run_into(net, n, rng, check_owner, parts[s], scratch);
-    } else {
-      InterleaveScratch scratch;
-      run_interleaved(net, n, rng, check_owner, width, parts[s], scratch);
-    }
+    LookupScratch scratch;
+    run_lookups(net, n, rng, check_owner, width, parts[s], scratch);
   });
 
   WorkloadStats out;
   out.phase_names = net.phase_names();
-  // Bind the merged sink before the shard sinks fold in, so the batch-level
-  // query-load plane stays dense (shard merges add element-wise).
-  out.metrics.bind(net);
   for (const WorkloadStats& part : parts) out.merge(part);
   return out;
 }

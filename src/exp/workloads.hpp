@@ -45,7 +45,7 @@ struct WorkloadStats {
 };
 
 /// Run `count` lookups from uniform-random sources toward uniform-random
-/// keys, sequentially, through one shared sink (so Koorde's learned repairs
+/// keys, one at a time (route_batch at width 1), through one shared sink (so Koorde's learned repairs
 /// carry across the run, like the old mutating implementation). When
 /// `check_owner`, each lookup's destination is compared against the
 /// overlay's ground-truth owner (counted in `incorrect` on mismatch).
@@ -62,8 +62,8 @@ inline constexpr std::uint64_t kLookupShardSize = 2048;
 /// lookups each shard keeps in flight through the overlay's interleaved
 /// batch router (DhtNetwork::route_batch). bench::Report installs the
 /// CYCLOID_BENCH_INTERLEAVE knob here so every bench binary honors it.
-/// Widths are clamped to at least 1; 1 (the default) keeps the plain
-/// sequential path. Results are identical at every width.
+/// Widths are clamped to at least 1; 1 (the default) routes one lookup at
+/// a time. Results are identical at every width.
 void set_lookup_interleave(int width);
 int lookup_interleave();
 

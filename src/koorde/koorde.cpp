@@ -412,16 +412,6 @@ class KoordeStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult KoordeNetwork::route_impl(NodeHandle from, dht::KeyHash key,
-                                  dht::LookupMetrics& sink,
-                                  const dht::RouterOptions& options) const {
-  const KoordeNode* source = node_of(from);
-  CYCLOID_EXPECTS(source != nullptr);
-  const std::uint64_t target = key & (space_size_ - 1);
-  KoordeStepPolicy policy(*this, target, best_start(*source, target));
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void KoordeNetwork::route_batch_impl(const NodeHandle* froms,
                                      const dht::KeyHash* keys,
                                      std::size_t count, int width,

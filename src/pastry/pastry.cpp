@@ -558,14 +558,6 @@ class PastryStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult PastryNetwork::route_impl(NodeHandle from, dht::KeyHash key,
-                                  dht::LookupMetrics& sink,
-                                  const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  PastryStepPolicy policy(*this, key % space_size_);
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void PastryNetwork::route_batch_impl(const NodeHandle* froms,
                                      const dht::KeyHash* keys,
                                      std::size_t count, int width,

@@ -346,14 +346,6 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult ViceroyNetwork::route_impl(NodeHandle from, dht::KeyHash key,
-                                   dht::LookupMetrics& sink,
-                                   const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  ViceroyStepPolicy policy(*this, hash::reduce_unit(key));
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void ViceroyNetwork::route_batch_impl(const NodeHandle* froms,
                                       const dht::KeyHash* keys,
                                       std::size_t count, int width,

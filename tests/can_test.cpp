@@ -47,9 +47,11 @@ TEST(CanBuild, ThreeDimensionalNetworksWork) {
   util::Rng rng(2);
   auto net = CanNetwork::build_random(64, rng, /*dims=*/3);
   EXPECT_TRUE(net->check_invariants());
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -59,9 +61,11 @@ TEST(CanLookup, AlwaysFindsOwner) {
   util::Rng rng(3);
   for (const std::size_t n : {1u, 2u, 17u, 130u, 500u}) {
     auto net = CanNetwork::build_random(n, rng);
+    dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+      const dht::LookupResult result =
+          net->lookup(net->random_node(rng), key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
       EXPECT_EQ(result.timeouts, 0);  // neighbour state never goes stale
@@ -75,8 +79,9 @@ TEST(CanLookup, PathScalesAsSquareRoot) {
     auto net = CanNetwork::build_random(n, rng);
     double total = 0;
     const int lookups = 1500;
+    dht::LookupMetrics sink;
     for (int i = 0; i < lookups; ++i) {
-      total += net->lookup(net->random_node(rng), rng()).hops;
+      total += net->lookup(net->random_node(rng), rng(), sink).hops;
     }
     return total / lookups;
   };
@@ -110,7 +115,9 @@ TEST(CanMembership, ChurnPreservesInvariantsAndCorrectness) {
       net->join(rng());
     }
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -133,9 +140,11 @@ TEST(CanMembership, MassDepartureKeepsServiceCorrect) {
   auto net = CanNetwork::build_random(300, rng);
   net->fail_simultaneously(0.5, rng);
   EXPECT_TRUE(net->check_invariants());
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -161,14 +170,14 @@ TEST(CanGeometry, PointFromHashCoversSpace) {
 TEST(CanQueryLoad, CountersSumToHops) {
   util::Rng rng(9);
   auto net = CanNetwork::build_random(150, rng);
-  net->reset_query_load();
   std::uint64_t hops = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 400; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t l : net->query_loads()) received += l;
+  for (const std::uint64_t l : sink.query_load_vector(*net)) received += l;
   EXPECT_EQ(received, hops);
 }
 

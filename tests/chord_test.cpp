@@ -65,9 +65,11 @@ TEST(ChordLookup, AlwaysFindsOwner) {
   util::Rng rng(3);
   for (const std::size_t n : {2u, 5u, 37u, 200u}) {
     auto net = ChordNetwork::build_random(11, n, rng);
+    dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+      const dht::LookupResult result =
+          net->lookup(net->random_node(rng), key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
       EXPECT_EQ(net->owner_of(key), brute_force_owner(*net, key));
@@ -80,8 +82,9 @@ TEST(ChordLookup, LogarithmicPathLength) {
   auto net = ChordNetwork::build_random(12, 1024, rng);
   double total = 0;
   const int lookups = 2000;
+  dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
-    total += net->lookup(net->random_node(rng), rng()).hops;
+    total += net->lookup(net->random_node(rng), rng(), sink).hops;
   }
   const double mean = total / lookups;
   // Chord's mean is ~(1/2) log2 n = 5; allow generous slack.
@@ -92,9 +95,10 @@ TEST(ChordLookup, LogarithmicPathLength) {
 TEST(ChordLookup, OwnerLookupIsLocal) {
   util::Rng rng(5);
   auto net = ChordNetwork::build_random(10, 64, rng);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 100; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->owner_of(key), key);
+    const dht::LookupResult result = net->lookup(net->owner_of(key), key, sink);
     EXPECT_EQ(result.hops, 0);
   }
 }
@@ -104,9 +108,10 @@ TEST(ChordMembership, JoinThenLookupCorrect) {
   util::Rng rng(6);
   for (int i = 0; i < 80; ++i) net.join(rng());
   EXPECT_GT(net.node_count(), 60u);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const dht::KeyHash key = rng();
-    EXPECT_EQ(net.lookup(net.random_node(rng), key).destination,
+    EXPECT_EQ(net.lookup(net.random_node(rng), key, sink).destination,
               net.owner_of(key));
   }
 }
@@ -115,9 +120,11 @@ TEST(ChordMembership, LeaveKeepsLookupsCorrect) {
   util::Rng rng(7);
   auto net = ChordNetwork::build_random(10, 120, rng);
   for (int i = 0; i < 60; ++i) net->leave(net->random_node(rng));
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -128,9 +135,11 @@ TEST(ChordFailures, TimeoutsButNoFailures) {
   util::Rng rng(8);
   net->fail_simultaneously(0.5, rng);
   int timeouts = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     timeouts += result.timeouts;
@@ -143,22 +152,25 @@ TEST(ChordFailures, StabilizationClearsTimeouts) {
   util::Rng rng(9);
   net->fail_simultaneously(0.3, rng);
   net->stabilize_all();
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(net->lookup(net->random_node(rng), rng()).timeouts, 0);
+    EXPECT_EQ(net->lookup(net->random_node(rng), rng(), sink).timeouts, 0);
   }
 }
 
 TEST(ChordQueryLoad, CountersSumToHops) {
   util::Rng rng(10);
   auto net = ChordNetwork::build_random(10, 128, rng);
-  net->reset_query_load();
   std::uint64_t hops = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 400; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t load : net->query_loads()) received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    received += load;
+  }
   EXPECT_EQ(received, hops);
 }
 

@@ -19,10 +19,11 @@ TEST_P(ExhaustiveTest, EverySourceToEveryPosition_Complete) {
   const int d = GetParam();
   auto net = CycloidNetwork::build_complete(d);
   const CccSpace& space = net->space();
+  dht::LookupMetrics sink;
   for (const NodeHandle from : net->node_handles()) {
     for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
       const CccId key = space.from_ring_position(pos);
-      const dht::LookupResult result = net->lookup_id(from, key);
+      const dht::LookupResult result = net->lookup_id(from, key, sink);
       // In a complete network the owner of a position is the node at it.
       ASSERT_EQ(result.destination, CycloidNetwork::handle_of(key))
           << "from=" << to_string(CycloidNetwork::id_of(from), d)
@@ -31,7 +32,7 @@ TEST_P(ExhaustiveTest, EverySourceToEveryPosition_Complete) {
       ASSERT_EQ(result.timeouts, 0);
     }
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
+  EXPECT_EQ(sink.guard_fallbacks, 0u);
 }
 
 TEST_P(ExhaustiveTest, EverySourceToEveryPosition_HalfPopulated) {
@@ -39,16 +40,17 @@ TEST_P(ExhaustiveTest, EverySourceToEveryPosition_HalfPopulated) {
   const CccSpace space(d);
   util::Rng rng(31 + d);
   auto net = CycloidNetwork::build_random(d, space.size() / 2, rng);
+  dht::LookupMetrics sink;
   for (const NodeHandle from : net->node_handles()) {
     for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
       const CccId key = space.from_ring_position(pos);
-      const dht::LookupResult result = net->lookup_id(from, key);
+      const dht::LookupResult result = net->lookup_id(from, key, sink);
       ASSERT_EQ(result.destination, net->owner_of_id(key))
           << "from=" << to_string(CycloidNetwork::id_of(from), d)
           << " key=" << to_string(key, d);
     }
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
+  EXPECT_EQ(sink.guard_fallbacks, 0u);
 }
 
 TEST_P(ExhaustiveTest, EveryPairAfterEverySingleDeparture) {
@@ -61,10 +63,11 @@ TEST_P(ExhaustiveTest, EveryPairAfterEverySingleDeparture) {
        ++victim_pos) {
     auto net = CycloidNetwork::build_complete(d);
     net->leave(CycloidNetwork::handle_of(space.from_ring_position(victim_pos)));
+    dht::LookupMetrics sink;
     for (const NodeHandle from : net->node_handles()) {
       for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
         const CccId key = space.from_ring_position(pos);
-        const dht::LookupResult result = net->lookup_id(from, key);
+        const dht::LookupResult result = net->lookup_id(from, key, sink);
         ASSERT_EQ(result.destination, net->owner_of_id(key))
             << "victim=" << victim_pos << " from="
             << to_string(CycloidNetwork::id_of(from), d)
@@ -81,10 +84,11 @@ TEST(ExhaustiveTinyDimensions, DegenerateSpacesWork) {
     for (std::size_t count = 1; count <= space.size(); ++count) {
       util::Rng rng(static_cast<std::uint64_t>(d * 100 + static_cast<int>(count)));
       auto net = CycloidNetwork::build_random(d, count, rng);
+      dht::LookupMetrics sink;
       for (const NodeHandle from : net->node_handles()) {
         for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
           const CccId key = space.from_ring_position(pos);
-          const dht::LookupResult result = net->lookup_id(from, key);
+          const dht::LookupResult result = net->lookup_id(from, key, sink);
           ASSERT_EQ(result.destination, net->owner_of_id(key))
               << "d=" << d << " count=" << count;
         }

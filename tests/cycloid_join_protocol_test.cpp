@@ -20,7 +20,8 @@ using dht::NodeHandle;
 /// to the existing node Z whose ID is numerically closest to the ID of X".
 NodeHandle route_join(CycloidNetwork& net, NodeHandle contact,
                       const CccId& joiner) {
-  const dht::LookupResult result = net.lookup_id(contact, joiner);
+  dht::LookupMetrics sink;
+  const dht::LookupResult result = net.lookup_id(contact, joiner, sink);
   return result.destination;
 }
 

@@ -51,15 +51,16 @@ TEST_P(LookupTest, OwnerMatchesBruteForceOnSparseNetworks) {
 TEST_P(LookupTest, EveryLookupReachesTheOwner_Complete) {
   auto net = CycloidNetwork::build_complete(dimension(), leaf_width());
   util::Rng rng(42 + dimension());
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const NodeHandle from = net->random_node(rng);
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(from, key);
+    const dht::LookupResult result = net->lookup(from, key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     EXPECT_EQ(result.timeouts, 0);
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
+  EXPECT_EQ(sink.guard_fallbacks, 0u);
 }
 
 TEST_P(LookupTest, EveryLookupReachesTheOwner_Sparse) {
@@ -70,14 +71,15 @@ TEST_P(LookupTest, EveryLookupReachesTheOwner_Sparse) {
         std::max<std::size_t>(2, space.size() / divisor);
     auto net =
         CycloidNetwork::build_random(dimension(), count, rng, leaf_width());
+    dht::LookupMetrics sink;
     for (int i = 0; i < 200; ++i) {
       const NodeHandle from = net->random_node(rng);
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(from, key);
+      const dht::LookupResult result = net->lookup(from, key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
     }
-    EXPECT_EQ(net->guard_fallbacks(), 0u);
+    EXPECT_EQ(sink.guard_fallbacks, 0u);
   }
 }
 
@@ -87,8 +89,10 @@ TEST_P(LookupTest, PathLengthIsOrderD) {
   int max_hops = 0;
   double total = 0;
   const int lookups = 500;
+  dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     max_hops = std::max(max_hops, result.hops);
     total += result.hops;
   }
@@ -100,10 +104,11 @@ TEST_P(LookupTest, PathLengthIsOrderD) {
 TEST_P(LookupTest, LookupFromOwnerIsLocal) {
   auto net = CycloidNetwork::build_complete(dimension(), leaf_width());
   util::Rng rng(9);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 100; ++i) {
     const dht::KeyHash key = rng();
     const NodeHandle owner = net->owner_of(key);
-    const dht::LookupResult result = net->lookup(owner, key);
+    const dht::LookupResult result = net->lookup(owner, key, sink);
     EXPECT_EQ(result.hops, 0);
     EXPECT_EQ(result.destination, owner);
   }
@@ -112,8 +117,10 @@ TEST_P(LookupTest, LookupFromOwnerIsLocal) {
 TEST_P(LookupTest, PhaseHopsSumToTotal) {
   auto net = CycloidNetwork::build_complete(dimension(), leaf_width());
   util::Rng rng(11);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     int phase_sum = 0;
     for (const int h : result.phase_hops) phase_sum += h;
     EXPECT_EQ(phase_sum, result.hops);
@@ -137,7 +144,9 @@ TEST(LookupExample, PaperFigure4Route) {
   // leaves open).
   auto net = CycloidNetwork::build_complete(4);
   const dht::NodeHandle from = CycloidNetwork::handle_of(CccId{0, 0b0100});
-  const dht::LookupResult result = net->lookup_id(from, CccId{2, 0b1111});
+  dht::LookupMetrics sink;
+  const dht::LookupResult result =
+      net->lookup_id(from, CccId{2, 0b1111}, sink);
   EXPECT_EQ(CycloidNetwork::id_of(result.destination), (CccId{2, 0b1111}));
   EXPECT_GT(result.hops, 0);
   EXPECT_LE(result.hops, 3 * 4);
@@ -156,11 +165,12 @@ TEST(LookupPhases, AscendingIsShortInCompleteNetworks) {
 TEST(LookupTrace, OneStepPerHopEndingAtDestination) {
   auto net = CycloidNetwork::build_complete(6);
   util::Rng rng(77);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const NodeHandle from = net->random_node(rng);
     const CccId key = net->key_id(rng());
-    std::vector<CycloidNetwork::RouteStep> trace;
-    const dht::LookupResult result = net->lookup_id(from, key, &trace);
+    std::vector<dht::TraceStep> trace;
+    const dht::LookupResult result = net->lookup_id(from, key, sink, &trace);
     ASSERT_EQ(trace.size(), static_cast<std::size_t>(result.hops));
     if (!trace.empty()) {
       EXPECT_EQ(trace.back().node, result.destination);
@@ -186,10 +196,11 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
   net->fail_simultaneously(0.4, rng);
   int traced_timeouts = 0;
   int reported_timeouts = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
-    std::vector<CycloidNetwork::RouteStep> trace;
-    const dht::LookupResult result =
-        net->lookup_id(net->random_node(rng), net->key_id(rng()), &trace);
+    std::vector<dht::TraceStep> trace;
+    const dht::LookupResult result = net->lookup_id(
+        net->random_node(rng), net->key_id(rng()), sink, &trace);
     reported_timeouts += result.timeouts;
     for (const auto& step : trace) traced_timeouts += step.timeouts_before;
   }
@@ -202,15 +213,17 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
 
 TEST(LookupQueryLoad, ReceiveCountsMatchHops) {
   auto net = CycloidNetwork::build_complete(5);
-  net->reset_query_load();
   util::Rng rng(321);
+  dht::LookupMetrics sink;
   std::uint64_t total_hops = 0;
   for (int i = 0; i < 500; ++i) {
     total_hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t total_received = 0;
-  for (const std::uint64_t load : net->query_loads()) total_received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    total_received += load;
+  }
   EXPECT_EQ(total_received, total_hops);
 }
 

@@ -59,9 +59,11 @@ TEST(Join, LookupsCorrectImmediatelyAfterJoins) {
   CycloidNetwork net(6);
   util::Rng rng(3);
   for (int i = 0; i < 60; ++i) net.join(rng());
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net.lookup(net.random_node(rng), key);
+    const dht::LookupResult result =
+        net.lookup(net.random_node(rng), key, sink);
     EXPECT_EQ(result.destination, net.owner_of(key));
   }
 }
@@ -85,9 +87,11 @@ TEST(Leave, LookupsStillCorrectWithStaleRoutingTables) {
   // Routing tables may reference departed nodes (timeouts are expected);
   // correctness must hold via the repaired leaf sets.
   int total_timeouts = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 400; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     total_timeouts += result.timeouts;
@@ -100,8 +104,10 @@ TEST(Leave, StabilizationRemovesTimeouts) {
   auto net = CycloidNetwork::build_random(6, 150, rng);
   for (int i = 0; i < 75; ++i) net->leave(net->random_node(rng));
   net->stabilize_all();
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     EXPECT_EQ(result.timeouts, 0);
   }
 }
@@ -116,8 +122,9 @@ TEST(Leave, LastNodesDegenerate) {
   EXPECT_EQ(net.node_count(), 1u);
   // The survivor owns every key and lookups terminate locally.
   util::Rng rng(7);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 20; ++i) {
-    const dht::LookupResult result = net.lookup(b, rng());
+    const dht::LookupResult result = net.lookup(b, rng(), sink);
     EXPECT_EQ(result.destination, b);
     EXPECT_EQ(result.hops, 0);
   }
@@ -131,9 +138,11 @@ TEST(FailSimultaneously, SurvivorsFormCorrectNetwork) {
   EXPECT_LT(net->node_count(), before);
   EXPECT_GT(net->node_count(), 0u);
   expect_leafsets_exact(*net);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 400; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -163,8 +172,9 @@ TEST(FailSimultaneously, TimeoutsGrowWithDepartureProbability) {
     net->fail_simultaneously(p, fail_rng);
     double timeouts = 0;
     const int lookups = 800;
+    dht::LookupMetrics sink;
     for (int i = 0; i < lookups; ++i) {
-      timeouts += net->lookup(net->random_node(rng), rng()).timeouts;
+      timeouts += net->lookup(net->random_node(rng), rng(), sink).timeouts;
     }
     const double mean = timeouts / lookups;
     EXPECT_GT(mean, prev_mean);
@@ -195,12 +205,16 @@ TEST(ChurnMix, InterleavedJoinsAndLeavesStayCorrect) {
       net->join(rng());
     }
     if (round % 10 == 0) net->stabilize_one(net->random_node(rng));
+    // A fresh sink per lookup: a bound sink must not span membership
+    // changes.
+    dht::LookupMetrics sink;
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
+    EXPECT_EQ(sink.guard_fallbacks, 0u);
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
 }
 
 }  // namespace

@@ -89,13 +89,15 @@ TEST(Proximity, LookupsRemainCorrectUnderProximityPolicy) {
   util::Rng rng(3);
   auto net = CycloidNetwork::build_random(7, 400, rng, 1,
                                           NeighborSelection::kProximity);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
+  EXPECT_EQ(sink.guard_fallbacks, 0u);
 }
 
 TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
@@ -105,13 +107,14 @@ TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
     double hops = 0.0;
     double latency = 0.0;
     const int lookups = 3000;
+    dht::LookupMetrics sink;
     for (int i = 0; i < lookups; ++i) {
       const NodeHandle from = net->random_node(rng);
-      std::vector<CycloidNetwork::RouteStep> trace;
+      std::vector<dht::TraceStep> trace;
       const dht::LookupResult result =
-          net->lookup_id(from, net->key_id(rng()), &trace);
+          net->lookup_id(from, net->key_id(rng()), sink, &trace);
       hops += result.hops;
-      latency += net->route_latency(from, trace);
+      latency += net->route_latency(trace);
     }
     return std::pair{hops / lookups, latency / lookups};
   };
@@ -129,19 +132,20 @@ TEST(Proximity, TracePricingSurvivesDepartedHops) {
   // of a perfectly valid historical route.
   util::Rng rng(6);
   auto net = CycloidNetwork::build_random(6, 200, rng, 1);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const NodeHandle from = net->random_node(rng);
-    std::vector<CycloidNetwork::RouteStep> trace;
+    std::vector<dht::TraceStep> trace;
     const dht::LookupResult result =
-        net->lookup_id(from, net->key_id(rng()), &trace);
+        net->lookup_id(from, net->key_id(rng()), sink, &trace);
     if (!result.success || trace.size() < 3) continue;
-    const double before = net->route_latency(from, trace);
+    const double before = net->route_latency(trace);
     // Kill a strictly intermediate hop with no repair of any kind.
     const NodeHandle victim = trace[trace.size() / 2].node;
     ASSERT_NE(victim, from);
     ASSERT_NE(victim, result.destination);
     net->fail_ungraceful(victim);
-    EXPECT_DOUBLE_EQ(net->route_latency(from, trace), before);
+    EXPECT_DOUBLE_EQ(net->route_latency(trace), before);
     EXPECT_DOUBLE_EQ(dht::trace_latency(trace), before);
     return;  // one departure is the scenario; don't churn the instance
   }
@@ -151,17 +155,18 @@ TEST(Proximity, TracePricingSurvivesDepartedHops) {
 TEST(Proximity, RouteLatencySumsLinkLatencies) {
   auto net = CycloidNetwork::build_complete(5);
   util::Rng rng(5);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 100; ++i) {
     const NodeHandle from = net->random_node(rng);
-    std::vector<CycloidNetwork::RouteStep> trace;
-    net->lookup_id(from, net->key_id(rng()), &trace);
+    std::vector<dht::TraceStep> trace;
+    net->lookup_id(from, net->key_id(rng()), sink, &trace);
     double expected = 0.0;
     NodeHandle prev = from;
     for (const auto& step : trace) {
       expected += net->link_latency(prev, step.node);
       prev = step.node;
     }
-    EXPECT_DOUBLE_EQ(net->route_latency(from, trace), expected);
+    EXPECT_DOUBLE_EQ(net->route_latency(trace), expected);
   }
 }
 

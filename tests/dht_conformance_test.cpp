@@ -72,9 +72,10 @@ TEST_P(ConformanceTest, OwnerIsStableAndContained) {
 TEST_P(ConformanceTest, LookupFromEverySourceFindsOwner) {
   auto net = make(120, 8);
   util::Rng rng(9);
+  dht::LookupMetrics sink;
   for (const NodeHandle from : net->node_handles()) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(from, key);
+    const dht::LookupResult result = net->lookup(from, key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -86,8 +87,10 @@ TEST_P(ConformanceTest, PhaseNamesMatchResultSlots) {
   EXPECT_GE(names.size(), 1u);  // CAN's greedy walk is a single phase
   EXPECT_LE(names.size(), dht::kMaxPhases);
   util::Rng rng(11);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 100; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     // No hops may land outside the named phases.
     for (std::size_t p = names.size(); p < dht::kMaxPhases; ++p) {
       EXPECT_EQ(result.phase_hops[p], 0);
@@ -100,20 +103,18 @@ TEST_P(ConformanceTest, PhaseNamesMatchResultSlots) {
 
 TEST_P(ConformanceTest, QueryLoadAccountsEveryHop) {
   auto net = make(200, 12);
-  net->reset_query_load();
   util::Rng rng(13);
   std::uint64_t hops = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
-  const auto loads = net->query_loads();
+  const auto loads = sink.query_load_vector(*net);
   EXPECT_EQ(loads.size(), net->node_count());
   std::uint64_t received = 0;
   for (const std::uint64_t l : loads) received += l;
   EXPECT_EQ(received, hops);
-  net->reset_query_load();
-  for (const std::uint64_t l : net->query_loads()) EXPECT_EQ(l, 0u);
 }
 
 TEST_P(ConformanceTest, JoinAddsContainedNode) {
@@ -152,9 +153,11 @@ TEST_P(ConformanceTest, LookupsCorrectAfterChurnPlusStabilize) {
     }
   }
   net->stabilize_all();
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     EXPECT_EQ(result.timeouts, 0);
@@ -169,7 +172,11 @@ TEST_P(ConformanceTest, FailSimultaneouslyLeavesWorkingNetwork) {
   std::uint64_t resolved = 0;
   for (int i = 0; i < 300; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    // Absorb each lookup so Koorde's backup promotions repair the network.
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
+    net->absorb(sink);
     if (result.success) {
       EXPECT_EQ(result.destination, net->owner_of(key));
       ++resolved;

@@ -1,6 +1,9 @@
 // Unit tests of the shared routing engine (dht::Router) against synthetic
 // step policies over a tiny abstract universe — no overlay required. The
 // overlay-parameterized engine invariants live in dht_conformance_test.cpp.
+//
+// The single-lookup tests route through Router::route_batch with count 1
+// (route_one below), the way DhtNetwork::route does.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -28,10 +31,42 @@ class FakePolicy : public StepPolicy {
   std::set<NodeHandle> dead_;
 };
 
+/// route_batch builds each lane's policy by value, so the single-lookup
+/// tests hand it this forwarding view: the test's own policy object does
+/// the routing and keeps whatever it recorded observable afterwards.
+class PolicyRef final : public StepPolicy {
+ public:
+  explicit PolicyRef(StepPolicy& policy) : policy_(&policy) {}
+  HopDecision next_hop(const RouteState& state) override {
+    return policy_->next_hop(state);
+  }
+  bool alive(NodeHandle node) const override { return policy_->alive(node); }
+  int default_max_hops() const override { return policy_->default_max_hops(); }
+  int fallback_budget() const override { return policy_->fallback_budget(); }
+  bool track_visited() const override { return policy_->track_visited(); }
+  double link_latency(NodeHandle a, NodeHandle b) const override {
+    return policy_->link_latency(a, b);
+  }
+
+ private:
+  StepPolicy* policy_;
+};
+
+/// One lookup from `from`: a one-lookup Router::route_batch at width 1.
+LookupResult route_one(StepPolicy& policy, NodeHandle from, LookupMetrics& sink,
+                       const RouterOptions& options = {}) {
+  const KeyHash key = 0;
+  LookupResult result;
+  BatchScratch lanes;
+  Router::route_batch(&from, &key, 1, 1, sink, &result, lanes, options,
+                      [&](NodeHandle, KeyHash) { return PolicyRef(policy); });
+  return result;
+}
+
 TEST(DhtRouterTest, DeliverAtSourceCountsNoHops) {
   FakePolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 7, sink);
+  const LookupResult result = route_one(policy, 7, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kDelivered);
   EXPECT_EQ(result.destination, 7u);
@@ -52,7 +87,7 @@ class CyclicPolicy : public FakePolicy {
 TEST(DhtRouterTest, CyclicRoutingTableTerminatesAtHopLimit) {
   CyclicPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kHopLimit);
   EXPECT_EQ(result.hops, policy.default_max_hops());
@@ -64,7 +99,7 @@ TEST(DhtRouterTest, OptionsMaxHopsOverridesPolicyDefault) {
   LookupMetrics sink;
   RouterOptions options;
   options.max_hops = 5;
-  const LookupResult result = Router::run(policy, 1, sink, options);
+  const LookupResult result = route_one(policy, 1, sink, options);
   EXPECT_EQ(result.status, LookupStatus::kHopLimit);
   EXPECT_EQ(result.hops, 5);
 }
@@ -79,7 +114,7 @@ class FailingPolicy : public FakePolicy {
 TEST(DhtRouterTest, FailReportsStatusAndPosition) {
   FailingPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 3, sink);
+  const LookupResult result = route_one(policy, 3, sink);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kFailed);
   EXPECT_EQ(result.destination, 3u);  // where routing got stuck
@@ -105,7 +140,7 @@ TEST(DhtRouterTest, AttemptChargesOneTimeoutPerDistinctDeadNode) {
   policy.kill(50);
   policy.kill(51);
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_EQ(result.timeouts, 2);
   EXPECT_EQ(sink.timeouts, 2u);
 }
@@ -127,7 +162,7 @@ TEST(DhtRouterTest, ResolveChainPromotesFirstLiveBackupAndLearns) {
   policy.kill(11);
   policy.kill(12);
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, 13u);
   EXPECT_EQ(sink.timeouts, 2u);  // 11 and 12
   ASSERT_TRUE(sink.learned_link(10).has_value());
@@ -135,7 +170,7 @@ TEST(DhtRouterTest, ResolveChainPromotesFirstLiveBackupAndLearns) {
 
   // A later lookup through the same sink starts past the learned backup:
   // the dead primary and first backup cost nothing the second time.
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, 13u);
   EXPECT_EQ(sink.timeouts, 2u);
 }
@@ -146,13 +181,13 @@ TEST(DhtRouterTest, ResolveChainMarksBrokenWhenExhausted) {
   policy.kill(12);
   policy.kill(13);
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_TRUE(sink.is_broken(10));
   EXPECT_EQ(sink.timeouts, 3u);
 
   // Consulted before re-probing: the second lookup charges nothing.
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_EQ(sink.timeouts, 3u);
 }
@@ -161,7 +196,7 @@ TEST(DhtRouterTest, ResolveChainHonoursLocallyBrokenFlag) {
   ChainPolicy policy;
   policy.locally_broken = true;
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_EQ(sink.timeouts, 0u);  // short-circuits before any probe
 }
@@ -182,7 +217,7 @@ class BudgetPolicy : public FakePolicy {
 TEST(DhtRouterTest, FallbackBudgetFlipIsCountedOnce) {
   BudgetPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(sink.guard_fallbacks, 1u);
   EXPECT_EQ(result.hops, policy.fallback_budget() + 1);
@@ -203,7 +238,7 @@ class FinalHopPolicy : public FakePolicy {
 TEST(DhtRouterTest, ForwardDeliverSkipsTheReceiversView) {
   FinalHopPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kDelivered);
   EXPECT_EQ(result.destination, 9u);
@@ -237,7 +272,7 @@ TEST(DhtRouterTest, TraceRecordsEveryHop) {
   std::vector<TraceStep> trace;
   RouterOptions options;
   options.trace = &trace;
-  const LookupResult result = Router::run(policy, 1, sink, options);
+  const LookupResult result = route_one(policy, 1, sink, options);
   ASSERT_EQ(trace.size(), static_cast<std::size_t>(result.hops));
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].node, 2u);
@@ -270,7 +305,7 @@ class VisitedPolicy : public FakePolicy {
 TEST(DhtRouterTest, VisitedTrackingIncludesSourceAndEveryHop) {
   VisitedPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.hops, 1);
 }
@@ -296,7 +331,7 @@ TEST(DhtRouterDeathTest, CountHopRejectsPhaseOutOfRange) {
 TEST(DhtRouterDeathTest, EngineTrapsPolicyWithOutOfRangePhase) {
   OutOfRangePhasePolicy policy;
   LookupMetrics sink;
-  EXPECT_DEATH(Router::run(policy, 1, sink), "Precondition");
+  EXPECT_DEATH(route_one(policy, 1, sink), "Precondition");
 }
 
 // ---------------------------------------------------------------------------
@@ -436,6 +471,26 @@ TEST(DhtRouterBatchTest, WidthIsClampedToTheLaneArray) {
     EXPECT_EQ(results[0].destination, 7u);
     EXPECT_EQ(results[1].destination, 8u);
   }
+}
+
+TEST(DhtRouterDeathTest, TraceRequiresASingleLane) {
+  // Lanes share RouterOptions::trace, so two lookups in flight would mix
+  // their steps into one vector; the engine refuses instead.
+  const NodeHandle froms[] = {1, 2};
+  const KeyHash keys[] = {0, 0};
+  std::vector<TraceStep> trace;
+  RouterOptions options;
+  options.trace = &trace;
+  const auto route = [&](int width) {
+    LookupMetrics sink;
+    LookupResult results[2];
+    BatchScratch lanes;
+    Router::route_batch(froms, keys, 2, width, sink, results, lanes, options,
+                        [](NodeHandle, KeyHash) { return FakePolicy(); });
+  };
+  EXPECT_DEATH(route(2), "Precondition");
+  route(1);  // one lane at a time: the trace stays one route per lookup
+  EXPECT_TRUE(trace.empty());  // delivered at the source, no hops
 }
 
 TEST(DhtRouterBatchTest, BatchScratchIsReusableAcrossBatches) {

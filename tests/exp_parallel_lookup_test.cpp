@@ -4,21 +4,22 @@
 // count — including the per-node query-load vector and, for Koorde, the
 // repair-on-timeout learnings. Also checks the const contract: a batch
 // never mutates the network it routes over, and the allocation contract:
-// a warmed-up lookup hot path (RouterScratch + dense query-load plane)
+// a warmed-up lookup hot path (BatchScratch + dense query-load plane)
 // performs zero heap allocations per lookup.
 #include "exp/workloads.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <numeric>
 
 #include "dht/network.hpp"
 #include "dht/router.hpp"
 #include "exp/overlays.hpp"
+#include "overlay_state_compare.hpp"
 #include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
@@ -76,11 +77,6 @@ namespace cycloid::exp {
 namespace {
 
 constexpr std::uint64_t kSeed = 0xDE7E12318A7C4ULL;
-
-std::uint64_t total_query_load(const dht::DhtNetwork& net) {
-  const auto loads = net.query_loads();
-  return std::accumulate(loads.begin(), loads.end(), std::uint64_t{0});
-}
 
 void expect_identical(const WorkloadStats& a, const WorkloadStats& b,
                       const dht::DhtNetwork& net) {
@@ -221,53 +217,65 @@ TEST(ParallelLookupBatch, ProcessWideInterleaveDefaultIsHonored) {
 }
 
 TEST(ParallelLookupBatch, BatchDoesNotMutateTheNetwork) {
-  auto net = make_dense_overlay(OverlayKind::kCycloid7, 7, kSeed);  // 896
-  net->reset_query_load();
+  for (const OverlayKind kind :
+       {OverlayKind::kCycloid7, OverlayKind::kKoorde}) {
+    SCOPED_TRACE(overlay_label(kind));
+    // Two identical networks; only `net` routes. Departures leave stale
+    // entries, so Koorde's lookups learn promotions into their sinks —
+    // which must stay there until absorbed.
+    auto net = make_dense_overlay(kind, 7, kSeed);        // 896
+    auto untouched = make_dense_overlay(kind, 7, kSeed);  // 896
+    util::Rng fail_rng(kSeed + 8);
+    util::Rng same_fail_rng(kSeed + 8);
+    net->fail_ungraceful(0.2, fail_rng);
+    untouched->fail_ungraceful(0.2, same_fail_rng);
+    const dht::MaintenanceBreakdown maintenance =
+        net->maintenance_metrics().by_cause();
 
-  const auto stats = run_lookup_batch(*net, 2 * kLookupShardSize, kSeed + 7, 4);
-  EXPECT_GT(stats.metrics.hops, 0u);
+    const auto stats =
+        run_lookup_batch(*net, 2 * kLookupShardSize, kSeed + 7, 4);
+    EXPECT_GT(stats.metrics.hops, 0u);
+    EXPECT_GT(stats.metrics.timeouts, 0u);
 
-  // All accounting stayed in the caller-owned sink; the network-resident
-  // registry (served by the legacy adapters) saw none of it.
-  EXPECT_EQ(total_query_load(*net), 0u);
-  EXPECT_EQ(net->metrics().lookups.lookups, 0u);
-
-  // The sequential convenience wrapper, by contrast, absorbs into the net.
-  util::Rng rng(kSeed + 8);
-  net->lookup(net->random_node(rng), rng());
-  EXPECT_EQ(net->metrics().lookups.lookups, 1u);
-  EXPECT_GT(total_query_load(*net), 0u);
+    // All accounting stayed in the caller-owned sinks: membership, routing
+    // state, and the maintenance plane are exactly as before the batch.
+    expect_same_state(kind, *net, *untouched);
+    EXPECT_EQ(net->maintenance_metrics().by_cause(), maintenance);
+  }
 }
 
 // The allocation contract behind run_lookup_batch's throughput: once the
-// caller-owned RouterScratch buffers and the sink's dense query-load plane
-// have reached capacity, replaying the *same* lookup sequence allocates
-// nothing — on every overlay. The warm-up pass and the measured pass share
-// one RNG seed so the measured pass never needs more capacity than the
-// warm-up already provisioned.
+// caller-owned BatchScratch lanes and the sink's dense query-load plane
+// have reached capacity, replaying the *same* lookup batch allocates
+// nothing — on every overlay, one lookup at a time (W=1) and interleaved
+// (W=8). The warm-up pass and the measured pass route the same inputs, so
+// the measured pass never needs more capacity than the warm-up already
+// provisioned.
 TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
+  constexpr std::size_t kLookups = 256;
   for (const OverlayKind kind : extended_overlays()) {
-    SCOPED_TRACE(overlay_label(kind));
     auto net = make_sparse_overlay(kind, 8, 300, kSeed + 9);
-    dht::LookupMetrics sink;
-    dht::RouterScratch scratch;
-    dht::RouterOptions options;
-    options.scratch = &scratch;
-
-    constexpr int kLookups = 256;
-    {
-      util::Rng warm_rng(kSeed + 10);
-      for (int i = 0; i < kLookups; ++i) {
-        net->route(net->random_node(warm_rng), warm_rng(), sink, options);
-      }
+    std::array<dht::NodeHandle, kLookups> froms;
+    std::array<dht::KeyHash, kLookups> keys;
+    std::array<dht::LookupResult, kLookups> results;
+    util::Rng rng(kSeed + 10);
+    for (std::size_t i = 0; i < kLookups; ++i) {
+      froms[i] = net->random_node(rng);
+      keys[i] = rng();
     }
-
-    util::Rng rng(kSeed + 10);  // identical stream: replay the warm-up
-    const std::uint64_t before = allocation_count();
-    for (int i = 0; i < kLookups; ++i) {
-      net->route(net->random_node(rng), rng(), sink, options);
+    for (const int width : {1, 8}) {
+      SCOPED_TRACE(overlay_label(kind) + " W=" + std::to_string(width));
+      dht::LookupMetrics sink;
+      dht::BatchScratch lanes;
+      const auto route = [&] {
+        net->route_batch(froms.data(), keys.data(), kLookups, width, sink,
+                         results.data(), lanes, dht::RouterOptions{});
+      };
+      route();  // warm-up: lanes and the query-load plane reach capacity
+      const std::uint64_t before = allocation_count();
+      route();
+      EXPECT_EQ(allocation_count() - before, 0u);
     }
-    EXPECT_EQ(allocation_count() - before, 0u);
   }
 }
 

@@ -55,9 +55,11 @@ TEST(KoordeLookup, AlwaysFindsOwnerInStableNetworks) {
   util::Rng rng(3);
   for (const std::size_t n : {2u, 7u, 64u, 300u}) {
     auto net = KoordeNetwork::build_random(11, n, rng);
+    dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+      const dht::LookupResult result =
+          net->lookup(net->random_node(rng), key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
       EXPECT_EQ(result.timeouts, 0);
@@ -70,8 +72,9 @@ TEST(KoordeLookup, CompleteNetworkPathNearBits) {
   util::Rng rng(4);
   double total = 0;
   const int lookups = 2000;
+  dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
-    total += net->lookup(net->random_node(rng), rng()).hops;
+    total += net->lookup(net->random_node(rng), rng(), sink).hops;
   }
   const double mean = total / lookups;
   // De Bruijn hops ~= bits, plus ~0.5 successor hops per injected 1-bit.
@@ -89,8 +92,10 @@ TEST(KoordeLookup, SuccessorShareGrowsWithSparsity) {
     util::Rng r(6);
     double debruijn = 0;
     double successor = 0;
+    dht::LookupMetrics sink;
     for (int i = 0; i < 1500; ++i) {
-      const dht::LookupResult result = net.lookup(net.random_node(r), r());
+      const dht::LookupResult result =
+          net.lookup(net.random_node(r), r(), sink);
       debruijn += result.phase_hops[KoordeNetwork::kDeBruijn];
       successor += result.phase_hops[KoordeNetwork::kSuccessor];
     }
@@ -102,9 +107,10 @@ TEST(KoordeLookup, SuccessorShareGrowsWithSparsity) {
 TEST(KoordeLookup, OwnerLookupIsLocal) {
   util::Rng rng(7);
   auto net = KoordeNetwork::build_random(10, 100, rng);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 100; ++i) {
     const dht::KeyHash key = rng();
-    EXPECT_EQ(net->lookup(net->owner_of(key), key).hops, 0);
+    EXPECT_EQ(net->lookup(net->owner_of(key), key, sink).hops, 0);
   }
 }
 
@@ -119,7 +125,9 @@ TEST(KoordeMembership, JoinAndLeaveKeepLookupsCorrect) {
     }
     net->stabilize_all();  // keep de Bruijn pointers fresh for this check
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -135,7 +143,11 @@ TEST(KoordeFailures, FewTimeoutsManyFailuresAtHighP) {
   const int lookups = 2000;
   for (int i = 0; i < lookups; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    // Absorb each lookup so its backup promotions repair the network.
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
+    net->absorb(sink);
     timeouts += result.timeouts;
     if (!result.success) {
       ++failures;
@@ -154,7 +166,9 @@ TEST(KoordeFailures, LowPIsFullyResolvable) {
   net->fail_simultaneously(0.1, rng);
   int failures = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (!net->lookup(net->random_node(rng), rng()).success) ++failures;
+    dht::LookupMetrics sink;
+    if (!net->lookup(net->random_node(rng), rng(), sink).success) ++failures;
+    net->absorb(sink);
   }
   // With three backups, p=0.1 kills a pointer set with prob ~1e-4.
   EXPECT_LE(failures, 5);
@@ -165,9 +179,11 @@ TEST(KoordeFailures, StabilizationRestoresService) {
   util::Rng rng(11);
   net->fail_simultaneously(0.5, rng);
   net->stabilize_all();
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     EXPECT_EQ(result.timeouts, 0);
@@ -197,7 +213,9 @@ TEST(KoordeRepair, PromotionConsumesBackups) {
   // Drive lookups from `chosen` until its de Bruijn edge is exercised.
   int timeouts = 0;
   for (int i = 0; i < 200 && timeouts == 0; ++i) {
-    timeouts += net->lookup(chosen, rng()).timeouts;
+    dht::LookupMetrics sink;
+    timeouts += net->lookup(chosen, rng(), sink).timeouts;
+    net->absorb(sink);  // applies the promotion the lookup learned
   }
   EXPECT_GT(timeouts, 0);
   EXPECT_NE(net->node_state(chosen).de_bruijn, stale);
@@ -211,9 +229,11 @@ TEST(KoordeDegree, HigherDegreeRingsRouteCorrectly) {
     util::Rng rng(100 + b);
     while (net.node_count() < 500) net.insert(rng.below(1ULL << 12));
     net.stabilize_all();
+    dht::LookupMetrics sink;
     for (int i = 0; i < 400; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net.lookup(net.random_node(rng), key);
+      const dht::LookupResult result =
+          net.lookup(net.random_node(rng), key, sink);
       EXPECT_TRUE(result.success) << "b=" << b;
       EXPECT_EQ(result.destination, net.owner_of(key)) << "b=" << b;
     }
@@ -228,8 +248,9 @@ TEST(KoordeDegree, FewerDeBruijnHopsPerLookup) {
     util::Rng rng(7);
     double total = 0;
     const int lookups = 1500;
+    dht::LookupMetrics sink;
     for (int i = 0; i < lookups; ++i) {
-      total += net.lookup(net.random_node(rng), rng())
+      total += net.lookup(net.random_node(rng), rng(), sink)
                    .phase_hops[KoordeNetwork::kDeBruijn];
     }
     return total / lookups;
@@ -247,14 +268,16 @@ TEST(KoordeDegree, RejectsIndivisibleDigitWidth) {
 TEST(KoordeQueryLoad, CountersSumToHops) {
   util::Rng rng(13);
   auto net = KoordeNetwork::build_random(10, 120, rng);
-  net->reset_query_load();
   std::uint64_t hops = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 400; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t load : net->query_loads()) received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    received += load;
+  }
   EXPECT_EQ(received, hops);
 }
 

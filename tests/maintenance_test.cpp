@@ -27,18 +27,19 @@ TEST(Maintenance, JoinAndLeaveCostStateUpdates) {
     auto net = make_sparse_overlay(kind, 7, 300, 1);
     util::Rng rng(2);
     net->reset_maintenance();
-    EXPECT_EQ(net->maintenance_updates(), 0u);
+    EXPECT_EQ(net->maintenance_metrics().total(), 0u);
 
     dht::NodeHandle joined = dht::kNoNode;
     std::uint64_t seed = 1;
     while (joined == dht::kNoNode) joined = net->join(seed++);
-    const std::uint64_t after_join = net->maintenance_updates();
+    const std::uint64_t after_join = net->maintenance_metrics().total();
     EXPECT_GT(after_join, 0u) << overlay_label(kind);
     // A single join touches a bounded neighbourhood, not the network.
     EXPECT_LT(after_join, 64u) << overlay_label(kind);
 
     net->leave(joined);
-    EXPECT_GT(net->maintenance_updates(), after_join) << overlay_label(kind);
+    EXPECT_GT(net->maintenance_metrics().total(), after_join)
+        << overlay_label(kind);
   }
 }
 
@@ -49,7 +50,7 @@ TEST(Maintenance, StableStabilizationIsCheap) {
   net->stabilize_all();  // reach fixpoint
   net->reset_maintenance();
   net->stabilize_all();
-  EXPECT_EQ(net->maintenance_updates(), 0u);
+  EXPECT_EQ(net->maintenance_metrics().total(), 0u);
 }
 
 TEST(Maintenance, StabilizationAfterDamageIsExpensive) {
@@ -59,7 +60,7 @@ TEST(Maintenance, StabilizationAfterDamageIsExpensive) {
   net->reset_maintenance();
   net->stabilize_all();
   // Many routing tables reference departed nodes and must change.
-  EXPECT_GT(net->maintenance_updates(), net->node_count() / 4);
+  EXPECT_GT(net->maintenance_metrics().total(), net->node_count() / 4);
 }
 
 TEST(Maintenance, ViceroyAccountingIsOptIn) {
@@ -67,18 +68,18 @@ TEST(Maintenance, ViceroyAccountingIsOptIn) {
   auto net = viceroy::ViceroyNetwork::build_random(200, rng);
   net->reset_maintenance();
   net->join(12345);
-  EXPECT_EQ(net->maintenance_updates(), 0u);  // accounting disabled
+  EXPECT_EQ(net->maintenance_metrics().total(), 0u);  // accounting disabled
 
   net->enable_maintenance_accounting(true);
   dht::NodeHandle joined = dht::kNoNode;
   std::uint64_t seed = 999;
   while (joined == dht::kNoNode) joined = net->join(seed++);
-  const std::uint64_t after_join = net->maintenance_updates();
+  const std::uint64_t after_join = net->maintenance_metrics().total();
   // 7 outgoing links plus at least the ring neighbours' incoming repairs.
   EXPECT_GE(after_join, 9u);
 
   net->leave(joined);
-  EXPECT_GT(net->maintenance_updates(), after_join);
+  EXPECT_GT(net->maintenance_metrics().total(), after_join);
 }
 
 TEST(Maintenance, ViceroyEventCostExceedsChords) {
@@ -93,7 +94,7 @@ TEST(Maintenance, ViceroyEventCostExceedsChords) {
     util::Rng r(9);
     net.reset_maintenance();
     for (int i = 0; i < 40; ++i) net.leave(net.random_node(r));
-    return static_cast<double>(net.maintenance_updates()) / 40.0;
+    return static_cast<double>(net.maintenance_metrics().total()) / 40.0;
   };
   EXPECT_GT(cost_per_leave(*viceroy_net), cost_per_leave(*chord_net));
 }
@@ -166,7 +167,7 @@ TEST(Maintenance, PerCauseTotalsMatchPreEngineSeedValues) {
     // The per-cause plane partitions the legacy aggregate exactly.
     std::uint64_t sum = 0;
     for (const std::uint64_t count : by_cause) sum += count;
-    EXPECT_EQ(sum, net->maintenance_updates()) << label;
+    EXPECT_EQ(sum, net->maintenance_metrics().total()) << label;
     EXPECT_EQ(sum, golden.join + golden.leave + golden.refresh +
                        golden.promotion)
         << label;
@@ -212,7 +213,7 @@ TEST_P(ParallelRunPassTest, StateAndMetricsAreThreadCountIndependent) {
                      GetParam() == OverlayKind::kCan;
   if (!eager) {
     // Ungraceful damage left stale entries, so the pass must repair some.
-    EXPECT_GT(one->maintenance_updates(), 0u);
+    EXPECT_GT(one->maintenance_metrics().total(), 0u);
   }
   EXPECT_EQ(one->maintenance_by_cause(), many->maintenance_by_cause());
   const dht::MaintenanceMetrics& ma = one->maintenance_metrics();
@@ -259,7 +260,9 @@ void run_churn_script(dht::DhtNetwork& net, bool incremental, int threads) {
     // gives identical routes, so Koorde applies identical promotions.
     util::Rng lookup_rng(300 + round);
     for (int i = 0; i < 10; ++i) {
-      net.lookup(net.random_node(lookup_rng), lookup_rng());
+      dht::LookupMetrics sink;
+      net.lookup(net.random_node(lookup_rng), lookup_rng(), sink);
+      net.absorb(sink);
     }
     drain();
     util::Rng mass_rng(400 + round);
@@ -402,9 +405,9 @@ TEST(Maintenance, ResetClearsTheCounter) {
   std::uint64_t seed = 1;
   while (net->join(seed++) == dht::kNoNode) {
   }
-  EXPECT_GT(net->maintenance_updates(), 0u);
+  EXPECT_GT(net->maintenance_metrics().total(), 0u);
   net->reset_maintenance();
-  EXPECT_EQ(net->maintenance_updates(), 0u);
+  EXPECT_EQ(net->maintenance_metrics().total(), 0u);
 }
 
 }  // namespace

@@ -94,9 +94,11 @@ TEST(PastryLookup, AlwaysFindsOwner) {
   util::Rng rng(4);
   for (const std::size_t n : {2u, 9u, 77u, 400u}) {
     auto net = PastryNetwork::build_random(12, n, rng, 2);
+    dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+      const dht::LookupResult result =
+          net->lookup(net->random_node(rng), key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
       EXPECT_EQ(result.timeouts, 0);
@@ -125,8 +127,9 @@ TEST(PastryLookup, LogarithmicPathLength) {
   auto net = PastryNetwork::build_random(12, 1024, rng, 2);
   double total = 0;
   const int lookups = 2000;
+  dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
-    total += net->lookup(net->random_node(rng), rng()).hops;
+    total += net->lookup(net->random_node(rng), rng(), sink).hops;
   }
   // Base-4 prefix routing: ~log_4(1024) = 5 digit corrections.
   EXPECT_LT(total / lookups, 8.0);
@@ -136,8 +139,10 @@ TEST(PastryLookup, LogarithmicPathLength) {
 TEST(PastryLookup, PhasePartition) {
   util::Rng rng(7);
   auto net = PastryNetwork::build_random(12, 200, rng, 2);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     EXPECT_EQ(result.phase_hops[PastryNetwork::kPrefix] +
                   result.phase_hops[PastryNetwork::kLeaf],
               result.hops);
@@ -154,7 +159,9 @@ TEST(PastryMembership, JoinLeaveKeepCorrectness) {
       net->join(rng());
     }
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
   }
@@ -165,17 +172,21 @@ TEST(PastryFailures, TimeoutsOnStaleTablesNoFailures) {
   auto net = PastryNetwork::build_random(11, 800, rng, 1);
   net->fail_simultaneously(0.4, rng);
   int timeouts = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 800; ++i) {
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     timeouts += result.timeouts;
   }
   EXPECT_GT(timeouts, 0);
   net->stabilize_all();
+  dht::LookupMetrics stable_sink;
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(net->lookup(net->random_node(rng), rng()).timeouts, 0);
+    EXPECT_EQ(
+        net->lookup(net->random_node(rng), rng(), stable_sink).timeouts, 0);
   }
 }
 

@@ -97,9 +97,11 @@ TEST(ViceroyLookup, AlwaysFindsOwner) {
   util::Rng rng(5);
   for (const std::size_t n : {2u, 9u, 50u, 300u}) {
     auto net = ViceroyNetwork::build_random(n, rng);
+    dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+      const dht::LookupResult result =
+          net->lookup(net->random_node(rng), key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
       EXPECT_EQ(result.timeouts, 0);
@@ -122,8 +124,9 @@ TEST(ViceroyLookup, PathIsLogarithmicButLongerThanChordLike) {
   auto net = ViceroyNetwork::build_random(1024, rng);
   double total = 0;
   const int lookups = 1500;
+  dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
-    total += net->lookup(net->random_node(rng), rng()).hops;
+    total += net->lookup(net->random_node(rng), rng(), sink).hops;
   }
   const double mean = total / lookups;
   // Viceroy pays all three phases: roughly c * log2 n with c >= 1.5.
@@ -134,8 +137,10 @@ TEST(ViceroyLookup, PathIsLogarithmicButLongerThanChordLike) {
 TEST(ViceroyLookup, PhasesPartitionThePath) {
   util::Rng rng(8);
   auto net = ViceroyNetwork::build_random(256, rng);
+  dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
-    const dht::LookupResult result = net->lookup(net->random_node(rng), rng());
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), rng(), sink);
     EXPECT_EQ(result.phase_hops[ViceroyNetwork::kAscend] +
                   result.phase_hops[ViceroyNetwork::kDescend] +
                   result.phase_hops[ViceroyNetwork::kRing],
@@ -147,9 +152,10 @@ TEST(ViceroyLookup, AscendReachesLevelOneBeforeDescending) {
   util::Rng rng(9);
   auto net = ViceroyNetwork::build_random(512, rng);
   // A level-1 source must never pay ascending hops.
+  dht::LookupMetrics sink;
   for (const NodeHandle h : net->node_handles()) {
     if (net->node_state(h).level != 1) continue;
-    const dht::LookupResult result = net->lookup(h, rng());
+    const dht::LookupResult result = net->lookup(h, rng(), sink);
     EXPECT_EQ(result.phase_hops[ViceroyNetwork::kAscend], 0);
     break;
   }
@@ -165,7 +171,9 @@ TEST(ViceroyMembership, JoinLeaveKeepCorrectness) {
       net->join(rng());
     }
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(net->random_node(rng), key);
+    dht::LookupMetrics sink;
+    const dht::LookupResult result =
+        net->lookup(net->random_node(rng), key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     EXPECT_EQ(result.timeouts, 0);
@@ -178,8 +186,10 @@ TEST(ViceroyFailures, ZeroTimeoutsAndShorterPathsAfterMassDeparture) {
   const auto mean_path = [&](int lookups) {
     util::Rng r(12);
     double total = 0;
+    dht::LookupMetrics sink;
     for (int i = 0; i < lookups; ++i) {
-      const dht::LookupResult result = net->lookup(net->random_node(r), r());
+      const dht::LookupResult result =
+          net->lookup(net->random_node(r), r(), sink);
       EXPECT_EQ(result.timeouts, 0);
       EXPECT_TRUE(result.success);
       total += result.hops;
@@ -197,14 +207,16 @@ TEST(ViceroyQueryLoad, HigherLevelsAreNotHotter) {
   // Sanity for the Fig. 10 mechanism: load counters accumulate.
   util::Rng rng(13);
   auto net = ViceroyNetwork::build_random(128, rng);
-  net->reset_query_load();
   std::uint64_t hops = 0;
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->lookup(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t load : net->query_loads()) received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    received += load;
+  }
   EXPECT_EQ(received, hops);
 }
 
@@ -220,8 +232,9 @@ TEST(ViceroySingleton, OwnsEverything) {
   ASSERT_TRUE(net.insert(0.5, 1));
   util::Rng rng(14);
   const NodeHandle only = net.node_handles().front();
+  dht::LookupMetrics sink;
   for (int i = 0; i < 50; ++i) {
-    const dht::LookupResult result = net.lookup(only, rng());
+    const dht::LookupResult result = net.lookup(only, rng(), sink);
     EXPECT_EQ(result.destination, only);
     EXPECT_EQ(result.hops, 0);
   }
