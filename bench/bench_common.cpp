@@ -64,10 +64,20 @@ Report::Report(int argc, const char* const* argv, std::string program,
     return;
   }
   json_path_ = parser.get("json");
+  if (json_path_.empty()) return;
+  // Open the path before the run, so an unwritable path fails fast — with
+  // the same exit code as a bad option — instead of after the whole run.
+  json_file_.open(json_path_);
+  if (!json_file_) {
+    std::cerr << program_ << ": cannot open --json path '" << json_path_
+              << "'\n";
+    done_ = true;
+    exit_code_ = 2;
+  }
 }
 
 Report::~Report() {
-  if (!done_ && !json_path_.empty()) write_json();
+  if (!done_ && json_file_.is_open()) write_json();
 }
 
 void Report::section(const std::string& title, const util::Table& table) {
@@ -188,7 +198,7 @@ void append_json_cell(std::string& out, const std::string& value) {
 
 }  // namespace
 
-void Report::write_json() const {
+void Report::write_json() {
   std::string out = "{\n  \"program\": ";
   append_json_string(out, program_);
   out += ",\n  \"description\": ";
@@ -222,14 +232,7 @@ void Report::write_json() const {
     append_json_string(out, notes_[n]);
   }
   out += "]\n}\n";
-
-  std::ofstream file(json_path_);
-  if (!file) {
-    std::cerr << program_ << ": cannot open --json path '" << json_path_
-              << "'\n";
-    return;
-  }
-  file << out;
+  json_file_ << out;
 }
 
 }  // namespace cycloid::bench

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -86,8 +87,9 @@ inline constexpr std::uint64_t kBenchSeed = 0xC1C101DULL;
 /// cells are emitted as JSON numbers, everything else as strings.
 class Report {
  public:
-  /// Parses argv. When done() is true afterwards (help or a bad option),
-  /// main should immediately return exit_code().
+  /// Parses argv and opens the `--json` path. When done() is true afterwards
+  /// (help, a bad option, or a path that cannot be opened for writing), main
+  /// should immediately return exit_code().
   Report(int argc, const char* const* argv, std::string program,
          std::string description);
   ~Report();
@@ -124,11 +126,12 @@ class Report {
   };
 
   void record(const std::string& title, const util::Table& table);
-  void write_json() const;
+  void write_json();
 
   std::string program_;
   std::string description_;
   std::string json_path_;
+  std::ofstream json_file_;
   std::vector<Section> sections_;
   std::vector<std::string> notes_;
   bool done_ = false;

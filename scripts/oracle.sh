@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# The behavioural oracle: fixed-seed text + JSON output of the paper's
+# fig5/fig7/fig11/fig12 drivers, at interleave widths 1 and 8.
+#
+#   scripts/oracle.sh              # write the outputs of the working tree
+#   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
+#
+# Workloads are capped so a run takes minutes (override through the same
+# environment variables). Outputs land in build-oracle/head; with a base
+# ref, the ref is exported with `git archive`, built and run the same way
+# into build-oracle/base, and every file is diffed. Exit status 1 when any
+# output differs — between the two widths, or between head and base.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+export CYCLOID_BENCH_LOOKUP_CAP="${CYCLOID_BENCH_LOOKUP_CAP:-2000}"
+export CYCLOID_BENCH_FAILURE_LOOKUPS="${CYCLOID_BENCH_FAILURE_LOOKUPS:-2000}"
+export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
+figures=(fig5_path_length fig7_breakdown fig11_failures fig12_churn)
+work="$PWD/build-oracle"
+
+launcher=()
+if command -v ccache > /dev/null; then
+  launcher=(-DCMAKE_C_COMPILER_LAUNCHER=ccache
+            -DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+fi
+
+# oracle <source dir> <name>: build the four drivers and run each at W=1
+# and W=8 into $work/<name>; fails when the two widths disagree.
+oracle() {
+  local build="$work/build-$2" out="$work/$2" status=0
+  cmake -B "$build" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    "${launcher[@]}" > /dev/null
+  cmake --build "$build" -j "$(nproc)" --target "${figures[@]}" > /dev/null
+  rm -rf "$out"
+  mkdir -p "$out"
+  for fig in "${figures[@]}"; do
+    for width in 1 8; do
+      CYCLOID_BENCH_INTERLEAVE="$width" "$build/bench/$fig" \
+        --json "$out/$fig.w$width.json" > "$out/$fig.w$width.txt"
+    done
+    for ext in txt json; do
+      cmp "$out/$fig.w1.$ext" "$out/$fig.w8.$ext" || status=1
+    done
+  done
+  echo "oracle: $2 outputs in $out"
+  return "$status"
+}
+
+status=0
+oracle "$PWD" head || status=1
+
+if [[ $# -ge 1 ]]; then
+  source_dir="$work/src-base"
+  rm -rf "$source_dir"
+  mkdir -p "$source_dir"
+  git archive "$1" | tar -x -C "$source_dir"
+  oracle "$source_dir" base || status=1
+  diff -r "$work/base" "$work/head" || status=1
+fi
+
+if [[ $status -eq 0 ]]; then
+  echo "oracle: identical"
+else
+  echo "oracle: outputs differ" >&2
+fi
+exit "$status"

@@ -1,7 +1,5 @@
 #include "chord/chord.hpp"
 
-#include <algorithm>
-
 #include "util/bits.hpp"
 #include "util/prefetch.hpp"
 
@@ -48,15 +46,7 @@ class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
     for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
       ChordNode& node = net_.node_at(slot);
       net_.note_maintenance(net_.handle_at(slot));  // everyone re-checks
-      node.predecessor = net_.predecessor_of(node.id);
-      node.successors.clear();
-      std::uint64_t walk = node.id;
-      for (int s = 0; s < net_.successor_list_length_; ++s) {
-        const NodeHandle succ =
-            net_.successor_of((walk + 1) % net_.space_size_);
-        node.successors.push_back(succ);
-        walk = succ;
-      }
+      net_.link_ring(node);
     }
   }
 
@@ -66,12 +56,7 @@ class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
     net_.compute_state(*state);
   }
 
-  void before_pass() override {
-    // Bulk construction appends ring ids unsorted; restore the sorted-ring
-    // invariant once, serially, before refresh() fans out to workers that
-    // binary-search it concurrently.
-    net_.sort_ring();
-  }
+  void before_pass() override { net_.ring_.settle(); }
 
   void dirty(dht::MembershipEvent event, NodeHandle node) override {
     const ChordNode* state = net_.node_of(node);
@@ -88,18 +73,18 @@ class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
     if (event == dht::MembershipEvent::kVanish) {
       std::uint64_t cursor = id;
       for (int i = 0; i <= net_.successor_list_length_; ++i) {
-        const NodeHandle h = net_.predecessor_of(cursor);
+        const NodeHandle h = net_.ring_.predecessor(cursor);
         net_.mark_dirty(h);
         cursor = h;  // Chord handles are ids
       }
-      net_.mark_dirty(net_.successor_of((id + 1) % net_.space_size_));
+      net_.mark_dirty(net_.ring_.successor((id + 1) % net_.space_size_));
     }
 
     // Fingers are never eagerly repaired, for any event. X.finger[i] =
-    // successor_of(X.id + 2^i) changes exactly when X.id + 2^i lies in
+    // successor(X.id + 2^i) changes exactly when X.id + 2^i lies in
     // (pred(J), J] — the key slice this event moves between J and its
     // successor — so mark the ring members in (pred(J) - 2^i, J - 2^i].
-    const std::uint64_t pred = net_.predecessor_of(id);
+    const std::uint64_t pred = net_.ring_.predecessor(id);
     const std::uint64_t space = net_.space_size_;
     for (int i = 0; i < net_.bits_; ++i) {
       const std::uint64_t step = 1ULL << i;
@@ -113,20 +98,13 @@ class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
   /// (lo, hi].
   void mark_members(std::uint64_t lo, std::uint64_t hi) {
     const auto& ring = net_.ring_;
-    CYCLOID_EXPECTS(!net_.ring_unsorted_);
-    if (lo < hi) {
-      for (auto it = std::upper_bound(ring.begin(), ring.end(), lo);
-           it != ring.end() && *it <= hi; ++it) {
-        net_.mark_dirty(*it);
-      }
-    } else {
-      for (auto it = std::upper_bound(ring.begin(), ring.end(), lo);
-           it != ring.end(); ++it) {
-        net_.mark_dirty(*it);
-      }
-      for (auto it = ring.begin(); it != ring.end() && *it <= hi; ++it) {
-        net_.mark_dirty(*it);
-      }
+    std::size_t i = ring.upper_bound(lo);
+    if (lo >= hi) {  // wrapping interval: (lo, top] then [0, hi]
+      for (; i < ring.size(); ++i) net_.mark_dirty(ring.handle(i));
+      i = 0;
+    }
+    for (; i < ring.size() && ring.key(i) <= hi; ++i) {
+      net_.mark_dirty(ring.handle(i));
     }
   }
 
@@ -167,15 +145,7 @@ bool ChordNetwork::insert(std::uint64_t id) {
   if (contains(id)) return false;
 
   create_node(id).id = id;
-  if (bulk_building()) {
-    // Defer the sorted-ring invariant to sort_ring() (the policy's
-    // before_pass hook, run by finish_bulk's stabilize pass) — a sorted
-    // insert per bulk append would cost O(n^2) memmove across the build.
-    ring_.push_back(id);
-    ring_unsorted_ = true;
-  } else {
-    ring_.insert(std::lower_bound(ring_.begin(), ring_.end(), id), id);
-  }
+  ring_.insert(id, id, bulk_building());
 
   // The engine runs ChordMaintenancePolicy::on_join (compute_state +
   // ring-neighbourhood refresh) under the join-repair cause scope; bulk
@@ -186,53 +156,31 @@ bool ChordNetwork::insert(std::uint64_t id) {
 
 void ChordNetwork::unlink(NodeHandle handle) {
   CYCLOID_EXPECTS(contains(handle));
-  CYCLOID_EXPECTS(!ring_unsorted_);  // departures never run mid-bulk
-  const auto it = std::lower_bound(ring_.begin(), ring_.end(), handle);
-  CYCLOID_ASSERT(it != ring_.end() && *it == handle);
-  ring_.erase(it);
+  ring_.erase(handle);
   destroy_node(handle);
-}
-
-void ChordNetwork::sort_ring() {
-  if (!ring_unsorted_) return;
-  std::sort(ring_.begin(), ring_.end());
-  ring_unsorted_ = false;
 }
 
 std::vector<std::string> ChordNetwork::phase_names() const {
   return {"finger", "successor"};
 }
 
-NodeHandle ChordNetwork::successor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  CYCLOID_EXPECTS(!ring_unsorted_);
-  const auto it = std::lower_bound(ring_.begin(), ring_.end(), id);
-  return it == ring_.end() ? ring_.front() : *it;
-}
-
-NodeHandle ChordNetwork::predecessor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  CYCLOID_EXPECTS(!ring_unsorted_);
-  const auto it = std::lower_bound(ring_.begin(), ring_.end(), id);
-  return it == ring_.begin() ? ring_.back() : *std::prev(it);
+void ChordNetwork::link_ring(ChordNode& node) const {
+  node.predecessor = ring_.predecessor(node.id);
+  node.successors.clear();
+  std::size_t at = ring_.index_of(node.id);
+  for (int i = 0; i < successor_list_length_; ++i) {
+    at = ring_.next(at);
+    node.successors.push_back(ring_.handle(at));
+  }
 }
 
 void ChordNetwork::compute_state(ChordNode& node) {
   const ChordNode before = node;
-  node.predecessor = predecessor_of(node.id);
-
-  node.successors.clear();
-  std::uint64_t cursor = node.id;
-  for (int i = 0; i < successor_list_length_; ++i) {
-    const NodeHandle succ = successor_of((cursor + 1) % space_size_);
-    node.successors.push_back(succ);
-    cursor = succ;
-  }
-
+  link_ring(node);
   node.fingers.assign(static_cast<std::size_t>(bits_), kNoNode);
   for (int i = 0; i < bits_; ++i) {
     node.fingers[static_cast<std::size_t>(i)] =
-        successor_of((node.id + (1ULL << i)) % space_size_);
+        ring_.successor((node.id + (1ULL << i)) % space_size_);
   }
 
   if (node.predecessor != before.predecessor ||
@@ -249,20 +197,13 @@ void ChordNetwork::refresh_ring_around(std::uint64_t id) {
   std::uint64_t cursor = id;
   for (int i = 0; i <= successor_list_length_; ++i) {
     if (ring_.empty()) return;
-    const NodeHandle handle = predecessor_of(cursor);
+    const NodeHandle handle = ring_.predecessor(cursor);
     ChordNode* node = node_of(handle);
     CYCLOID_ASSERT(node != nullptr);
     // Repair the successor structure only; fingers remain as they were.
     const NodeHandle old_pred = node->predecessor;
     const auto old_successors = node->successors;
-    node->predecessor = predecessor_of(node->id);
-    node->successors.clear();
-    std::uint64_t walk = node->id;
-    for (int s = 0; s < successor_list_length_; ++s) {
-      const NodeHandle succ = successor_of((walk + 1) % space_size_);
-      node->successors.push_back(succ);
-      walk = succ;
-    }
+    link_ring(*node);
     if (node->predecessor != old_pred || node->successors != old_successors) {
       note_maintenance(handle);
     }
@@ -271,17 +212,17 @@ void ChordNetwork::refresh_ring_around(std::uint64_t id) {
   if (!ring_.empty()) {
     // The node following `id` (strictly — after a join, `id` itself is
     // present and must not shadow its successor) gets a fresh predecessor.
-    const NodeHandle next = successor_of((id + 1) % space_size_);
+    const NodeHandle next = ring_.successor((id + 1) % space_size_);
     ChordNode* node = node_of(next);
     CYCLOID_ASSERT(node != nullptr);
     const NodeHandle old_pred = node->predecessor;
-    node->predecessor = predecessor_of(node->id);
+    node->predecessor = ring_.predecessor(node->id);
     if (node->predecessor != old_pred) note_maintenance(next);
   }
 }
 
 NodeHandle ChordNetwork::owner_of(dht::KeyHash key) const {
-  return successor_of(key % space_size_);
+  return ring_.successor(key % space_size_);
 }
 
 namespace {

@@ -16,6 +16,7 @@
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "dht/sorted_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::chord {
@@ -79,33 +80,21 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
                         dht::LookupResult* results, dht::BatchScratch& lanes,
                         const dht::RouterOptions& options) const override;
 
-  /// First live identifier at or clockwise-after `id` (ground truth).
-  dht::NodeHandle successor_of(std::uint64_t id) const;
-  /// Last live identifier strictly clockwise-before `id`.
-  dht::NodeHandle predecessor_of(std::uint64_t id) const;
-
+  /// Set `node`'s predecessor and successor list from the live ring.
+  void link_ring(ChordNode& node) const;
   void compute_state(ChordNode& node);
   /// Repair successor lists / predecessors in the ring neighbourhood of a
   /// join or leave at identifier `id`.
   void refresh_ring_around(std::uint64_t id);
   void unlink(dht::NodeHandle handle);
 
-  /// Restore the sorted-ring invariant after a bulk-build insert run (the
-  /// policy's before_pass hook calls this; no-op when already sorted).
-  void sort_ring();
-
   int bits_;
   std::uint64_t space_size_;
   int successor_list_length_;
 
-  /// Live identifiers in ascending order (id == handle) — successor_of /
-  /// predecessor_of are one std::lower_bound over this contiguous array.
-  /// Incremental joins/leaves keep it sorted in place; bulk construction
-  /// appends unsorted (ring_unsorted_ set) and sorts once in sort_ring()
-  /// before the finish_bulk stabilize pass, avoiding the O(n^2) memmove a
-  /// per-insert sorted insert would cost.
-  std::vector<std::uint64_t> ring_;
-  bool ring_unsorted_ = false;
+  /// Live identifiers (id == handle), the ground truth behind owner_of and
+  /// every state recompute.
+  dht::SortedRing<std::uint64_t> ring_;
 };
 
 }  // namespace cycloid::chord

@@ -64,6 +64,11 @@ class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
     net_.compute_leaf_sets(*state);
   }
 
+  void before_pass() override {
+    net_.ring_.settle();
+    for (auto& level : net_.by_level_) level.settle();
+  }
+
   void dirty(dht::MembershipEvent event, NodeHandle node) override {
     const CycloidNode* state = net_.node_of(node);
     CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
@@ -74,7 +79,12 @@ class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
     // recomputes all leaf sets, so only a silent vanish leaves leaf sets
     // stale — mark the cycles the post-unlink repair walk would touch.
     if (event == dht::MembershipEvent::kVanish) {
-      mark_affected_cycles(id.cubical);
+      for (const std::uint64_t c : net_.affected_cycles(id.cubical)) {
+        for (std::size_t i = net_.cycle_begin(c), end = net_.cycle_end(c);
+             i < end; ++i) {
+          net_.mark_dirty(net_.ring_.handle(i));
+        }
+      }
     }
 
     // Routing tables: a node at cyclic level m reads by_level_[m-1], so a
@@ -85,36 +95,6 @@ class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
   }
 
  private:
-  void mark_cycle(std::uint64_t cubical) {
-    const auto it = net_.cycles_.find(cubical);
-    if (it == net_.cycles_.end()) return;
-    for (const auto& [cyclic, handle] : it->second) net_.mark_dirty(handle);
-  }
-
-  /// Mark every member of the cycles whose leaf sets can reference the
-  /// change at `cubical`: that cycle plus leaf_width populated cycles on
-  /// each side — the same walk refresh_leafsets_around repairs, taken here
-  /// before the victim is unlinked.
-  void mark_affected_cycles(std::uint64_t cubical) {
-    if (net_.cycles_.empty()) return;
-    std::vector<std::uint64_t> affected;
-    if (net_.cycles_.contains(cubical)) affected.push_back(cubical);
-    std::uint64_t walk = cubical;
-    for (int i = 0; i < net_.leaf_width_; ++i) {
-      walk = net_.preceding_cycle(walk);
-      affected.push_back(walk);
-    }
-    walk = cubical;
-    for (int i = 0; i < net_.leaf_width_; ++i) {
-      walk = net_.succeeding_cycle(walk);
-      affected.push_back(walk);
-    }
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    for (const std::uint64_t c : affected) mark_cycle(c);
-  }
-
   /// Mark the level-(k+1) nodes whose cubical or cyclic routing entries the
   /// change at `id` = (cubical a, cyclic k) can perturb. Exact inversion of
   /// compute_routing_table's candidate windows:
@@ -140,39 +120,39 @@ class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
     const std::uint64_t window = 1ULL << m;
     const std::uint64_t base =
         util::flip_bit(id.cubical, static_cast<int>(m)) & ~(window - 1);
-    for (auto it = level.lower_bound(base);
-         it != level.end() && it->first < base + window; ++it) {
-      const CycloidNode* ref = net_.node_of(it->second);
+    for (std::size_t i = level.lower_bound(base);
+         i < level.size() && level.key(i) < base + window; ++i) {
+      const NodeHandle referencer = level.handle(i);
+      const CycloidNode* ref = net_.node_of(referencer);
       CYCLOID_ASSERT(ref != nullptr);
       if (!join) {
         // Removing a non-selected candidate never changes the argmin.
-        if (ref->cubical_neighbor == changed) net_.mark_dirty(it->second);
+        if (ref->cubical_neighbor == changed) net_.mark_dirty(referencer);
         continue;
       }
       if (proximity || ref->cubical_neighbor == kNoNode) {
-        net_.mark_dirty(it->second);
+        net_.mark_dirty(referencer);
         continue;
       }
       const std::uint64_t preferred =
-          util::flip_bit(it->first, static_cast<int>(m));
+          util::flip_bit(level.key(i), static_cast<int>(m));
       const auto gap = [preferred](std::uint64_t c) {
         return c >= preferred ? c - preferred : preferred - c;
       };
       const std::uint64_t stored =
           CycloidNetwork::id_of(ref->cubical_neighbor).cubical;
-      if (gap(id.cubical) <= gap(stored)) net_.mark_dirty(it->second);
+      if (gap(id.cubical) <= gap(stored)) net_.mark_dirty(referencer);
     }
 
     // Cyclic neighbors. `feeder` still contains `a` itself (post-join /
     // pre-unlink); the strict bounds exclude it.
-    const auto at = feeder.lower_bound(id.cubical);
-    const bool has_lo = at != feeder.begin();
-    const auto past = feeder.upper_bound(id.cubical);
-    const bool has_hi = past != feeder.end();
-    auto start = has_lo ? level.upper_bound(std::prev(at)->first)
-                        : level.begin();
-    const auto stop = has_hi ? level.lower_bound(past->first) : level.end();
-    for (; start != stop; ++start) net_.mark_dirty(start->second);
+    const std::size_t at = feeder.lower_bound(id.cubical);
+    const std::size_t past = feeder.upper_bound(id.cubical);
+    std::size_t start = at > 0 ? level.upper_bound(feeder.key(at - 1)) : 0;
+    const std::size_t stop = past < feeder.size()
+                                 ? level.lower_bound(feeder.key(past))
+                                 : level.size();
+    for (; start < stop; ++start) net_.mark_dirty(level.handle(start));
   }
 
   CycloidNetwork& net_;
@@ -228,9 +208,8 @@ bool CycloidNetwork::insert(const CccId& id) {
   if (contains(handle)) return false;
 
   create_node(handle).id = id;
-  ring_.emplace(space_.ring_position(id), handle);
-  by_level_[id.cyclic].emplace(id.cubical, handle);
-  cycles_[id.cubical].emplace(id.cyclic, handle);
+  ring_.insert(space_.ring_position(id), handle, bulk_building());
+  by_level_[id.cyclic].insert(id.cubical, handle, bulk_building());
 
   // The engine runs the join repairs (CycloidMaintenancePolicy::on_join)
   // under the join-repair cause scope. Bulk construction defers all
@@ -248,10 +227,6 @@ void CycloidNetwork::unlink(NodeHandle handle) {
 
   ring_.erase(space_.ring_position(id));
   by_level_[id.cyclic].erase(id.cubical);
-  auto cycle_it = cycles_.find(id.cubical);
-  CYCLOID_ASSERT(cycle_it != cycles_.end());
-  cycle_it->second.erase(id.cyclic);
-  if (cycle_it->second.empty()) cycles_.erase(cycle_it);
 
   destroy_node(handle);
 }
@@ -268,23 +243,41 @@ std::vector<std::string> CycloidNetwork::phase_names() const {
 // Cycle geometry
 
 NodeHandle CycloidNetwork::primary_of_cycle(std::uint64_t cubical) const {
-  const auto it = cycles_.find(cubical);
-  CYCLOID_EXPECTS(it != cycles_.end() && !it->second.empty());
-  return it->second.rbegin()->second;
+  const std::size_t end = cycle_end(cubical);
+  CYCLOID_EXPECTS(end > 0 && cubical_at(end - 1) == cubical);
+  return ring_.handle(end - 1);
 }
 
 std::uint64_t CycloidNetwork::preceding_cycle(std::uint64_t cubical) const {
-  CYCLOID_EXPECTS(!cycles_.empty());
-  auto it = cycles_.lower_bound(cubical);
-  if (it == cycles_.begin()) return cycles_.rbegin()->first;
-  return std::prev(it)->first;
+  CYCLOID_EXPECTS(!ring_.empty());
+  return cubical_at(ring_.prev(cycle_begin(cubical)));
 }
 
 std::uint64_t CycloidNetwork::succeeding_cycle(std::uint64_t cubical) const {
-  CYCLOID_EXPECTS(!cycles_.empty());
-  const auto it = cycles_.upper_bound(cubical);
-  if (it == cycles_.end()) return cycles_.begin()->first;
-  return it->first;
+  CYCLOID_EXPECTS(!ring_.empty());
+  const std::size_t end = cycle_end(cubical);
+  return cubical_at(end == ring_.size() ? 0 : end);
+}
+
+std::vector<std::uint64_t> CycloidNetwork::affected_cycles(
+    std::uint64_t cubical) const {
+  std::vector<std::uint64_t> affected;
+  if (ring_.empty()) return affected;
+  if (cycle_begin(cubical) != cycle_end(cubical)) affected.push_back(cubical);
+  std::uint64_t walk = cubical;
+  for (int i = 0; i < leaf_width_; ++i) {
+    walk = preceding_cycle(walk);
+    affected.push_back(walk);
+  }
+  walk = cubical;
+  for (int i = 0; i < leaf_width_; ++i) {
+    walk = succeeding_cycle(walk);
+    affected.push_back(walk);
+  }
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  return affected;
 }
 
 // --------------------------------------------------------------------------
@@ -313,44 +306,29 @@ void CycloidNetwork::compute_routing_table(CycloidNode& node) {
   if (selection_ == NeighborSelection::kProximity) {
     // Proximity extension: scan every candidate matching the pattern and
     // keep the one with the lowest link latency (Pastry-style PNS).
-    NodeHandle best = kNoNode;
     double best_latency = 1e300;
-    for (auto it = level.lower_bound(base);
-         it != level.end() && it->first < base + window; ++it) {
-      const double latency = link_latency(handle_of(node.id), it->second);
+    for (std::size_t i = level.lower_bound(base);
+         i < level.size() && level.key(i) < base + window; ++i) {
+      const double latency = link_latency(handle_of(node.id), level.handle(i));
       if (latency < best_latency) {
         best_latency = latency;
-        best = it->second;
+        node.cubical_neighbor = level.handle(i);
       }
     }
-    node.cubical_neighbor = best;
   } else {
-    const auto at_or_after = level.lower_bound(preferred);
-    NodeHandle best = kNoNode;
-    std::uint64_t best_gap = ~0ULL;
-    if (at_or_after != level.end() && at_or_after->first < base + window) {
-      best = at_or_after->second;
-      best_gap = at_or_after->first - preferred;
-    }
-    if (at_or_after != level.begin()) {
-      const auto before = std::prev(at_or_after);
-      if (before->first >= base && preferred - before->first < best_gap) {
-        best = before->second;
-      }
-    }
-    node.cubical_neighbor = best;
+    node.cubical_neighbor = level.nearest_in(base, base + window, preferred);
   }
 
   // Cyclic neighbors: the first participants at cyclic index k-1 whose
   // cubical index is >= (larger) / <= (smaller) the node's own. The paper's
   // min/max formulas do not wrap, so nodes near the ends of the cubical
   // range may lack one of them.
-  {
-    const auto at_or_after = level.lower_bound(node.id.cubical);
-    if (at_or_after != level.end()) node.cyclic_larger = at_or_after->second;
-    auto past = level.upper_bound(node.id.cubical);
-    if (past != level.begin()) node.cyclic_smaller = std::prev(past)->second;
+  const std::size_t at_or_after = level.lower_bound(node.id.cubical);
+  if (at_or_after < level.size()) {
+    node.cyclic_larger = level.handle(at_or_after);
   }
+  const std::size_t past = level.upper_bound(node.id.cubical);
+  if (past > 0) node.cyclic_smaller = level.handle(past - 1);
 
   if (node.cubical_neighbor != old_cubical || node.cyclic_larger != old_larger ||
       node.cyclic_smaller != old_smaller) {
@@ -368,24 +346,21 @@ void CycloidNetwork::compute_leaf_sets(CycloidNode& node) {
   node.outside_pred.clear();
   node.outside_succ.clear();
 
-  const auto cycle_it = cycles_.find(node.id.cubical);
-  CYCLOID_ASSERT(cycle_it != cycles_.end());
-  const auto& cycle = cycle_it->second;
-  const auto self_it = cycle.find(node.id.cyclic);
-  CYCLOID_ASSERT(self_it != cycle.end());
-
-  // Inside leaf set: predecessors and successors on the local cycle. A
+  // Inside leaf set: predecessors and successors on the local cycle — its
+  // run [begin, end) of the large cycle, walked with wrap inside the run. A
   // single-member cycle points at itself (paper Sec. 3.3.1 case 2).
-  auto it = self_it;
+  const std::size_t begin = cycle_begin(node.id.cubical);
+  const std::size_t end = cycle_end(node.id.cubical);
+  const std::size_t self = ring_.index_of(space_.ring_position(node.id));
+  std::size_t at = self;
   for (int i = 0; i < leaf_width_; ++i) {
-    it = (it == cycle.begin()) ? std::prev(cycle.end()) : std::prev(it);
-    node.inside_pred.push_back(it->second);
+    at = (at == begin ? end : at) - 1;
+    node.inside_pred.push_back(ring_.handle(at));
   }
-  it = self_it;
+  at = self;
   for (int i = 0; i < leaf_width_; ++i) {
-    ++it;
-    if (it == cycle.end()) it = cycle.begin();
-    node.inside_succ.push_back(it->second);
+    at = at + 1 == end ? begin : at + 1;
+    node.inside_succ.push_back(ring_.handle(at));
   }
 
   // Outside leaf set: primary nodes of the nearest preceding/succeeding
@@ -411,31 +386,9 @@ void CycloidNetwork::compute_leaf_sets(CycloidNode& node) {
 }
 
 void CycloidNetwork::refresh_leafsets_around(std::uint64_t cubical) {
-  if (cycles_.empty()) return;
-
-  // Collect the affected cycles: the one at `cubical` (if populated) plus
-  // leaf_width populated cycles on each side.
-  std::vector<std::uint64_t> affected;
-  if (cycles_.contains(cubical)) affected.push_back(cubical);
-  std::uint64_t walk = cubical;
-  for (int i = 0; i < leaf_width_; ++i) {
-    walk = preceding_cycle(walk);
-    affected.push_back(walk);
-  }
-  walk = cubical;
-  for (int i = 0; i < leaf_width_; ++i) {
-    walk = succeeding_cycle(walk);
-    affected.push_back(walk);
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-
-  for (const std::uint64_t c : affected) {
-    const auto cycle_it = cycles_.find(c);
-    if (cycle_it == cycles_.end()) continue;
-    for (const auto& [cyclic, handle] : cycle_it->second) {
-      compute_leaf_sets(*node_of(handle));
+  for (const std::uint64_t c : affected_cycles(cubical)) {
+    for (std::size_t i = cycle_begin(c), end = cycle_end(c); i < end; ++i) {
+      compute_leaf_sets(*node_of(ring_.handle(i)));
     }
   }
 }
@@ -480,31 +433,36 @@ bool CycloidNetwork::key_in_leaf_range(const CycloidNode& node,
 // Key assignment
 
 dht::NodeHandle CycloidNetwork::owner_of_id(const CccId& key) const {
-  CYCLOID_EXPECTS(!cycles_.empty());
+  CYCLOID_EXPECTS(!ring_.empty());
 
   // The owner lives in one of the two populated cycles nearest to the key's
-  // cubical index (clockwise and counterclockwise); enumerate their members.
-  std::uint64_t cw = key.cubical;
-  if (!cycles_.contains(cw)) cw = succeeding_cycle(key.cubical);
-  const std::uint64_t ccw =
-      cycles_.contains(key.cubical) ? key.cubical : preceding_cycle(key.cubical);
+  // cubical index: the key's own cycle when populated, else the next one
+  // clockwise (its run starts at `cw`) and the previous one (its run ends at
+  // `ccw`). closeness_rank is a total order, so the scan order is moot.
+  std::size_t cw = cycle_begin(key.cubical);
+  if (cw == ring_.size()) cw = 0;
+  const std::size_t ccw = ring_.prev(cw);
+  const std::uint64_t cw_cycle = cubical_at(cw);
+  const std::uint64_t ccw_cycle = cubical_at(ccw);
 
   NodeHandle best = kNoNode;
   std::uint64_t best_rank = ~0ULL;
-  const auto consider_cycle = [&](std::uint64_t cubical) {
-    const auto it = cycles_.find(cubical);
-    CYCLOID_ASSERT(it != cycles_.end());
-    for (const auto& [cyclic, handle] : it->second) {
-      const std::uint64_t rank =
-          space_.closeness_rank(key, CccId{cyclic, cubical});
-      if (rank < best_rank) {
-        best_rank = rank;
-        best = handle;
-      }
+  const auto consider = [&](std::size_t i) {
+    const std::uint64_t rank =
+        space_.closeness_rank(key, space_.from_ring_position(ring_.key(i)));
+    if (rank < best_rank) {
+      best_rank = rank;
+      best = ring_.handle(i);
     }
   };
-  consider_cycle(cw);
-  if (ccw != cw) consider_cycle(ccw);
+  for (std::size_t i = cw; i < ring_.size() && cubical_at(i) == cw_cycle; ++i) {
+    consider(i);
+  }
+  if (cw_cycle != key.cubical && ccw_cycle != cw_cycle) {
+    for (std::size_t i = ccw + 1; i-- > 0 && cubical_at(i) == ccw_cycle;) {
+      consider(i);
+    }
+  }
   return best;
 }
 

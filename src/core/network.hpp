@@ -1,7 +1,8 @@
 // CycloidNetwork — the paper's constant-degree DHT, simulated message-level.
 //
-// The network holds every live node in ordered indexes (global ring, per
-// local cycle, per cyclic level), executes the three-phase routing algorithm
+// The network holds every live node in ordered indexes (the global ring,
+// whose contiguous runs are the local cycles, and one ring per cyclic
+// level), executes the three-phase routing algorithm
 // of paper Sec. 3.2 (ascending / descending / traverse cycle), and implements
 // the self-organization protocol of Sec. 3.3: joins and graceful leaves
 // repair leaf sets eagerly, while cubical/cyclic routing-table entries go
@@ -10,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "dht/arena.hpp"
 #include "dht/latency.hpp"
 #include "dht/network.hpp"
+#include "dht/sorted_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::ccc {
@@ -146,6 +147,23 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   /// leaf sets a join/leave at that cycle can affect.
   void refresh_leafsets_around(std::uint64_t cubical);
 
+  /// That neighbourhood: the cycle at `cubical` (if populated) plus
+  /// leaf_width populated cycles on each side, ascending and deduplicated.
+  std::vector<std::uint64_t> affected_cycles(std::uint64_t cubical) const;
+
+  /// The local cycle at `cubical` is the ring index run [cycle_begin,
+  /// cycle_end) — empty when the cycle is unpopulated; cycle_begin is then
+  /// the first index of the next populated cycle.
+  std::size_t cycle_begin(std::uint64_t cubical) const {
+    return ring_.lower_bound(cubical * space_.dimension());
+  }
+  std::size_t cycle_end(std::uint64_t cubical) const {
+    return ring_.lower_bound((cubical + 1) * space_.dimension());
+  }
+  std::uint64_t cubical_at(std::size_t index) const {
+    return space_.from_ring_position(ring_.key(index)).cubical;
+  }
+
   /// Primary node (largest cyclic index) of the cycle at `cubical`.
   dht::NodeHandle primary_of_cycle(std::uint64_t cubical) const;
 
@@ -161,12 +179,11 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   int leaf_width_;
   NeighborSelection selection_;
 
-  /// Global ring: ring position -> handle (ordered by (cubical, cyclic)).
-  std::map<std::uint64_t, dht::NodeHandle> ring_;
-  /// Per cyclic level k: cubical index -> handle.
-  std::vector<std::map<std::uint64_t, dht::NodeHandle>> by_level_;
-  /// Per local cycle: cubical -> (cyclic -> handle).
-  std::map<std::uint64_t, std::map<std::uint32_t, dht::NodeHandle>> cycles_;
+  /// The large cycle: every node keyed by ring position, i.e. ordered by
+  /// (cubical, cyclic), so each local cycle is one contiguous run.
+  dht::SortedRing<std::uint64_t> ring_;
+  /// Per cyclic level k: the level-k nodes keyed by cubical index.
+  std::vector<dht::SortedRing<std::uint64_t>> by_level_;
 };
 
 }  // namespace cycloid::ccc

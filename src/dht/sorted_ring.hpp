@@ -1,0 +1,153 @@
+// The ordered membership index behind every ring overlay (DESIGN.md §15):
+// keys and their NodeHandles in two parallel vectors sorted by key, so a
+// query is one std::lower_bound over the contiguous keys.
+//
+// Bulk/settle contract: a bulk insert appends in O(1); the overlay's
+// MaintenancePolicy::before_pass calls settle() — one sort — before
+// finish_bulk's stabilize pass queries the ring. Queries trap while the ring
+// is unsorted, and settle() traps on a duplicate key: an unsorted ring
+// cannot be probed for a collision, so that trap replaces the per-insert
+// probe for keys the handle registry does not deduplicate (Viceroy's ids).
+// Outside bulk mode insert and erase memmove O(n) per call.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "dht/types.hpp"
+#include "util/contracts.hpp"
+
+namespace cycloid::dht {
+
+template <typename Key>
+class SortedRing {
+ public:
+  std::size_t size() const noexcept { return keys_.size(); }
+  bool empty() const noexcept { return keys_.empty(); }
+
+  /// Add `key` -> `handle`: appended with `bulk` (see above), otherwise
+  /// inserted in place, and then `key` must not be present.
+  void insert(Key key, NodeHandle handle, bool bulk) {
+    if (bulk) {
+      if (!keys_.empty() && !(keys_.back() < key)) sorted_ = false;
+      keys_.push_back(key);
+      handles_.push_back(handle);
+      return;
+    }
+    const std::size_t at = lower_bound(key);
+    CYCLOID_EXPECTS(at == size() || key < keys_[at]);  // duplicate key
+    keys_.insert(keys_.begin() + static_cast<std::ptrdiff_t>(at), key);
+    handles_.insert(handles_.begin() + static_cast<std::ptrdiff_t>(at), handle);
+  }
+
+  /// Remove `key`, which must be present.
+  void erase(Key key) {
+    const auto at = static_cast<std::ptrdiff_t>(index_of(key));
+    keys_.erase(keys_.begin() + at);
+    handles_.erase(handles_.begin() + at);
+  }
+
+  /// Restore key order after bulk appends; traps on a duplicate key.
+  void settle() {
+    if (sorted_) return;
+    std::vector<std::pair<Key, NodeHandle>> pairs(size());
+    for (std::size_t i = 0; i < size(); ++i) pairs[i] = {keys_[i], handles_[i]};
+    std::sort(pairs.begin(), pairs.end());
+    for (std::size_t i = 0; i < size(); ++i) {
+      CYCLOID_EXPECTS(i == 0 || pairs[i - 1].first < pairs[i].first);
+      keys_[i] = pairs[i].first;
+      handles_[i] = pairs[i].second;
+    }
+    sorted_ = true;
+  }
+
+  /// Index of the first key >= `key` (size() when none).
+  std::size_t lower_bound(Key key) const {
+    CYCLOID_EXPECTS(sorted_);
+    return static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  }
+  /// Index of the first key > `key` (size() when none).
+  std::size_t upper_bound(Key key) const {
+    CYCLOID_EXPECTS(sorted_);
+    return static_cast<std::size_t>(
+        std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  }
+  /// Index of `key`, which must be present.
+  std::size_t index_of(Key key) const {
+    const std::size_t at = lower_bound(key);
+    CYCLOID_EXPECTS(at < size() && keys_[at] == key);  // absent key
+    return at;
+  }
+  bool contains(Key key) const {
+    const std::size_t at = lower_bound(key);
+    return at < size() && keys_[at] == key;
+  }
+
+  Key key(std::size_t i) const {
+    CYCLOID_EXPECTS(sorted_ && i < size());
+    return keys_[i];
+  }
+  NodeHandle handle(std::size_t i) const {
+    CYCLOID_EXPECTS(sorted_ && i < size());
+    return handles_[i];
+  }
+  /// All handles in key order.
+  const std::vector<NodeHandle>& handles() const {
+    CYCLOID_EXPECTS(sorted_);
+    return handles_;
+  }
+
+  /// Neighbouring indices with wrap. prev(size()) is the last index, so
+  /// prev(lower_bound(k)) is always the last member strictly before k.
+  std::size_t next(std::size_t i) const noexcept {
+    return i + 1 >= size() ? 0 : i + 1;
+  }
+  std::size_t prev(std::size_t i) const noexcept {
+    return (i == 0 ? size() : i) - 1;
+  }
+
+  /// First member at or clockwise-after `key`, wrapping past the top.
+  NodeHandle successor(Key key) const {
+    CYCLOID_EXPECTS(!empty());
+    const std::size_t at = lower_bound(key);
+    return handles_[at == size() ? 0 : at];
+  }
+  /// Last member strictly before `key`, wrapping below the bottom.
+  NodeHandle predecessor(Key key) const {
+    CYCLOID_EXPECTS(!empty());
+    return handles_[prev(lower_bound(key))];
+  }
+  /// Last member at or before `key`, wrapping below the bottom.
+  NodeHandle predecessor_incl(Key key) const {
+    CYCLOID_EXPECTS(!empty());
+    return handles_[prev(upper_bound(key))];
+  }
+
+  /// Member whose key is nearest `target` (itself in [lo, hi)) among the
+  /// keys in [lo, hi), ties going to the larger key; kNoNode when no key
+  /// lies in the window. No wrap: the window is a prefix-routing window.
+  NodeHandle nearest_in(Key lo, Key hi, Key target) const {
+    const std::size_t at = lower_bound(target);
+    NodeHandle best = kNoNode;
+    Key best_gap{};
+    if (at < size() && keys_[at] < hi) {
+      best = handles_[at];
+      best_gap = keys_[at] - target;
+    }
+    if (at > 0 && keys_[at - 1] >= lo &&
+        (best == kNoNode || target - keys_[at - 1] < best_gap)) {
+      best = handles_[at - 1];
+    }
+    return best;
+  }
+
+ private:
+  std::vector<Key> keys_;
+  std::vector<NodeHandle> handles_;
+  bool sorted_ = true;
+};
+
+}  // namespace cycloid::dht

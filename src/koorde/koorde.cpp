@@ -40,6 +40,8 @@ class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
 
   void on_vanish(NodeHandle node) override { net_.unlink(node); }
 
+  void before_pass() override { net_.ring_.settle(); }
+
   void repair_after_mass_leave() override {
     // Graceful departures repair the ring; de Bruijn pointers stay frozen.
     for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
@@ -65,11 +67,11 @@ class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
     if (event == dht::MembershipEvent::kVanish) {
       std::uint64_t cursor = id;
       for (int i = 0; i <= net_.successor_list_length_; ++i) {
-        const NodeHandle h = net_.predecessor_of(cursor);
+        const NodeHandle h = net_.ring_.predecessor(cursor);
         net_.mark_dirty(h);
         cursor = h;  // Koorde handles are ids
       }
-      net_.mark_dirty(net_.successor_of((id + 1) % net_.space_size_));
+      net_.mark_dirty(net_.ring_.successor((id + 1) % net_.space_size_));
     }
 
     // De Bruijn pointers + backups are never eagerly repaired, for any
@@ -79,9 +81,9 @@ class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
     // member strictly after J.
     std::uint64_t hi = id;
     for (int b = 0; b <= net_.backup_count_; ++b) {
-      hi = net_.successor_of((hi + 1) % net_.space_size_);
+      hi = net_.ring_.successor((hi + 1) % net_.space_size_);
       if (hi == id) {  // walked the full (tiny) ring: everyone references J
-        for (const auto& [rid, handle] : net_.ring_) net_.mark_dirty(handle);
+        for (const NodeHandle h : net_.ring_.handles()) net_.mark_dirty(h);
         return;
       }
     }
@@ -96,6 +98,7 @@ class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
   /// [ceil(a/2^s), ceil(b/2^s)) per choice of the dropped top digit.
   void mark_preimage(std::uint64_t lo, std::uint64_t hi) {
     const std::uint64_t space = net_.space_size_;
+    const auto& ring = net_.ring_;
     const auto mark_piece = [&](std::uint64_t a, std::uint64_t b) {
       if (a >= b) return;
       const int s = net_.shift_bits_;
@@ -107,9 +110,9 @@ class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
       for (std::uint64_t c = 0; c < digits; ++c) {
         const std::uint64_t from = c * stride + r_lo;
         const std::uint64_t to = c * stride + r_hi;
-        for (auto it = net_.ring_.lower_bound(from);
-             it != net_.ring_.end() && it->first < to; ++it) {
-          net_.mark_dirty(it->second);
+        for (std::size_t i = ring.lower_bound(from);
+             i < ring.size() && ring.key(i) < to; ++i) {
+          net_.mark_dirty(ring.handle(i));
         }
       }
     };
@@ -165,7 +168,7 @@ bool KoordeNetwork::insert(std::uint64_t id) {
   if (contains(id)) return false;
 
   create_node(id).id = id;
-  ring_.emplace(id, id);
+  ring_.insert(id, id, bulk_building());
 
   // Bulk construction defers derived state to finish_bulk's stabilize pass
   // (which recomputes it from final membership anyway).
@@ -183,32 +186,14 @@ std::vector<std::string> KoordeNetwork::phase_names() const {
   return {"debruijn", "successor"};
 }
 
-NodeHandle KoordeNetwork::successor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.end() ? ring_.begin()->second : it->second;
-}
-
-NodeHandle KoordeNetwork::predecessor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.begin() ? ring_.rbegin()->second : std::prev(it)->second;
-}
-
-NodeHandle KoordeNetwork::predecessor_incl(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.upper_bound(id);
-  return it == ring_.begin() ? ring_.rbegin()->second : std::prev(it)->second;
-}
-
 void KoordeNetwork::repair_ring(KoordeNode& node) {
   const NodeHandle old_pred = node.predecessor;
   const auto old_successors = node.successors;
-  node.predecessor = predecessor_of(node.id);
+  node.predecessor = ring_.predecessor(node.id);
   node.successors.clear();
   std::uint64_t walk = node.id;
   for (int s = 0; s < successor_list_length_; ++s) {
-    const NodeHandle succ = successor_of((walk + 1) % space_size_);
+    const NodeHandle succ = ring_.successor((walk + 1) % space_size_);
     node.successors.push_back(succ);
     walk = succ;
   }
@@ -223,11 +208,11 @@ void KoordeNetwork::compute_state(KoordeNode& node) {
   // First de Bruijn node: the live node at or immediately preceding
   // 2^shift_bits * m (2m for the classic degree-2 graph).
   const std::uint64_t db_target = (node.id << shift_bits_) % space_size_;
-  node.de_bruijn = predecessor_incl(db_target);
+  node.de_bruijn = ring_.predecessor_incl(db_target);
   node.db_backups.clear();
   std::uint64_t walk = node.de_bruijn;
   for (int b = 0; b < backup_count_; ++b) {
-    walk = predecessor_of(walk);
+    walk = ring_.predecessor(walk);
     node.db_backups.push_back(walk);
   }
   node.db_broken = false;
@@ -237,7 +222,7 @@ void KoordeNetwork::refresh_ring_around(std::uint64_t id) {
   std::uint64_t cursor = id;
   for (int i = 0; i <= successor_list_length_; ++i) {
     if (ring_.empty()) return;
-    const NodeHandle handle = predecessor_of(cursor);
+    const NodeHandle handle = ring_.predecessor(cursor);
     KoordeNode* node = node_of(handle);
     CYCLOID_ASSERT(node != nullptr);
     repair_ring(*node);
@@ -246,14 +231,14 @@ void KoordeNetwork::refresh_ring_around(std::uint64_t id) {
   if (!ring_.empty()) {
     // Strictly after `id`: a freshly joined node must not shadow its
     // successor here.
-    KoordeNode* next = node_of(successor_of((id + 1) % space_size_));
+    KoordeNode* next = node_of(ring_.successor((id + 1) % space_size_));
     CYCLOID_ASSERT(next != nullptr);
-    next->predecessor = predecessor_of(next->id);
+    next->predecessor = ring_.predecessor(next->id);
   }
 }
 
 NodeHandle KoordeNetwork::owner_of(dht::KeyHash key) const {
-  return successor_of(key % space_size_);
+  return ring_.successor(key % space_size_);
 }
 
 KoordeNetwork::ImaginaryStart KoordeNetwork::best_start(

@@ -21,13 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "dht/sorted_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::koorde {
@@ -109,10 +109,6 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
                         dht::LookupResult* results, dht::BatchScratch& lanes,
                         const dht::RouterOptions& options) const override;
 
-  dht::NodeHandle successor_of(std::uint64_t id) const;
-  dht::NodeHandle predecessor_of(std::uint64_t id) const;  // strictly before
-  dht::NodeHandle predecessor_incl(std::uint64_t id) const;  // at or before
-
   void compute_state(KoordeNode& node);
   void repair_ring(KoordeNode& node);
   void refresh_ring_around(std::uint64_t id);
@@ -124,7 +120,8 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   int backup_count_;
   int shift_bits_;
 
-  std::map<std::uint64_t, dht::NodeHandle> ring_;
+  /// Live identifiers (id == handle).
+  dht::SortedRing<std::uint64_t> ring_;
 };
 
 }  // namespace cycloid::koorde

@@ -44,6 +44,8 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
 
   void on_vanish(NodeHandle node) override { net_.unlink(node); }
 
+  void before_pass() override { net_.ring_.settle(); }
+
   void repair_after_mass_leave() override {
     // Graceful departures repair the leaf sets; routing tables stay frozen.
     for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
@@ -83,14 +85,14 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
   void mark_leaf_neighbors(std::uint64_t id) {
     std::uint64_t cursor = id;
     for (int i = 0; i < net_.leaf_half_ + 1; ++i) {
-      const NodeHandle h = net_.predecessor_of(cursor);
+      const NodeHandle h = net_.ring_.predecessor(cursor);
       if (h == id) break;  // wrapped around a tiny ring
       net_.mark_dirty(h);
       cursor = h;  // Pastry handles are ids
     }
     cursor = id;
     for (int i = 0; i < net_.leaf_half_ + 1; ++i) {
-      const NodeHandle h = net_.successor_of((cursor + 1) % net_.space_size_);
+      const NodeHandle h = net_.ring_.successor((cursor + 1) % net_.space_size_);
       if (h == id) break;
       net_.mark_dirty(h);
       cursor = h;
@@ -111,25 +113,26 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
           net_.bits_ - (row + 1) * net_.bits_per_digit_;
       const std::uint64_t span = 1ULL << (suffix_bits + net_.bits_per_digit_);
       const std::uint64_t start = (id / span) * span;
-      for (auto it = ring.lower_bound(start);
-           it != ring.end() && it->first < start + span; ++it) {
-        const std::uint64_t x = it->first;
+      for (std::size_t i = ring.lower_bound(start);
+           i < ring.size() && ring.key(i) < start + span; ++i) {
+        const std::uint64_t x = ring.key(i);
         if (net_.digit(x, row) == col) continue;  // deeper row (and J itself)
-        const PastryNode* ref = net_.node_of(it->second);
+        const NodeHandle referencer = ring.handle(i);
+        const PastryNode* ref = net_.node_of(referencer);
         CYCLOID_ASSERT(ref != nullptr);
         const auto& table = ref->routing_table;
         if (table.size() != static_cast<std::size_t>(net_.rows_)) {
-          net_.mark_dirty(it->second);  // unshaped table: be conservative
+          net_.mark_dirty(referencer);  // unshaped table: be conservative
           continue;
         }
         const NodeHandle entry = table[static_cast<std::size_t>(row)]
                                       [static_cast<std::size_t>(col)];
         if (!join) {
-          if (entry == changed) net_.mark_dirty(it->second);
+          if (entry == changed) net_.mark_dirty(referencer);
           continue;
         }
         if (entry == kNoNode) {
-          net_.mark_dirty(it->second);
+          net_.mark_dirty(referencer);
           continue;
         }
         const std::uint64_t window = 1ULL << suffix_bits;
@@ -140,7 +143,7 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
         const auto gap = [preferred](std::uint64_t c) {
           return c >= preferred ? c - preferred : preferred - c;
         };
-        if (gap(id) <= gap(entry)) net_.mark_dirty(it->second);
+        if (gap(id) <= gap(entry)) net_.mark_dirty(referencer);
       }
     }
   }
@@ -231,7 +234,7 @@ bool PastryNetwork::insert(std::uint64_t id, double x, double y) {
   node.id = id;
   node.x = x;
   node.y = y;
-  ring_.emplace(id, id);
+  ring_.insert(id, id, bulk_building());
 
   // Bulk construction defers derived state to finish_bulk's stabilize pass
   // (which recomputes it from final membership anyway) — for Pastry this
@@ -250,21 +253,9 @@ std::vector<std::string> PastryNetwork::phase_names() const {
   return {"prefix", "leaf"};
 }
 
-NodeHandle PastryNetwork::successor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.end() ? ring_.begin()->second : it->second;
-}
-
-NodeHandle PastryNetwork::predecessor_of(std::uint64_t id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.begin() ? ring_.rbegin()->second : std::prev(it)->second;
-}
-
 NodeHandle PastryNetwork::closest_to(std::uint64_t id) const {
-  const NodeHandle succ = successor_of(id);
-  const NodeHandle pred = predecessor_of(id);
+  const NodeHandle succ = ring_.successor(id);
+  const NodeHandle pred = ring_.predecessor(id);
   if (succ == pred) return succ;  // one or two nodes
   const std::uint64_t up = clockwise_distance(id, succ, space_size_);
   const std::uint64_t down = clockwise_distance(pred, id, space_size_);
@@ -289,20 +280,18 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
   const auto old_larger = std::move(node.leaf_larger);
   node.leaf_smaller.clear();
   node.leaf_larger.clear();
-  const auto self = ring_.find(node.id);
-  CYCLOID_ASSERT(self != ring_.end());
-  auto down = self;
+  const std::size_t self = ring_.index_of(node.id);
+  std::size_t down = self;
   for (int i = 0; i < leaf_half_; ++i) {
-    down = down == ring_.begin() ? std::prev(ring_.end()) : std::prev(down);
-    if (down->second == node.id) break;  // wrapped all the way around
-    node.leaf_smaller.push_back(down->second);
+    down = ring_.prev(down);
+    if (down == self) break;  // wrapped all the way around
+    node.leaf_smaller.push_back(ring_.handle(down));
   }
-  auto up = self;
+  std::size_t up = self;
   for (int i = 0; i < leaf_half_; ++i) {
-    ++up;
-    if (up == ring_.end()) up = ring_.begin();
-    if (up->second == node.id) break;
-    node.leaf_larger.push_back(up->second);
+    up = ring_.next(up);
+    if (up == self) break;
+    node.leaf_larger.push_back(ring_.handle(up));
   }
   if (node.leaf_smaller != old_smaller || node.leaf_larger != old_larger) {
     note_maintenance(node.id);
@@ -330,21 +319,9 @@ void PastryNetwork::compute_routing_table(PastryNode& node) {
       // Prefer the participant whose suffix matches the node's own.
       const std::uint64_t preferred =
           base | (node.id & (window - 1));
-      const auto at_or_after = ring_.lower_bound(preferred);
-      NodeHandle best = kNoNode;
-      std::uint64_t best_gap = ~0ULL;
-      if (at_or_after != ring_.end() && at_or_after->first < base + window) {
-        best = at_or_after->second;
-        best_gap = at_or_after->first - preferred;
-      }
-      if (at_or_after != ring_.begin()) {
-        const auto before = std::prev(at_or_after);
-        if (before->first >= base && preferred - before->first < best_gap) {
-          best = before->second;
-        }
-      }
       node.routing_table[static_cast<std::size_t>(row)]
-                        [static_cast<std::size_t>(col)] = best;
+                        [static_cast<std::size_t>(col)] =
+          ring_.nearest_in(base, base + window, preferred);
     }
   }
 }
@@ -375,7 +352,7 @@ void PastryNetwork::refresh_leafsets_around(std::uint64_t id) {
   std::uint64_t cursor = id;
   for (int i = 0; i < leaf_half_ + 1; ++i) {
     if (ring_.empty()) return;
-    const NodeHandle handle = predecessor_of(cursor);
+    const NodeHandle handle = ring_.predecessor(cursor);
     PastryNode* node = node_of(handle);
     CYCLOID_ASSERT(node != nullptr);
     compute_leaf_sets(*node);
@@ -385,7 +362,7 @@ void PastryNetwork::refresh_leafsets_around(std::uint64_t id) {
   cursor = id;
   for (int i = 0; i < leaf_half_ + 1; ++i) {
     if (ring_.empty()) return;
-    const NodeHandle handle = successor_of((cursor + 1) % space_size_);
+    const NodeHandle handle = ring_.successor((cursor + 1) % space_size_);
     PastryNode* node = node_of(handle);
     CYCLOID_ASSERT(node != nullptr);
     compute_leaf_sets(*node);

@@ -20,13 +20,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "dht/sorted_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::pastry {
@@ -94,9 +94,6 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
                         dht::LookupResult* results, dht::BatchScratch& lanes,
                         const dht::RouterOptions& options) const override;
 
-  dht::NodeHandle successor_of(std::uint64_t id) const;   // at or after
-  dht::NodeHandle predecessor_of(std::uint64_t id) const; // strictly before
-
   /// Numerically closest node to `id` (circular distance; clockwise wins
   /// ties) — Pastry's key-assignment rule.
   dht::NodeHandle closest_to(std::uint64_t id) const;
@@ -116,7 +113,8 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   int leaf_half_;
   int neighborhood_size_;
 
-  std::map<std::uint64_t, dht::NodeHandle> ring_;
+  /// Live identifiers (id == handle).
+  dht::SortedRing<std::uint64_t> ring_;
 };
 
 }  // namespace cycloid::pastry

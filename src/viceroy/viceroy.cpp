@@ -54,6 +54,13 @@ class ViceroyMaintenancePolicy final : public dht::MaintenancePolicy {
 
   void on_vanish(NodeHandle node) override { net_.unlink(node); }
 
+  void before_pass() override {
+    // Bulk construction appends to the rings unsorted (dht/sorted_ring.hpp);
+    // settle() also traps on the id collision a bulk insert cannot probe.
+    net_.ring_.settle();
+    for (auto& level : net_.levels_) level.settle();
+  }
+
   // Mass departures take the default on_mass_leave -> on_vanish path: the
   // simultaneous-failure experiment drops the victims without charging
   // (links re-resolve from whatever membership remains).
@@ -81,8 +88,8 @@ std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
   auto net = std::make_unique<ViceroyNetwork>();
   CYCLOID_EXPECTS(count >= 1);
   const int max_level = std::max(1, util::ceil_log2(count));
-  // Bulk brackets for uniformity with the other builders; Viceroy has no
-  // per-insert table work to defer, and the stabilize pass is a no-op.
+  // Bulk mode appends to the rings and sorts them once in finish_bulk, where
+  // an id collision traps (two equal 53-bit draws: p ~ 2^-20 at n = 2^17).
   net->begin_bulk();
   while (net->node_count() < count) {
     const double id = rng.uniform01();
@@ -97,21 +104,25 @@ std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
 bool ViceroyNetwork::insert(double id, int level) {
   CYCLOID_EXPECTS(id >= 0.0 && id < 1.0);
   CYCLOID_EXPECTS(level >= 1);
-  if (ring_.contains(id)) return false;
+  if (!bulk_building() && ring_.contains(id)) return false;
 
   const NodeHandle handle = next_serial_++;
   ViceroyNode& node = create_node(handle);
   node.id = id;
   node.level = level;
-  ring_.emplace(id, handle);
-  levels_[level].emplace(id, handle);
+  ring_.insert(id, handle, bulk_building());
+  if (levels_.size() < static_cast<std::size_t>(level)) {
+    levels_.resize(static_cast<std::size_t>(level));
+  }
+  levels_[static_cast<std::size_t>(level - 1)].insert(id, handle,
+                                                       bulk_building());
   notify_joined(handle);
   return true;
 }
 
 std::uint64_t ViceroyNetwork::count_referencers(NodeHandle handle) const {
   std::uint64_t referencers = 0;
-  for (const auto& [id, other] : ring_) {
+  for (const NodeHandle other : ring_.handles()) {
     if (other == handle) continue;
     const ViceroyLinks links = links_of(other);
     if (links.ring_pred == handle || links.ring_succ == handle ||
@@ -132,47 +143,28 @@ void ViceroyNetwork::unlink(NodeHandle handle) {
   const double id = node->id;
   const int level = node->level;
   ring_.erase(id);
-  auto level_it = levels_.find(level);
-  CYCLOID_ASSERT(level_it != levels_.end());
-  level_it->second.erase(id);
-  if (level_it->second.empty()) levels_.erase(level_it);
+  levels_[static_cast<std::size_t>(level - 1)].erase(id);
+  while (!levels_.empty() && levels_.back().empty()) levels_.pop_back();
 
   destroy_node(handle);
 }
 
 int ViceroyNetwork::max_level() const noexcept {
-  return levels_.empty() ? 0 : levels_.rbegin()->first;
+  return static_cast<int>(levels_.size());
 }
 
 std::vector<NodeHandle> ViceroyNetwork::node_handles() const {
-  std::vector<NodeHandle> handles;
-  handles.reserve(ring_.size());
-  for (const auto& [id, handle] : ring_) handles.push_back(handle);
-  return handles;
+  return ring_.handles();
 }
 
 std::vector<std::string> ViceroyNetwork::phase_names() const {
   return {"ascend", "descend", "ring"};
 }
 
-NodeHandle ViceroyNetwork::successor_at(double id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.end() ? ring_.begin()->second : it->second;
-}
-
-NodeHandle ViceroyNetwork::predecessor_of(double id) const {
-  CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.begin() ? ring_.rbegin()->second : std::prev(it)->second;
-}
-
 NodeHandle ViceroyNetwork::level_successor(int level, double id) const {
-  const auto level_it = levels_.find(level);
-  if (level_it == levels_.end() || level_it->second.empty()) return kNoNode;
-  const auto it = level_it->second.lower_bound(id);
-  return it == level_it->second.end() ? level_it->second.begin()->second
-                                      : it->second;
+  if (level < 1 || level > max_level()) return kNoNode;
+  const auto& peers = levels_[static_cast<std::size_t>(level - 1)];
+  return peers.empty() ? kNoNode : peers.successor(id);
 }
 
 ViceroyLinks ViceroyNetwork::links_of(NodeHandle handle) const {
@@ -180,27 +172,18 @@ ViceroyLinks ViceroyNetwork::links_of(NodeHandle handle) const {
   CYCLOID_EXPECTS(node != nullptr);
   ViceroyLinks links;
   if (ring_.size() > 1) {
-    links.ring_pred = predecessor_of(node->id);
-    links.ring_succ =
-        successor_at(std::nextafter(node->id, 2.0) >= 1.0
-                         ? 0.0
-                         : std::nextafter(node->id, 2.0));
+    const std::size_t self = ring_.index_of(node->id);
+    links.ring_pred = ring_.handle(ring_.prev(self));
+    links.ring_succ = ring_.handle(ring_.next(self));
   }
 
   // Level-ring neighbours among same-level nodes (wrapping), self excluded.
   {
-    const auto level_it = levels_.find(node->level);
-    CYCLOID_ASSERT(level_it != levels_.end());
-    const auto& peers = level_it->second;
+    const auto& peers = levels_[static_cast<std::size_t>(node->level - 1)];
     if (peers.size() > 1) {
-      auto self = peers.find(node->id);
-      CYCLOID_ASSERT(self != peers.end());
-      auto next = std::next(self);
-      if (next == peers.end()) next = peers.begin();
-      links.level_next = next->second;
-      auto prev = self == peers.begin() ? std::prev(peers.end())
-                                        : std::prev(self);
-      links.level_prev = prev->second;
+      const std::size_t self = peers.index_of(node->id);
+      links.level_next = peers.handle(peers.next(self));
+      links.level_prev = peers.handle(peers.prev(self));
     }
   }
 
@@ -223,7 +206,7 @@ ViceroyLinks ViceroyNetwork::links_of(NodeHandle handle) const {
 }
 
 NodeHandle ViceroyNetwork::owner_of(dht::KeyHash key) const {
-  return successor_at(hash::reduce_unit(key));
+  return ring_.successor(hash::reduce_unit(key));
 }
 
 namespace {
@@ -370,7 +353,7 @@ NodeHandle ViceroyNetwork::join(std::uint64_t seed) {
       1 + static_cast<int>(util::mix64(h ^ 0x1ee7c0deULL) %
                            static_cast<std::uint64_t>(estimate_levels));
   if (!insert(id, level)) return kNoNode;
-  return ring_.at(id);
+  return next_serial_ - 1;
 }
 
 }  // namespace cycloid::viceroy

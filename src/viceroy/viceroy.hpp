@@ -19,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "dht/sorted_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::viceroy {
@@ -58,7 +58,9 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
                                                       util::Rng& rng,
                                                       int threads = 1);
 
-  /// Direct insertion (false when the identifier collides).
+  /// Direct insertion; false when the identifier collides. While
+  /// bulk-building the unsorted rings cannot be probed, so a collision is
+  /// not reported: SortedRing::settle() traps on it at finish_bulk.
   bool insert(double id, int level);
 
   // node_state/node_of/node_at come from dht::ArenaNetwork<ViceroyNode>.
@@ -72,7 +74,7 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   // DhtNetwork interface -----------------------------------------------
   // node_handles() keeps its override: handles are join serials, so the
   // base registry sort would NOT give ascending identifier order — the
-  // real-valued ring map does.
+  // real-valued ring does.
   // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
   // overlay's eager-repair accounting lives in ViceroyMaintenancePolicy
   // (viceroy.cpp). The policy repairs eagerly, so even fail_ungraceful runs
@@ -98,9 +100,6 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
                         dht::LookupResult* results, dht::BatchScratch& lanes,
                         const dht::RouterOptions& options) const override;
 
-  /// First node clockwise at-or-after `id` on the general ring.
-  dht::NodeHandle successor_at(double id) const;
-  dht::NodeHandle predecessor_of(double id) const;  // strictly before
   /// First node of `level` clockwise at-or-after `id` (kNoNode if empty).
   dht::NodeHandle level_successor(int level, double id) const;
 
@@ -111,8 +110,11 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
 
   bool count_maintenance_ = false;
   std::uint64_t next_serial_ = 0;
-  std::map<double, dht::NodeHandle> ring_;
-  std::map<int, std::map<double, dht::NodeHandle>> levels_;
+  /// The general ring over every node's real identifier.
+  dht::SortedRing<double> ring_;
+  /// levels_[l - 1] is the level-l ring; trimmed so the last is non-empty
+  /// (max_level() == levels_.size()).
+  std::vector<dht::SortedRing<double>> levels_;
 };
 
 }  // namespace cycloid::viceroy

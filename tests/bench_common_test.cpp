@@ -185,5 +185,18 @@ TEST(Report, HelpAndUnknownOptionFinishEarly) {
   }
 }
 
+TEST(Report, UnwritableJsonPathFailsBeforeTheRun) {
+  // The path is opened by the constructor, so main returns before doing
+  // any work, with the bad-option exit code.
+  const std::string path = ::testing::TempDir() + "no-such-dir/out.json";
+  const char* argv[] = {"prog", "--json", path.c_str()};
+  ::testing::internal::CaptureStderr();
+  Report report(3, argv, "prog", "unwritable path test");
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(report.done());
+  EXPECT_EQ(report.exit_code(), 2);
+  EXPECT_NE(error.find("cannot open --json path"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace cycloid::bench

@@ -127,12 +127,84 @@ TEST_P(FuzzTest, StoreModelCheck) {
   EXPECT_EQ(store.key_count(), model.size());
 }
 
+// Owner of `key` by an O(n) scan of node_handles(): the answer each ring
+// overlay's owner_of (a query on its dht::SortedRing) must agree with.
+// Chord, Koorde and Pastry handles are their identifiers. kNoNode for CAN,
+// which keeps no ring.
+NodeHandle brute_force_owner(exp::OverlayKind kind, const dht::DhtNetwork& net,
+                             dht::KeyHash key) {
+  NodeHandle best = kNoNode;
+  std::uint64_t best_rank = ~0ULL;  // unique per node: no ties
+  const auto consider = [&](NodeHandle handle, std::uint64_t rank) {
+    if (rank < best_rank) {
+      best_rank = rank;
+      best = handle;
+    }
+  };
+  switch (kind) {
+    case OverlayKind::kCycloid7:
+    case OverlayKind::kCycloid11: {
+      const auto& ccc_net = dynamic_cast<const ccc::CycloidNetwork&>(net);
+      const ccc::CccId target = ccc_net.key_id(key);
+      for (const NodeHandle h : net.node_handles()) {
+        consider(h, ccc_net.space().closeness_rank(
+                        target, ccc::CycloidNetwork::id_of(h)));
+      }
+      break;
+    }
+    case OverlayKind::kChord:
+    case OverlayKind::kKoorde:
+    case OverlayKind::kPastry: {
+      const std::uint64_t space =
+          kind == OverlayKind::kChord
+              ? dynamic_cast<const chord::ChordNetwork&>(net).space_size()
+          : kind == OverlayKind::kKoorde
+              ? dynamic_cast<const koorde::KoordeNetwork&>(net).space_size()
+              : dynamic_cast<const pastry::PastryNetwork&>(net).space_size();
+      const std::uint64_t target = key % space;
+      for (const NodeHandle h : net.node_handles()) {
+        const std::uint64_t up = (h + space - target) % space;
+        const std::uint64_t down = (target + space - h) % space;
+        // Successor for Chord and Koorde; for Pastry the numerically
+        // closest, a tie going clockwise (to the successor).
+        consider(h, kind != OverlayKind::kPastry ? up
+                    : up <= down                 ? 2 * up
+                                                 : 2 * down + 1);
+      }
+      break;
+    }
+    case OverlayKind::kViceroy: {
+      // Successor on the unit ring: the smallest id at or after the key,
+      // else (wrapping) the smallest id overall.
+      const auto& vnet = dynamic_cast<const viceroy::ViceroyNetwork&>(net);
+      const double target = hash::reduce_unit(key);
+      double best_id = 0.0;
+      bool best_wraps = true;
+      for (const NodeHandle h : net.node_handles()) {
+        const double id = vnet.node_state(h).id;
+        const bool wraps = id < target;
+        if (best == kNoNode || wraps < best_wraps ||
+            (wraps == best_wraps && id < best_id)) {
+          best = h;
+          best_id = id;
+          best_wraps = wraps;
+        }
+      }
+      break;
+    }
+    case OverlayKind::kCan:
+      break;
+  }
+  return best;
+}
+
 // The storage plane's core agreement: the dense registry (handle_at /
 // slot_of, backed by the SlotIndex) and the arena behind node_state must
 // describe the same membership after any operation mix. slot_of must be
 // the exact inverse of handle_at, every registered handle must resolve to
 // live node state, and the overlay's own handle enumeration must be the
-// same set the registry holds.
+// same set the registry holds. The ring overlays' sorted rings must agree
+// with that membership too: owner_of matches a brute-force scan.
 void expect_registry_arena_agree(exp::OverlayKind kind,
                                  const dht::DhtNetwork& net) {
   auto listed = net.node_handles();
@@ -152,6 +224,14 @@ void expect_registry_arena_agree(exp::OverlayKind kind,
   // arena for every live handle; here we only pin the set equality, and
   // (via the compare below) that the walk never traps on a live slot.
   expect_same_state(kind, net, net);
+
+  if (kind == OverlayKind::kCan) return;
+  util::Rng rng(0x0e11 ^ net.node_count());
+  for (int i = 0; i < 32; ++i) {
+    const dht::KeyHash key = rng();
+    ASSERT_EQ(net.owner_of(key), brute_force_owner(kind, net, key))
+        << "key " << key;
+  }
 }
 
 // Random soup of joins, graceful/ungraceful leaves, mass failures, and
