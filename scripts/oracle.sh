@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # The behavioural oracle: fixed-seed text + JSON output of the paper's
-# fig5/fig7/fig11/fig12 drivers, at interleave widths 1 and 8.
+# fig5/fig7/fig11/fig12 drivers, and of the three extension drivers that
+# also build Pastry and CAN (related DHTs, maintenance cost, ungraceful
+# failures), at interleave widths 1 and 8.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -17,7 +19,8 @@ cd "$(dirname "$0")/.."
 export CYCLOID_BENCH_LOOKUP_CAP="${CYCLOID_BENCH_LOOKUP_CAP:-2000}"
 export CYCLOID_BENCH_FAILURE_LOOKUPS="${CYCLOID_BENCH_FAILURE_LOOKUPS:-2000}"
 export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
-figures=(fig5_path_length fig7_breakdown fig11_failures fig12_churn)
+figures=(fig5_path_length fig7_breakdown fig11_failures fig12_churn
+         ext_related_dhts ext_maintenance_cost ext_ungraceful_failures)
 work="$PWD/build-oracle"
 
 launcher=()
@@ -26,7 +29,7 @@ if command -v ccache > /dev/null; then
             -DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
 
-# oracle <source dir> <name>: build the four drivers and run each at W=1
+# oracle <source dir> <name>: build the drivers and run each at W=1
 # and W=8 into $work/<name>; fails when the two widths disagree.
 oracle() {
   local build="$work/build-$2" out="$work/$2" status=0

@@ -2,12 +2,17 @@
 """Compare a BENCH_lookups.json run against the committed baseline.
 
 Wall-clock lookups/sec depends on the machine, so absolute numbers are not
-comparable across hosts. Instead each overlay's single-thread throughput is
-normalized by the geometric mean of all overlays in the same section (same
-n): machine speed cancels, and what remains is each overlay's throughput
-*relative to the pack*. A code change that slows one overlay's hop loop
-shows up as that overlay falling behind its own baseline ratio, no matter
-how fast or slow the CI host is.
+comparable across hosts. Instead, within each section (same n), every
+overlay's single-thread throughput is divided by its baseline value, and
+that ratio is divided by the median ratio over the section's overlays.
+Machine speed scales every ratio alike, so it cancels; the median is the
+typical overlay's change, which one or a few overlays moving cannot shift.
+A code change that slows one overlay's hop loop shows up at its full size
+as that overlay falling behind the median, and a speedup of one overlay
+reads as a gain for that overlay only. (Dividing each side by its own
+geometric mean instead would spread one overlay's speedup over every other
+overlay as a false slowdown, and shrink a slowdown shared by a minority of
+overlays: three of seven regressing 30% would read as -18%.)
 
 Usage:
   scripts/perf_compare.py BENCH_lookups.json                # compare
@@ -17,19 +22,19 @@ Usage:
       --tolerance 0.20
 
 Exit status: 0 on pass (including "no baseline yet" and "no overlapping
-sections"), 1 when any overlay's normalized throughput regressed by more
-than --tolerance, 2 on malformed input.
+sections"), 1 when any overlay's throughput change fell more than
+--tolerance below the median overlay's change, 2 on malformed input.
 
-A whole-program slowdown (every overlay slower by the same factor) is
-invisible to this check by construction — that is the price of being
+A slowdown shared by most overlays (every overlay slower by the same factor)
+is invisible to this check by construction: that is the price of being
 machine-independent. The absolute numbers stay in the JSON artifacts for
 eyeballing trends on a fixed CI host.
 """
 
 import argparse
 import json
-import math
 import shutil
+import statistics
 import sys
 
 # The sections holding the per-overlay single-thread runs; the interleave
@@ -83,26 +88,28 @@ def throughput_by_section(report, path):
     return sections
 
 
-def normalize(rows):
-    """Each overlay's throughput divided by the section's geometric mean."""
-    log_mean = sum(math.log(v) for v in rows.values()) / len(rows)
-    mean = math.exp(log_mean)
-    return {overlay: value / mean for overlay, value in rows.items()}
+def relative_change(cand_rows, base_rows, overlays):
+    """{overlay: (candidate / baseline) / median of that ratio over the
+    overlays}, and the median itself."""
+    ratios = {o: cand_rows[o] / base_rows[o] for o in overlays}
+    median = statistics.median(ratios.values())
+    return {o: r / median for o, r in ratios.items()}, median
 
 
 def main():
     parser = argparse.ArgumentParser(
         description="Diff BENCH_lookups.json against the committed baseline "
-                    "(geometric-mean-normalized per-overlay throughput).")
+                    "(per-overlay throughput change relative to the median "
+                    "overlay's change).")
     parser.add_argument("candidate", help="freshly generated BENCH_lookups.json")
     parser.add_argument("--baseline",
                         default="bench/baselines/BENCH_lookups.json",
                         help="committed baseline document (default: "
                              "%(default)s)")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="maximum allowed relative regression of an "
-                             "overlay's normalized throughput (default: "
-                             "%(default)s)")
+                        help="maximum allowed regression of an overlay's "
+                             "throughput change relative to the median "
+                             "change (default: %(default)s)")
     parser.add_argument("--update", action="store_true",
                         help="copy the candidate over the baseline instead "
                              "of comparing")
@@ -141,18 +148,19 @@ def main():
         overlays = sorted(set(cand_rows) & set(base_rows))
         if not overlays:
             continue
-        cand_norm = normalize({o: cand_rows[o] for o in overlays})
-        base_norm = normalize({o: base_rows[o] for o in overlays})
+        relative, median = relative_change(cand_rows, base_rows, overlays)
+        print(f"  {title}: median overlay throughput x{median:.3f} "
+              "vs baseline")
         for overlay in overlays:
             compared += 1
-            ratio = cand_norm[overlay] / base_norm[overlay]
+            ratio = relative[overlay]
             marker = "OK  "
             if ratio < 1.0 - args.tolerance:
                 marker = "FAIL"
                 regressions.append((title, overlay, ratio))
             print(f"  {marker} {title} | {overlay:<12} "
-                  f"normalized {base_norm[overlay]:7.3f} -> "
-                  f"{cand_norm[overlay]:7.3f}  ({(ratio - 1.0) * 100:+6.1f}%)")
+                  f"{base_rows[overlay]:11.0f} -> {cand_rows[overlay]:11.0f} "
+                  f"lookups/s  ({(ratio - 1.0) * 100:+6.1f}% vs median)")
 
     if compared == 0:
         print("perf_compare: no overlapping sections between candidate and "
@@ -160,14 +168,13 @@ def main():
         return 0
     if regressions:
         print(f"perf_compare: {len(regressions)} overlay(s) regressed more "
-              f"than {args.tolerance:.0%} vs geometric-mean-normalized "
-              "baseline:")
+              f"than {args.tolerance:.0%} relative to the median overlay:")
         for title, overlay, ratio in regressions:
             print(f"  {overlay} in '{title}': {(1.0 - ratio) * 100:.1f}% "
-                  "below baseline")
+                  "below the median change")
         return 1
     print(f"perf_compare: {compared} overlay measurements within "
-          f"{args.tolerance:.0%} of baseline. PASS")
+          f"{args.tolerance:.0%} of the median change. PASS")
     return 0
 
 

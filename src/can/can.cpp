@@ -69,8 +69,8 @@ class CanMaintenancePolicy final : public dht::MaintenancePolicy {
   void refresh(NodeHandle node) override {
     // Zone handovers keep all state fresh; nothing to repair. Use the pass
     // to re-attempt coalescing of fragmented zones (node-local: coalesce
-    // only merges the node's own zone list, so the parallel pass stays
-    // race-free).
+    // only merges the node's own zone list and never changes its grid
+    // footprint, so the parallel pass stays race-free).
     if (CanNode* state = net_.node_of(node)) net_.coalesce(*state);
   }
 
@@ -90,7 +90,7 @@ class CanMaintenancePolicy final : public dht::MaintenancePolicy {
   CanNetwork& net_;
 };
 
-CanNetwork::CanNetwork(int dims) : dims_(dims) {
+CanNetwork::CanNetwork(int dims) : dims_(dims), grid_(std::min(dims, 2)) {
   CYCLOID_EXPECTS(dims >= 1 && dims <= kMaxDims);
   set_maintenance_policy(std::make_unique<CanMaintenancePolicy>(*this));
 }
@@ -195,13 +195,60 @@ bool CanNetwork::nodes_adjacent(const CanNode& a, const CanNode& b) const {
 }
 
 NodeHandle CanNetwork::node_owning(const Point& p) const {
-  for (std::size_t slot = 0; slot < node_count(); ++slot) {
-    for (const Zone& zone : node_at(slot).zones) {
-      if (zone_contains(zone, p)) return handle_at(slot);
-    }
+  for (const NodeHandle h : grid_.bucket(grid_.cell_of(p[0], p[1]))) {
+    if (node_owns_point(node_state(h), p)) return h;
   }
   CYCLOID_ASSERT(node_count() == 0);  // zones tile the torus
   return kNoNode;
+}
+
+std::vector<std::size_t> CanNetwork::footprint(const CanNode& node) const {
+  // Axis 1 of a one-dimensional network is the default [0, 1) interval,
+  // which spans the grid's single row.
+  std::vector<std::size_t> cells;
+  for (const Zone& zone : node.zones) {
+    const auto columns = grid_.column_span(zone.span[0].lo, zone.span[0].hi);
+    const auto rows = grid_.row_span(zone.span[1].lo, zone.span[1].hi);
+    for (std::uint32_t row = rows.first; row <= rows.last; ++row) {
+      for (std::uint32_t column = columns.first; column <= columns.last;
+           ++column) {
+        cells.push_back(grid_.cell(column, row));
+      }
+    }
+  }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  return cells;
+}
+
+void CanNetwork::relist(NodeHandle handle,
+                        const std::vector<std::size_t>& before,
+                        const std::vector<std::size_t>& after) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      grid_.remove(before[i++], handle);
+    } else if (i == before.size() || after[j] < before[i]) {
+      grid_.add(after[j++], handle);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+}
+
+void CanNetwork::refit_grid() {
+  // A zone's projection onto the two gridded axes covers about n^(-2/dims)
+  // of the square, so n^(2/dims) projections tile it: fitting the grid to
+  // that count keeps every zone in O(1) cells at any dimension.
+  const double n = static_cast<double>(node_count());
+  const auto members = static_cast<std::size_t>(
+      dims_ <= 2 ? n : std::round(std::pow(n, 2.0 / dims_)));
+  if (!grid_.fit(members)) return;
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    relist(handle_at(slot), {}, footprint(node_at(slot)));
+  }
 }
 
 void CanNetwork::relink(NodeHandle handle,
@@ -269,7 +316,10 @@ NodeHandle CanNetwork::join_at(const Point& point) {
     for (int d = 0; d < dims_; ++d) {
       all.span[static_cast<std::size_t>(d)] = Interval{0.0, 1.0};
     }
-    create_node(handle).zones.push_back(all);
+    CanNode& node = create_node(handle);
+    node.zones.push_back(all);
+    relist(handle, {}, footprint(node));
+    refit_grid();
     notify_joined(handle);
     return handle;
   }
@@ -288,6 +338,7 @@ NodeHandle CanNetwork::join_at(const Point& point) {
       break;
     }
   }
+  const std::vector<std::size_t> owner_cells = footprint(*owner);
   Zone& zone = owner->zones[zone_index];
   int split_dim = 0;
   double longest = -1.0;
@@ -309,15 +360,20 @@ NodeHandle CanNetwork::join_at(const Point& point) {
     iv.hi = mid;
   }
 
+  relist(owner_handle, owner_cells, footprint(*owner));
+
   // Adjacency can only change among the owner's old neighbourhood.
   std::set<NodeHandle> candidates = owner->neighbors;
   candidates.insert(owner_handle);
   candidates.insert(handle);
   owner = nullptr;  // invalidated by the emplace below
 
-  create_node(handle).zones.push_back(new_zone);
+  CanNode& node = create_node(handle);
+  node.zones.push_back(new_zone);
+  relist(handle, {}, footprint(node));
   relink(handle, candidates);
   relink(owner_handle, candidates);
+  refit_grid();
   notify_joined(handle);
   return handle;
 }
@@ -328,7 +384,9 @@ void CanNetwork::unlink(NodeHandle handle) {
   for (const NodeHandle n : node->neighbors) {
     if (CanNode* other = node_of(n)) other->neighbors.erase(handle);
   }
+  relist(handle, footprint(*node), {});
   destroy_node(handle);
+  refit_grid();
 }
 
 std::vector<std::string> CanNetwork::phase_names() const { return {"greedy"}; }
@@ -461,14 +519,30 @@ void CanNetwork::depart_gracefully(NodeHandle node) {
   for (const NodeHandle n : recipient->neighbors) candidates.insert(n);
   candidates.insert(heir);
 
+  const std::vector<std::size_t> heir_cells = footprint(*recipient);
   for (const Zone& zone : leaver->zones) recipient->zones.push_back(zone);
   coalesce(*recipient);
+  relist(heir, heir_cells, footprint(*recipient));
   unlink(node);
   candidates.erase(node);
   relink(heir, candidates);
 }
 
 bool CanNetwork::check_invariants() const {
+  // 0. The grid lists each live node once in each cell of its footprint,
+  //    and lists no departed node.
+  std::vector<std::vector<std::size_t>> listed(node_count());
+  for (std::size_t cell = 0; cell < grid_.cell_count(); ++cell) {
+    for (const NodeHandle h : grid_.bucket(cell)) {
+      const std::size_t slot = slot_of(h);
+      if (slot == kNoSlot) return false;
+      listed[slot].push_back(cell);
+    }
+  }
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    if (listed[slot] != footprint(node_at(slot))) return false;
+  }
+
   // 1. Zone volumes sum to 1 (the zones tile the torus).
   double total = 0.0;
   for (std::size_t slot = 0; slot < node_count(); ++slot) {

@@ -24,6 +24,7 @@
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "dht/unit_grid.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::can {
@@ -87,7 +88,9 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   double node_distance2(const CanNode& node, const Point& p) const;
 
   /// Structural invariants (zones tile the torus, adjacency is symmetric
-  /// and correct) — cheap enough for tests to call after every operation.
+  /// and correct, the ownership grid lists each live node in exactly the
+  /// cells its zones overlap and no departed node) — cheap enough for tests
+  /// to call after every operation.
   bool check_invariants() const;
 
   enum Phase : std::size_t { kGreedy = 0 };
@@ -119,9 +122,20 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   bool zones_adjacent(const Zone& a, const Zone& b) const;
   bool nodes_adjacent(const CanNode& a, const CanNode& b) const;
 
-  /// Node whose zone contains `p` (every point is covered). Named to stay
-  /// clear of the arena's slot-indexed node_at overloads.
+  /// Node whose zone contains `p` (every point is covered): only the nodes
+  /// listed in p's grid cell are checked. Named to stay clear of the
+  /// arena's slot-indexed node_at overloads.
   dht::NodeHandle node_owning(const Point& p) const;
+
+  /// Grid cells the node's zones overlap (their spans over the first two
+  /// axes), ascending and each once. Coalescing leaves it unchanged.
+  std::vector<std::size_t> footprint(const CanNode& node) const;
+  /// Move `handle`'s grid listing from the cells `before` to `after`.
+  void relist(dht::NodeHandle handle, const std::vector<std::size_t>& before,
+              const std::vector<std::size_t>& after);
+  /// Re-fit the grid when membership has drifted 2x, listing every node
+  /// again.
+  void refit_grid();
 
   /// Recompute adjacency between `node` and a candidate set (the union of
   /// the previous neighbourhoods of every party to a zone transfer).
@@ -140,6 +154,9 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
 
   int dims_;
   std::uint64_t next_serial_ = 0;
+  /// Each live node, listed in every cell its zones overlap over the first
+  /// min(dims, 2) axes (DESIGN.md §16).
+  dht::UnitGrid<dht::NodeHandle> grid_;
 };
 
 }  // namespace cycloid::can

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "util/bits.hpp"
 #include "util/prefetch.hpp"
@@ -228,6 +230,7 @@ int PastryNetwork::shared_prefix_digits(std::uint64_t a,
 
 bool PastryNetwork::insert(std::uint64_t id, double x, double y) {
   CYCLOID_EXPECTS(id < space_size_);
+  CYCLOID_EXPECTS(x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0);
   if (contains(id)) return false;
 
   PastryNode& node = create_node(id);
@@ -235,18 +238,31 @@ bool PastryNetwork::insert(std::uint64_t id, double x, double y) {
   node.x = x;
   node.y = y;
   ring_.insert(id, id, bulk_building());
+  grid_.add(grid_.cell_of(x, y), GridEntry{x, y, id});
+  refit_grid();
 
-  // Bulk construction defers derived state to finish_bulk's stabilize pass
-  // (which recomputes it from final membership anyway) — for Pastry this
-  // skips an O(n) neighbourhood scan per insert, the dominant build cost.
+  // Bulk construction defers derived state to finish_bulk's stabilize pass,
+  // which recomputes it from final membership anyway.
   notify_joined(id);
   return true;
 }
 
 void PastryNetwork::unlink(NodeHandle handle) {
-  CYCLOID_EXPECTS(contains(handle));
+  const PastryNode& node = node_state(handle);
+  grid_.remove(grid_.cell_of(node.x, node.y),
+               GridEntry{node.x, node.y, handle});
   ring_.erase(handle);
   destroy_node(handle);
+  refit_grid();
+}
+
+void PastryNetwork::refit_grid() {
+  if (!grid_.fit(node_count())) return;
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    const PastryNode& node = node_at(slot);
+    grid_.add(grid_.cell_of(node.x, node.y),
+              GridEntry{node.x, node.y, node.id});
+  }
 }
 
 std::vector<std::string> PastryNetwork::phase_names() const {
@@ -263,15 +279,14 @@ NodeHandle PastryNetwork::closest_to(std::uint64_t id) const {
   return up <= down ? succ : pred;  // ties go clockwise (the successor)
 }
 
-double PastryNetwork::proximity(const PastryNode& a,
-                                const PastryNode& b) const {
-  // Euclidean distance on the unit torus.
+double PastryNetwork::proximity(double ax, double ay, double bx, double by) {
+  // Squared Euclidean distance on the unit torus.
   const auto axis = [](double u, double v) {
     const double d = std::fabs(u - v);
     return d > 0.5 ? 1.0 - d : d;
   };
-  const double dx = axis(a.x, b.x);
-  const double dy = axis(a.y, b.y);
+  const double dx = axis(ax, bx);
+  const double dy = axis(ay, by);
   return dx * dx + dy * dy;
 }
 
@@ -329,20 +344,56 @@ void PastryNetwork::compute_routing_table(PastryNode& node) {
 void PastryNetwork::compute_neighborhood(PastryNode& node) {
   node.neighborhood.clear();
   if (neighborhood_size_ == 0) return;
-  // |M| proximity-nearest nodes (linear scan; refreshed by stabilization).
-  std::vector<std::pair<double, NodeHandle>> ranked;
-  ranked.reserve(node_count());
-  for (std::size_t slot = 0; slot < node_count(); ++slot) {
-    const NodeHandle handle = handle_at(slot);
-    if (handle == node.id) continue;
-    ranked.emplace_back(proximity(node, node_at(slot)), handle);
+  // The first |M| other nodes in (proximity, handle) order, found by an
+  // expanding ring of grid cells around the node's own (DESIGN.md §16).
+  const std::size_t keep = static_cast<std::size_t>(neighborhood_size_);
+  std::vector<std::pair<double, NodeHandle>> best;  // ascending, <= keep
+  best.reserve(keep + 1);
+  const auto visit = [&](std::uint32_t column, std::uint32_t row) {
+    for (const GridEntry& e : grid_.bucket(grid_.cell(column, row))) {
+      if (e.handle == node.id) continue;
+      const std::pair<double, NodeHandle> cand{
+          proximity(node.x, node.y, e.x, e.y), e.handle};
+      if (best.size() == keep && !(cand < best.back())) continue;
+      best.insert(std::upper_bound(best.begin(), best.end(), cand), cand);
+      if (best.size() > keep) best.pop_back();
+    }
+  };
+
+  // Ring r is the cells at Chebyshev distance r from the node's cell. Once
+  // rings 0..r are read, every unread node lies at least r cell widths away
+  // on some axis: stop when the |M|-th best is strictly nearer than that
+  // bound (its 1e-6 margin absorbs rounding), so exact ties are still read.
+  const auto side = static_cast<std::int64_t>(grid_.columns());  // == rows()
+  const std::int64_t cx = grid_.column_of(node.x);
+  const std::int64_t cy = grid_.row_of(node.y);
+  const auto cell = [side](std::int64_t c, std::int64_t offset) {
+    return static_cast<std::uint32_t>((c + side + offset) % side);
+  };
+  bool done = false;
+  for (std::int64_t r = 0; !done && 2 * r + 1 <= side; ++r) {
+    for (std::int64_t i = -r; i <= r; ++i) {
+      visit(cell(cx, i), cell(cy, -r));
+      if (r > 0) visit(cell(cx, i), cell(cy, r));
+    }
+    for (std::int64_t i = 1 - r; i < r; ++i) {
+      visit(cell(cx, -r), cell(cy, i));
+      visit(cell(cx, r), cell(cy, i));
+    }
+    const double gap =
+        (static_cast<double>(r) - 1e-6) / static_cast<double>(side);
+    done = r > 0 && best.size() == keep && best.back().first < gap * gap;
   }
-  const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(neighborhood_size_), ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(keep),
-                    ranked.end());
-  for (std::size_t i = 0; i < keep; ++i) {
-    node.neighborhood.push_back(ranked[i].second);
+  if (!done) {  // the next ring would wrap the torus: read every cell
+    best.clear();
+    for (std::uint32_t row = 0; row < grid_.rows(); ++row) {
+      for (std::uint32_t column = 0; column < grid_.columns(); ++column) {
+        visit(column, row);
+      }
+    }
+  }
+  for (const auto& [distance, handle] : best) {
+    node.neighborhood.push_back(handle);
   }
 }
 

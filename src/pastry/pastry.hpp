@@ -27,6 +27,7 @@
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
 #include "dht/sorted_ring.hpp"
+#include "dht/unit_grid.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::pastry {
@@ -62,7 +63,10 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   std::uint64_t space_size() const noexcept { return space_size_; }
   int digit_count() const noexcept { return rows_; }
 
-  /// Insert at an explicit identifier with explicit proximity coordinates.
+  /// Insert at an explicit identifier with proximity coordinates in [0, 1).
+  /// Registers membership (ring and proximity grid); outside bulk mode the
+  /// join repair then computes the newcomer's state and its leaf-set
+  /// neighbours'. Returns false when `id` is taken.
   bool insert(std::uint64_t id, double x, double y);
 
   // node_state/node_of/node_at come from dht::ArenaNetwork<PastryNode>.
@@ -73,6 +77,9 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   int shared_prefix_digits(std::uint64_t a, std::uint64_t b) const;
   /// True when `key` falls within the span covered by the node's leaf set.
   bool key_in_leaf_range(const PastryNode& node, std::uint64_t key) const;
+  /// Squared Euclidean distance between two points of the unit torus: the
+  /// proximity metric that ranks neighbourhood sets.
+  static double proximity(double ax, double ay, double bx, double by);
 
   enum Phase : std::size_t { kPrefix = 0, kLeaf = 1 };
 
@@ -103,8 +110,13 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   void compute_neighborhood(PastryNode& node);
   void refresh_leafsets_around(std::uint64_t id);
   void unlink(dht::NodeHandle handle);
+  /// Re-fit the proximity grid to the node count when it has drifted 2x,
+  /// filing every node again.
+  void refit_grid();
 
-  double proximity(const PastryNode& a, const PastryNode& b) const;
+  static double proximity(const PastryNode& a, const PastryNode& b) {
+    return proximity(a.x, a.y, b.x, b.y);
+  }
 
   int bits_;
   int bits_per_digit_;
@@ -115,6 +127,16 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
 
   /// Live identifiers (id == handle).
   dht::SortedRing<std::uint64_t> ring_;
+
+  /// A node's proximity coordinates, filed in the grid cell of (x, y).
+  struct GridEntry {
+    double x;
+    double y;
+    dht::NodeHandle handle;
+    friend bool operator==(const GridEntry&, const GridEntry&) = default;
+  };
+  /// Every live node by proximity coordinates (DESIGN.md §16).
+  dht::UnitGrid<GridEntry> grid_;
 };
 
 }  // namespace cycloid::pastry

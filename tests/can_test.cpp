@@ -167,6 +167,59 @@ TEST(CanGeometry, PointFromHashCoversSpace) {
   EXPECT_GT(max_x, 0.95);
 }
 
+// The one node whose zones contain the key's point, found by scanning
+// every node's zones: the reference owner_of's grid lookup must match.
+NodeHandle zone_scan_owner(const CanNetwork& net, dht::KeyHash key) {
+  const Point p = net.point_from_hash(key);
+  NodeHandle owner = kNoNode;
+  for (const NodeHandle h : net.node_handles()) {
+    if (!net.node_owns_point(h, p)) continue;
+    EXPECT_EQ(owner, kNoNode) << "two owners of one point";
+    owner = h;
+  }
+  return owner;
+}
+
+TEST(CanOwnership, OwnerOfMatchesZoneScanThroughChurn) {
+  for (int dims = 1; dims <= kMaxDims; ++dims) {
+    util::Rng rng(20 + static_cast<std::uint64_t>(dims));
+    auto net = CanNetwork::build_random(150, rng, dims);
+    const auto check = [&](int op) {
+      ASSERT_TRUE(net->check_invariants()) << "dims " << dims << " op " << op;
+      // Cell and zone edges: the origin and the midpoint of axis 0.
+      for (const dht::KeyHash key : {dht::KeyHash{0}, dht::KeyHash{1} << 63}) {
+        ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
+            << "dims " << dims << " op " << op << " key " << key;
+      }
+      for (int i = 0; i < 8; ++i) {
+        const dht::KeyHash key = rng();
+        ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
+            << "dims " << dims << " op " << op << " key " << key;
+      }
+    };
+    check(-1);
+    for (int op = 0; op < 300; ++op) {
+      const double roll = rng.uniform01();
+      if (roll < 0.4) {
+        net->join(rng());
+      } else if (roll < 0.7 && net->node_count() > 1) {
+        net->leave(net->random_node(rng));
+      } else if (roll < 0.9 && net->node_count() > 1) {
+        net->fail_ungraceful(net->random_node(rng));
+      } else {
+        net->stabilize_all();
+      }
+      check(op);
+    }
+    // Down to a single node, through every grid re-fit on the way.
+    while (net->node_count() > 1) {
+      net->leave(net->random_node(rng));
+      check(-2);
+    }
+    EXPECT_DOUBLE_EQ(net->volume_of(net->node_handles().front()), 1.0);
+  }
+}
+
 TEST(CanQueryLoad, CountersSumToHops) {
   util::Rng rng(9);
   auto net = CanNetwork::build_random(150, rng);

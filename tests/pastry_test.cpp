@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -87,6 +90,124 @@ TEST(PastryStructure, NeighborhoodHoldsProximityNearestNodes) {
       EXPECT_NE(m, h);
       EXPECT_TRUE(net->contains(m));
     }
+  }
+}
+
+// The first `m` other nodes in (proximity, handle) order, by a scan of
+// every node: the reference the grid search must reproduce exactly.
+std::vector<NodeHandle> brute_neighborhood(const PastryNetwork& net,
+                                           NodeHandle self, std::size_t m) {
+  const PastryNode& node = net.node_state(self);
+  std::vector<std::pair<double, NodeHandle>> ranked;
+  for (const NodeHandle h : net.node_handles()) {
+    if (h == self) continue;
+    const PastryNode& other = net.node_state(h);
+    ranked.emplace_back(
+        PastryNetwork::proximity(node.x, node.y, other.x, other.y), h);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<NodeHandle> handles;
+  for (std::size_t i = 0; i < std::min(m, ranked.size()); ++i) {
+    handles.push_back(ranked[i].second);
+  }
+  return handles;
+}
+
+void expect_exact_neighborhoods(const PastryNetwork& net, std::size_t m,
+                                const char* where) {
+  for (const NodeHandle h : net.node_handles()) {
+    ASSERT_EQ(net.node_state(h).neighborhood, brute_neighborhood(net, h, m))
+        << where << ": node " << h << " of " << net.node_count();
+  }
+}
+
+TEST(PastryNeighborhood, MatchesBruteForceAfterBulkBuilds) {
+  util::Rng rng(11);
+  for (const std::size_t n : {2u, 9u, 2048u}) {
+    auto net = PastryNetwork::build_random(16, n, rng, 2);
+    expect_exact_neighborhoods(*net, 8, "bulk build");
+  }
+}
+
+TEST(PastryNeighborhood, MatchesBruteForceThroughChurn) {
+  util::Rng rng(12);
+  auto net = PastryNetwork::build_random(14, 200, rng, 2);
+  for (int op = 0; op < 300; ++op) {
+    const double roll = rng.uniform01();
+    if (roll < 0.4) {
+      // A join computes the newcomer's neighbourhood against current
+      // membership; everyone else's stays as it was.
+      const NodeHandle joined = net->join(rng());
+      if (joined == kNoNode) continue;
+      ASSERT_EQ(net->node_state(joined).neighborhood,
+                brute_neighborhood(*net, joined, 8))
+          << "join at op " << op;
+    } else if (roll < 0.7 && net->node_count() > 20) {
+      net->leave(net->random_node(rng));
+    } else if (roll < 0.9 && net->node_count() > 20) {
+      net->fail_ungraceful(net->random_node(rng));
+    } else {
+      net->stabilize_all();
+      expect_exact_neighborhoods(*net, 8, "stabilize_all in churn");
+    }
+  }
+  net->stabilize_all();
+  expect_exact_neighborhoods(*net, 8, "after churn");
+
+  // Shrink through every grid re-fit down to three nodes.
+  while (net->node_count() > 3) net->leave(net->random_node(rng));
+  net->stabilize_all();
+  expect_exact_neighborhoods(*net, 8, "three nodes");
+}
+
+TEST(PastryNeighborhood, TiesOnCellEdgesBreakByHandle) {
+  // 128 members fit an 8 x 8 grid, so every lattice point k/8 lies on a
+  // cell edge; each point holds two nodes, and equal distances abound.
+  PastryNetwork net(12, 2);
+  std::uint64_t id = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int i = 0; i < 8; ++i) {
+      for (int j = 0; j < 8; ++j) {
+        ASSERT_TRUE(net.insert(id, i / 8.0, j / 8.0));
+        id += 29;  // spread identifiers over the ring
+      }
+    }
+  }
+  net.stabilize_all();
+  expect_exact_neighborhoods(net, 8, "lattice");
+
+  // Joins at identical and edge coordinates, checked as they land.
+  for (int k = 0; k < 8; ++k) {
+    const NodeHandle joined = id + 1;
+    ASSERT_TRUE(net.insert(joined, k / 8.0, (7 - k) / 8.0));
+    id += 29;
+    EXPECT_EQ(net.node_state(joined).neighborhood,
+              brute_neighborhood(net, joined, 8));
+  }
+  net.stabilize_all();
+  expect_exact_neighborhoods(net, 8, "lattice after joins");
+}
+
+TEST(PastryNeighborhood, EmptyAndOversizedSets) {
+  util::Rng rng(13);
+  PastryNetwork none(12, 2, /*leaf_set_size=*/8, /*neighborhood_size=*/0);
+  PastryNetwork all(12, 2, /*leaf_set_size=*/8, /*neighborhood_size=*/50);
+  while (all.node_count() < 20) {
+    const std::uint64_t id = rng.below(1ULL << 12);
+    const double x = rng.uniform01();
+    const double y = rng.uniform01();
+    none.insert(id, x, y);
+    all.insert(id, x, y);
+  }
+  none.stabilize_all();
+  all.stabilize_all();
+  for (const NodeHandle h : none.node_handles()) {
+    EXPECT_TRUE(none.node_state(h).neighborhood.empty());
+  }
+  // |M| > n - 1: every other node, nearest first.
+  expect_exact_neighborhoods(all, 50, "oversized");
+  for (const NodeHandle h : all.node_handles()) {
+    EXPECT_EQ(all.node_state(h).neighborhood.size(), 19u);
   }
 }
 
