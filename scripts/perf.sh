@@ -47,9 +47,10 @@ python3 -m json.tool BENCH_lookups.json > /dev/null
 echo "wrote BENCH_lookups.json (valid JSON)"
 
 # Regression gate: per-overlay single-thread throughput against the
-# committed baseline, each overlay's change divided by the median overlay's
-# change so the check is machine-independent. An overlay falling >20%
-# behind the median change fails the run.
+# committed baseline, at W = 1 and, for n >= 2^14, at interleave width
+# W = 8, each overlay's change divided by the median overlay's change so
+# the check is machine-independent. An overlay falling >20% behind the
+# median change fails the run.
 # Refresh the baseline after an intentional perf change with
 #   scripts/perf_compare.py BENCH_lookups.json --update
 python3 scripts/perf_compare.py BENCH_lookups.json

@@ -2,17 +2,21 @@
 """Compare a BENCH_lookups.json run against the committed baseline.
 
 Wall-clock lookups/sec depends on the machine, so absolute numbers are not
-comparable across hosts. Instead, within each section (same n), every
-overlay's single-thread throughput is divided by its baseline value, and
-that ratio is divided by the median ratio over the section's overlays.
-Machine speed scales every ratio alike, so it cancels; the median is the
-typical overlay's change, which one or a few overlays moving cannot shift.
-A code change that slows one overlay's hop loop shows up at its full size
-as that overlay falling behind the median, and a speedup of one overlay
-reads as a gain for that overlay only. (Dividing each side by its own
-geometric mean instead would spread one overlay's speedup over every other
-overlay as a false slowdown, and shrink a slowdown shared by a minority of
-overlays: three of seven regressing 30% would read as -18%.)
+comparable across hosts. Instead, within each compared table (same n),
+every overlay's throughput is divided by its baseline value, and that
+ratio is divided by the median ratio over the table's overlays. Machine
+speed scales every ratio alike, so it cancels; the median is the typical
+overlay's change, which one or a few overlays moving cannot shift. A code
+change that slows one overlay's hop loop shows up at its full size as that
+overlay falling behind the median, and a speedup of one overlay reads as a
+gain for that overlay only. (Dividing each side by its own geometric mean
+instead would spread one overlay's speedup over every other overlay as a
+false slowdown, and shrink a slowdown shared by a minority of overlays:
+three of seven regressing 30% would read as -18%.)
+
+Two tables are compared per n: the single-thread column of the main
+table, which routes one lookup at a time (W = 1), and, for n >= 2^14, the
+W = 8 rows of the interleave sweep (see SWEEP_* below).
 
 Usage:
   scripts/perf_compare.py BENCH_lookups.json                # compare
@@ -37,12 +41,19 @@ import shutil
 import statistics
 import sys
 
-# The sections holding the per-overlay single-thread runs; the interleave
-# sweep sections are wall-clock re-timings of the same workload and would
-# double-count the same signal.
+# The main tables: per-overlay single-thread runs at interleave width 1.
 SECTION_PREFIX = "Lookup throughput, n = "
 OVERLAY_COLUMN = "overlay"
 VALUE_COLUMN = "1-thread lookups/s"
+# The interleave sweep's W = 8 rows are the only runs whose speed depends on
+# the batch router's prefetch hints (DESIGN.md §14), so they are compared
+# too. Not below n = 2^14: at 2^11 the state is cache-resident, every width
+# reads about 1.0x of W = 1, and a run lasts 25-210 ms, so those rows would
+# gate noise.
+SWEEP_PREFIX = "Interleave sweep (1 thread), n = "
+SWEEP_VALUE_COLUMN = "lookups/s"
+SWEEP_WIDTH = 8
+SWEEP_MIN_NODES = 1 << 14
 
 
 def load_report(path):
@@ -56,33 +67,45 @@ def load_report(path):
 
 
 def throughput_by_section(report, path):
-    """{section title: {overlay: 1-thread lookups/s}} for every
-    lookup-throughput section in the report."""
+    """{table title: {overlay: lookups/s}} for every compared table in the
+    report: each main table, and the W = 8 rows of each sweep section with
+    n >= SWEEP_MIN_NODES."""
     sections = {}
     for section in report.get("sections", []):
         title = section.get("title", "")
-        if not title.startswith(SECTION_PREFIX):
+        if title.startswith(SECTION_PREFIX):
+            sweep = False
+            value_column = VALUE_COLUMN
+            needed = [OVERLAY_COLUMN, value_column]
+        elif title.startswith(SWEEP_PREFIX):
+            sweep = True
+            value_column = SWEEP_VALUE_COLUMN
+            needed = [OVERLAY_COLUMN, value_column, "nodes", "W"]
+            title = f"{title}, W = {SWEEP_WIDTH}"
+        else:
             continue
         columns = section.get("columns", [])
         try:
-            overlay_idx = columns.index(OVERLAY_COLUMN)
             # index() finds the single-thread column, not the N-thread one,
             # because the single-thread column is emitted first.
-            value_idx = columns.index(VALUE_COLUMN)
+            col = {name: columns.index(name) for name in needed}
         except ValueError:
-            sys.exit(f"perf_compare: {path}: section '{title}' lacks "
-                     f"'{OVERLAY_COLUMN}'/'{VALUE_COLUMN}' columns")
+            sys.exit(f"perf_compare: {path}: section '{title}' lacks one of "
+                     f"the columns {needed}")
         rows = {}
         for row in section.get("rows", []):
             try:
-                value = float(row[value_idx])
+                value = float(row[col[value_column]])
+                if sweep and (int(row[col["W"]]) != SWEEP_WIDTH or
+                              int(row[col["nodes"]]) < SWEEP_MIN_NODES):
+                    continue
             except (IndexError, TypeError, ValueError):
-                sys.exit(f"perf_compare: {path}: non-numeric throughput in "
+                sys.exit(f"perf_compare: {path}: non-numeric cell in "
                          f"section '{title}': {row!r}")
             if value <= 0.0:
                 sys.exit(f"perf_compare: {path}: non-positive throughput in "
                          f"section '{title}': {row!r}")
-            rows[str(row[overlay_idx])] = value
+            rows[str(row[col[OVERLAY_COLUMN]])] = value
         if rows:
             sections[title] = rows
     return sections

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
-#include "util/prefetch.hpp"
 
 namespace cycloid::can {
 
@@ -431,16 +430,6 @@ class CanStepPolicy final : public dht::StepPolicy {
   /// Continuous identifier space: 8 * the 64 bits of the key hash.
   int default_max_hops() const override { return 8 * 64; }
   bool track_visited() const override { return true; }
-
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
-  void prefetch_tables(std::size_t slot) const override {
-    // Stage 2: next_hop's owner check walks the zone list — warm it. The
-    // neighbor set is a node-based std::set whose elements are scattered on
-    // the heap; no single prefetch covers it.
-    const CanNode& cur = net_.node_at(slot);
-    util::prefetch_lines(cur.zones.data(),
-                         cur.zones.size() * sizeof(cur.zones[0]));
-  }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const CanNode& cur = net_.node_at(state.current_slot());

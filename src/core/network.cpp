@@ -505,8 +505,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
   void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const override {
     // Stage 2: warm the four leaf-set arrays next_hop's candidate scan
-    // walks, plus the slot-index probe lines of the three inline routing
-    // handles it resolves.
+    // walks.
     const CycloidNode& cur = net_.node_at(slot);
     util::prefetch_lines(cur.inside_pred.data(),
                          cur.inside_pred.size() * sizeof(NodeHandle));
@@ -516,24 +515,6 @@ class CycloidStepPolicy final : public dht::StepPolicy {
                          cur.outside_pred.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.outside_succ.data(),
                          cur.outside_succ.size() * sizeof(NodeHandle));
-    net_.slot_index().prefetch(cur.cubical_neighbor);
-    net_.slot_index().prefetch(cur.cyclic_larger);
-    net_.slot_index().prefetch(cur.cyclic_smaller);
-  }
-  void prefetch_probes(std::size_t slot) const override {
-    // Stage 3: next_hop liveness-probes every leaf candidate
-    // (state.attempt -> contains), each a scattered SlotIndex bucket. The
-    // leaf arrays themselves landed during the rotation since stage 2, so
-    // reading them through here is cheap — warm the probe buckets they
-    // name; each saved probe miss is a full DRAM round trip.
-    const CycloidNode& cur = net_.node_at(slot);
-    const auto probe = [this](const std::vector<NodeHandle>& entries) {
-      for (const NodeHandle h : entries) net_.slot_index().prefetch(h);
-    };
-    probe(cur.inside_pred);
-    probe(cur.inside_succ);
-    probe(cur.outside_pred);
-    probe(cur.outside_succ);
   }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {

@@ -63,12 +63,12 @@ class ArenaNetwork : public DhtNetwork {
     return arena_[slot];
   }
 
-  /// Best-effort prefetch of the node record at `slot` — the default
-  /// stage-1 hint of every overlay's step policy (StepPolicy::prefetch):
-  /// pure address arithmetic into the arena, no dereference, so it can run
-  /// the moment the batch router resolves a lane's next slot. Out-of-range
-  /// slots (including kNoSlot) are silent no-ops. Purely a performance
-  /// hint: never changes routing results.
+  /// Best-effort prefetch of the node record at `slot` — the stage-1 hint
+  /// (StepPolicy::prefetch) of the Cycloid, Chord, Koorde and Pastry step
+  /// policies: pure address arithmetic into the arena, no dereference, so
+  /// it can run the moment the batch router resolves a lane's next slot.
+  /// Out-of-range slots (including kNoSlot) are silent no-ops. Purely a
+  /// performance hint: never changes routing results.
   void prefetch_node(std::size_t slot) const noexcept {
     if (slot < arena_.size()) {
       util::prefetch_lines(&arena_[slot], sizeof(NodeT));

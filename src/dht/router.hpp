@@ -22,7 +22,11 @@
 //   - optional per-hop route tracing with link-latency accumulation
 //     (RouterOptions::trace, one lookup at a time);
 //   - a universal hop cap that turns would-be infinite routing loops into
-//     an explicit LookupStatus::kHopLimit instead of a hang.
+//     an explicit LookupStatus::kHopLimit instead of a hang;
+//   - interleaving: up to kMaxBatchWidth lookups in flight as round-robin
+//     lanes, each hop staged by two prefetch hints (StepPolicy::prefetch,
+//     then StepPolicy::prefetch_tables one rotation later) so one lane's
+//     DRAM misses overlap the other lanes' compute (DESIGN.md Sec. 14).
 //
 // The engine is const with respect to the network (DESIGN.md Sec. 6): every
 // side effect lands in the caller-owned LookupMetrics sink or the
@@ -167,8 +171,8 @@ class StepPolicy {
   // Batch-mode prefetch hints (Router::route_batch) -----------------------
   // Both hooks are pure hints: they must issue prefetches only (no reads
   // that the result could depend on, no writes anywhere), so routing output
-  // is bit-identical whether or not they run. The engine calls them one
-  // lane rotation apart:
+  // is bit-identical whether or not they run. The engine calls each once
+  // per position, one lane rotation apart:
   //
   //   prefetch(slot)         the moment `slot` becomes a lane's next
   //                          position — address arithmetic only (the node
@@ -178,20 +182,14 @@ class StepPolicy {
   //                          dereferencing them;
   //   prefetch_tables(slot)  one rotation later, when the record is
   //                          presumed cached — overlays with out-of-line
-  //                          routing state (Chord fingers, Pastry rows,
-  //                          Koorde chains, CAN zones) dereference the
-  //                          record and prefetch those lines, plus
-  //                          SlotIndex::prefetch of inline candidate
-  //                          handles they will probe;
-  //   prefetch_probes(slot)  one more rotation later, when the stage-2
-  //                          lines are presumed cached — overlays whose
-  //                          next_hop liveness-probes candidates held in
-  //                          out-of-line arrays read those (now resident)
-  //                          arrays through and SlotIndex::prefetch the
-  //                          probe buckets. Each pointer indirection needs
-  //                          its own stage: the probe addresses cannot be
-  //                          computed until the stage-2 prefetch has
-  //                          landed.
+  //                          routing state (Cycloid leaf sets, Chord
+  //                          fingers, Koorde chains, Pastry leaf sets and
+  //                          row headers) dereference the record and
+  //                          prefetch those lines.
+  //
+  // An overlay overrides a hook only where it measurably pays (DESIGN.md
+  // Sec. 14): Viceroy and CAN, whose hops cost ring searches and zone
+  // arithmetic rather than record misses, override neither.
 
   /// Stage-1 hint: `slot` is about to become a lane's current position.
   virtual void prefetch(std::size_t slot) const { (void)slot; }
@@ -199,11 +197,6 @@ class StepPolicy {
   /// Stage-2 hint: the record at `slot` should be cached by now; prefetch
   /// the out-of-line state next_hop will read.
   virtual void prefetch_tables(std::size_t slot) const { (void)slot; }
-
-  /// Stage-3 hint: the stage-2 lines should be cached by now; prefetch
-  /// what is reachable only through them (candidate probe buckets, the
-  /// key-selected routing row's entries).
-  virtual void prefetch_probes(std::size_t slot) const { (void)slot; }
 };
 
 /// The engine-owned view a policy routes against. Accounting members are
@@ -342,19 +335,18 @@ class Router {
     CYCLOID_EXPECTS(options.trace == nullptr || lane_count == 1);
     if (batch.lanes.size() < lane_count) batch.lanes.resize(lane_count);
 
-    // One lane = one in-flight lookup. A lane cycles through three visits
-    // per hop: a prefetch_tables visit (stage-2 hint for the position it
-    // just moved to), a prefetch_probes visit (stage-3 hint, one rotation
-    // later so the stage-2 lines have landed), and a step visit (next_hop
-    // + commit + stage-1 hint for the position it moves to next).
-    // Everything a step reads was prefetched one to three rotations
-    // earlier, while the other lanes were doing their own work.
+    // One lane = one in-flight lookup. A lane makes two visits per hop: a
+    // step visit (next_hop + commit + stage-1 hint for the position it
+    // moves to) and, one rotation later, a prefetch_tables visit (stage-2
+    // hint for that position, its record now presumed cached). Everything
+    // a step reads was prefetched one or two rotations earlier, while the
+    // other lanes were doing their own work.
     struct Lane {
       std::optional<Policy> policy;
       RouteState state;
       int max_hops = 0;
       int budget = 0;
-      int stage = 0;  // 0 = tables hint, 1 = probes hint, 2 = step
+      bool tables_due = false;  // next visit is the prefetch_tables hint
     };
     std::array<Lane, kMaxBatchWidth> lanes;
 
@@ -378,7 +370,7 @@ class Router {
       CYCLOID_EXPECTS(lane.max_hops > 0);
       lane.budget = policy.fallback_budget();
       policy.prefetch(lane.state.current_slot_);
-      lane.stage = 0;
+      lane.tables_due = true;
       ++in_flight;
     };
 
@@ -392,14 +384,9 @@ class Router {
           continue;
         }
         Policy& policy = *lane.policy;
-        if (lane.stage == 0) {
+        if (lane.tables_due) {
           policy.prefetch_tables(lane.state.current_slot_);
-          lane.stage = 1;
-          continue;
-        }
-        if (lane.stage == 1) {
-          policy.prefetch_probes(lane.state.current_slot_);
-          lane.stage = 2;
+          lane.tables_due = false;
           continue;
         }
         if (step_once(lane.state, policy, sink, options, lane.max_hops,
@@ -410,7 +397,7 @@ class Router {
           if (next < count) refill(l);
         } else {
           policy.prefetch(lane.state.current_slot_);
-          lane.stage = 0;
+          lane.tables_due = true;
         }
       }
     }

@@ -27,7 +27,6 @@
 
 #include "dht/types.hpp"
 #include "util/contracts.hpp"
-#include "util/prefetch.hpp"
 
 namespace cycloid::dht {
 
@@ -52,16 +51,6 @@ class SlotIndex {
 
   bool contains(NodeHandle key) const noexcept {
     return lookup(key) != kNoSlot;
-  }
-
-  /// Best-effort prefetch of the bucket a lookup(key) probe starts at.
-  /// bucket_of is pure arithmetic — no table read happens here — so the
-  /// batch router's stage-2 hints (StepPolicy::prefetch_tables) can warm
-  /// the probe line for a candidate handle without stalling on it. Purely
-  /// a performance hint: never changes lookup results.
-  void prefetch(NodeHandle key) const noexcept {
-    if (size_ == 0 || key == kNoNode) return;
-    util::prefetch_lines(&table_[bucket_of(key)], sizeof(Entry));
   }
 
   /// Insert a new key. The key must not be present and must not be the

@@ -302,23 +302,13 @@ class KoordeStepPolicy final : public dht::StepPolicy {
 
   void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const override {
-    // Stage 2: next_hop scans the successor list, then resolves the de
-    // Bruijn pointer through the slot index — warm both.
+    // Stage 2: warm the successor list next_hop scans and the de Bruijn
+    // backups resolve_chain walks past a dead pointer.
     const KoordeNode& cur = net_.node_at(slot);
     util::prefetch_lines(cur.successors.data(),
                          cur.successors.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.db_backups.data(),
                          cur.db_backups.size() * sizeof(NodeHandle));
-    net_.slot_index().prefetch(cur.de_bruijn);
-  }
-  void prefetch_probes(std::size_t slot) const override {
-    // Stage 3: the successor array landed during the rotation since stage
-    // 2 — warm the SlotIndex buckets next_hop's liveness scan
-    // (state.attempt per member) will probe.
-    const KoordeNode& cur = net_.node_at(slot);
-    for (const NodeHandle h : cur.successors) {
-      net_.slot_index().prefetch(h);
-    }
   }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {

@@ -475,29 +475,6 @@ class PastryStepPolicy final : public dht::StepPolicy {
                          cur.routing_table.size() *
                              sizeof(std::vector<NodeHandle>));
   }
-  void prefetch_probes(std::size_t slot) const override {
-    // Stage 3: the leaf arrays and row headers landed during the rotation
-    // since stage 2, so they are cheap to read through now. In the leaf
-    // phase next_hop liveness-probes every leaf member (each a scattered
-    // SlotIndex bucket); in the prefix phase it reads one key-selected
-    // row's entries — reachable only through the row header, i.e. one
-    // indirection too deep for stage 2.
-    const PastryNode& cur = net_.node_at(slot);
-    if (cur.id == target_) return;
-    if (net_.key_in_leaf_range(cur, target_)) {
-      for (const NodeHandle h : cur.leaf_smaller) {
-        net_.slot_index().prefetch(h);
-      }
-      for (const NodeHandle h : cur.leaf_larger) {
-        net_.slot_index().prefetch(h);
-      }
-      return;
-    }
-    const int row = net_.shared_prefix_digits(cur.id, target_);
-    const auto& table_row = cur.routing_table[static_cast<std::size_t>(row)];
-    util::prefetch_lines(table_row.data(),
-                         table_row.size() * sizeof(NodeHandle));
-  }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const std::uint64_t space = net_.space_size();

@@ -227,11 +227,6 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
   /// Continuous identifier space: 8 * the 64 bits of the key hash.
   int default_max_hops() const override { return 8 * 64; }
 
-  // Stage-1 hint only: Viceroy resolves its links live through links_of
-  // (ring searches over shared indexes), so there is no per-node
-  // out-of-line table for a stage-2 prefetch to warm.
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
-
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const NodeHandle self = state.current();
     const ViceroyNode& cur = net_.node_at(state.current_slot());

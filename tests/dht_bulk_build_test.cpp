@@ -237,7 +237,9 @@ TEST(NodeHandlesTest, CycloidHandlesFollowRingOrder) {
   for (std::size_t i = 0; i < handles.size(); ++i) {
     const std::uint64_t pos =
         net->space().ring_position(ccc::CycloidNetwork::id_of(handles[i]));
-    if (i > 0) EXPECT_GT(pos, prev_pos);
+    if (i > 0) {
+      EXPECT_GT(pos, prev_pos);
+    }
     prev_pos = pos;
   }
 }

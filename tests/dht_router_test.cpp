@@ -453,6 +453,123 @@ TEST(DhtRouterBatchTest, MixedLifetimeLanesKeepResultsInInputOrder) {
   EXPECT_EQ(sink.hops, 5u * static_cast<std::uint64_t>(cap));
 }
 
+/// One call a lane made into its policy: a prefetch hint or next_hop.
+struct PolicyCall {
+  enum class Kind { kPrefetch, kTables, kNextHop };
+  Kind kind;
+  std::size_t slot;
+  bool operator==(const PolicyCall&) const = default;
+};
+
+/// Logs every prefetch/prefetch_tables/next_hop call of one lookup, in
+/// order. Lookup `key` forwards key % 5 hops along handles from, from + 1,
+/// ..., then ends by key % 4: deliver, forward_deliver, fail, or cycling on
+/// to the hop cap. Slots differ from handles, so the log shows the engine
+/// hands every hook the slot slot_of resolved.
+class HintLogPolicy : public FakePolicy {
+ public:
+  enum class Ending { kDeliver, kForwardDeliver, kFail, kHopCap };
+
+  static std::size_t slot_for(NodeHandle node) { return 2 * node + 1; }
+
+  HintLogPolicy(KeyHash key, std::vector<PolicyCall>* log)
+      : hops_left_(static_cast<int>(key % 5)),
+        ending_(static_cast<Ending>(key % 4)),
+        log_(log) {}
+
+  std::size_t slot_of(NodeHandle node) const override {
+    return slot_for(node);
+  }
+  void prefetch(std::size_t slot) const override {
+    log_->push_back({PolicyCall::Kind::kPrefetch, slot});
+  }
+  void prefetch_tables(std::size_t slot) const override {
+    log_->push_back({PolicyCall::Kind::kTables, slot});
+  }
+  HopDecision next_hop(const RouteState& state) override {
+    log_->push_back({PolicyCall::Kind::kNextHop, state.current_slot()});
+    const NodeHandle next = state.current() + 1;
+    if (ending_ == Ending::kHopCap) return HopDecision::forward(next, 0);
+    if (hops_left_ > 0) {
+      --hops_left_;
+      return HopDecision::forward(next, 0);
+    }
+    switch (ending_) {
+      case Ending::kDeliver:
+        return HopDecision::deliver();
+      case Ending::kForwardDeliver:
+        return HopDecision::forward_deliver(next, 0);
+      default:
+        return HopDecision::fail();
+    }
+  }
+
+ private:
+  int hops_left_;
+  Ending ending_;
+  std::vector<PolicyCall>* log_;
+};
+
+TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
+  // The hints only issue prefetches, so output equality across widths
+  // cannot see a hint dropped or misordered; this log can. At each
+  // position the lane asks next_hop about, the engine must first have
+  // called prefetch(slot) (when the hop there was committed) and then
+  // prefetch_tables(slot) (one rotation later), each exactly once, and
+  // nothing else — including where a lookup starts, and never for the
+  // receiver of a final hop or a hop the cap refused.
+  constexpr std::size_t kCount = 23;
+  const int cap = FakePolicy().default_max_hops();
+  std::vector<NodeHandle> froms(kCount);
+  std::vector<KeyHash> keys(kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    froms[i] = 1000 * (i + 1);
+    keys[i] = i;
+  }
+  for (const int width : {1, 3, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<std::vector<PolicyCall>> logs(kCount);
+    LookupMetrics sink;
+    std::vector<LookupResult> results(kCount);
+    BatchScratch lanes;
+    Router::route_batch(froms.data(), keys.data(), kCount, width, sink,
+                        results.data(), lanes, RouterOptions{},
+                        [&](NodeHandle, KeyHash key) {
+                          return HintLogPolicy(key, &logs[key]);
+                        });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      SCOPED_TRACE("lookup " + std::to_string(i));
+      const auto ending = static_cast<HintLogPolicy::Ending>(i % 4);
+      int hops = static_cast<int>(i % 5);
+      LookupStatus status = LookupStatus::kDelivered;
+      if (ending == HintLogPolicy::Ending::kForwardDeliver) hops += 1;
+      if (ending == HintLogPolicy::Ending::kFail) {
+        status = LookupStatus::kFailed;
+      }
+      if (ending == HintLogPolicy::Ending::kHopCap) {
+        hops = cap;
+        status = LookupStatus::kHopLimit;
+      }
+      EXPECT_EQ(results[i].status, status);
+      EXPECT_EQ(results[i].hops, hops);
+      EXPECT_EQ(results[i].destination, froms[i] + hops);
+
+      // next_hop runs at the source and at every receiver except a final
+      // hop's; at the cap it runs once more and its forward is refused.
+      const int positions =
+          ending == HintLogPolicy::Ending::kForwardDeliver ? hops : hops + 1;
+      std::vector<PolicyCall> expected;
+      for (int p = 0; p < positions; ++p) {
+        const std::size_t slot = HintLogPolicy::slot_for(froms[i] + p);
+        expected.push_back({PolicyCall::Kind::kPrefetch, slot});
+        expected.push_back({PolicyCall::Kind::kTables, slot});
+        expected.push_back({PolicyCall::Kind::kNextHop, slot});
+      }
+      EXPECT_EQ(logs[i], expected);
+    }
+  }
+}
+
 TEST(DhtRouterBatchTest, WidthIsClampedToTheLaneArray) {
   // Widths below 1 and above kMaxBatchWidth are clamped, not rejected.
   const NodeHandle froms[] = {7, 8};
