@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The behavioural oracle: fixed-seed text + JSON output of the paper's
-# fig5/fig7/fig11/fig12 drivers, and of the three extension drivers that
-# also build Pastry and CAN (related DHTs, maintenance cost, ungraceful
-# failures), at interleave widths 1 and 8.
+# fig5/fig6/fig7/fig10/fig11/fig12/fig13 drivers, and of the three
+# extension drivers that also build Pastry and CAN (related DHTs,
+# maintenance cost, ungraceful failures), at interleave widths 1 and 8.
+# fig10 pins how many queries each node received, the output most
+# sensitive to a changed hop.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -19,7 +21,8 @@ cd "$(dirname "$0")/.."
 export CYCLOID_BENCH_LOOKUP_CAP="${CYCLOID_BENCH_LOOKUP_CAP:-2000}"
 export CYCLOID_BENCH_FAILURE_LOOKUPS="${CYCLOID_BENCH_FAILURE_LOOKUPS:-2000}"
 export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
-figures=(fig5_path_length fig7_breakdown fig11_failures fig12_churn
+figures=(fig5_path_length fig6_dimension fig7_breakdown fig10_query_load
+         fig11_failures fig12_churn fig13_sparsity
          ext_related_dhts ext_maintenance_cost ext_ungraceful_failures)
 work="$PWD/build-oracle"
 

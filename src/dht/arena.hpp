@@ -85,6 +85,11 @@ class ArenaNetwork : public DhtNetwork {
     return arena_[slot];
   }
 
+  /// Room for `count` node records, so a builder that knows its final size
+  /// fills the arena without a vector doubling, which would briefly hold
+  /// the old and the new copy of every record.
+  void reserve_nodes(std::size_t count) { arena_.reserve(count); }
+
   /// Register `node` and append its default-constructed state at the new
   /// tail slot (keeping arena and registry index-aligned). Returns the
   /// state for the overlay to fill in. The handle must not be a member.

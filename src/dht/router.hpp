@@ -188,8 +188,10 @@ class StepPolicy {
   //                          prefetch those lines.
   //
   // An overlay overrides a hook only where it measurably pays (DESIGN.md
-  // Sec. 14): Viceroy and CAN, whose hops cost ring searches and zone
-  // arithmetic rather than record misses, override neither.
+  // Sec. 14). CAN, whose hop costs zone arithmetic rather than record
+  // misses, overrides neither. Viceroy's hop reads only its own record
+  // (Sec. 17), and the lanes alone hide that miss: a stage-1 hint measured
+  // no gain, so it overrides neither too.
 
   /// Stage-1 hint: `slot` is about to become a lane's current position.
   virtual void prefetch(std::size_t slot) const { (void)slot; }

@@ -16,6 +16,7 @@
 #include "hash/keys.hpp"
 #include "overlay_state_compare.hpp"
 #include "util/rng.hpp"
+#include "viceroy_reference.hpp"
 
 namespace cycloid::exp {
 namespace {
@@ -306,6 +307,15 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
         shadow.absorb(shadow_sink);
         break;
       }
+    }
+    if (kind == OverlayKind::kViceroy) {
+      // Viceroy stores its links: after every op, every node's links and
+      // their ids must equal the brute-force reference.
+      const std::string where = "op " + std::to_string(op);
+      ASSERT_NO_FATAL_FAILURE(viceroy::expect_links_match_reference(
+          dynamic_cast<const viceroy::ViceroyNetwork&>(primary), where));
+      ASSERT_NO_FATAL_FAILURE(viceroy::expect_links_match_reference(
+          dynamic_cast<const viceroy::ViceroyNetwork&>(shadow), where));
     }
   }
   primary.stabilize_dirty(2);

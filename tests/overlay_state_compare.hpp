@@ -44,15 +44,14 @@ inline void expect_same_state(exp::OverlayKind kind, const dht::DhtNetwork& a,
       const auto& na = dynamic_cast<const viceroy::ViceroyNetwork&>(a);
       const auto& nb = dynamic_cast<const viceroy::ViceroyNetwork&>(b);
       for (const dht::NodeHandle h : handles) {
-        EXPECT_EQ(na.node_state(h).id, nb.node_state(h).id) << h;
-        EXPECT_EQ(na.node_state(h).level, nb.node_state(h).level) << h;
-        const viceroy::ViceroyLinks la = na.links_of(h);
-        const viceroy::ViceroyLinks lb = nb.links_of(h);
-        EXPECT_EQ(la.ring_pred, lb.ring_pred) << h;
-        EXPECT_EQ(la.ring_succ, lb.ring_succ) << h;
-        EXPECT_EQ(la.down_left, lb.down_left) << h;
-        EXPECT_EQ(la.down_right, lb.down_right) << h;
-        EXPECT_EQ(la.up, lb.up) << h;
+        const viceroy::ViceroyNode& x = na.node_state(h);
+        const viceroy::ViceroyNode& y = nb.node_state(h);
+        EXPECT_EQ(x.id, y.id) << h;
+        EXPECT_EQ(x.level, y.level) << h;
+        for (std::size_t k = 0; k < viceroy::kLinkCount; ++k) {
+          EXPECT_EQ(x.links[k].node, y.links[k].node) << h << " link " << k;
+          EXPECT_EQ(x.links[k].id, y.links[k].id) << h << " link " << k;
+        }
       }
       break;
     }
