@@ -1,9 +1,12 @@
 #include "can/can.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/contracts.hpp"
+#include "util/prefetch.hpp"
 
 namespace cycloid::can {
 
@@ -32,6 +35,13 @@ double torus_axis_distance(double x, const Interval& iv) {
     return d > 0.5 ? 1.0 - d : d;
   };
   return std::min(circ(x, iv.lo), circ(x, iv.hi));
+}
+
+/// Axis `d` of the routing-table entry starting at `entry`.
+Interval entry_span(const std::uint64_t* entry, int d) {
+  const auto i = static_cast<std::size_t>(2 * d);
+  return Interval{std::bit_cast<double>(entry[1 + i]),
+                  std::bit_cast<double>(entry[2 + i])};
 }
 
 }  // namespace
@@ -82,7 +92,7 @@ class CanMaintenancePolicy final : public dht::MaintenancePolicy {
     const CanNode* state = net_.node_of(node);
     CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
     net_.mark_dirty(node);
-    for (const NodeHandle n : state->neighbors) net_.mark_dirty(n);
+    for (const NodeHandle n : net_.neighbors_of(*state)) net_.mark_dirty(n);
   }
 
  private:
@@ -165,6 +175,67 @@ double CanNetwork::node_distance2(const CanNode& node, const Point& p) const {
     best = std::min(best, zone_distance2(zone, p));
   }
   return best;
+}
+
+double CanNetwork::entry_distance2(const std::uint64_t* entry,
+                                   const Point& p) const {
+  double total = 0.0;
+  for (int d = 0; d < dims_; ++d) {
+    const double axis = torus_axis_distance(p[static_cast<std::size_t>(d)],
+                                            entry_span(entry, d));
+    total += axis * axis;
+  }
+  return total;
+}
+
+std::vector<NodeHandle> CanNetwork::neighbors_of(const CanNode& node) const {
+  std::vector<NodeHandle> handles;
+  for (std::size_t at = 0; at < node.table.size(); at += entry_words()) {
+    if (handles.empty() || handles.back() != node.table[at]) {
+      handles.push_back(node.table[at]);
+    }
+  }
+  return handles;
+}
+
+void CanNetwork::append_entries(std::vector<std::uint64_t>& table,
+                                NodeHandle neighbor,
+                                const CanNode& other) const {
+  for (const Zone& zone : other.zones) {
+    table.push_back(neighbor);
+    for (int d = 0; d < dims_; ++d) {
+      const Interval& iv = zone.span[static_cast<std::size_t>(d)];
+      table.push_back(std::bit_cast<std::uint64_t>(iv.lo));
+      table.push_back(std::bit_cast<std::uint64_t>(iv.hi));
+    }
+  }
+}
+
+void CanNetwork::insert_entries(CanNode& node, NodeHandle neighbor,
+                                const CanNode& other) const {
+  std::vector<std::uint64_t>& table = node.table;
+  std::size_t at = 0;
+  while (at < table.size() && table[at] < neighbor) at += entry_words();
+  CYCLOID_ASSERT(at == table.size() || table[at] != neighbor);
+  std::vector<std::uint64_t> entries;
+  append_entries(entries, neighbor, other);
+  // reserve() grows to exactly the requested size, where insert() alone
+  // would double the capacity.
+  table.reserve(table.size() + entries.size());
+  table.insert(table.begin() + static_cast<std::ptrdiff_t>(at),
+               entries.begin(), entries.end());
+}
+
+void CanNetwork::erase_entries(CanNode& node, NodeHandle neighbor) const {
+  std::vector<std::uint64_t>& table = node.table;
+  std::size_t first = 0;
+  while (first < table.size() && table[first] < neighbor) {
+    first += entry_words();
+  }
+  std::size_t last = first;
+  while (last < table.size() && table[last] == neighbor) last += entry_words();
+  table.erase(table.begin() + static_cast<std::ptrdiff_t>(first),
+              table.begin() + static_cast<std::ptrdiff_t>(last));
 }
 
 bool CanNetwork::zones_adjacent(const Zone& a, const Zone& b) const {
@@ -251,26 +322,39 @@ void CanNetwork::refit_grid() {
 }
 
 void CanNetwork::relink(NodeHandle handle,
-                        const std::set<NodeHandle>& candidates) {
+                        const std::vector<NodeHandle>& candidates) {
   CanNode* node = node_of(handle);
   CYCLOID_ASSERT(node != nullptr);
   // Every candidate is probed for adjacency: one exchange per candidate.
   note_maintenance(handle, candidates.size());
-  // Drop this node from its previous neighbours' sets, then re-evaluate
-  // adjacency against the candidate set.
-  for (const NodeHandle old : node->neighbors) {
-    if (CanNode* other = node_of(old)) other->neighbors.erase(handle);
+  // Drop this node's entries from its previous neighbours' tables, then
+  // re-evaluate adjacency against the candidate set. Each adjacent pair
+  // copies the other's current zones: the candidate's into this node's
+  // table, this node's into the candidate's.
+  for (const NodeHandle old : neighbors_of(*node)) {
+    if (CanNode* other = node_of(old)) erase_entries(*other, handle);
   }
-  node->neighbors.clear();
+  std::vector<std::pair<NodeHandle, const CanNode*>> adjacent;
+  std::size_t words = 0;
   for (const NodeHandle cand : candidates) {
     if (cand == handle) continue;
     CanNode* other = node_of(cand);
     if (other == nullptr) continue;
     if (nodes_adjacent(*node, *other)) {
-      node->neighbors.insert(cand);
-      other->neighbors.insert(handle);
+      adjacent.emplace_back(cand, other);
+      words += other->zones.size() * entry_words();
+      insert_entries(*other, handle, *node);
     }
   }
+  // One allocation of exactly the table's size: growing it by push_back
+  // and shrinking it afterwards raised churn-2e11's peak RSS by 3.7%
+  // (DESIGN.md §18). Candidates ascend, so appending keeps it sorted.
+  std::vector<std::uint64_t> table;
+  table.reserve(words);
+  for (const auto& [neighbor, other] : adjacent) {
+    append_entries(table, neighbor, *other);
+  }
+  node->table = std::move(table);
 }
 
 void CanNetwork::coalesce(CanNode& node) const {
@@ -361,10 +445,13 @@ NodeHandle CanNetwork::join_at(const Point& point) {
 
   relist(owner_handle, owner_cells, footprint(*owner));
 
-  // Adjacency can only change among the owner's old neighbourhood.
-  std::set<NodeHandle> candidates = owner->neighbors;
-  candidates.insert(owner_handle);
-  candidates.insert(handle);
+  // Adjacency can only change among the owner's old neighbourhood. The
+  // newcomer's serial exceeds every live handle, so it sorts last.
+  std::vector<NodeHandle> candidates = neighbors_of(*owner);
+  candidates.insert(
+      std::lower_bound(candidates.begin(), candidates.end(), owner_handle),
+      owner_handle);
+  candidates.push_back(handle);
   owner = nullptr;  // invalidated by the emplace below
 
   CanNode& node = create_node(handle);
@@ -380,8 +467,8 @@ NodeHandle CanNetwork::join_at(const Point& point) {
 void CanNetwork::unlink(NodeHandle handle) {
   CanNode* node = node_of(handle);
   CYCLOID_EXPECTS(node != nullptr);
-  for (const NodeHandle n : node->neighbors) {
-    if (CanNode* other = node_of(n)) other->neighbors.erase(handle);
+  for (const NodeHandle n : neighbors_of(*node)) {
+    if (CanNode* other = node_of(n)) erase_entries(*other, handle);
   }
   relist(handle, footprint(*node), {});
   destroy_node(handle);
@@ -405,10 +492,6 @@ bool CanNetwork::node_owns_point(const CanNode& node, const Point& p) const {
   return false;
 }
 
-double CanNetwork::node_distance2(NodeHandle handle, const Point& p) const {
-  return node_distance2(node_state(handle), p);
-}
-
 namespace {
 
 /// CAN's step policy: greedily forward to the neighbour whose zone is
@@ -417,7 +500,10 @@ namespace {
 /// routing converges. The engine's visited tracking only matters in the
 /// measure-zero case where the geodesic exits exactly through a corner (the
 /// diagonal zone is not a neighbour); an equal-distance sidestep then
-/// restores progress.
+/// restores progress. A hop reads the current record and its routing
+/// table: a neighbour's distance is the minimum over its cached boxes,
+/// which equals the distance to its zones even when the boxes are a finer
+/// tiling (DESIGN.md §18).
 class CanStepPolicy final : public dht::StepPolicy {
  public:
   CanStepPolicy(const CanNetwork& net, const Point& target)
@@ -431,6 +517,17 @@ class CanStepPolicy final : public dht::StepPolicy {
   int default_max_hops() const override { return 8 * 64; }
   bool track_visited() const override { return true; }
 
+  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
+  void prefetch_tables(std::size_t slot) const override {
+    // Stage 2 (record line presumed warm from stage 1): pull in the two
+    // blocks next_hop reads behind it, the routing table and the node's
+    // own zones.
+    const CanNode& cur = net_.node_at(slot);
+    util::prefetch_lines(cur.table.data(),
+                         cur.table.size() * sizeof(std::uint64_t));
+    util::prefetch_lines(cur.zones.data(), cur.zones.size() * sizeof(Zone));
+  }
+
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const CanNode& cur = net_.node_at(state.current_slot());
     if (net_.node_owns_point(cur, target_)) {
@@ -441,8 +538,16 @@ class CanStepPolicy final : public dht::StepPolicy {
     const double cur_dist = net_.node_distance2(cur, target_);
     double best_dist = cur_dist;
     NodeHandle side = kNoNode;
-    for (const NodeHandle n : cur.neighbors) {
-      const double dist = net_.node_distance2(n, target_);
+    const std::size_t stride = net_.entry_words();
+    const std::uint64_t* entry = cur.table.data();
+    const std::uint64_t* const end = entry + cur.table.size();
+    while (entry != end) {
+      const NodeHandle n = *entry;
+      double dist = 4.0;  // node_distance2's start value
+      do {
+        dist = std::min(dist, net_.entry_distance2(entry, target_));
+        entry += stride;
+      } while (entry != end && *entry == n);
       if (dist < best_dist) {
         best_dist = dist;
         best = n;
@@ -491,10 +596,13 @@ void CanNetwork::depart_gracefully(NodeHandle node) {
   }
 
   // Hand every zone to the smallest-volume neighbour (the CAN takeover
-  // rule), then let it merge perfect buddies back together.
+  // rule), then let it merge perfect buddies back together. Volumes come
+  // from each neighbour's own record, not the leaver's cached boxes: a sum
+  // over a finer copy need not be bit-identical.
+  const std::vector<NodeHandle> leaver_neighbors = neighbors_of(*leaver);
   NodeHandle heir = kNoNode;
   double heir_volume = 2.0;
-  for (const NodeHandle n : leaver->neighbors) {
+  for (const NodeHandle n : leaver_neighbors) {
     const double volume = volume_of(n);
     if (volume < heir_volume) {
       heir_volume = volume;
@@ -504,16 +612,19 @@ void CanNetwork::depart_gracefully(NodeHandle node) {
   CYCLOID_ASSERT(heir != kNoNode);  // zones tile: every node has neighbours
   CanNode* recipient = node_of(heir);
 
-  std::set<NodeHandle> candidates = leaver->neighbors;
-  for (const NodeHandle n : recipient->neighbors) candidates.insert(n);
-  candidates.insert(heir);
+  std::vector<NodeHandle> candidates = leaver_neighbors;
+  for (const NodeHandle n : neighbors_of(*recipient)) candidates.push_back(n);
+  candidates.push_back(heir);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
 
   const std::vector<std::size_t> heir_cells = footprint(*recipient);
   for (const Zone& zone : leaver->zones) recipient->zones.push_back(zone);
   coalesce(*recipient);
   relist(heir, heir_cells, footprint(*recipient));
   unlink(node);
-  candidates.erase(node);
+  std::erase(candidates, node);
   relink(heir, candidates);
 }
 
@@ -540,16 +651,71 @@ bool CanNetwork::check_invariants() const {
   if (node_count() == 0) return true;
   if (std::fabs(total - 1.0) > 1e-9) return false;
 
-  // 2. Adjacency sets are symmetric and match geometry.
+  // 2. Each routing table lists exactly the node's geometric neighbours,
+  //    in ascending handle order (so the tables are symmetric).
+  const std::size_t stride = entry_words();
   for (std::size_t sa = 0; sa < node_count(); ++sa) {
     const CanNode& a = node_at(sa);
+    if (a.table.size() % stride != 0) return false;
+    for (std::size_t at = stride; at < a.table.size(); at += stride) {
+      if (a.table[at] < a.table[at - stride]) return false;
+    }
+    std::vector<NodeHandle> geometric;
     for (std::size_t sb = 0; sb < node_count(); ++sb) {
-      if (sa == sb) continue;
-      const CanNode& b = node_at(sb);
-      const bool geometric = nodes_adjacent(a, b);
-      const bool listed = a.neighbors.contains(handle_at(sb));
-      const bool listed_back = b.neighbors.contains(handle_at(sa));
-      if (geometric != listed || listed != listed_back) return false;
+      if (sa != sb && nodes_adjacent(a, node_at(sb))) {
+        geometric.push_back(handle_at(sb));
+      }
+    }
+    std::sort(geometric.begin(), geometric.end());
+    if (neighbors_of(a) != geometric) return false;
+  }
+
+  // 3. Each neighbour's cached boxes tile its zones: every box lies inside
+  //    one of them, no two overlap, and their volumes sum to the
+  //    neighbour's. A coalesce leaves a finer copy, so the boxes need not
+  //    equal the zones (DESIGN.md §18); all bounds are dyadic, so the
+  //    volume sums are exact.
+  const auto inside = [&](const std::uint64_t* box, const Zone& zone) {
+    for (int d = 0; d < dims_; ++d) {
+      const Interval iv = entry_span(box, d);
+      const Interval& outer = zone.span[static_cast<std::size_t>(d)];
+      if (iv.lo < outer.lo || iv.hi > outer.hi || !(iv.lo < iv.hi)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto overlap = [&](const std::uint64_t* x, const std::uint64_t* y) {
+    for (int d = 0; d < dims_; ++d) {
+      if (!intervals_overlap(entry_span(x, d), entry_span(y, d))) return false;
+    }
+    return true;
+  };
+  for (std::size_t sa = 0; sa < node_count(); ++sa) {
+    const std::vector<std::uint64_t>& table = node_at(sa).table;
+    for (std::size_t first = 0; first < table.size();) {
+      const NodeHandle n = table[first];
+      const CanNode& other = node_state(n);
+      std::size_t last = first;
+      double volume = 0.0;
+      for (; last < table.size() && table[last] == n; last += stride) {
+        const std::uint64_t* box = &table[last];
+        if (std::none_of(other.zones.begin(), other.zones.end(),
+                         [&](const Zone& z) { return inside(box, z); })) {
+          return false;
+        }
+        for (std::size_t prior = first; prior < last; prior += stride) {
+          if (overlap(&table[prior], box)) return false;
+        }
+        double v = 1.0;
+        for (int d = 0; d < dims_; ++d) {
+          const Interval iv = entry_span(box, d);
+          v *= iv.hi - iv.lo;
+        }
+        volume += v;
+      }
+      if (volume != volume_of(n)) return false;
+      first = last;
     }
   }
   return true;

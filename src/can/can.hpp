@@ -11,14 +11,17 @@
 // paper's takeover rule). Routing greedily forwards to the neighbour whose
 // zone is nearest the target point; path lengths are O(dims * n^(1/dims)).
 //
-// CAN keeps only neighbour state and repairs it as zones change hands, so —
-// like Viceroy — its lookups never hit departed nodes (zero timeouts).
+// Each node keeps the CAN paper's coordinate routing table: every
+// neighbour's handle and zones, in one flat block (DESIGN.md §18), so a
+// greedy hop reads the current node's record, its own zone list and that
+// block, and no other node's state. CAN repairs the tables as zones change
+// hands, so — like Viceroy — its lookups never hit departed nodes (zero
+// timeouts).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,8 +51,15 @@ struct Zone {
 using Point = std::array<double, kMaxDims>;
 
 struct CanNode {
-  std::vector<Zone> zones;               // usually one; more after takeovers
-  std::set<dht::NodeHandle> neighbors;   // zone-contiguous nodes
+  std::vector<Zone> zones;  // usually one; more after takeovers
+  /// Coordinate routing table: one entry per zone of each zone-contiguous
+  /// neighbour, in ascending handle order (a neighbour's entries adjacent,
+  /// in its zone-list order). An entry is CanNetwork::entry_words() words:
+  /// the neighbour's handle, then that zone's lo and hi on axes
+  /// 0..dims-1 as IEEE-754 bit patterns (40 B at dims = 2). A neighbour's
+  /// refresh may coalesce its zones without rewriting this copy, which then
+  /// stays a finer tiling of the same region (DESIGN.md §18).
+  std::vector<std::uint64_t> table;
 };
 
 class CanNetwork final : public dht::ArenaNetwork<CanNode> {
@@ -84,13 +94,23 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   bool node_owns_point(dht::NodeHandle handle, const Point& p) const;
   bool node_owns_point(const CanNode& node, const Point& p) const;
   /// Squared torus distance from the node's nearest zone to `p`.
-  double node_distance2(dht::NodeHandle handle, const Point& p) const;
   double node_distance2(const CanNode& node, const Point& p) const;
 
-  /// Structural invariants (zones tile the torus, adjacency is symmetric
-  /// and correct, the ownership grid lists each live node in exactly the
-  /// cells its zones overlap and no departed node) — cheap enough for tests
-  /// to call after every operation.
+  /// Words per routing-table entry: the handle plus 2 * dims bounds.
+  std::size_t entry_words() const noexcept {
+    return 1 + 2 * static_cast<std::size_t>(dims_);
+  }
+  /// Squared torus distance from the box of the table entry starting at
+  /// `entry` to `p` — zone_distance2's arithmetic on the cached bounds.
+  double entry_distance2(const std::uint64_t* entry, const Point& p) const;
+  /// Handles in the node's routing table, ascending and each once.
+  std::vector<dht::NodeHandle> neighbors_of(const CanNode& node) const;
+
+  /// Structural invariants (zones tile the torus; each routing table lists
+  /// exactly the node's geometric neighbours in ascending handle order,
+  /// with boxes that tile each neighbour's zones; the ownership grid lists
+  /// each live node in exactly the cells its zones overlap and no departed
+  /// node) — cheap enough for tests to call after every operation.
   bool check_invariants() const;
 
   enum Phase : std::size_t { kGreedy = 0 };
@@ -137,10 +157,22 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   /// again.
   void refit_grid();
 
-  /// Recompute adjacency between `node` and a candidate set (the union of
-  /// the previous neighbourhoods of every party to a zone transfer).
+  /// Rebuild `node`'s routing table from a candidate set (ascending and
+  /// distinct: the union of the previous neighbourhoods of every party to
+  /// a zone transfer), and rewrite `node`'s entries in its old and new
+  /// neighbours' tables with its current zones.
   void relink(dht::NodeHandle node,
-              const std::set<dht::NodeHandle>& candidates);
+              const std::vector<dht::NodeHandle>& candidates);
+
+  /// Append an entry per zone of `neighbor` (state `other`) to `table`.
+  void append_entries(std::vector<std::uint64_t>& table,
+                      dht::NodeHandle neighbor, const CanNode& other) const;
+  /// Insert `neighbor`'s entries into `node`'s table at their sorted place
+  /// (the table holds none yet), growing it to exactly the size needed.
+  void insert_entries(CanNode& node, dht::NodeHandle neighbor,
+                      const CanNode& other) const;
+  /// Erase `neighbor`'s entries from `node`'s table.
+  void erase_entries(CanNode& node, dht::NodeHandle neighbor) const;
 
   /// Merge perfect-buddy zone pairs owned by one node until fixpoint.
   void coalesce(CanNode& node) const;

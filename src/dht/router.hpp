@@ -184,14 +184,15 @@ class StepPolicy {
   //                          presumed cached — overlays with out-of-line
   //                          routing state (Cycloid leaf sets, Chord
   //                          fingers, Koorde chains, Pastry leaf sets and
-  //                          row headers) dereference the record and
-  //                          prefetch those lines.
+  //                          row headers, CAN's routing table and zone
+  //                          list) dereference the record and prefetch
+  //                          those lines.
   //
   // An overlay overrides a hook only where it measurably pays (DESIGN.md
-  // Sec. 14). CAN, whose hop costs zone arithmetic rather than record
-  // misses, overrides neither. Viceroy's hop reads only its own record
-  // (Sec. 17), and the lanes alone hide that miss: a stage-1 hint measured
-  // no gain, so it overrides neither too.
+  // Sec. 14). Viceroy's hop reads only its own record (Sec. 17), and the
+  // lanes alone hide that miss: a stage-1 hint measured no gain, so it
+  // overrides neither. CAN's hop reads its record and two blocks behind it
+  // (Sec. 18); the pair measured 1.7x at W = 8 and 2^17, so it takes both.
 
   /// Stage-1 hint: `slot` is about to become a lane's current position.
   virtual void prefetch(std::size_t slot) const { (void)slot; }

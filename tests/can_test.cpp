@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -29,8 +32,8 @@ TEST(CanBuild, SplitHalvesTheZone) {
   EXPECT_DOUBLE_EQ(net.volume_of(a), 0.5);
   EXPECT_DOUBLE_EQ(net.volume_of(b), 0.5);
   // The two halves are mutual neighbours.
-  EXPECT_TRUE(net.node_state(a).neighbors.contains(b));
-  EXPECT_TRUE(net.node_state(b).neighbors.contains(a));
+  EXPECT_EQ(net.neighbors_of(net.node_state(a)), std::vector<NodeHandle>{b});
+  EXPECT_EQ(net.neighbors_of(net.node_state(b)), std::vector<NodeHandle>{a});
   EXPECT_TRUE(net.check_invariants());
 }
 
@@ -133,6 +136,56 @@ TEST(CanMembership, CoalesceMergesBuddies) {
   net.leave(b);
   EXPECT_DOUBLE_EQ(net.volume_of(a), 1.0);
   EXPECT_EQ(net.node_state(a).zones.size(), 1u);
+}
+
+TEST(CanRoutingTable, CoalesceLeavesAFinerCopyThatMeasuresTheSame) {
+  // a takes b's half when b leaves, then d splits the lower quarter off
+  // it, leaving a two buddy boxes, [0, .5) x [.5, 1) and [.5, 1) x [.5, 1).
+  // Only a refresh merges them, and it leaves the neighbours' copies
+  // alone: c and d still hold both boxes, and the nearest of them must be
+  // exactly as far from every point as the merged zone.
+  CanNetwork net(2);
+  const NodeHandle a = net.join_at(Point{0.3, 0.7});
+  const NodeHandle b = net.join_at(Point{0.75, 0.5});
+  const NodeHandle c = net.join_at(Point{0.25, 0.25});
+  net.leave(b);
+  const NodeHandle d = net.join_at(Point{0.75, 0.25});
+  ASSERT_EQ(net.node_state(a).zones.size(), 2u);
+  net.stabilize_all();
+  ASSERT_EQ(net.node_state(a).zones.size(), 1u);
+  ASSERT_TRUE(net.check_invariants());
+
+  for (const NodeHandle h : {c, d}) {
+    const CanNode& node = net.node_state(h);
+    std::vector<const std::uint64_t*> boxes;
+    for (std::size_t at = 0; at < node.table.size(); at += net.entry_words()) {
+      if (node.table[at] == a) boxes.push_back(&node.table[at]);
+    }
+    ASSERT_EQ(boxes.size(), 2u) << "node " << h;
+    for (int i = 0; i <= 16; ++i) {
+      for (int j = 0; j <= 16; ++j) {
+        const Point p{std::fmod(i / 16.0 + 1e-3, 1.0),
+                      std::fmod(j / 16.0 + 1e-3, 1.0)};
+        double cached = 4.0;
+        for (const std::uint64_t* box : boxes) {
+          cached = std::min(cached, net.entry_distance2(box, p));
+        }
+        EXPECT_EQ(cached, net.node_distance2(net.node_state(a), p))
+            << "node " << h << " point " << p[0] << ", " << p[1];
+      }
+    }
+  }
+
+  util::Rng rng(10);
+  dht::LookupMetrics sink;
+  for (const NodeHandle from : net.node_handles()) {
+    for (int i = 0; i < 64; ++i) {
+      const dht::KeyHash key = rng();
+      const dht::LookupResult result = net.lookup(from, key, sink);
+      EXPECT_TRUE(result.success);
+      EXPECT_EQ(result.destination, net.owner_of(key));
+    }
+  }
 }
 
 TEST(CanMembership, MassDepartureKeepsServiceCorrect) {

@@ -130,9 +130,9 @@ TEST_P(FuzzTest, StoreModelCheck) {
 }
 
 // Owner of `key` by an O(n) scan of node_handles(): the answer each ring
-// overlay's owner_of (a query on its dht::SortedRing) must agree with.
-// Chord, Koorde and Pastry handles are their identifiers. kNoNode for CAN,
-// which keeps no ring.
+// overlay's owner_of (a query on its dht::SortedRing) and CAN's (a query on
+// its ownership grid) must agree with. Chord, Koorde and Pastry handles are
+// their identifiers.
 NodeHandle brute_force_owner(exp::OverlayKind kind, const dht::DhtNetwork& net,
                              dht::KeyHash key) {
   NodeHandle best = kNoNode;
@@ -194,8 +194,15 @@ NodeHandle brute_force_owner(exp::OverlayKind kind, const dht::DhtNetwork& net,
       }
       break;
     }
-    case OverlayKind::kCan:
+    case OverlayKind::kCan: {
+      // The one node whose zones contain the key's point.
+      const auto& cnet = dynamic_cast<const can::CanNetwork&>(net);
+      const can::Point p = cnet.point_from_hash(key);
+      for (const NodeHandle h : net.node_handles()) {
+        if (cnet.node_owns_point(h, p)) consider(h, 0);
+      }
       break;
+    }
   }
   return best;
 }
@@ -205,8 +212,9 @@ NodeHandle brute_force_owner(exp::OverlayKind kind, const dht::DhtNetwork& net,
 // describe the same membership after any operation mix. slot_of must be
 // the exact inverse of handle_at, every registered handle must resolve to
 // live node state, and the overlay's own handle enumeration must be the
-// same set the registry holds. The ring overlays' sorted rings must agree
-// with that membership too: owner_of matches a brute-force scan.
+// same set the registry holds. The overlays' owner indexes (sorted rings,
+// CAN's grid) must agree with that membership too: owner_of matches a
+// brute-force scan.
 void expect_registry_arena_agree(exp::OverlayKind kind,
                                  const dht::DhtNetwork& net) {
   auto listed = net.node_handles();
@@ -227,7 +235,6 @@ void expect_registry_arena_agree(exp::OverlayKind kind,
   // (via the compare below) that the walk never traps on a live slot.
   expect_same_state(kind, net, net);
 
-  if (kind == OverlayKind::kCan) return;
   util::Rng rng(0x0e11 ^ net.node_count());
   for (int i = 0; i < 32; ++i) {
     const dht::KeyHash key = rng();
@@ -316,6 +323,17 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
           dynamic_cast<const viceroy::ViceroyNetwork&>(primary), where));
       ASSERT_NO_FATAL_FAILURE(viceroy::expect_links_match_reference(
           dynamic_cast<const viceroy::ViceroyNetwork&>(shadow), where));
+    }
+    if (kind == OverlayKind::kCan) {
+      // CAN caches its neighbours' zones: after every op, every routing
+      // table must list exactly the geometric neighbours with boxes that
+      // tile their zones.
+      ASSERT_TRUE(dynamic_cast<const can::CanNetwork&>(primary)
+                      .check_invariants())
+          << "op " << op;
+      ASSERT_TRUE(
+          dynamic_cast<const can::CanNetwork&>(shadow).check_invariants())
+          << "op " << op;
     }
   }
   primary.stabilize_dirty(2);
