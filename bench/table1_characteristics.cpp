@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
   {
     auto net = cycloid::ccc::CycloidNetwork::build_complete(6, 1);
     const auto& node = net->node_state(net->node_handles()[17]);
-    const std::size_t entries = 3 + node.inside_pred.size() +
-                                node.inside_succ.size() +
-                                node.outside_pred.size() +
-                                node.outside_succ.size();
+    const std::size_t entries = 3 + node.inside_pred().size() +
+                                node.inside_succ().size() +
+                                node.outside_pred().size() +
+                                node.outside_succ().size();
     measured.row()
         .add("Cycloid-7")
         .add(std::to_string(entries))
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   {
     auto net = cycloid::ccc::CycloidNetwork::build_complete(6, 2);
     const auto& node = net->node_state(net->node_handles()[17]);
-    const std::size_t entries = 3 + node.inside_pred.size() +
-                                node.inside_succ.size() +
-                                node.outside_pred.size() +
-                                node.outside_succ.size();
+    const std::size_t entries = 3 + node.inside_pred().size() +
+                                node.inside_succ().size() +
+                                node.outside_pred().size() +
+                                node.outside_succ().size();
     measured.row()
         .add("Cycloid-11")
         .add(std::to_string(entries))

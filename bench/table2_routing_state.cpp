@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
     table.row().add("Cyclic neighbor (larger)").add(show(node.cyclic_larger));
     table.row().add("Cyclic neighbor (smaller)").add(
         show(node.cyclic_smaller));
-    table.row().add("Inside leaf set").add(show(node.inside_pred[0]) + "  " +
-                                           show(node.inside_succ[0]));
-    table.row().add("Outside leaf set").add(show(node.outside_pred[0]) +
-                                            "  " + show(node.outside_succ[0]));
+    table.row().add("Inside leaf set").add(show(node.inside_pred()[0]) +
+                                           "  " + show(node.inside_succ()[0]));
+    table.row().add("Outside leaf set").add(
+        show(node.outside_pred()[0]) + "  " + show(node.outside_succ()[0]));
     report.section(title, table);
   };
 

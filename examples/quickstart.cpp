@@ -45,13 +45,17 @@ int main() {
             << "  "
             << ccc::to_string(CycloidNetwork::id_of(state.cyclic_smaller), 5)
             << "\n  inside leaf set  : "
-            << ccc::to_string(CycloidNetwork::id_of(state.inside_pred[0]), 5)
+            << ccc::to_string(CycloidNetwork::id_of(state.inside_pred()[0]),
+                              5)
             << "  "
-            << ccc::to_string(CycloidNetwork::id_of(state.inside_succ[0]), 5)
+            << ccc::to_string(CycloidNetwork::id_of(state.inside_succ()[0]),
+                              5)
             << "\n  outside leaf set : "
-            << ccc::to_string(CycloidNetwork::id_of(state.outside_pred[0]), 5)
+            << ccc::to_string(CycloidNetwork::id_of(state.outside_pred()[0]),
+                              5)
             << "  "
-            << ccc::to_string(CycloidNetwork::id_of(state.outside_succ[0]), 5)
+            << ccc::to_string(CycloidNetwork::id_of(state.outside_succ()[0]),
+                              5)
             << "\n";
 
   // 3. Key-value storage: values live at the key's numerically closest node.

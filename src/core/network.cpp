@@ -1,10 +1,8 @@
 #include "core/network.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/bits.hpp"
-#include "util/prefetch.hpp"
 
 namespace cycloid::ccc {
 
@@ -161,8 +159,10 @@ class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
 CycloidNetwork::CycloidNetwork(int dimension, int leaf_width,
                                NeighborSelection selection)
     : space_(dimension), leaf_width_(leaf_width), selection_(selection) {
-  CYCLOID_EXPECTS(leaf_width >= 1 && leaf_width <= 8);
+  CYCLOID_EXPECTS(dimension <= kMaxDimension);
+  CYCLOID_EXPECTS(leaf_width >= 1 && leaf_width <= kMaxLeafWidth);
   by_level_.resize(static_cast<std::size_t>(dimension));
+  slot_by_position_.assign(space_.size(), kNoPositionSlot);
   set_maintenance_policy(std::make_unique<CycloidMaintenancePolicy>(*this));
 }
 
@@ -170,6 +170,7 @@ std::unique_ptr<CycloidNetwork> CycloidNetwork::build_complete(
     int dimension, int leaf_width, NeighborSelection selection, int threads) {
   auto net = std::make_unique<CycloidNetwork>(dimension, leaf_width, selection);
   const CccSpace& space = net->space_;
+  net->reserve_nodes(space.size());
   net->begin_bulk();
   for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
     const bool inserted = net->insert(space.from_ring_position(pos));
@@ -185,6 +186,7 @@ std::unique_ptr<CycloidNetwork> CycloidNetwork::build_random(
   auto net = std::make_unique<CycloidNetwork>(dimension, leaf_width, selection);
   const CccSpace& space = net->space_;
   CYCLOID_EXPECTS(count >= 1 && count <= space.size());
+  net->reserve_nodes(count);
   net->begin_bulk();
   while (net->node_count() < count) {
     // One RNG draw per iteration whether or not the position is taken —
@@ -207,8 +209,10 @@ bool CycloidNetwork::insert(const CccId& id) {
   const NodeHandle handle = handle_of(id);
   if (contains(handle)) return false;
 
+  const std::uint64_t pos = space_.ring_position(id);
   create_node(handle).id = id;
-  ring_.insert(space_.ring_position(id), handle, bulk_building());
+  slot_by_position_[pos] = static_cast<std::uint32_t>(node_count() - 1);
+  ring_.insert(pos, handle, bulk_building());
   by_level_[id.cyclic].insert(id.cubical, handle, bulk_building());
 
   // The engine runs the join repairs (CycloidMaintenancePolicy::on_join)
@@ -224,11 +228,74 @@ void CycloidNetwork::unlink(NodeHandle handle) {
   const CycloidNode* node = node_of(handle);
   CYCLOID_EXPECTS(node != nullptr);
   const CccId id = node->id;
+  const std::uint64_t pos = space_.ring_position(id);
 
-  ring_.erase(space_.ring_position(id));
+  ring_.erase(pos);
   by_level_[id.cyclic].erase(id.cubical);
 
+  // The registry swap-removes: the tail node takes the departed node's
+  // slot, so its position entry follows it there.
+  const std::size_t slot = slot_of(handle);
+  const NodeHandle tail = handle_at(node_count() - 1);
   destroy_node(handle);
+  slot_by_position_[pos] = kNoPositionSlot;
+  if (tail != handle) {
+    slot_by_position_[space_.ring_position(id_of(tail))] =
+        static_cast<std::uint32_t>(slot);
+  }
+}
+
+bool CycloidNetwork::check_invariants() const {
+  // 1. The registry and the arena agree, and the position table holds each
+  //    live node's slot at its position. Counting the filled entries shows
+  //    the table is empty everywhere else.
+  const std::size_t n = node_count();
+  const auto w = static_cast<std::size_t>(leaf_width_);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const CycloidNode& node = node_at(slot);
+    if (!space_.valid(node.id) || handle_at(slot) != handle_of(node.id)) {
+      return false;
+    }
+    if (slot_by_position_[space_.ring_position(node.id)] != slot) return false;
+    // 2. Each record fills exactly its first 4 * leaf_width leaf slots.
+    for (std::size_t i = 0; i < node.leaves.size(); ++i) {
+      if ((node.leaves[i] == kNoNode) != (i >= 4 * w)) return false;
+    }
+  }
+  if (static_cast<std::size_t>(std::count_if(
+          slot_by_position_.begin(), slot_by_position_.end(),
+          [](std::uint32_t s) { return s != kNoPositionSlot; })) != n) {
+    return false;
+  }
+
+  // 3. The global ring and the level rings list exactly the members, in
+  //    ascending key order. Every ring handle is a member, and the sizes
+  //    sum to n, so no member is missing.
+  const auto ring_agrees = [&](const dht::SortedRing<std::uint64_t>& ring,
+                               auto id_at) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (i > 0 && !(ring.key(i - 1) < ring.key(i))) return false;
+      const NodeHandle h = ring.handle(i);
+      if (h != handle_of(id_at(ring.key(i))) || !contains(h)) return false;
+    }
+    return true;
+  };
+  if (ring_.size() != n ||
+      !ring_agrees(ring_, [&](std::uint64_t pos) {
+        return space_.from_ring_position(pos);
+      })) {
+    return false;
+  }
+  std::size_t level_total = 0;
+  for (std::uint32_t k = 0; k < by_level_.size(); ++k) {
+    level_total += by_level_[k].size();
+    if (!ring_agrees(by_level_[k], [k](std::uint64_t cubical) {
+          return CccId{k, cubical};
+        })) {
+      return false;
+    }
+  }
+  return level_total == n;
 }
 
 std::string CycloidNetwork::name() const {
@@ -337,14 +404,13 @@ void CycloidNetwork::compute_routing_table(CycloidNode& node) {
 }
 
 void CycloidNetwork::compute_leaf_sets(CycloidNode& node) {
-  const auto old_inside_pred = std::move(node.inside_pred);
-  const auto old_inside_succ = std::move(node.inside_succ);
-  const auto old_outside_pred = std::move(node.outside_pred);
-  const auto old_outside_succ = std::move(node.outside_succ);
-  node.inside_pred.clear();
-  node.inside_succ.clear();
-  node.outside_pred.clear();
-  node.outside_succ.clear();
+  const auto old_leaves = node.leaves;
+  // The four leaf sets, leaf_width entries each, packed in record order.
+  const auto w = static_cast<std::size_t>(leaf_width_);
+  NodeHandle* const inside_pred = node.leaves.data();
+  NodeHandle* const inside_succ = inside_pred + w;
+  NodeHandle* const outside_pred = inside_succ + w;
+  NodeHandle* const outside_succ = outside_pred + w;
 
   // Inside leaf set: predecessors and successors on the local cycle — its
   // run [begin, end) of the large cycle, walked with wrap inside the run. A
@@ -353,36 +419,31 @@ void CycloidNetwork::compute_leaf_sets(CycloidNode& node) {
   const std::size_t end = cycle_end(node.id.cubical);
   const std::size_t self = ring_.index_of(space_.ring_position(node.id));
   std::size_t at = self;
-  for (int i = 0; i < leaf_width_; ++i) {
+  for (std::size_t i = 0; i < w; ++i) {
     at = (at == begin ? end : at) - 1;
-    node.inside_pred.push_back(ring_.handle(at));
+    inside_pred[i] = ring_.handle(at);
   }
   at = self;
-  for (int i = 0; i < leaf_width_; ++i) {
+  for (std::size_t i = 0; i < w; ++i) {
     at = at + 1 == end ? begin : at + 1;
-    node.inside_succ.push_back(ring_.handle(at));
+    inside_succ[i] = ring_.handle(at);
   }
 
   // Outside leaf set: primary nodes of the nearest preceding/succeeding
   // populated cycles on the large cycle (wrapping).
   std::uint64_t cubical = node.id.cubical;
-  for (int i = 0; i < leaf_width_; ++i) {
+  for (std::size_t i = 0; i < w; ++i) {
     cubical = preceding_cycle(cubical);
-    node.outside_pred.push_back(primary_of_cycle(cubical));
+    outside_pred[i] = primary_of_cycle(cubical);
   }
   cubical = node.id.cubical;
-  for (int i = 0; i < leaf_width_; ++i) {
+  for (std::size_t i = 0; i < w; ++i) {
     cubical = succeeding_cycle(cubical);
-    node.outside_succ.push_back(primary_of_cycle(cubical));
+    outside_succ[i] = primary_of_cycle(cubical);
   }
 
   // Maintenance accounting: only a state change costs a message exchange.
-  if (node.inside_pred != old_inside_pred ||
-      node.inside_succ != old_inside_succ ||
-      node.outside_pred != old_outside_pred ||
-      node.outside_succ != old_outside_succ) {
-    note_maintenance(handle_of(node.id));
-  }
+  if (node.leaves != old_leaves) note_maintenance(handle_of(node.id));
 }
 
 void CycloidNetwork::refresh_leafsets_around(std::uint64_t cubical) {
@@ -393,36 +454,16 @@ void CycloidNetwork::refresh_leafsets_around(std::uint64_t cubical) {
   }
 }
 
-std::vector<NodeHandle> CycloidNetwork::leaf_candidates(
-    const CycloidNode& node) const {
-  std::vector<NodeHandle> out;
-  out.reserve(4 * static_cast<std::size_t>(leaf_width_));
-  leaf_candidates_into(node, out);
-  return out;
-}
-
-void CycloidNetwork::leaf_candidates_into(
-    const CycloidNode& node, std::vector<NodeHandle>& out) const {
-  out.clear();
-  const NodeHandle self = handle_of(node.id);
-  const auto push = [&](const std::vector<NodeHandle>& entries) {
-    for (const NodeHandle h : entries) {
-      if (h == self || h == kNoNode) continue;
-      if (std::find(out.begin(), out.end(), h) == out.end()) out.push_back(h);
-    }
-  };
-  push(node.inside_pred);
-  push(node.inside_succ);
-  push(node.outside_pred);
-  push(node.outside_succ);
-}
-
 bool CycloidNetwork::key_in_leaf_range(const CycloidNode& node,
                                        const CccId& key) const {
   if (key.cubical == node.id.cubical) return true;
-  if (node.outside_pred.empty() || node.outside_succ.empty()) return true;
-  const std::uint64_t lo = id_of(node.outside_pred.back()).cubical;
-  const std::uint64_t hi = id_of(node.outside_succ.back()).cubical;
+  // The farthest outside_pred and outside_succ entries bound the span.
+  const auto w = static_cast<std::size_t>(leaf_width_);
+  const NodeHandle farthest_pred = node.leaves[3 * w - 1];
+  const NodeHandle farthest_succ = node.leaves[4 * w - 1];
+  if (farthest_pred == kNoNode || farthest_succ == kNoNode) return true;
+  const std::uint64_t lo = id_of(farthest_pred).cubical;
+  const std::uint64_t hi = id_of(farthest_succ).cubical;
   if (lo == node.id.cubical || hi == node.id.cubical) return true;  // tiny net
   const std::uint64_t span =
       util::clockwise_distance(lo, hi, space_.cube_size());
@@ -484,11 +525,15 @@ namespace {
 class CycloidStepPolicy final : public dht::StepPolicy {
  public:
   CycloidStepPolicy(const CycloidNetwork& net, const CccId& key)
-      : net_(net), key_(key) {}
+      : net_(net),
+        key_(key),
+        width_(static_cast<std::size_t>(net.leaf_width())) {}
 
-  bool alive(NodeHandle node) const override { return net_.contains(node); }
+  bool alive(NodeHandle node) const override {
+    return net_.position_slot(node) != dht::kNoSlot;
+  }
   std::size_t slot_of(NodeHandle node) const override {
-    return net_.slot_of(node);
+    return net_.position_slot(node);
   }
   int default_max_hops() const override {
     return 8 * util::ceil_log2(net_.space().size());
@@ -502,36 +547,40 @@ class CycloidStepPolicy final : public dht::StepPolicy {
   // link_latency: the StepPolicy default (the shared per-handle torus
   // plane) is exactly Cycloid's model — no override needed.
 
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
+  // One hint (DESIGN.md §14): the record holds the whole node, and the
+  // stage-1 record prefetch measured no gain, but the liveness checks of
+  // next_hop read one position-table entry per candidate. Warm those.
   void prefetch_tables(std::size_t slot) const override {
-    // Stage 2: warm the four leaf-set arrays next_hop's candidate scan
-    // walks.
     const CycloidNode& cur = net_.node_at(slot);
-    util::prefetch_lines(cur.inside_pred.data(),
-                         cur.inside_pred.size() * sizeof(NodeHandle));
-    util::prefetch_lines(cur.inside_succ.data(),
-                         cur.inside_succ.size() * sizeof(NodeHandle));
-    util::prefetch_lines(cur.outside_pred.data(),
-                         cur.outside_pred.size() * sizeof(NodeHandle));
-    util::prefetch_lines(cur.outside_succ.data(),
-                         cur.outside_succ.size() * sizeof(NodeHandle));
+    net_.prefetch_position(cur.cubical_neighbor);
+    net_.prefetch_position(cur.cyclic_larger);
+    net_.prefetch_position(cur.cyclic_smaller);
+    for (std::size_t i = 0; i < 4 * width_; ++i) {
+      net_.prefetch_position(cur.leaves[i]);
+    }
   }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const CccSpace& space = net_.space();
     const CycloidNode& cur = net_.node_at(state.current_slot());
     const std::uint64_t cur_rank = space.closeness_rank(key_, cur.id);
+    // The record packs inside_pred, inside_succ, outside_pred and
+    // outside_succ, width_ entries each.
+    const NodeHandle* const inside = cur.leaves.data();
+    const NodeHandle* const outside = inside + 2 * width_;
+    const NodeHandle self = CycloidNetwork::handle_of(cur.id);
 
     // Best strictly-improving leaf-set member (the traverse-cycle move and
-    // the universal fallback). Graceful departures keep leaf sets alive;
-    // after UNGRACEFUL departures a leaf entry may be dead, which costs a
-    // timeout on first contact.
+    // the universal fallback). Joins and graceful departures keep leaf sets
+    // alive; after UNGRACEFUL departures a leaf entry may be dead, which
+    // costs a timeout on first contact. An entry listed twice needs no
+    // dedup: attempt() charges a dead node once per lookup, and a repeat
+    // cannot beat itself under the strict rank comparison.
     NodeHandle best_leaf = kNoNode;
     std::uint64_t best_leaf_rank = cur_rank;
-    std::vector<NodeHandle>& leafs = state.candidate_buffer();
-    net_.leaf_candidates_into(cur, leafs);
-    for (const NodeHandle h : leafs) {
-      if (!state.attempt(h)) continue;
+    for (std::size_t i = 0; i < 4 * width_; ++i) {
+      const NodeHandle h = inside[i];
+      if (h == self || !state.attempt(h)) continue;
       const std::uint64_t rank =
           space.closeness_rank(key_, CycloidNetwork::id_of(h));
       if (rank < best_leaf_rank) {
@@ -560,22 +609,19 @@ class CycloidStepPolicy final : public dht::StepPolicy {
       // cyclic index whose cubical index is numerically closest to the key.
       NodeHandle best = kNoNode;
       std::uint64_t best_dist = ~0ULL;
-      const auto consider = [&](const std::vector<NodeHandle>& entries) {
-        for (const NodeHandle h : entries) {
-          if (h == kNoNode || state.was_visited(h)) continue;
-          if (!state.attempt(h)) continue;
-          const CccId cand = CycloidNetwork::id_of(h);
-          if (static_cast<int>(cand.cyclic) <= k) continue;
-          const std::uint64_t dist =
-              space.cubical_distance(cand.cubical, key_.cubical);
-          if (dist < best_dist) {
-            best_dist = dist;
-            best = h;
-          }
+      for (std::size_t i = 0; i < 2 * width_; ++i) {
+        const NodeHandle h = outside[i];
+        if (h == kNoNode || state.was_visited(h)) continue;
+        if (!state.attempt(h)) continue;
+        const CccId cand = CycloidNetwork::id_of(h);
+        if (static_cast<int>(cand.cyclic) <= k) continue;
+        const std::uint64_t dist =
+            space.cubical_distance(cand.cubical, key_.cubical);
+        if (dist < best_dist) {
+          best_dist = dist;
+          best = h;
         }
-      };
-      consider(cur.outside_pred);
-      consider(cur.outside_succ);
+      }
       if (best != kNoNode) {
         return dht::HopDecision::forward(best, CycloidNetwork::kAscend,
                                          "outside-leaf");
@@ -615,8 +661,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
       };
       consider(cur.cyclic_larger);
       consider(cur.cyclic_smaller);
-      for (const NodeHandle h : cur.inside_pred) consider(h);
-      for (const NodeHandle h : cur.inside_succ) consider(h);
+      for (std::size_t i = 0; i < 2 * width_; ++i) consider(inside[i]);
       if (best != kNoNode) {
         return dht::HopDecision::forward(best, CycloidNetwork::kDescend,
                                          "cyclic/inside");
@@ -635,6 +680,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
  private:
   const CycloidNetwork& net_;
   const CccId key_;
+  const std::size_t width_;
 };
 
 }  // namespace

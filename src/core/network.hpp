@@ -21,6 +21,7 @@
 #include "dht/latency.hpp"
 #include "dht/network.hpp"
 #include "dht/sorted_ring.hpp"
+#include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::ccc {
@@ -34,8 +35,13 @@ using NeighborSelection = dht::NeighborSelection;
 
 class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
  public:
+  /// Largest dimension a network accepts: the position table costs
+  /// 4 * d * 2^d bytes, 84 MB at d = 20.
+  static constexpr int kMaxDimension = 20;
+
   /// An empty network over a d-dimensional CCC space. leaf_width 1 gives the
-  /// paper's 7-entry node, leaf_width 2 the 11-entry variant.
+  /// paper's 7-entry node, leaf_width 2 the 11-entry variant, and at most
+  /// kMaxLeafWidth fits in the record.
   CycloidNetwork(int dimension, int leaf_width = 1,
                  NeighborSelection selection = NeighborSelection::kClosestSuffix);
 
@@ -82,15 +88,34 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   /// Owner of an explicit CCC position (ground truth, global knowledge).
   dht::NodeHandle owner_of_id(const CccId& key) const;
 
-  /// All live leaf-set entries of `node` (inside + outside), deduplicated
-  /// (exposed for the step policy).
-  std::vector<dht::NodeHandle> leaf_candidates(const CycloidNode& node) const;
+  /// slot_of by the ring-position table: the registry slot of `handle`, or
+  /// kNoSlot when no live node holds its position. One read of a dense
+  /// array, no hash probe: the step policy's liveness check and next-slot
+  /// resolution (DESIGN.md §19).
+  std::size_t position_slot(dht::NodeHandle handle) const noexcept {
+    const std::uint64_t pos = position_of(handle);
+    if (pos == kNoPosition) return kNoSlot;
+    const std::uint32_t slot = slot_by_position_[pos];
+    return slot == kNoPositionSlot ? kNoSlot : slot;
+  }
 
-  /// Allocation-free variant: clears `out` and fills it with the same
-  /// candidates (the step policy routes through the engine's reusable
-  /// candidate buffer on the lookup hot path).
-  void leaf_candidates_into(const CycloidNode& node,
-                            std::vector<dht::NodeHandle>& out) const;
+  /// Best-effort prefetch of the position-table entry position_slot(handle)
+  /// reads (the step policy's stage-2 hint); a no-op for a handle that
+  /// names no position. Never changes routing results.
+  void prefetch_position(dht::NodeHandle handle) const noexcept {
+    const std::uint64_t pos = position_of(handle);
+    if (pos != kNoPosition) {
+      util::prefetch_lines(&slot_by_position_[pos], sizeof(std::uint32_t));
+    }
+  }
+
+  /// Structural invariants: the registry, the arena, the global ring and
+  /// the level rings hold the same members, each ring in sorted order; the
+  /// position table holds slot_of(h) at each live node's position and is
+  /// empty everywhere else; each record fills exactly its first
+  /// 4 * leaf_width leaf slots. Cheap enough for tests to call after every
+  /// operation; not valid during bulk construction.
+  bool check_invariants() const;
 
   /// True when key's cycle lies within the cubical span covered by the
   /// node's outside leaf set (the paper's "target ID is within the leaf
@@ -133,8 +158,6 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
                         dht::LookupResult* results, dht::BatchScratch& lanes,
                         const dht::RouterOptions& options) const override;
 
-  bool alive(dht::NodeHandle handle) const { return contains(handle); }
-
   /// Compute the routing-table entries of `node` from the live membership
   /// (the paper's "local-remote" search, idealized as stabilization does).
   void compute_routing_table(CycloidNode& node);
@@ -175,6 +198,17 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
 
   void unlink(dht::NodeHandle handle);
 
+  /// Ring position (cubical * d + cyclic) named by `handle`, kNoPosition
+  /// when its fields lie outside the space (kNoNode among them).
+  static constexpr std::uint64_t kNoPosition = ~std::uint64_t{0};
+  std::uint64_t position_of(dht::NodeHandle handle) const noexcept {
+    const std::uint64_t cyclic = handle & 0xff;
+    const std::uint64_t cubical = handle >> 8;
+    const auto d = static_cast<std::uint64_t>(space_.dimension());
+    if (cyclic >= d || cubical >= space_.cube_size()) return kNoPosition;
+    return cubical * d + cyclic;
+  }
+
   CccSpace space_;
   int leaf_width_;
   NeighborSelection selection_;
@@ -184,6 +218,15 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   dht::SortedRing<std::uint64_t> ring_;
   /// Per cyclic level k: the level-k nodes keyed by cubical index.
   std::vector<dht::SortedRing<std::uint64_t>> by_level_;
+
+  /// Empty entry of slot_by_position_.
+  static constexpr std::uint32_t kNoPositionSlot = ~std::uint32_t{0};
+  /// Registry slot of the node at each ring position (cubical * d +
+  /// cyclic), kNoPositionSlot where no node sits: d * 2^d entries. insert
+  /// writes the newcomer's entry; unlink clears the departed node's and
+  /// re-points the entry of the tail node the registry swap-removes into
+  /// its slot.
+  std::vector<std::uint32_t> slot_by_position_;
 };
 
 }  // namespace cycloid::ccc

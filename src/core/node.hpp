@@ -8,15 +8,24 @@
 //                             remote cycles on the large cycle
 // The 11-entry variant (paper Sec. 3.2) widens each leaf set to two
 // predecessors and two successors; `leaf_width` generalizes that.
+//
+// The degree is constant, so the record holds all of it inline: a hop
+// reads this record and nothing else of the node (DESIGN.md §19).
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <array>
+#include <cstddef>
+#include <span>
+#include <type_traits>
 
 #include "core/id.hpp"
 #include "dht/types.hpp"
 
 namespace cycloid::ccc {
+
+/// Widest leaf set a record holds: four predecessors and four successors
+/// per leaf set, the 19-entry node of the leaf-set-width ablation.
+inline constexpr int kMaxLeafWidth = 4;
 
 struct CycloidNode {
   CccId id;
@@ -33,12 +42,51 @@ struct CycloidNode {
   dht::NodeHandle cyclic_larger = dht::kNoNode;
   dht::NodeHandle cyclic_smaller = dht::kNoNode;
 
-  // Leaf sets, nearest first. Maintained eagerly by the join/leave protocol,
-  // so (unlike the routing table) they always reference live nodes.
-  std::vector<dht::NodeHandle> inside_pred;
-  std::vector<dht::NodeHandle> inside_succ;
-  std::vector<dht::NodeHandle> outside_pred;
-  std::vector<dht::NodeHandle> outside_succ;
+  // Leaf sets, nearest first, packed as inside_pred, inside_succ,
+  // outside_pred, outside_succ with leaf_width entries each; the slots past
+  // 4 * leaf_width hold kNoNode, and so do all of them until the first
+  // leaf-set compute. Joins and graceful leaves repair leaf sets eagerly,
+  // but an ungraceful departure leaves them stale like the routing table:
+  // an entry may name a departed node until the next refresh.
+  std::array<dht::NodeHandle, 4 * kMaxLeafWidth> leaves = [] {
+    std::array<dht::NodeHandle, 4 * kMaxLeafWidth> empty;
+    empty.fill(dht::kNoNode);
+    return empty;
+  }();
+
+  // Each leaf set as a view of `leaves`: empty until the first leaf-set
+  // compute.
+  std::span<const dht::NodeHandle> inside_pred() const noexcept {
+    return leaf_set(0);
+  }
+  std::span<const dht::NodeHandle> inside_succ() const noexcept {
+    return leaf_set(1);
+  }
+  std::span<const dht::NodeHandle> outside_pred() const noexcept {
+    return leaf_set(2);
+  }
+  std::span<const dht::NodeHandle> outside_succ() const noexcept {
+    return leaf_set(3);
+  }
+
+  friend bool operator==(const CycloidNode&, const CycloidNode&) = default;
+
+ private:
+  /// Entries per leaf set: the network's leaf_width once the leaf sets are
+  /// computed, 0 before.
+  std::size_t leaf_width() const noexcept {
+    std::size_t filled = 0;
+    while (filled < leaves.size() && leaves[filled] != dht::kNoNode) ++filled;
+    return filled / 4;
+  }
+
+  std::span<const dht::NodeHandle> leaf_set(std::size_t which) const noexcept {
+    const std::size_t width = leaf_width();
+    return {leaves.data() + which * width, width};
+  }
 };
+
+static_assert(std::is_trivially_copyable_v<CycloidNode>);
+static_assert(sizeof(CycloidNode) == 168);
 
 }  // namespace cycloid::ccc

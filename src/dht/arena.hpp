@@ -64,7 +64,7 @@ class ArenaNetwork : public DhtNetwork {
   }
 
   /// Best-effort prefetch of the node record at `slot` — the stage-1 hint
-  /// (StepPolicy::prefetch) of the Cycloid, Chord, Koorde and Pastry step
+  /// (StepPolicy::prefetch) of the Chord, Koorde, Pastry and CAN step
   /// policies: pure address arithmetic into the arena, no dereference, so
   /// it can run the moment the batch router resolves a lane's next slot.
   /// Out-of-range slots (including kNoSlot) are silent no-ops. Purely a

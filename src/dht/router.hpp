@@ -57,14 +57,10 @@ struct RouterScratch {
   std::vector<NodeHandle> dead_seen;
   /// Nodes the route passed through (policies with track_visited()).
   std::vector<NodeHandle> visited;
-  /// Borrowed by step policies for per-hop candidate lists
-  /// (RouteState::candidate_buffer).
-  std::vector<NodeHandle> candidates;
 
   void clear() noexcept {
     dead_seen.clear();
     visited.clear();
-    candidates.clear();
   }
 };
 
@@ -182,17 +178,21 @@ class StepPolicy {
   //                          dereferencing them;
   //   prefetch_tables(slot)  one rotation later, when the record is
   //                          presumed cached — overlays with out-of-line
-  //                          routing state (Cycloid leaf sets, Chord
-  //                          fingers, Koorde chains, Pastry leaf sets and
-  //                          row headers, CAN's routing table and zone
-  //                          list) dereference the record and prefetch
-  //                          those lines.
+  //                          routing state (Chord fingers, Koorde chains,
+  //                          Pastry leaf sets and row headers, CAN's
+  //                          routing table and zone list, the slot-table
+  //                          entries of Cycloid's candidates) dereference
+  //                          the record and prefetch those lines.
   //
   // An overlay overrides a hook only where it measurably pays (DESIGN.md
   // Sec. 14). Viceroy's hop reads only its own record (Sec. 17), and the
   // lanes alone hide that miss: a stage-1 hint measured no gain, so it
   // overrides neither. CAN's hop reads its record and two blocks behind it
   // (Sec. 18); the pair measured 1.7x at W = 8 and 2^17, so it takes both.
+  // Cycloid's record holds the whole node, and its hop reads one
+  // position-table entry per candidate (Sec. 19): stage 2 alone measured
+  // 1.13x-1.21x at W = 8 and 2^17, and stage 1 added nothing, so it takes
+  // stage 2 only.
 
   /// Stage-1 hint: `slot` is about to become a lane's current position.
   virtual void prefetch(std::size_t slot) const { (void)slot; }
@@ -235,13 +235,6 @@ class RouteState {
   /// for policies with track_visited()).
   bool was_visited(NodeHandle node) const;
 
-  /// Engine-owned spare buffer for the policy's per-hop candidate list
-  /// (cleared by the caller, capacity reused across lookups — Cycloid's
-  /// leaf-set enumeration routes through this instead of allocating).
-  std::vector<NodeHandle>& candidate_buffer() const noexcept {
-    return scratch_->candidates;
-  }
-
   /// Walk a primary-then-backups pointer chain owned by `owner`, consulting
   /// the sink's learned repairs first: a previously learned promotion skips
   /// straight past the entries it already found dead, a node marked broken
@@ -279,8 +272,7 @@ class RouteState {
   LookupMetrics* sink_ = nullptr;
   LookupResult* result_ = nullptr;
   /// Engine buffers (dead-seen dedup — small, linear scan beats hashing —
-  /// visited tracking, and the policy candidate buffer): the lane's slice
-  /// of a BatchScratch.
+  /// and visited tracking): the lane's slice of a BatchScratch.
   RouterScratch* scratch_ = nullptr;
   NodeHandle current_ = kNoNode;
   std::size_t current_slot_ = kNoSlot;

@@ -7,6 +7,8 @@
 // verify it produces exactly the state the library computes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/network.hpp"
 #include "util/rng.hpp"
 
@@ -70,11 +72,11 @@ TEST(JoinProtocol, SameCycleCaseDerivesInsideLeafSetFromZ) {
     ASSERT_TRUE(net->insert(joiner));
     const CycloidNode& x = net->node_state(joiner_handle);
     // Outside leaf set inherited from Z.
-    EXPECT_EQ(x.outside_pred, z_before.outside_pred);
-    EXPECT_EQ(x.outside_succ, z_before.outside_succ);
+    EXPECT_TRUE(std::ranges::equal(x.outside_pred(), z_before.outside_pred()));
+    EXPECT_TRUE(std::ranges::equal(x.outside_succ(), z_before.outside_succ()));
     if (z_is_successor) {
-      EXPECT_EQ(x.inside_pred[0], z_before.inside_pred[0]);
-      EXPECT_EQ(x.inside_succ[0], z_handle);
+      EXPECT_EQ(x.inside_pred()[0], z_before.inside_pred()[0]);
+      EXPECT_EQ(x.inside_succ()[0], z_handle);
     }
     ++checked;
     net->leave(joiner_handle);  // restore for the next attempt
@@ -103,12 +105,12 @@ TEST(JoinProtocol, NewCycleCaseSelfReferencesInsideLeafSet) {
 
     ASSERT_TRUE(net->insert(joiner));
     const CycloidNode& x = net->node_state(joiner_handle);
-    EXPECT_EQ(x.inside_pred[0], joiner_handle);
-    EXPECT_EQ(x.inside_succ[0], joiner_handle);
+    EXPECT_EQ(x.inside_pred()[0], joiner_handle);
+    EXPECT_EQ(x.inside_succ()[0], joiner_handle);
     // Outside leaf set points at the primaries of the adjacent cycles —
     // which the joiner becomes a new neighbour *between*.
-    const CccId pred_primary = CycloidNetwork::id_of(x.outside_pred[0]);
-    const CccId succ_primary = CycloidNetwork::id_of(x.outside_succ[0]);
+    const CccId pred_primary = CycloidNetwork::id_of(x.outside_pred()[0]);
+    const CccId succ_primary = CycloidNetwork::id_of(x.outside_succ()[0]);
     EXPECT_NE(pred_primary.cubical, joiner.cubical);
     EXPECT_NE(succ_primary.cubical, joiner.cubical);
     ++checked;
@@ -130,13 +132,13 @@ TEST(JoinProtocol, NotificationReachesAffectedNeighbours) {
     if (net->contains(joiner_handle)) continue;
     ASSERT_TRUE(net->insert(joiner));
     const CycloidNode& x = net->node_state(joiner_handle);
-    const NodeHandle pred = x.inside_pred[0];
-    const NodeHandle succ = x.inside_succ[0];
+    const NodeHandle pred = x.inside_pred()[0];
+    const NodeHandle succ = x.inside_succ()[0];
     if (pred != joiner_handle) {
-      EXPECT_EQ(net->node_state(pred).inside_succ[0], joiner_handle);
+      EXPECT_EQ(net->node_state(pred).inside_succ()[0], joiner_handle);
     }
     if (succ != joiner_handle) {
-      EXPECT_EQ(net->node_state(succ).inside_pred[0], joiner_handle);
+      EXPECT_EQ(net->node_state(succ).inside_pred()[0], joiner_handle);
     }
     ++checked;
   }
@@ -162,14 +164,14 @@ TEST(JoinProtocol, PrimaryJoinUpdatesRemoteCycles) {
       primary &=
           !net->contains(CycloidNetwork::handle_of(CccId{k, joiner.cubical}));
     }
-    if (primary && x.outside_pred[0] != joiner_handle) {
+    if (primary && x.outside_pred()[0] != joiner_handle) {
       // The preceding cycle's members must now name X as their succeeding
       // primary.
-      const CccId pred_primary = CycloidNetwork::id_of(x.outside_pred[0]);
-      const CycloidNode& neighbour = net->node_state(x.outside_pred[0]);
-      if (CycloidNetwork::id_of(neighbour.outside_succ[0]).cubical ==
+      const CccId pred_primary = CycloidNetwork::id_of(x.outside_pred()[0]);
+      const CycloidNode& neighbour = net->node_state(x.outside_pred()[0]);
+      if (CycloidNetwork::id_of(neighbour.outside_succ()[0]).cubical ==
           joiner.cubical) {
-        EXPECT_EQ(neighbour.outside_succ[0], joiner_handle)
+        EXPECT_EQ(neighbour.outside_succ()[0], joiner_handle)
             << "cycle " << pred_primary.cubical
             << " missed the new primary of cycle " << joiner.cubical;
         ++checked;

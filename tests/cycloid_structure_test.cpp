@@ -40,20 +40,20 @@ TEST(Table2Example, RoutingStateOfNode4_10110110) {
             (CccId{3, 0b10110110}));
 
   // Inside leaf set: predecessor (3, 10110110) and successor (5, 10110110).
-  ASSERT_EQ(node.inside_pred.size(), 1u);
-  ASSERT_EQ(node.inside_succ.size(), 1u);
-  EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred[0]),
+  ASSERT_EQ(node.inside_pred().size(), 1u);
+  ASSERT_EQ(node.inside_succ().size(), 1u);
+  EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred()[0]),
             (CccId{3, 0b10110110}));
-  EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ[0]),
+  EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ()[0]),
             (CccId{5, 0b10110110}));
 
   // Outside leaf set: primary nodes (cyclic index 7) of the preceding and
   // succeeding cycles.
-  ASSERT_EQ(node.outside_pred.size(), 1u);
-  ASSERT_EQ(node.outside_succ.size(), 1u);
-  EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred[0]),
+  ASSERT_EQ(node.outside_pred().size(), 1u);
+  ASSERT_EQ(node.outside_succ().size(), 1u);
+  EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred()[0]),
             (CccId{7, 0b10110101}));
-  EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ[0]),
+  EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ()[0]),
             (CccId{7, 0b10110111}));
 }
 
@@ -170,17 +170,17 @@ TEST_P(SparseStructureTest, LeafSetInvariants) {
     const auto& members = cycles.at(node.id.cubical);
 
     // Inside leaf set: circular predecessor/successor within the cycle.
-    ASSERT_EQ(node.inside_pred.size(), 1u);
-    ASSERT_EQ(node.inside_succ.size(), 1u);
+    ASSERT_EQ(node.inside_pred().size(), 1u);
+    ASSERT_EQ(node.inside_succ().size(), 1u);
     auto self = members.find(node.id.cyclic);
     ASSERT_NE(self, members.end());
     auto succ = std::next(self) == members.end() ? members.begin()
                                                  : std::next(self);
     auto pred = self == members.begin() ? std::prev(members.end())
                                         : std::prev(self);
-    EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ[0]),
+    EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ()[0]),
               (CccId{*succ, node.id.cubical}));
-    EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred[0]),
+    EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred()[0]),
               (CccId{*pred, node.id.cubical}));
 
     // Outside leaf set: primary of adjacent populated cycles (wrapping).
@@ -192,11 +192,11 @@ TEST_P(SparseStructureTest, LeafSetInvariants) {
                                          : *std::next(pos);
     const std::uint64_t prev_cycle =
         pos == cubicals.begin() ? cubicals.back() : *std::prev(pos);
-    ASSERT_EQ(node.outside_pred.size(), 1u);
-    ASSERT_EQ(node.outside_succ.size(), 1u);
-    EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ[0]),
+    ASSERT_EQ(node.outside_pred().size(), 1u);
+    ASSERT_EQ(node.outside_succ().size(), 1u);
+    EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ()[0]),
               cycle_primary(next_cycle));
-    EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred[0]),
+    EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred()[0]),
               cycle_primary(prev_cycle));
   }
 }
@@ -205,10 +205,10 @@ TEST(LeafWidth, ElevenEntryNodeHasTwoOfEach) {
   auto net = CycloidNetwork::build_complete(4, 2);
   for (const NodeHandle h : net->node_handles()) {
     const CycloidNode& node = net->node_state(h);
-    EXPECT_EQ(node.inside_pred.size(), 2u);
-    EXPECT_EQ(node.inside_succ.size(), 2u);
-    EXPECT_EQ(node.outside_pred.size(), 2u);
-    EXPECT_EQ(node.outside_succ.size(), 2u);
+    EXPECT_EQ(node.inside_pred().size(), 2u);
+    EXPECT_EQ(node.inside_succ().size(), 2u);
+    EXPECT_EQ(node.outside_pred().size(), 2u);
+    EXPECT_EQ(node.outside_succ().size(), 2u);
   }
   EXPECT_EQ(net->name(), "Cycloid-11");
 }
@@ -219,10 +219,10 @@ TEST(SingletonNetwork, LeafSetsPointToSelf) {
   const NodeHandle h = CycloidNetwork::handle_of(CccId{2, 5});
   const CycloidNode& node = net.node_state(h);
   // "two nodes in X's inside leaf set are X itself" (paper Sec. 3.3.1).
-  EXPECT_EQ(node.inside_pred[0], h);
-  EXPECT_EQ(node.inside_succ[0], h);
-  EXPECT_EQ(node.outside_pred[0], h);
-  EXPECT_EQ(node.outside_succ[0], h);
+  EXPECT_EQ(node.inside_pred()[0], h);
+  EXPECT_EQ(node.inside_succ()[0], h);
+  EXPECT_EQ(node.outside_pred()[0], h);
+  EXPECT_EQ(node.outside_succ()[0], h);
 }
 
 TEST(SingleCycleNetwork, OutsideLeafSetWrapsToOwnCycle) {
@@ -232,11 +232,11 @@ TEST(SingleCycleNetwork, OutsideLeafSetWrapsToOwnCycle) {
   ASSERT_TRUE(net.insert(CccId{3, 9}));
   const CycloidNode& node = net.node_state(CycloidNetwork::handle_of(CccId{0, 9}));
   // Primary of the only cycle is (3, 9).
-  EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred[0]), (CccId{3, 9}));
-  EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ[0]), (CccId{3, 9}));
+  EXPECT_EQ(CycloidNetwork::id_of(node.outside_pred()[0]), (CccId{3, 9}));
+  EXPECT_EQ(CycloidNetwork::id_of(node.outside_succ()[0]), (CccId{3, 9}));
   // Inside leaf set wraps within the cycle.
-  EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred[0]), (CccId{3, 9}));
-  EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ[0]), (CccId{2, 9}));
+  EXPECT_EQ(CycloidNetwork::id_of(node.inside_pred()[0]), (CccId{3, 9}));
+  EXPECT_EQ(CycloidNetwork::id_of(node.inside_succ()[0]), (CccId{2, 9}));
 }
 
 TEST(HandleCodec, RoundTrips) {

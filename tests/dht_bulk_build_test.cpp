@@ -173,11 +173,11 @@ TEST(BulkModeTest, CycloidInsertDuringBulkDefersLeafSets) {
   ASSERT_TRUE(net.insert(ccc::CccId{1, 3}));
   ASSERT_TRUE(net.insert(ccc::CccId{2, 9}));
   const dht::NodeHandle h = ccc::CycloidNetwork::handle_of(ccc::CccId{1, 3});
-  EXPECT_TRUE(net.node_state(h).inside_pred.empty());
-  EXPECT_TRUE(net.node_state(h).outside_succ.empty());
+  EXPECT_TRUE(net.node_state(h).inside_pred().empty());
+  EXPECT_TRUE(net.node_state(h).outside_succ().empty());
   net.finish_bulk();
-  EXPECT_FALSE(net.node_state(h).inside_pred.empty());
-  EXPECT_FALSE(net.node_state(h).outside_succ.empty());
+  EXPECT_FALSE(net.node_state(h).inside_pred().empty());
+  EXPECT_FALSE(net.node_state(h).outside_succ().empty());
 }
 
 TEST(BulkModeDeathTest, FinishWithoutBeginTraps) {

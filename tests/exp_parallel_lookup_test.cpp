@@ -279,6 +279,26 @@ TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
   }
 }
 
+// Cycloid's records hold their leaf sets inline, so a stabilization pass
+// rewrites them in place: once one pass has sized the maintenance plane, a
+// pass allocates the same (size-independent) amount at 2^8 and at 2^11
+// nodes, where one heap block per refreshed leaf set would grow with n.
+TEST(StabilizeAllocation, CycloidPassAllocatesIndependentlyOfNetworkSize) {
+  for (const OverlayKind kind :
+       {OverlayKind::kCycloid7, OverlayKind::kCycloid11}) {
+    SCOPED_TRACE(overlay_label(kind));
+    const auto warmed_pass_allocations = [&](int dimension, std::size_t n) {
+      auto net = make_sparse_overlay(kind, dimension, n, kSeed + 12);
+      net->stabilize_all(1);  // warm-up: the maintenance plane is sized
+      const std::uint64_t before = allocation_count();
+      net->stabilize_all(1);
+      return allocation_count() - before;
+    };
+    EXPECT_EQ(warmed_pass_allocations(6, 1u << 8),
+              warmed_pass_allocations(8, 1u << 11));
+  }
+}
+
 // End-to-end view of the same contract: growing a single-thread batch by
 // three full shards must cost only per-shard fixed overhead (scratch,
 // per-shard sink, sample-vector growth, merge) — far below one heap
