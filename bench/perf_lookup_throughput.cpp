@@ -8,9 +8,8 @@
 // from a routing change.
 //
 // The lookup hot path is allocation-free after warm-up (DESIGN.md §8): each
-// shard of exp::run_lookup_batch reuses one dht::BatchScratch and one
-// dense-slot query-load plane, so these numbers measure routing, not the
-// allocator.
+// shard of exp::run_lookup_batch reuses one dht::BatchScratch, so these
+// numbers measure routing, not the allocator.
 //
 // Knobs:
 //   CYCLOID_BENCH_PERF_MAX_NODES  largest network size to run (default 2^17;
@@ -86,8 +85,8 @@ int main(int argc, char** argv) {
           kind, dim, static_cast<std::size_t>(n), bench::kBenchSeed);
       const double build_s = seconds_since(build_start);
 
-      // Warm-up: fault in node state, size the per-shard scratch buffers
-      // and dense query-load planes (untimed).
+      // Warm-up: fault in node state and size the per-shard scratch
+      // buffers (untimed).
       exp::run_lookup_batch(*net, std::min<std::uint64_t>(lookups, 4096),
                             bench::kBenchSeed + 1, threads);
 

@@ -2,9 +2,10 @@
 # The behavioural oracle: fixed-seed text + JSON output of the paper's
 # fig5/fig6/fig7/fig10/fig11/fig12/fig13 drivers, and of the three
 # extension drivers that also build Pastry and CAN (related DHTs,
-# maintenance cost, ungraceful failures), at interleave widths 1 and 8.
-# fig10 pins how many queries each node received, the output most
-# sensitive to a changed hop.
+# maintenance cost, ungraceful failures), at interleave widths 1 and 8,
+# plus the stdout of examples/overlay_compare (the one caller of
+# exp::query_load_distribution). fig10 pins how many queries each node
+# received, the output most sensitive to a changed hop.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -24,6 +25,7 @@ export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
 figures=(fig5_path_length fig6_dimension fig7_breakdown fig10_query_load
          fig11_failures fig12_churn fig13_sparsity
          ext_related_dhts ext_maintenance_cost ext_ungraceful_failures)
+examples=(overlay_compare)
 work="$PWD/build-oracle"
 
 launcher=()
@@ -33,12 +35,14 @@ if command -v ccache > /dev/null; then
 fi
 
 # oracle <source dir> <name>: build the drivers and run each at W=1
-# and W=8 into $work/<name>; fails when the two widths disagree.
+# and W=8 into $work/<name>, then each example once; fails when the two
+# widths disagree.
 oracle() {
   local build="$work/build-$2" out="$work/$2" status=0
   cmake -B "$build" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     "${launcher[@]}" > /dev/null
-  cmake --build "$build" -j "$(nproc)" --target "${figures[@]}" > /dev/null
+  cmake --build "$build" -j "$(nproc)" \
+    --target "${figures[@]}" "${examples[@]}" > /dev/null
   rm -rf "$out"
   mkdir -p "$out"
   for fig in "${figures[@]}"; do
@@ -49,6 +53,9 @@ oracle() {
     for ext in txt json; do
       cmp "$out/$fig.w1.$ext" "$out/$fig.w8.$ext" || status=1
     done
+  done
+  for example in "${examples[@]}"; do
+    "$build/examples/$example" > "$out/$example.txt"
   done
   echo "oracle: $2 outputs in $out"
   return "$status"

@@ -326,7 +326,7 @@ void CanNetwork::relink(NodeHandle handle,
   CanNode* node = node_of(handle);
   CYCLOID_ASSERT(node != nullptr);
   // Every candidate is probed for adjacency: one exchange per candidate.
-  note_maintenance(handle, candidates.size());
+  note_maintenance(candidates.size());
   // Drop this node's entries from its previous neighbours' tables, then
   // re-evaluate adjacency against the candidate set. Each adjacent pair
   // copies the other's current zones: the candidate's into this node's
@@ -570,12 +570,12 @@ class CanStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void CanNetwork::route_batch_impl(const NodeHandle* froms,
-                                  const dht::KeyHash* keys, std::size_t count,
-                                  int width, dht::LookupMetrics& sink,
-                                  LookupResult* results,
-                                  dht::BatchScratch& lanes,
-                                  const dht::RouterOptions& options) const {
+void CanNetwork::route_batch(const NodeHandle* froms,
+                             const dht::KeyHash* keys, std::size_t count,
+                             int width, dht::LookupMetrics& sink,
+                             LookupResult* results,
+                             dht::BatchScratch& lanes,
+                             const dht::RouterOptions& options) const {
   dht::Router::route_batch(froms, keys, count, width, sink, results, lanes,
                            options, [this](NodeHandle from, dht::KeyHash key) {
                              CYCLOID_EXPECTS(contains(from));

@@ -45,7 +45,7 @@ class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
     // Graceful departures repair the ring; fingers stay frozen.
     for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
       ChordNode& node = net_.node_at(slot);
-      net_.note_maintenance(net_.handle_at(slot));  // everyone re-checks
+      net_.note_maintenance();  // everyone re-checks
       net_.link_ring(node);
     }
   }
@@ -186,7 +186,7 @@ void ChordNetwork::compute_state(ChordNode& node) {
   if (node.predecessor != before.predecessor ||
       node.successors != before.successors ||
       node.fingers != before.fingers) {
-    note_maintenance(node.id);
+    note_maintenance();
   }
 }
 
@@ -205,7 +205,7 @@ void ChordNetwork::refresh_ring_around(std::uint64_t id) {
     const auto old_successors = node->successors;
     link_ring(*node);
     if (node->predecessor != old_pred || node->successors != old_successors) {
-      note_maintenance(handle);
+      note_maintenance();
     }
     cursor = node->id;
   }
@@ -217,7 +217,7 @@ void ChordNetwork::refresh_ring_around(std::uint64_t id) {
     CYCLOID_ASSERT(node != nullptr);
     const NodeHandle old_pred = node->predecessor;
     node->predecessor = ring_.predecessor(node->id);
-    if (node->predecessor != old_pred) note_maintenance(next);
+    if (node->predecessor != old_pred) note_maintenance();
   }
 }
 
@@ -317,13 +317,13 @@ class ChordStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void ChordNetwork::route_batch_impl(const NodeHandle* froms,
-                                    const dht::KeyHash* keys,
-                                    std::size_t count, int width,
-                                    dht::LookupMetrics& sink,
-                                    LookupResult* results,
-                                    dht::BatchScratch& lanes,
-                                    const dht::RouterOptions& options) const {
+void ChordNetwork::route_batch(const NodeHandle* froms,
+                               const dht::KeyHash* keys,
+                               std::size_t count, int width,
+                               dht::LookupMetrics& sink,
+                               LookupResult* results,
+                               dht::BatchScratch& lanes,
+                               const dht::RouterOptions& options) const {
   dht::Router::route_batch(froms, keys, count, width, sink, results, lanes,
                            options, [this](NodeHandle from, dht::KeyHash key) {
                              CYCLOID_EXPECTS(contains(from));

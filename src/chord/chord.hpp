@@ -71,14 +71,13 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
   dht::NodeHandle join(std::uint64_t seed) override;
+  void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
+                   std::size_t count, int width, dht::LookupMetrics& sink,
+                   dht::LookupResult* results, dht::BatchScratch& lanes,
+                   const dht::RouterOptions& options) const override;
 
  private:
   friend class ChordMaintenancePolicy;
-
-  void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
-                        std::size_t count, int width, dht::LookupMetrics& sink,
-                        dht::LookupResult* results, dht::BatchScratch& lanes,
-                        const dht::RouterOptions& options) const override;
 
   /// Set `node`'s predecessor and successor list from the live ring.
   void link_ring(ChordNode& node) const;

@@ -399,7 +399,7 @@ void CycloidNetwork::compute_routing_table(CycloidNode& node) {
 
   if (node.cubical_neighbor != old_cubical || node.cyclic_larger != old_larger ||
       node.cyclic_smaller != old_smaller) {
-    note_maintenance(handle_of(node.id));
+    note_maintenance();
   }
 }
 
@@ -443,7 +443,7 @@ void CycloidNetwork::compute_leaf_sets(CycloidNode& node) {
   }
 
   // Maintenance accounting: only a state change costs a message exchange.
-  if (node.leaves != old_leaves) note_maintenance(handle_of(node.id));
+  if (node.leaves != old_leaves) note_maintenance();
 }
 
 void CycloidNetwork::refresh_leafsets_around(std::uint64_t cubical) {
@@ -685,13 +685,13 @@ class CycloidStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void CycloidNetwork::route_batch_impl(const dht::NodeHandle* froms,
-                                      const dht::KeyHash* keys,
-                                      std::size_t count, int width,
-                                      dht::LookupMetrics& sink,
-                                      dht::LookupResult* results,
-                                      dht::BatchScratch& lanes,
-                                      const dht::RouterOptions& options) const {
+void CycloidNetwork::route_batch(const dht::NodeHandle* froms,
+                                 const dht::KeyHash* keys,
+                                 std::size_t count, int width,
+                                 dht::LookupMetrics& sink,
+                                 dht::LookupResult* results,
+                                 dht::BatchScratch& lanes,
+                                 const dht::RouterOptions& options) const {
   dht::Router::route_batch(froms, keys, count, width, sink, results, lanes,
                            options, [this](NodeHandle from, dht::KeyHash key) {
                              CYCLOID_EXPECTS(contains(from));
@@ -703,7 +703,6 @@ LookupResult CycloidNetwork::lookup_id(
     NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
     std::vector<dht::TraceStep>* trace) const {
   CYCLOID_EXPECTS(contains(from));
-  sink.bind(*this);  // route_batch() binds automatically; this is direct
   dht::RouterOptions options;
   options.trace = trace;
   // The policy routes toward `key` directly; the batch's hash key is unused.

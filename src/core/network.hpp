@@ -146,17 +146,16 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
   dht::NodeHandle join(std::uint64_t seed) override;
+  void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
+                   std::size_t count, int width, dht::LookupMetrics& sink,
+                   dht::LookupResult* results, dht::BatchScratch& lanes,
+                   const dht::RouterOptions& options) const override;
 
   /// Routing-phase slots in LookupResult::phase_hops.
   enum Phase : std::size_t { kAscend = 0, kDescend = 1, kTraverse = 2 };
 
  private:
   friend class CycloidMaintenancePolicy;
-
-  void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
-                        std::size_t count, int width, dht::LookupMetrics& sink,
-                        dht::LookupResult* results, dht::BatchScratch& lanes,
-                        const dht::RouterOptions& options) const override;
 
   /// Compute the routing-table entries of `node` from the live membership
   /// (the paper's "local-remote" search, idealized as stabilization does).

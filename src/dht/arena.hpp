@@ -16,10 +16,10 @@
 // register_handle/unregister_handle exactly, so arena_[s] is always the
 // state of handle_at(s). Removal is swap-remove — the tail node moves into
 // the vacated slot — which means slots are stable *between* membership
-// changes but a departure may reassign one; anything caching slots
-// (LookupMetrics' dense query-load plane, the router's carried current
-// slot) must not span a membership change, the same contract the registry
-// already imposes (DESIGN.md §13).
+// changes but a departure may reassign one; anything caching slots (the
+// router's carried current slot) must not span a membership change, the
+// same contract the registry already imposes (DESIGN.md §13). No metric is
+// kept by slot.
 //
 // NodeT must be movable; pointers/references into the arena are invalidated
 // by create_node (vector growth) and destroy_node (swap-remove), so

@@ -111,12 +111,8 @@ void Maintainer::refresh_one(NodeHandle node) {
 void Maintainer::run_pass(int threads) {
   MaintenancePolicy& pol = policy();
   // Serial invariant-restore point (Chord's deferred ring sort) — before
-  // the plane is sized and before any worker reads shared indexes.
+  // any worker reads shared indexes.
   pol.before_pass();
-  // Pre-size the metrics plane: workers charge only their own node's slot,
-  // so with the plane already covering every live slot the pass performs no
-  // shared-state writes at all (DESIGN.md §10).
-  metrics_.ensure_capacity(net_.node_count());
   CauseScope scope(*this, MaintenanceCause::kStabilizeRefresh);
   util::parallel_for(net_.node_count(), threads,
                      [this, &pol](std::size_t slot) {
@@ -135,14 +131,13 @@ void Maintainer::run_incremental(int threads) {
   pol.before_pass();
   // Snapshot the dirty set against frozen membership: drop handles that
   // departed after being enqueued, dedupe is already structural, and sort
-  // by slot so the drain order — and therefore state and the per-(slot,
-  // cause) metrics plane — is identical at any thread count (the run_pass
-  // contract, DESIGN.md §11).
+  // by slot so the drain order — and therefore the state — is identical at
+  // any thread count (the run_pass contract, DESIGN.md §11).
   std::vector<std::size_t> slots;
   slots.reserve(dirty_queue_.size());
   for (const NodeHandle handle : dirty_queue_) {
     const std::size_t slot = net_.slot_of(handle);
-    if (slot != MaintenanceMetrics::kNoSlot) slots.push_back(slot);
+    if (slot != kNoSlot) slots.push_back(slot);
   }
   std::sort(slots.begin(), slots.end());
   clear_dirty();
@@ -151,7 +146,6 @@ void Maintainer::run_incremental(int threads) {
   nodes_refreshed_dirty_ += slots.size();
   nodes_skipped_clean_ += live - slots.size();
 
-  metrics_.ensure_capacity(live);
   CauseScope scope(*this, MaintenanceCause::kStabilizeRefresh);
   util::parallel_for(slots.size(), threads,
                      [this, &pol, &slots](std::size_t i) {

@@ -6,26 +6,23 @@
 // draw sequence on fixed seeds), the stale-entry bookkeeping that used to be
 // implicit per overlay, a record of which departure semantics actually ran
 // (ungraceful requests silently degrade to graceful for overlays that repair
-// eagerly), and a dense per-node, per-cause maintenance-metrics plane
-// (slot-indexed like LookupMetrics' query-load plane) replacing the old
-// single relaxed-atomic counter.
+// eagerly), and one maintenance counter per cause.
 //
 // An overlay participates by registering a MaintenancePolicy — its repair
 // logic for one membership event, with no sampling, no loops over victims,
 // and no accounting plumbing. The engine brackets every policy call in a
-// cause scope, so `note_maintenance(node)` charges land in the right
-// (slot, cause) cell without the policy naming the cause.
+// cause scope, so `note_maintenance()` charges land on the right cause's
+// counter without the policy naming the cause.
 //
 // Parallel passes: Maintainer::run_pass(threads) fans policy->refresh over
 // the frozen slot range. Determinism and TSan-cleanness rest on the same
-// contract as DhtNetwork::stabilize_all always had (DESIGN.md §9) plus one
-// new clause: a refresh charges only the refreshed node, so each worker
-// writes a disjoint row of the dense metrics plane and no atomics are
-// needed. The plane is pre-sized before the fan-out; charge() never grows
-// it mid-pass.
+// contract as DhtNetwork::stabilize_all always had (DESIGN.md §9). A charge
+// is a relaxed atomic add, and integer sums do not depend on order, so the
+// per-cause totals are identical at any thread count.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,8 +37,8 @@ namespace cycloid::dht {
 
 class DhtNetwork;
 
-/// Why a maintenance update happened — the per-cause axis of the metrics
-/// plane (paper Sec. 4's fifth metric, broken down by protocol activity).
+/// Why a maintenance update happened — one counter each (paper Sec. 4's
+/// fifth metric, broken down by protocol activity).
 enum class MaintenanceCause : std::size_t {
   /// Repairs triggered by an arrival: the newcomer's table build plus the
   /// neighbourhood refreshes around it.
@@ -84,101 +81,47 @@ enum class DepartureSemantics {
   kUngraceful = 2, ///< victims vanished silently; state left stale
 };
 
-/// The dense per-node, per-cause maintenance plane. Rows are the network's
-/// stable node slots (DhtNetwork::slot_of); charges against departed nodes
-/// fold into a single `departed` aggregate row so totals survive
-/// swap-remove slot reuse.
+/// The maintenance counters: one total per cause. Charges are relaxed
+/// atomic adds, so the workers of a parallel pass may charge at once;
+/// nothing is kept per node.
 class MaintenanceMetrics {
  public:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  /// Charge `updates` state changes to `slot` under `cause`. kNoSlot (or a
-  /// slot the plane cannot grow to mid-pass) is never expected on the
-  /// parallel path; single-threaded callers may outgrow the plane and it
-  /// resizes. Thread-safety: concurrent calls must target distinct live
-  /// slots (the run_pass contract).
-  void charge(std::size_t slot, MaintenanceCause cause,
-              std::uint64_t updates) {
-    const std::size_t c = static_cast<std::size_t>(cause);
-    if (slot == kNoSlot) {
-      departed_[c] += updates;
-      return;
-    }
-    if (slot >= per_node_.size()) per_node_.resize(slot + 1);
-    per_node_[slot][c] += updates;
+  /// Charge `updates` state changes under `cause`. Safe from any thread.
+  void charge(MaintenanceCause cause, std::uint64_t updates) {
+    by_cause_[static_cast<std::size_t>(cause)].fetch_add(
+        updates, std::memory_order_relaxed);
   }
 
-  /// Registry hook: a new node took `slot`; zero any counts a previous
-  /// occupant left behind.
-  void on_register(std::size_t slot) {
-    if (slot < per_node_.size()) per_node_[slot].fill(0);
-  }
-
-  /// Registry hook: the node at `slot` is leaving and the node at
-  /// `last_slot` (the registry tail) is about to be swapped into its place.
-  /// Folds the departing node's counts into the departed aggregate and
-  /// moves the tail's counts along with its handle.
-  void on_unregister(std::size_t slot, std::size_t last_slot) {
-    CYCLOID_EXPECTS(slot <= last_slot);
-    if (slot < per_node_.size()) {
-      for (std::size_t c = 0; c < kMaintenanceCauses; ++c) {
-        departed_[c] += per_node_[slot][c];
-      }
-      per_node_[slot].fill(0);
-    }
-    if (last_slot != slot && last_slot < per_node_.size()) {
-      per_node_[slot] = per_node_[last_slot];
-      per_node_[last_slot].fill(0);
-    }
-  }
-
-  /// Grow the plane to cover `count` slots (called before a parallel pass
-  /// so workers never resize).
-  void ensure_capacity(std::size_t count) {
-    if (per_node_.size() < count) per_node_.resize(count);
-  }
-
-  /// Sum over all nodes (live + departed) and all causes — the overlay's
-  /// total maintenance overhead.
+  /// Sum over all causes — the overlay's total maintenance overhead.
   std::uint64_t total() const {
     std::uint64_t sum = 0;
-    for (const MaintenanceBreakdown& row : per_node_) {
-      for (const std::uint64_t v : row) sum += v;
-    }
-    for (const std::uint64_t v : departed_) sum += v;
+    for (const std::uint64_t v : by_cause()) sum += v;
     return sum;
   }
 
   /// All four per-cause totals at once.
   MaintenanceBreakdown by_cause() const {
-    MaintenanceBreakdown out = departed_;
-    for (const MaintenanceBreakdown& row : per_node_) {
-      for (std::size_t c = 0; c < kMaintenanceCauses; ++c) out[c] += row[c];
+    MaintenanceBreakdown out{};
+    for (std::size_t c = 0; c < kMaintenanceCauses; ++c) {
+      out[c] = by_cause_[c].load(std::memory_order_relaxed);
     }
     return out;
   }
 
-  /// Per-cause counts charged to the live node at `slot`.
-  MaintenanceBreakdown of_slot(std::size_t slot) const {
-    return slot < per_node_.size() ? per_node_[slot] : MaintenanceBreakdown{};
-  }
-
-  /// Counts that were charged to since-departed nodes.
-  const MaintenanceBreakdown& departed() const noexcept { return departed_; }
-
   void reset() {
-    for (MaintenanceBreakdown& row : per_node_) row.fill(0);
-    departed_.fill(0);
+    for (std::atomic<std::uint64_t>& count : by_cause_) {
+      count.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::vector<MaintenanceBreakdown> per_node_;
-  MaintenanceBreakdown departed_{};
+  std::array<std::atomic<std::uint64_t>, kMaintenanceCauses> by_cause_{};
 };
 
 /// An overlay's repair logic, one hook per membership event. Hooks run with
 /// the engine's cause scope already set; they charge via
-/// DhtNetwork::note_maintenance(node) exactly as the pre-engine bodies did.
+/// DhtNetwork::note_maintenance(updates) exactly as the pre-engine bodies
+/// did.
 ///
 /// Contract (mirrors StepPolicy's, DESIGN.md §10):
 ///  - on_join runs after the newcomer's membership registration, outside
@@ -190,8 +133,8 @@ class MaintenanceMetrics {
 ///    default (on_vanish) fits overlays that defer mass repair to
 ///    repair_after_mass_leave, which runs once after all victims are gone.
 ///  - refresh recomputes one node's state from live membership; it must
-///    tolerate a departed handle (return, don't trap), charge only `node`,
-///    and depend only on frozen membership — the run_pass parallel/
+///    tolerate a departed handle (return, don't trap), write only `node`'s
+///    state, and depend only on frozen membership — the run_pass parallel/
 ///    determinism contract.
 ///  - repairs_eagerly() == true declares that every membership change
 ///    repairs all affected state inline (no stale entries), which makes
@@ -339,15 +282,11 @@ class Maintainer {
   /// stabilization pass will repair; cleared by run_pass.
   bool stale() const noexcept { return stale_; }
 
-  /// Charge `updates` to `slot` under the active cause scope
+  /// Charge `updates` under the active cause scope
   /// (DhtNetwork::note_maintenance is the public face of this).
-  void charge(std::size_t slot, std::uint64_t updates) {
-    metrics_.charge(slot, cause_, updates);
-  }
+  void charge(std::uint64_t updates) { metrics_.charge(cause_, updates); }
 
   const MaintenanceMetrics& metrics() const noexcept { return metrics_; }
-  /// Mutable plane access for DhtNetwork's registry hooks (slot movement).
-  MaintenanceMetrics& metrics_for_registry() noexcept { return metrics_; }
   void reset() {
     metrics_.reset();
     nodes_skipped_clean_ = 0;

@@ -10,8 +10,8 @@
 // -------------------------------
 // The routing hot path is const: `route_batch` (and `route`, its
 // one-lookup case) only reads the membership and per-node routing state,
-// and writes every side effect — hops, timeouts, per-node query load,
-// learned repair promotions — into the caller-owned LookupMetrics sink.
+// and writes every side effect — hops, timeouts, learned repair
+// promotions — into the caller-owned LookupMetrics sink.
 // Concurrent lookups against the same network (each thread with its own
 // sink) are therefore data-race-free, as long as no mutation-plane call
 // (join/leave/fail_*/stabilize_*/absorb) runs concurrently with them. A
@@ -26,14 +26,14 @@
 //          ──► dht::Maintainer ── MaintenancePolicy ──► [overlay state]
 //
 // dht::Router (dht/router.hpp) owns the hop loop: each overlay's one
-// route_batch_impl hands a per-lookup step-policy factory to
+// route_batch override hands a per-lookup step-policy factory to
 // Router::route_batch, which owns timeout detection, phase accounting,
-// query-load charging, tracing, and the universal hop cap.
+// tracing, and the universal hop cap.
 // dht::Maintainer (dht/maintenance.hpp) owns the mutation plane's shared
 // machinery: departure sampling for the fail_* experiments, stale-entry
 // bookkeeping, departure-semantics recording, the parallel stabilization
-// pass, and the dense per-node/per-cause maintenance-metrics plane charged
-// through note_maintenance(node).
+// pass, and the per-cause maintenance counters charged through
+// note_maintenance().
 #pragma once
 
 #include <algorithm>
@@ -71,10 +71,9 @@ class DhtNetwork {
   // register_handle/unregister_handle. It gives O(1)
   // node_count/contains/random_node, and — because a node's position is
   // stable between membership changes — a *slot* identity that
-  // LookupMetrics uses to charge query load into a dense vector instead of
-  // a hash map, and that ArenaNetwork (dht/arena.hpp) uses to store every
-  // overlay's node state in one contiguous slot-aligned arena (the lookup
-  // hot path).
+  // ArenaNetwork (dht/arena.hpp) uses to store every overlay's node state
+  // in one contiguous slot-aligned arena, and that the router carries from
+  // hop to hop (the lookup hot path).
 
   /// Sentinel returned by slot_of for non-members (alias of dht::kNoSlot).
   static constexpr std::size_t kNoSlot = dht::kNoSlot;
@@ -104,10 +103,6 @@ class DhtNetwork {
     CYCLOID_EXPECTS(slot < handle_vec_.size());
     return handle_vec_[slot];
   }
-
-  /// The full handle -> slot index (LookupMetrics::bind keeps a pointer to
-  /// the index object, which outlives rehashes).
-  const SlotIndex& slot_index() const { return handle_pos_; }
 
   /// Handles of all live nodes (ascending identifier order). The base
   /// implementation sorts a copy of the dense handle registry, which is the
@@ -147,26 +142,22 @@ class DhtNetwork {
     return route(from, key, sink, RouterOptions{});
   }
 
-  /// The routing entry: route `count` lookups with up to `width` kept in
-  /// flight at once (Router::route_batch's interleaved hop loop —
-  /// DESIGN.md §14). Read-only with respect to the network: safe to call
-  /// from many threads at once (one sink per thread) provided no mutating
-  /// member runs concurrently. Binds the sink's query-load plane to this
-  /// network's dense slot index, then hands the overlay's step-policy
-  /// factory to dht::Router. Results land in `results[0..count)` in input
-  /// order and every per-lookup result, sink total, and metrics value is
-  /// identical to routing the same inputs one at a time — interleaving is a
-  /// latency-hiding detail, never an observable one. `lanes` is
+  /// The routing entry and the only per-overlay routing override: route
+  /// `count` lookups with up to `width` kept in flight at once, by handing
+  /// the overlay's step-policy factory to Router::route_batch (its
+  /// interleaved hop loop — DESIGN.md §14). Read-only with respect to the
+  /// network: safe to call from many threads at once (one sink per thread)
+  /// provided no mutating member runs concurrently. Results land in
+  /// `results[0..count)` in input order and every per-lookup result and
+  /// sink total is identical to routing the same inputs one at a time —
+  /// interleaving is a latency-hiding detail, never an observable one
+  /// (pinned per overlay in tests/dht_conformance_test.cpp). `lanes` is
   /// caller-owned scratch (reused across batches for an allocation-free
   /// warm path). width <= 1 runs each lookup to completion in turn.
-  void route_batch(const NodeHandle* froms, const KeyHash* keys,
-                   std::size_t count, int width, LookupMetrics& sink,
-                   LookupResult* results, BatchScratch& lanes,
-                   const RouterOptions& options) const {
-    sink.bind(*this);
-    route_batch_impl(froms, keys, count, width, sink, results, lanes,
-                     options);
-  }
+  virtual void route_batch(const NodeHandle* froms, const KeyHash* keys,
+                           std::size_t count, int width, LookupMetrics& sink,
+                           LookupResult* results, BatchScratch& lanes,
+                           const RouterOptions& options) const = 0;
 
   // Shared latency plane -------------------------------------------------
   // Links are priced the same way for every overlay: deterministic
@@ -252,9 +243,10 @@ class DhtNetwork {
   /// out over `threads` workers via Maintainer::run_pass. Safe to
   /// parallelize because a policy's refresh only reads the membership
   /// indexes (frozen for the duration of the pass) and other nodes'
-  /// immutable identity fields, and writes only its own node's state and
-  /// its own row of the maintenance plane. The resulting network state is
-  /// identical at any thread count (DESIGN.md §9/§10).
+  /// immutable identity fields, and writes only its own node's state (its
+  /// maintenance charges are atomic adds). The resulting network state and
+  /// the maintenance totals are identical at any thread count (DESIGN.md
+  /// §9/§10).
   void stabilize_all(int threads = 1) { maintainer_.run_pass(threads); }
 
   // Incremental stabilization --------------------------------------------
@@ -328,40 +320,23 @@ class DhtNetwork {
   MaintenanceBreakdown maintenance_by_cause() const {
     return maintainer_.metrics().by_cause();
   }
-  /// The full plane (per-node rows + departed aggregate; total() is the
-  /// grand total).
+  /// The per-cause counters (total() is the grand total).
   const MaintenanceMetrics& maintenance_metrics() const {
     return maintainer_.metrics();
   }
   void reset_maintenance() { maintainer_.reset(); }
 
  protected:
-  /// The overlay half of route_batch() — the only per-overlay routing
-  /// override: hand the overlay's step-policy factory to
-  /// Router::route_batch. Results must be identical at every width (pinned
-  /// per overlay in tests/dht_conformance_test.cpp).
-  virtual void route_batch_impl(const NodeHandle* froms, const KeyHash* keys,
-                                std::size_t count, int width,
-                                LookupMetrics& sink, LookupResult* results,
-                                BatchScratch& lanes,
-                                const RouterOptions& options) const = 0;
-
   /// Membership-registry hooks: overlays call these exactly where they
   /// insert/erase their node-state maps, so the registry and the overlay
-  /// state are never observably out of sync. Both forward slot movement to
-  /// the maintenance plane, which folds a departing node's counts into its
-  /// departed aggregate and keeps the tail node's counts with its handle
-  /// across the swap-remove.
+  /// state are never observably out of sync.
   void register_handle(NodeHandle node) {
-    maintainer_.metrics_for_registry().on_register(handle_vec_.size());
     handle_pos_.insert(node, handle_vec_.size());
     handle_vec_.push_back(node);
   }
   void unregister_handle(NodeHandle node) {
     const std::size_t pos = handle_pos_.lookup(node);
     CYCLOID_EXPECTS(pos != kNoSlot);
-    maintainer_.metrics_for_registry().on_unregister(pos,
-                                                     handle_vec_.size() - 1);
     const NodeHandle moved = handle_vec_.back();
     handle_vec_[pos] = moved;
     handle_pos_.set(moved, pos);
@@ -387,13 +362,12 @@ class DhtNetwork {
     (void)batch;
   }
 
-  /// Mutation-plane accounting: `updates` state changes performed on
-  /// `node` by repair/stabilization machinery, charged to the node's slot
-  /// under the engine's active cause scope. Callable from the parallel
-  /// stabilize workers provided each worker charges only its own node (the
-  /// run_pass contract — workers then write disjoint plane rows).
-  void note_maintenance(NodeHandle node, std::uint64_t updates = 1) {
-    maintainer_.charge(slot_of(node), updates);
+  /// Mutation-plane accounting: `updates` state changes performed by
+  /// repair/stabilization machinery, charged under the engine's active
+  /// cause scope. Callable from the parallel stabilize workers (a charge is
+  /// a relaxed atomic add).
+  void note_maintenance(std::uint64_t updates = 1) {
+    maintainer_.charge(updates);
   }
 
   /// Queue `node` for the next stabilize_dirty (no-op while dirty tracking

@@ -14,13 +14,14 @@
 //     timeout per *distinct* departed node contacted (paper Sec. 4.3) and
 //     RouteState::resolve_chain() walks primary-then-backup pointer chains,
 //     consulting and recording sink learn_link/mark_broken repairs;
-//   - per-phase hop accounting and per-node query-load charging;
+//   - per-phase hop accounting;
 //   - leaf-set/guard fallback bookkeeping: policies with a finite
 //     fallback_budget() are flipped into fallback mode (and the flip is
 //     counted in LookupMetrics::guard_fallbacks) once the step count
 //     exceeds it;
 //   - optional per-hop route tracing with link-latency accumulation
-//     (RouterOptions::trace, one lookup at a time);
+//     (RouterOptions::trace, one lane at a time; the receivers it records
+//     are what Fig. 10's per-node query load counts);
 //   - a universal hop cap that turns would-be infinite routing loops into
 //     an explicit LookupStatus::kHopLimit instead of a hang;
 //   - interleaving: up to kMaxBatchWidth lookups in flight as round-robin
@@ -70,15 +71,12 @@ struct RouterOptions {
   /// LookupStatus::kHopLimit. 0 selects the policy's default cap
   /// (8 * bits of the overlay's identifier space).
   int max_hops = 0;
-  /// When non-null, every counted hop is appended as a TraceStep. One
-  /// vector holds one route, so tracing requires a single in-flight lane
-  /// (width 1 or a one-lookup batch).
+  /// When non-null, every counted hop is appended as a TraceStep and its
+  /// link latency is added to LookupResult::route_latency. The steps of
+  /// successive lookups follow one another, so tracing requires a single
+  /// in-flight lane (width 1 or a one-lookup batch). Untraced lookups
+  /// never evaluate link_latency, so they pay nothing for it.
   std::vector<TraceStep>* trace = nullptr;
-  /// Accumulate per-hop link latencies into LookupResult::route_latency
-  /// without recording a trace (the churn drivers' per-lookup pricing).
-  /// Tracing implies pricing; with both off the engine never evaluates
-  /// link_latency, so untraced batches pay nothing.
-  bool price_links = false;
 };
 
 /// A step policy's verdict for the current position.
@@ -136,9 +134,8 @@ class StepPolicy {
   /// forward to DhtNetwork::slot_of; the engine resolves each forwarding
   /// target's slot ONCE and carries it (RouteState::current_slot), so the
   /// policy reaches the current node's state by array index
-  /// (ArenaNetwork::node_at) and query-load charging skips its hash probe.
-  /// The default keeps slot-less synthetic policies (engine unit tests)
-  /// working: everything falls back to the handle-keyed paths.
+  /// (ArenaNetwork::node_at). The default keeps slot-less synthetic
+  /// policies (engine unit tests) working on handles alone.
   virtual std::size_t slot_of(NodeHandle node) const {
     (void)node;
     return kNoSlot;
@@ -443,23 +440,19 @@ class Router {
     }
 
     result.count_hop(decision.phase);
-    // Resolve the receiver's registry slot once; it both charges the
-    // query-load plane and becomes the next hop's current_slot, so the
-    // policy's state access needs no hash probe of its own.
-    const std::size_t next_slot = policy.slot_of(decision.next);
-    sink.count_query_at(next_slot, decision.next);
-    if (options.trace != nullptr || options.price_links) {
+    if (options.trace != nullptr) {
       const double latency = policy.link_latency(state.current_, decision.next);
       result.route_latency += latency;
-      if (options.trace != nullptr) {
-        options.trace->push_back(TraceStep{
-            decision.next, decision.phase, decision.link,
-            result.timeouts - state.timeouts_at_last_hop_, latency});
-      }
+      options.trace->push_back(TraceStep{
+          decision.next, decision.phase, decision.link,
+          result.timeouts - state.timeouts_at_last_hop_, latency});
     }
     state.timeouts_at_last_hop_ = result.timeouts;
     state.current_ = decision.next;
-    state.current_slot_ = next_slot;
+    // Resolve the receiver's registry slot once: as the next hop's
+    // current_slot it lets the policy reach the node's state with no hash
+    // probe of its own.
+    state.current_slot_ = policy.slot_of(decision.next);
     if (policy.track_visited()) state.scratch_->visited.push_back(decision.next);
     // Sender-decided delivery: the hop completes the lookup without
     // consulting the receiving node's (possibly stale) local view.

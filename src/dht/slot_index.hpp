@@ -18,8 +18,9 @@
 //   - load factor is capped at 1/2: probes stay short and the table of
 //     16-byte pairs still costs less than unordered_map's per-node heap.
 //
-// Pointers/references into the table are invalidated by rehashes;
-// LookupMetrics therefore binds to the SlotIndex object, never to buckets.
+// Pointers/references into the table are invalidated by rehashes, so no
+// caller keeps one: DhtNetwork owns the index and every probe goes through
+// it.
 #pragma once
 
 #include <cstdint>

@@ -69,8 +69,8 @@ struct LookupResult {
   /// overlay's phase_names(). Sums to `hops`.
   std::array<int, kMaxPhases> phase_hops{};
   /// Sum of the per-hop link latencies along the route. Populated only when
-  /// the engine priced the route (RouterOptions::trace or ::price_links);
-  /// zero otherwise, so untraced batches pay nothing for it.
+  /// the engine traced the route (RouterOptions::trace); zero otherwise, so
+  /// untraced batches pay nothing for it.
   double route_latency = 0.0;
 
   void count_hop(std::size_t phase) {

@@ -109,11 +109,9 @@ std::vector<QueryLoadRow> run_query_load(const std::vector<OverlayKind>& kinds,
       const std::uint64_t s = cell_seed(seed, static_cast<std::uint64_t>(d),
                                         static_cast<std::uint64_t>(kind) + 16);
       auto net = make_dense_overlay(kind, d, s, threads);
-      const WorkloadStats stats =
-          run_lookup_batch(*net, lookups, s + 1, threads,
-                           /*check_owner=*/false);
       stats::Summary loads;
-      for (const std::uint64_t load : stats.metrics.query_load_vector(*net)) {
+      for (const std::uint64_t load :
+           query_loads(*net, lookups, s + 1, threads)) {
         loads.add_count(load);
       }
       rows.push_back(QueryLoadRow{kind, net->node_count(), lookups,
@@ -273,16 +271,18 @@ ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
         [&] { net->stabilize_dirty(); });
   }
 
-  // Poisson lookups at 1 per second (paper Sec. 4.4). Each lookup is priced
-  // on the shared latency plane (price_links sums per-hop link latencies at
-  // routing time — no extra RNG draws, no routing impact, so the hop and
-  // timeout columns stay byte-identical to the unpriced driver).
+  // Poisson lookups at 1 per second (paper Sec. 4.4). Each lookup is traced
+  // to price it on the shared latency plane (the trace sums per-hop link
+  // latencies at routing time — no extra RNG draws, no routing impact, so
+  // the hop and timeout columns stay byte-identical to an untraced driver).
+  std::vector<dht::TraceStep> trace;
   dht::RouterOptions lookup_options;
-  lookup_options.price_links = true;
+  lookup_options.trace = &trace;
   auto lookup_proc = sim::PoissonProcess::start(queue, rng, 1.0, [&] {
     const dht::NodeHandle source = net->random_node(rng);
     const dht::KeyHash key = rng();
     dht::LookupMetrics sink;
+    trace.clear();
     const dht::LookupResult result = net->route(source, key, sink, lookup_options);
     net->absorb(sink);
     ++stats.lookups;

@@ -68,8 +68,9 @@ struct QueryLoadRow {
   double stddev = 0.0;
 };
 
-/// Per-node received-query counters after the dense lookup workload. The
-/// batch is sharded across `threads` (deterministic at any thread count).
+/// Per-node received-query counts after the dense lookup workload, tallied
+/// from route traces (query_loads). The batch is sharded across `threads`
+/// (deterministic at any thread count).
 std::vector<QueryLoadRow> run_query_load(const std::vector<OverlayKind>& kinds,
                                          const std::vector<int>& dimensions,
                                          double lookup_scale,

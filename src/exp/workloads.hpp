@@ -13,9 +13,9 @@
 namespace cycloid::exp {
 
 /// Aggregate outcome of a batch of lookups. Wraps a dht::LookupMetrics sink
-/// (counters, per-phase hops, per-node query load) together with the
-/// experiment-side quantities the sink cannot know: per-lookup path-length /
-/// timeout samples (for percentiles) and owner-correctness checks.
+/// (counters, per-phase hops) together with the experiment-side quantities
+/// the sink cannot know: per-lookup path-length / timeout samples (for
+/// percentiles) and owner-correctness checks.
 struct WorkloadStats {
   std::uint64_t lookups = 0;
   std::uint64_t failures = 0;    // routing gave up (Koorde broken pointers)
@@ -106,8 +106,17 @@ std::vector<RouteSample> sample_routes(const dht::DhtNetwork& net,
 stats::Summary key_distribution(const dht::DhtNetwork& net,
                                 std::uint64_t key_count);
 
-/// Run `count` random lookups and return the per-node received-query
-/// counters (paper Fig. 10).
+/// Received-query count of every live node after `count` random lookups
+/// (paper Fig. 10), in node_handles() order, zeros included. The lookups
+/// are run_lookup_batch(net, count, seed, threads)'s, run through the same
+/// loop at width 1 with a route trace; each traced hop counts once for the
+/// node that received it. Identical at any thread count.
+std::vector<std::uint64_t> query_loads(const dht::DhtNetwork& net,
+                                       std::uint64_t count, std::uint64_t seed,
+                                       int threads);
+
+/// The same tally over run_random_lookups(net, count, rng)'s lookups; the
+/// returned summary has one sample per live node, zeros included.
 stats::Summary query_load_distribution(const dht::DhtNetwork& net,
                                        std::uint64_t count, util::Rng& rng);
 

@@ -198,7 +198,7 @@ void KoordeNetwork::repair_ring(KoordeNode& node) {
     walk = succ;
   }
   if (node.predecessor != old_pred || node.successors != old_successors) {
-    note_maintenance(node.id);
+    note_maintenance();
   }
 }
 
@@ -387,13 +387,13 @@ class KoordeStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void KoordeNetwork::route_batch_impl(const NodeHandle* froms,
-                                     const dht::KeyHash* keys,
-                                     std::size_t count, int width,
-                                     dht::LookupMetrics& sink,
-                                     LookupResult* results,
-                                     dht::BatchScratch& lanes,
-                                     const dht::RouterOptions& options) const {
+void KoordeNetwork::route_batch(const NodeHandle* froms,
+                                const dht::KeyHash* keys,
+                                std::size_t count, int width,
+                                dht::LookupMetrics& sink,
+                                LookupResult* results,
+                                dht::BatchScratch& lanes,
+                                const dht::RouterOptions& options) const {
   // Koorde is the one overlay whose hop loop WRITES the shared sink:
   // resolve_chain records backup promotions (learn_link) and dead chains
   // (mark_broken), and later lookups in the same batch read them. Lane
@@ -423,7 +423,7 @@ void KoordeNetwork::apply_repairs(const dht::LookupMetrics& batch) {
     if (it == node->db_backups.end()) continue;  // stale learning
     node->de_bruijn = promoted;  // promote; consumed entries are dropped
     node->db_backups.erase(node->db_backups.begin(), it + 1);
-    note_maintenance(handle);
+    note_maintenance();
     // Lookup-learned mutation outside any membership event: a batch can be
     // absorbed after the event that caused the damage was already drained,
     // so re-queue the node for the next incremental pass.
@@ -433,7 +433,7 @@ void KoordeNetwork::apply_repairs(const dht::LookupMetrics& batch) {
     KoordeNode* node = node_of(handle);
     if (node == nullptr || node->db_broken) continue;
     node->db_broken = true;
-    note_maintenance(handle);
+    note_maintenance();
     mark_dirty(handle);
   }
 }

@@ -95,6 +95,10 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
   dht::NodeHandle join(std::uint64_t seed) override;
+  void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
+                   std::size_t count, int width, dht::LookupMetrics& sink,
+                   dht::LookupResult* results, dht::BatchScratch& lanes,
+                   const dht::RouterOptions& options) const override;
 
  protected:
   /// Apply the backup promotions a batch of const lookups learned: the
@@ -103,11 +107,6 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
 
  private:
   friend class KoordeMaintenancePolicy;
-
-  void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
-                        std::size_t count, int width, dht::LookupMetrics& sink,
-                        dht::LookupResult* results, dht::BatchScratch& lanes,
-                        const dht::RouterOptions& options) const override;
 
   void compute_state(KoordeNode& node);
   void repair_ring(KoordeNode& node);

@@ -309,12 +309,12 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
     node.leaf_larger.push_back(ring_.handle(up));
   }
   if (node.leaf_smaller != old_smaller || node.leaf_larger != old_larger) {
-    note_maintenance(node.id);
+    note_maintenance();
   }
 }
 
 void PastryNetwork::compute_routing_table(PastryNode& node) {
-  note_maintenance(node.id);
+  note_maintenance();
   node.routing_table.assign(
       static_cast<std::size_t>(rows_),
       std::vector<NodeHandle>(1ULL << bits_per_digit_, kNoNode));
@@ -563,13 +563,13 @@ class PastryStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void PastryNetwork::route_batch_impl(const NodeHandle* froms,
-                                     const dht::KeyHash* keys,
-                                     std::size_t count, int width,
-                                     dht::LookupMetrics& sink,
-                                     LookupResult* results,
-                                     dht::BatchScratch& lanes,
-                                     const dht::RouterOptions& options) const {
+void PastryNetwork::route_batch(const NodeHandle* froms,
+                                const dht::KeyHash* keys,
+                                std::size_t count, int width,
+                                dht::LookupMetrics& sink,
+                                LookupResult* results,
+                                dht::BatchScratch& lanes,
+                                const dht::RouterOptions& options) const {
   dht::Router::route_batch(froms, keys, count, width, sink, results, lanes,
                            options, [this](NodeHandle from, dht::KeyHash key) {
                              CYCLOID_EXPECTS(contains(from));

@@ -92,14 +92,13 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
   dht::NodeHandle join(std::uint64_t seed) override;
+  void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
+                   std::size_t count, int width, dht::LookupMetrics& sink,
+                   dht::LookupResult* results, dht::BatchScratch& lanes,
+                   const dht::RouterOptions& options) const override;
 
  private:
   friend class PastryMaintenancePolicy;
-
-  void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
-                        std::size_t count, int width, dht::LookupMetrics& sink,
-                        dht::LookupResult* results, dht::BatchScratch& lanes,
-                        const dht::RouterOptions& options) const override;
 
   /// Numerically closest node to `id` (circular distance; clockwise wins
   /// ties) — Pastry's key-assignment rule.

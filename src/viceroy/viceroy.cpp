@@ -117,16 +117,14 @@ class ViceroyMaintenancePolicy final : public dht::MaintenancePolicy {
   void on_join(NodeHandle node) override {
     net_.link_newcomer(node);
     if (net_.count_maintenance_) {
-      net_.note_maintenance(node, 7 + net_.count_touched());
+      net_.note_maintenance(7 + net_.count_touched());
     }
   }
 
   void on_graceful_leave(NodeHandle node) override {
     net_.unlink(node);
-    // Charged after the unlink, so it lands in the departed row — where
-    // the leaver's own row would have been folded anyway.
     if (net_.count_maintenance_) {
-      net_.note_maintenance(node, 7 + net_.count_touched());
+      net_.note_maintenance(7 + net_.count_touched());
     }
   }
 
@@ -524,13 +522,13 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-void ViceroyNetwork::route_batch_impl(const NodeHandle* froms,
-                                      const dht::KeyHash* keys,
-                                      std::size_t count, int width,
-                                      dht::LookupMetrics& sink,
-                                      LookupResult* results,
-                                      dht::BatchScratch& lanes,
-                                      const dht::RouterOptions& options) const {
+void ViceroyNetwork::route_batch(const NodeHandle* froms,
+                                 const dht::KeyHash* keys,
+                                 std::size_t count, int width,
+                                 dht::LookupMetrics& sink,
+                                 LookupResult* results,
+                                 dht::BatchScratch& lanes,
+                                 const dht::RouterOptions& options) const {
   dht::Router::route_batch(
       froms, keys, count, width, sink, results, lanes, options,
       [this](NodeHandle from, dht::KeyHash key) {

@@ -109,6 +109,10 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
   dht::NodeHandle join(std::uint64_t seed) override;
+  void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
+                   std::size_t count, int width, dht::LookupMetrics& sink,
+                   dht::LookupResult* results, dht::BatchScratch& lanes,
+                   const dht::RouterOptions& options) const override;
 
   /// Viceroy repairs both outgoing AND incoming connections on every join
   /// and leave (that is why it never times out — and why the paper calls
@@ -121,11 +125,6 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
 
  private:
   friend class ViceroyMaintenancePolicy;
-
-  void route_batch_impl(const dht::NodeHandle* froms, const dht::KeyHash* keys,
-                        std::size_t count, int width, dht::LookupMetrics& sink,
-                        dht::LookupResult* results, dht::BatchScratch& lanes,
-                        const dht::RouterOptions& options) const override;
 
   /// The level-`level` ring; nullptr outside [1, max_level()].
   const dht::SortedRing<double>* level_ring(int level) const;

@@ -273,19 +273,5 @@ TEST(CanOwnership, OwnerOfMatchesZoneScanThroughChurn) {
   }
 }
 
-TEST(CanQueryLoad, CountersSumToHops) {
-  util::Rng rng(9);
-  auto net = CanNetwork::build_random(150, rng);
-  std::uint64_t hops = 0;
-  dht::LookupMetrics sink;
-  for (int i = 0; i < 400; ++i) {
-    hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng(), sink).hops);
-  }
-  std::uint64_t received = 0;
-  for (const std::uint64_t l : sink.query_load_vector(*net)) received += l;
-  EXPECT_EQ(received, hops);
-}
-
 }  // namespace
 }  // namespace cycloid::can

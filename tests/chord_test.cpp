@@ -158,22 +158,6 @@ TEST(ChordFailures, StabilizationClearsTimeouts) {
   }
 }
 
-TEST(ChordQueryLoad, CountersSumToHops) {
-  util::Rng rng(10);
-  auto net = ChordNetwork::build_random(10, 128, rng);
-  std::uint64_t hops = 0;
-  dht::LookupMetrics sink;
-  for (int i = 0; i < 400; ++i) {
-    hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng(), sink).hops);
-  }
-  std::uint64_t received = 0;
-  for (const std::uint64_t load : sink.query_load_vector(*net)) {
-    received += load;
-  }
-  EXPECT_EQ(received, hops);
-}
-
 TEST(ChordBuilders, CompleteNetworkPopulatesEveryIdentifier) {
   auto net = ChordNetwork::build_complete(6);
   EXPECT_EQ(net->node_count(), 64u);

@@ -211,21 +211,5 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
   EXPECT_GE(traced_timeouts, reported_timeouts / 2);
 }
 
-TEST(LookupQueryLoad, ReceiveCountsMatchHops) {
-  auto net = CycloidNetwork::build_complete(5);
-  util::Rng rng(321);
-  dht::LookupMetrics sink;
-  std::uint64_t total_hops = 0;
-  for (int i = 0; i < 500; ++i) {
-    total_hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng(), sink).hops);
-  }
-  std::uint64_t total_received = 0;
-  for (const std::uint64_t load : sink.query_load_vector(*net)) {
-    total_received += load;
-  }
-  EXPECT_EQ(total_received, total_hops);
-}
-
 }  // namespace
 }  // namespace cycloid::ccc

@@ -238,14 +238,20 @@ class FinalHopPolicy : public FakePolicy {
 TEST(DhtRouterTest, ForwardDeliverSkipsTheReceiversView) {
   FinalHopPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = route_one(policy, 1, sink);
+  std::vector<TraceStep> trace;
+  RouterOptions options;
+  options.trace = &trace;
+  const LookupResult result = route_one(policy, 1, sink, options);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kDelivered);
   EXPECT_EQ(result.destination, 9u);
   EXPECT_EQ(result.hops, 1);
   EXPECT_EQ(result.phase_hops[1], 1);
   EXPECT_EQ(policy.calls, 1);  // never asked at node 9
-  EXPECT_EQ(sink.query_load_of(9), 1u);
+  // The one hop was received by node 9.
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].node, 9u);
+  EXPECT_EQ(trace[0].phase, 1u);
 }
 
 // Tracing: one TraceStep per counted hop, carrying the phase tag, link

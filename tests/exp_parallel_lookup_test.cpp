@@ -1,11 +1,12 @@
 // Determinism of the sharded parallel lookup batch (exp::run_lookup_batch):
 // the fixed shard size, per-shard splitmix64-derived RNG streams, and
 // index-ordered merge must make the result bit-identical at any thread
-// count — including the per-node query-load vector and, for Koorde, the
-// repair-on-timeout learnings. Also checks the const contract: a batch
-// never mutates the network it routes over, and the allocation contract:
-// a warmed-up lookup hot path (BatchScratch + dense query-load plane)
-// performs zero heap allocations per lookup.
+// count — including, for Koorde, the repair-on-timeout learnings — and so
+// must Fig. 10's per-node query-load tally (exp::query_loads). Also checks
+// the const contract: a batch never mutates the network it routes over, and
+// the allocation contract: a warmed-up lookup hot path (BatchScratch)
+// performs zero heap allocations per lookup, and a single call allocates
+// no per-node state.
 #include "exp/workloads.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "dht/network.hpp"
 #include "dht/router.hpp"
@@ -25,18 +27,30 @@
 // ---------------------------------------------------------------------------
 // Counting global allocator. This test binary replaces the replaceable
 // allocation functions so tests can assert that a warmed-up lookup hot path
-// allocates nothing. malloc-backed, so sanitizers still see every block.
+// allocates nothing, and how many bytes a call allocates. malloc-backed, so
+// sanitizers still see every block.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
+
+/// Bytes requested from operator new so far (frees are not subtracted).
+std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
+}
+
+void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* ptr = std::malloc(size != 0 ? size : 1)) return ptr;
   throw std::bad_alloc();
 }
@@ -44,7 +58,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   const auto alignment = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   if (void* ptr = std::aligned_alloc(alignment, rounded != 0 ? rounded
@@ -78,8 +92,7 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0xDE7E12318A7C4ULL;
 
-void expect_identical(const WorkloadStats& a, const WorkloadStats& b,
-                      const dht::DhtNetwork& net) {
+void expect_identical(const WorkloadStats& a, const WorkloadStats& b) {
   EXPECT_EQ(a.lookups, b.lookups);
   EXPECT_EQ(a.failures, b.failures);
   EXPECT_EQ(a.incorrect, b.incorrect);
@@ -96,7 +109,6 @@ void expect_identical(const WorkloadStats& a, const WorkloadStats& b,
   EXPECT_EQ(a.metrics.phase_hops, b.metrics.phase_hops);
   EXPECT_EQ(a.metrics.mean_path(), b.metrics.mean_path());
 
-  EXPECT_EQ(a.metrics.query_load_vector(net), b.metrics.query_load_vector(net));
   EXPECT_EQ(a.metrics.learned_links(), b.metrics.learned_links());
   EXPECT_EQ(a.metrics.broken_links(), b.metrics.broken_links());
 }
@@ -111,7 +123,7 @@ TEST(ParallelLookupBatch, CycloidBitIdenticalAcrossThreadCounts) {
   const auto par = run_lookup_batch(*net, count, kSeed + 1, 8);
 
   EXPECT_EQ(seq.lookups, count);
-  expect_identical(seq, par, *net);
+  expect_identical(seq, par);
 }
 
 TEST(ParallelLookupBatch, ChordBitIdenticalAcrossThreadCounts) {
@@ -123,7 +135,7 @@ TEST(ParallelLookupBatch, ChordBitIdenticalAcrossThreadCounts) {
   const auto par = run_lookup_batch(*net, count, kSeed + 2, 8);
 
   EXPECT_EQ(seq.lookups, count);
-  expect_identical(seq, par, *net);
+  expect_identical(seq, par);
 }
 
 TEST(ParallelLookupBatch, KoordeRepairLearningsDeterministicUnderFailures) {
@@ -138,7 +150,22 @@ TEST(ParallelLookupBatch, KoordeRepairLearningsDeterministicUnderFailures) {
   const auto seq = run_lookup_batch(*net, count, kSeed + 4, 1);
   const auto par = run_lookup_batch(*net, count, kSeed + 4, 4);
 
-  expect_identical(seq, par, *net);
+  expect_identical(seq, par);
+}
+
+// Fig. 10's per-node query load is tallied from route traces, shard by
+// shard; integer sums do not depend on order, so the tally is identical at
+// any thread count, partial last shard included.
+TEST(ParallelLookupBatch, QueryLoadTallyIdenticalAcrossThreadCounts) {
+  for (const OverlayKind kind : extended_overlays()) {
+    SCOPED_TRACE(overlay_label(kind));
+    auto net = make_sparse_overlay(kind, 8, 600, kSeed + 16);
+    const std::uint64_t count = 2 * kLookupShardSize + 37;
+    const std::vector<std::uint64_t> seq =
+        query_loads(*net, count, kSeed + 17, 1);
+    EXPECT_EQ(seq.size(), net->node_count());
+    EXPECT_EQ(seq, query_loads(*net, count, kSeed + 17, 4));
+  }
 }
 
 TEST(ParallelLookupBatch, PartialLastShardAndZeroCount) {
@@ -148,7 +175,7 @@ TEST(ParallelLookupBatch, PartialLastShardAndZeroCount) {
   const auto seq = run_lookup_batch(*net, count, kSeed + 5, 1);
   const auto par = run_lookup_batch(*net, count, kSeed + 5, 16);
   EXPECT_EQ(seq.lookups, count);
-  expect_identical(seq, par, *net);
+  expect_identical(seq, par);
 
   const auto empty = run_lookup_batch(*net, 0, kSeed + 6, 4);
   EXPECT_EQ(empty.lookups, 0u);
@@ -170,14 +197,14 @@ TEST(ParallelLookupBatch, BitIdenticalAcrossInterleaveWidthsAndThreads) {
                    " threads=" + std::to_string(threads));
       const auto wide = run_lookup_batch(*net, count, kSeed + 12, threads,
                                          /*check_owner=*/true, width);
-      expect_identical(seq, wide, *net);
+      expect_identical(seq, wide);
     }
   }
 }
 
 TEST(ParallelLookupBatch, KoordeRepairLearningsSurviveInterleaveRequest) {
   // With dead de Bruijn pointers, Koorde's sink learnings are order-
-  // dependent, so its route_batch_impl degrades any requested width to 1
+  // dependent, so its route_batch degrades any requested width to 1
   // and must still reproduce the sequential stream bit for bit.
   auto net = make_dense_overlay(OverlayKind::kKoorde, 7, kSeed);  // 896
   util::Rng fail_rng(kSeed + 13);
@@ -187,7 +214,7 @@ TEST(ParallelLookupBatch, KoordeRepairLearningsSurviveInterleaveRequest) {
   const auto seq = run_lookup_batch(*net, count, kSeed + 14, 1);
   const auto wide = run_lookup_batch(*net, count, kSeed + 14, 4,
                                      /*check_owner=*/true, 8);
-  expect_identical(seq, wide, *net);
+  expect_identical(seq, wide);
 }
 
 TEST(ParallelLookupBatch, ProcessWideInterleaveDefaultIsHonored) {
@@ -200,7 +227,7 @@ TEST(ParallelLookupBatch, ProcessWideInterleaveDefaultIsHonored) {
   set_lookup_interleave(4);
   EXPECT_EQ(lookup_interleave(), 4);
   const auto wide = run_lookup_batch(*net, count, kSeed + 15, 1);
-  expect_identical(seq, wide, *net);
+  expect_identical(seq, wide);
 
   // The setter clamps nonsense widths to the sequential path.
   set_lookup_interleave(0);
@@ -212,7 +239,7 @@ TEST(ParallelLookupBatch, ProcessWideInterleaveDefaultIsHonored) {
   set_lookup_interleave(8);
   const auto forced_seq = run_lookup_batch(*net, count, kSeed + 15, 1,
                                            /*check_owner=*/true, 1);
-  expect_identical(seq, forced_seq, *net);
+  expect_identical(seq, forced_seq);
   set_lookup_interleave(1);
 }
 
@@ -238,19 +265,18 @@ TEST(ParallelLookupBatch, BatchDoesNotMutateTheNetwork) {
     EXPECT_GT(stats.metrics.timeouts, 0u);
 
     // All accounting stayed in the caller-owned sinks: membership, routing
-    // state, and the maintenance plane are exactly as before the batch.
+    // state, and the maintenance counters are exactly as before the batch.
     expect_same_state(kind, *net, *untouched);
     EXPECT_EQ(net->maintenance_metrics().by_cause(), maintenance);
   }
 }
 
 // The allocation contract behind run_lookup_batch's throughput: once the
-// caller-owned BatchScratch lanes and the sink's dense query-load plane
-// have reached capacity, replaying the *same* lookup batch allocates
-// nothing — on every overlay, one lookup at a time (W=1) and interleaved
-// (W=8). The warm-up pass and the measured pass route the same inputs, so
-// the measured pass never needs more capacity than the warm-up already
-// provisioned.
+// caller-owned BatchScratch lanes have reached capacity, replaying the
+// *same* lookup batch allocates nothing — on every overlay, one lookup at
+// a time (W=1) and interleaved (W=8). The warm-up pass and the measured
+// pass route the same inputs, so the measured pass never needs more
+// capacity than the warm-up already provisioned.
 TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
   constexpr std::size_t kLookups = 256;
   for (const OverlayKind kind : extended_overlays()) {
@@ -271,7 +297,7 @@ TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
         net->route_batch(froms.data(), keys.data(), kLookups, width, sink,
                          results.data(), lanes, dht::RouterOptions{});
       };
-      route();  // warm-up: lanes and the query-load plane reach capacity
+      route();  // warm-up: the lanes reach capacity
       const std::uint64_t before = allocation_count();
       route();
       EXPECT_EQ(allocation_count() - before, 0u);
@@ -280,22 +306,45 @@ TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
 }
 
 // Cycloid's records hold their leaf sets inline, so a stabilization pass
-// rewrites them in place: once one pass has sized the maintenance plane, a
-// pass allocates the same (size-independent) amount at 2^8 and at 2^11
-// nodes, where one heap block per refreshed leaf set would grow with n.
+// rewrites them in place: after one warm-up pass, a pass allocates the same
+// (size-independent) amount at 2^8 and at 2^11 nodes, where one heap block
+// per refreshed leaf set would grow with n.
 TEST(StabilizeAllocation, CycloidPassAllocatesIndependentlyOfNetworkSize) {
   for (const OverlayKind kind :
        {OverlayKind::kCycloid7, OverlayKind::kCycloid11}) {
     SCOPED_TRACE(overlay_label(kind));
     const auto warmed_pass_allocations = [&](int dimension, std::size_t n) {
       auto net = make_sparse_overlay(kind, dimension, n, kSeed + 12);
-      net->stabilize_all(1);  // warm-up: the maintenance plane is sized
+      net->stabilize_all(1);  // warm-up
       const std::uint64_t before = allocation_count();
       net->stabilize_all(1);
       return allocation_count() - before;
     };
     EXPECT_EQ(warmed_pass_allocations(6, 1u << 8),
               warmed_pass_allocations(8, 1u << 11));
+  }
+}
+
+// A single call holds no per-node state: one route() + absorb() through a
+// fresh sink allocates the call's own lane buffers and nothing that grows
+// with n. An n-slot plane of 8-byte counters would alone be 32 KiB here.
+TEST(LookupAllocation, SingleCallAllocatesNoPerNodeState) {
+  constexpr std::size_t kNodes = 1u << 12;
+  constexpr std::uint64_t kMaxBytes = 4096;
+  for (const OverlayKind kind : extended_overlays()) {
+    SCOPED_TRACE(overlay_label(kind));
+    auto net = make_sparse_overlay(kind, 10, kNodes, kSeed + 18);
+    ASSERT_EQ(net->node_count(), kNodes);
+    util::Rng rng(kSeed + 19);
+    for (int i = 0; i < 32; ++i) {
+      const dht::NodeHandle from = net->random_node(rng);
+      const dht::KeyHash key = rng();
+      const std::uint64_t before = allocated_bytes();
+      dht::LookupMetrics sink;
+      net->route(from, key, sink, dht::RouterOptions{});
+      net->absorb(sink);
+      EXPECT_LT(allocated_bytes() - before, kMaxBytes) << "lookup " << i;
+    }
   }
 }
 

@@ -265,21 +265,5 @@ TEST(KoordeDegree, RejectsIndivisibleDigitWidth) {
   EXPECT_DEATH(KoordeNetwork(11, 3, 3, 2), "Precondition");
 }
 
-TEST(KoordeQueryLoad, CountersSumToHops) {
-  util::Rng rng(13);
-  auto net = KoordeNetwork::build_random(10, 120, rng);
-  std::uint64_t hops = 0;
-  dht::LookupMetrics sink;
-  for (int i = 0; i < 400; ++i) {
-    hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng(), sink).hops);
-  }
-  std::uint64_t received = 0;
-  for (const std::uint64_t load : sink.query_load_vector(*net)) {
-    received += load;
-  }
-  EXPECT_EQ(received, hops);
-}
-
 }  // namespace
 }  // namespace cycloid::koorde

@@ -1,9 +1,9 @@
 // Tests for the maintenance-overhead accounting (the fifth DHT metric of
-// paper Sec. 4) across the overlays — now the per-node, per-cause plane
-// owned by dht::Maintainer. The golden section pins each overlay's
-// per-cause totals over a fixed join/leave/fail/stabilize script to the
-// values the pre-engine per-overlay counters produced; the parallel section
-// pins run_pass(1) ≡ run_pass(N) field by field.
+// paper Sec. 4) across the overlays — now the per-cause counters owned by
+// dht::Maintainer. The golden section pins each overlay's per-cause totals
+// over a fixed join/leave/fail/stabilize script to the values the
+// pre-engine per-overlay counters produced; the parallel section pins
+// run_pass(1) ≡ run_pass(N): state field by field, and the totals.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -164,7 +164,7 @@ TEST(Maintenance, PerCauseTotalsMatchPreEngineSeedValues) {
     EXPECT_EQ(at(dht::MaintenanceCause::kLookupPromotion), golden.promotion)
         << label;
 
-    // The per-cause plane partitions the legacy aggregate exactly.
+    // The per-cause counters partition the aggregate exactly.
     std::uint64_t sum = 0;
     for (const std::uint64_t count : by_cause) sum += count;
     EXPECT_EQ(sum, net->maintenance_metrics().total()) << label;
@@ -177,10 +177,11 @@ TEST(Maintenance, PerCauseTotalsMatchPreEngineSeedValues) {
 // --------------------------------------------------------------------------
 // Parallel stabilization determinism
 //
-// run_pass charges only the refreshed node's own slot of a pre-sized dense
-// plane, so a parallel pass performs no shared-state writes: the resulting
-// routing state AND the metrics plane must be field-by-field identical at
-// any thread count. check.sh's TSan job runs this test with real threads.
+// A parallel pass writes only each refreshed node's own state, and its
+// maintenance charges are relaxed atomic adds whose sums do not depend on
+// order: the resulting routing state AND the per-cause totals must be
+// identical at any thread count. check.sh's TSan job runs this test with
+// real threads.
 
 class ParallelRunPassTest : public ::testing::TestWithParam<OverlayKind> {};
 
@@ -216,13 +217,6 @@ TEST_P(ParallelRunPassTest, StateAndMetricsAreThreadCountIndependent) {
     EXPECT_GT(one->maintenance_metrics().total(), 0u);
   }
   EXPECT_EQ(one->maintenance_by_cause(), many->maintenance_by_cause());
-  const dht::MaintenanceMetrics& ma = one->maintenance_metrics();
-  const dht::MaintenanceMetrics& mb = many->maintenance_metrics();
-  ASSERT_EQ(one->node_count(), many->node_count());
-  for (std::size_t slot = 0; slot < one->node_count(); ++slot) {
-    EXPECT_EQ(ma.of_slot(slot), mb.of_slot(slot)) << slot;
-  }
-  EXPECT_EQ(ma.departed(), mb.departed());
 }
 
 // --------------------------------------------------------------------------
@@ -309,13 +303,6 @@ TEST_P(IncrementalStabilizationTest, StateAndMetricsAreThreadCountIndependent) {
 
   expect_same_state(GetParam(), *one, *many);
   EXPECT_EQ(one->maintenance_by_cause(), many->maintenance_by_cause());
-  const dht::MaintenanceMetrics& ma = one->maintenance_metrics();
-  const dht::MaintenanceMetrics& mb = many->maintenance_metrics();
-  ASSERT_EQ(one->node_count(), many->node_count());
-  for (std::size_t slot = 0; slot < one->node_count(); ++slot) {
-    EXPECT_EQ(ma.of_slot(slot), mb.of_slot(slot)) << slot;
-  }
-  EXPECT_EQ(ma.departed(), mb.departed());
   EXPECT_EQ(one->nodes_refreshed_dirty(), many->nodes_refreshed_dirty());
   EXPECT_EQ(one->nodes_skipped_clean(), many->nodes_skipped_clean());
 }

@@ -209,23 +209,6 @@ TEST(ViceroyFailures, ZeroTimeoutsAndShorterPathsAfterMassDeparture) {
   EXPECT_LT(after, before);
 }
 
-TEST(ViceroyQueryLoad, HigherLevelsAreNotHotter) {
-  // Sanity for the Fig. 10 mechanism: load counters accumulate.
-  util::Rng rng(13);
-  auto net = ViceroyNetwork::build_random(128, rng);
-  std::uint64_t hops = 0;
-  dht::LookupMetrics sink;
-  for (int i = 0; i < 500; ++i) {
-    hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng(), sink).hops);
-  }
-  std::uint64_t received = 0;
-  for (const std::uint64_t load : sink.query_load_vector(*net)) {
-    received += load;
-  }
-  EXPECT_EQ(received, hops);
-}
-
 TEST(ViceroyInsert, RejectsDuplicateIdentifier) {
   ViceroyNetwork net;
   EXPECT_TRUE(net.insert(0.25, 1));
