@@ -5,7 +5,11 @@
 # maintenance cost, ungraceful failures), at interleave widths 1 and 8,
 # plus the stdout of examples/overlay_compare (the one caller of
 # exp::query_load_distribution). fig10 pins how many queries each node
-# received, the output most sensitive to a changed hop.
+# received, the output most sensitive to a changed hop. ext_maintenance_cost
+# and fig12 also run once more each with dirty tracking on
+# (CYCLOID_BENCH_MAINT_INCREMENTAL / CYCLOID_BENCH_CHURN_INCREMENTAL), into
+# <driver>.incremental.w<width>.*: their drains refresh exactly the nodes
+# the overlays' dirty() hooks queued, so these outputs pin the hooks.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -25,6 +29,9 @@ export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
 figures=(fig5_path_length fig6_dimension fig7_breakdown fig10_query_load
          fig11_failures fig12_churn fig13_sparsity
          ext_related_dhts ext_maintenance_cost ext_ungraceful_failures)
+# <driver>=<knob>: the drivers run again with the knob set to 1.
+incremental=(ext_maintenance_cost=CYCLOID_BENCH_MAINT_INCREMENTAL
+             fig12_churn=CYCLOID_BENCH_CHURN_INCREMENTAL)
 examples=(overlay_compare)
 work="$PWD/build-oracle"
 
@@ -35,8 +42,8 @@ if command -v ccache > /dev/null; then
 fi
 
 # oracle <source dir> <name>: build the drivers and run each at W=1
-# and W=8 into $work/<name>, then each example once; fails when the two
-# widths disagree.
+# and W=8 into $work/<name>, the incremental runs likewise, then each
+# example once; fails when the two widths disagree.
 oracle() {
   local build="$work/build-$2" out="$work/$2" status=0
   cmake -B "$build" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -52,6 +59,16 @@ oracle() {
     done
     for ext in txt json; do
       cmp "$out/$fig.w1.$ext" "$out/$fig.w8.$ext" || status=1
+    done
+  done
+  for entry in "${incremental[@]}"; do
+    local fig="${entry%%=*}" name="${entry%%=*}.incremental"
+    for width in 1 8; do
+      env "${entry#*=}=1" CYCLOID_BENCH_INTERLEAVE="$width" "$build/bench/$fig" \
+        --json "$out/$name.w$width.json" > "$out/$name.w$width.txt"
+    done
+    for ext in txt json; do
+      cmp "$out/$name.w1.$ext" "$out/$name.w8.$ext" || status=1
     done
   done
   for example in "${examples[@]}"; do

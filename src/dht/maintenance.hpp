@@ -258,8 +258,11 @@ class Maintainer {
   /// count). Nodes left clean are counted into nodes_skipped_clean().
   void run_incremental(int threads);
 
-  /// Handles currently queued for the next incremental drain.
-  std::size_t dirty_count() const noexcept { return dirty_queue_.size(); }
+  /// Handles currently queued for the next incremental drain, each once,
+  /// in enqueue order.
+  const std::vector<NodeHandle>& dirty_queue() const noexcept {
+    return dirty_queue_;
+  }
 
   /// Cumulative count of live nodes a run_incremental did NOT refresh
   /// because they were clean (the work a full pass would have wasted).

@@ -271,7 +271,14 @@ class DhtNetwork {
   void stabilize_dirty(int threads = 1) { maintainer_.run_incremental(threads); }
 
   /// Handles currently queued for the next stabilize_dirty.
-  std::size_t dirty_count() const noexcept { return maintainer_.dirty_count(); }
+  std::size_t dirty_count() const noexcept {
+    return maintainer_.dirty_queue().size();
+  }
+  /// The queued handles themselves, each once (tests compare a dirty()
+  /// hook's marks against a reference through this view).
+  const std::vector<NodeHandle>& dirty_queue() const noexcept {
+    return maintainer_.dirty_queue();
+  }
   /// Cumulative live nodes stabilize_dirty skipped because they were clean.
   std::uint64_t nodes_skipped_clean() const noexcept {
     return maintainer_.nodes_skipped_clean();

@@ -15,6 +15,7 @@
 #include "exp/overlays.hpp"
 #include "hash/keys.hpp"
 #include "overlay_state_compare.hpp"
+#include "pastry/pastry.hpp"
 #include "util/rng.hpp"
 #include "viceroy_reference.hpp"
 
@@ -343,6 +344,17 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
           << "op " << op;
       ASSERT_TRUE(
           dynamic_cast<const can::CanNetwork&>(shadow).check_invariants())
+          << "op " << op;
+    }
+    if (kind == OverlayKind::kPastry) {
+      // Pastry's dirty hook reads ring ranges and a grid disc whose radius
+      // must cover every stored neighbourhood: after every op, the ring,
+      // the grid, the tables and that radius must hold up.
+      ASSERT_TRUE(dynamic_cast<const pastry::PastryNetwork&>(primary)
+                      .check_invariants())
+          << "op " << op;
+      ASSERT_TRUE(dynamic_cast<const pastry::PastryNetwork&>(shadow)
+                      .check_invariants())
           << "op " << op;
     }
   }

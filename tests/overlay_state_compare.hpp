@@ -84,6 +84,7 @@ inline void expect_same_state(exp::OverlayKind kind, const dht::DhtNetwork& a,
         EXPECT_EQ(x.leaf_smaller, y.leaf_smaller) << h;
         EXPECT_EQ(x.leaf_larger, y.leaf_larger) << h;
         EXPECT_EQ(x.neighborhood, y.neighborhood) << h;
+        EXPECT_EQ(x.reach, y.reach) << h;
         EXPECT_EQ(x.x, y.x) << h;
         EXPECT_EQ(x.y, y.y) << h;
       }

@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "pastry_reference.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -308,6 +312,157 @@ TEST(PastryFailures, TimeoutsOnStaleTablesNoFailures) {
   for (int i = 0; i < 300; ++i) {
     EXPECT_EQ(
         net->lookup(net->random_node(rng), rng(), stable_sink).timeouts, 0);
+  }
+}
+
+// The dirty hook reads a few ring ranges and a grid disc where it used to
+// scan every node. After each join, leave and silent vanish, the dirty set
+// must be the set before the event plus exactly the nodes the old scans
+// mark (tests/pastry_reference.hpp): a missed node would leave a stale
+// one undrained, an extra one would change what the drains refresh.
+std::set<NodeHandle> queued(const PastryNetwork& net) {
+  return {net.dirty_queue().begin(), net.dirty_queue().end()};
+}
+
+/// Runs `apply`, the event `event` at `node`, and checks the marks. The
+/// reference runs where the hook does: after a join, before a departure.
+template <typename Apply>
+void expect_exact_marks(PastryNetwork& net, dht::MembershipEvent event,
+                        NodeHandle node, Apply apply,
+                        const std::string& where) {
+  std::set<NodeHandle> expected = queued(net);
+  if (event != dht::MembershipEvent::kJoin) {
+    const std::set<NodeHandle> marks =
+        reference_dirty_marks(net, event, node);
+    expected.insert(marks.begin(), marks.end());
+    apply();
+  } else {
+    apply();
+    const std::set<NodeHandle> marks =
+        reference_dirty_marks(net, event, node);
+    expected.insert(marks.begin(), marks.end());
+  }
+  ASSERT_EQ(queued(net), expected) << where << ", node " << node;
+  ASSERT_TRUE(net.check_invariants()) << where;
+}
+
+/// The farthest member of the widest full neighbourhood among the nodes
+/// not queued: its departure sits on the edge of the hook's disc.
+NodeHandle widest_edge(const PastryNetwork& net) {
+  const auto m = static_cast<std::size_t>(net.neighborhood_size());
+  const std::set<NodeHandle> stale = queued(net);
+  NodeHandle edge = kNoNode;
+  double widest = -1.0;
+  for (const NodeHandle h : net.node_handles()) {
+    const PastryNode& node = net.node_state(h);
+    if (m == 0 || node.neighborhood.size() != m || stale.count(h) != 0) {
+      continue;
+    }
+    const PastryNode* farthest = net.node_of(node.neighborhood.back());
+    if (farthest == nullptr) continue;
+    const double reach =
+        PastryNetwork::proximity(node.x, node.y, farthest->x, farthest->y);
+    if (reach > widest) {
+      widest = reach;
+      edge = farthest->id;
+    }
+  }
+  return edge;
+}
+
+/// A soup of joins, graceful leaves, silent vanishes, departures at the
+/// disc's edge, drains and the odd unchecked mass failure, every single
+/// event checked against the reference.
+void run_exact_marks_soup(PastryNetwork& net, util::Rng& rng, int ops,
+                          std::size_t floor) {
+  for (int op = 0; op < ops; ++op) {
+    const std::string where = "op " + std::to_string(op);
+    const auto roll = rng.below(10);
+    const bool can_leave = net.node_count() > floor;
+    if (roll < 3) {
+      const std::uint64_t seed = rng();
+      const NodeHandle id = util::mix64(seed) % net.space_size();
+      if (net.contains(id)) continue;
+      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+          net, dht::MembershipEvent::kJoin, id,
+          [&] { ASSERT_EQ(net.join(seed), id); }, where + " join"));
+    } else if (roll < 5 && can_leave) {
+      const NodeHandle victim = net.random_node(rng);
+      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+          net, dht::MembershipEvent::kGracefulLeave, victim,
+          [&] { net.leave(victim); }, where + " leave"));
+    } else if (roll < 7 && can_leave) {
+      const NodeHandle victim = net.random_node(rng);
+      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+          net, dht::MembershipEvent::kVanish, victim,
+          [&] { net.fail_ungraceful(victim); }, where + " vanish"));
+    } else if (roll < 8 && can_leave) {
+      const NodeHandle victim = widest_edge(net);
+      if (victim == kNoNode) continue;
+      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+          net, dht::MembershipEvent::kGracefulLeave, victim,
+          [&] { net.leave(victim); }, where + " edge leave"));
+    } else if (roll < 9 || !can_leave) {
+      net.stabilize_dirty(op % 2 == 0 ? 1 : 3);
+      ASSERT_EQ(net.dirty_count(), 0u) << where;
+      ASSERT_TRUE(net.check_invariants()) << where;
+    } else if (net.node_count() > 2 * floor) {
+      net.fail_simultaneously(0.05, rng);
+      ASSERT_TRUE(net.check_invariants()) << where;
+    }
+  }
+}
+
+std::unique_ptr<PastryNetwork> bulk_network(int bits, int bits_per_digit,
+                                            int neighborhood_size,
+                                            std::size_t n, util::Rng& rng) {
+  auto net = std::make_unique<PastryNetwork>(bits, bits_per_digit, 8,
+                                             neighborhood_size);
+  net->begin_bulk();
+  while (net->node_count() < n) {
+    net->insert(rng.below(net->space_size()), rng.uniform01(),
+                rng.uniform01());
+  }
+  net->finish_bulk();
+  return net;
+}
+
+TEST(PastryDirtyHook, MarksExactlyTheReferenceSetThroughChurn) {
+  // |M| = 400 exceeds every network size here: the hook reads all nodes.
+  for (const int b : {1, 2}) {
+    for (const int m : {0, 8, 400}) {
+      SCOPED_TRACE("b = " + std::to_string(b) + ", |M| = " +
+                   std::to_string(m));
+      util::Rng rng(static_cast<std::uint64_t>(100 * b + m));
+      auto net = bulk_network(12, b, m, 160, rng);
+      ASSERT_TRUE(net->check_invariants());
+      net->set_dirty_tracking(true);
+      ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(*net, rng, 400, 40));
+    }
+  }
+}
+
+TEST(PastryDirtyHook, MarksExactlyTheReferenceSetWhileGrowingFromOneNode) {
+  // Joins alone from a single node cross |M| + 1 nodes, where the hook
+  // switches from reading every node to the disc; then a mixed soup.
+  for (const int b : {1, 2}) {
+    SCOPED_TRACE("b = " + std::to_string(b));
+    util::Rng rng(static_cast<std::uint64_t>(b));
+    PastryNetwork net(10, b, 8, 8);
+    ASSERT_TRUE(net.insert(rng.below(net.space_size()), rng.uniform01(),
+                           rng.uniform01()));
+    net.set_dirty_tracking(true);
+    for (int op = 0; net.node_count() < 120; ++op) {
+      const std::uint64_t seed = rng();
+      const NodeHandle id = util::mix64(seed) % net.space_size();
+      if (net.contains(id)) continue;
+      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+          net, dht::MembershipEvent::kJoin, id,
+          [&] { ASSERT_EQ(net.join(seed), id); },
+          "growth join " + std::to_string(op)));
+      if (op % 7 == 6) net.stabilize_dirty();
+    }
+    ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(net, rng, 300, 10));
   }
 }
 
