@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
         const dht::LookupResult result =
             net->lookup_id(from, key, sink, &trace);
         hops.add(result.hops);
-        latency.add(net->route_latency(trace));
+        latency.add(dht::trace_latency(trace));
       }
       util::Table& r = table.row()
                            .add(net->node_count())

@@ -5,11 +5,19 @@
 # maintenance cost, ungraceful failures), at interleave widths 1 and 8,
 # plus the stdout of examples/overlay_compare (the one caller of
 # exp::query_load_distribution). fig10 pins how many queries each node
-# received, the output most sensitive to a changed hop. ext_maintenance_cost
-# and fig12 also run once more each with dirty tracking on
-# (CYCLOID_BENCH_MAINT_INCREMENTAL / CYCLOID_BENCH_CHURN_INCREMENTAL), into
-# <driver>.incremental.w<width>.*: their drains refresh exactly the nodes
-# the overlays' dirty() hooks queued, so these outputs pin the hooks.
+# received, the output most sensitive to a changed hop. Five more runs set
+# one knob each, into <name>.w<width>.*:
+#   - ext_maintenance_cost and fig12 with dirty tracking on
+#     (CYCLOID_BENCH_MAINT_INCREMENTAL / CYCLOID_BENCH_CHURN_INCREMENTAL),
+#     as <driver>.incremental: their drains refresh exactly the nodes the
+#     overlays' dirty() hooks queued, so these outputs pin the hooks;
+#   - fig5 with CYCLOID_BENCH_TRACE_ROUTES=16, as fig5_path_length.traced:
+#     16 routes per paper overlay from the router's per-hop trace, each hop
+#     with its link label, and each route's timeouts and trace-priced
+#     latency;
+#   - ext_proximity_selection (CYCLOID_BENCH_PNS_LOOKUPS=2000) and
+#     ext_proximity_churn (CYCLOID_BENCH_PNS_CHURN_SECONDS=120): route
+#     latencies priced from the traces on the shared latency plane.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -29,9 +37,15 @@ export CYCLOID_BENCH_CHURN_SECONDS="${CYCLOID_BENCH_CHURN_SECONDS:-600}"
 figures=(fig5_path_length fig6_dimension fig7_breakdown fig10_query_load
          fig11_failures fig12_churn fig13_sparsity
          ext_related_dhts ext_maintenance_cost ext_ungraceful_failures)
-# <driver>=<knob>: the drivers run again with the knob set to 1.
-incremental=(ext_maintenance_cost=CYCLOID_BENCH_MAINT_INCREMENTAL
-             fig12_churn=CYCLOID_BENCH_CHURN_INCREMENTAL)
+# <name>=<driver>:<knob>=<value>: the driver runs with the knob set, into
+# <name>.w<width>.*.
+variants=(
+  ext_maintenance_cost.incremental=ext_maintenance_cost:CYCLOID_BENCH_MAINT_INCREMENTAL=1
+  fig12_churn.incremental=fig12_churn:CYCLOID_BENCH_CHURN_INCREMENTAL=1
+  fig5_path_length.traced=fig5_path_length:CYCLOID_BENCH_TRACE_ROUTES=16
+  ext_proximity_selection=ext_proximity_selection:CYCLOID_BENCH_PNS_LOOKUPS=2000
+  ext_proximity_churn=ext_proximity_churn:CYCLOID_BENCH_PNS_CHURN_SECONDS=120
+)
 examples=(overlay_compare)
 work="$PWD/build-oracle"
 
@@ -42,14 +56,18 @@ if command -v ccache > /dev/null; then
 fi
 
 # oracle <source dir> <name>: build the drivers and run each at W=1
-# and W=8 into $work/<name>, the incremental runs likewise, then each
+# and W=8 into $work/<name>, the variant runs likewise, then each
 # example once; fails when the two widths disagree.
 oracle() {
-  local build="$work/build-$2" out="$work/$2" status=0
+  local build="$work/build-$2" out="$work/$2" status=0 targets=()
+  for entry in "${variants[@]}"; do
+    entry="${entry#*=}"
+    targets+=("${entry%%:*}")
+  done
   cmake -B "$build" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     "${launcher[@]}" > /dev/null
   cmake --build "$build" -j "$(nproc)" \
-    --target "${figures[@]}" "${examples[@]}" > /dev/null
+    --target "${figures[@]}" "${targets[@]}" "${examples[@]}" > /dev/null
   rm -rf "$out"
   mkdir -p "$out"
   for fig in "${figures[@]}"; do
@@ -61,10 +79,11 @@ oracle() {
       cmp "$out/$fig.w1.$ext" "$out/$fig.w8.$ext" || status=1
     done
   done
-  for entry in "${incremental[@]}"; do
-    local fig="${entry%%=*}" name="${entry%%=*}.incremental"
+  for entry in "${variants[@]}"; do
+    local name="${entry%%=*}" run="${entry#*=}"
+    local fig="${run%%:*}" knob="${run#*:}"
     for width in 1 8; do
-      env "${entry#*=}=1" CYCLOID_BENCH_INTERLEAVE="$width" "$build/bench/$fig" \
+      env "$knob" CYCLOID_BENCH_INTERLEAVE="$width" "$build/bench/$fig" \
         --json "$out/$name.w$width.json" > "$out/$name.w$width.txt"
     done
     for ext in txt json; do

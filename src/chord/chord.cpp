@@ -229,19 +229,17 @@ namespace {
 
 /// Chord's step policy: greedy closest-preceding-finger routing with the
 /// successor list as the robustness fallback.
-class ChordStepPolicy final : public dht::StepPolicy {
+class ChordStepPolicy {
  public:
   ChordStepPolicy(const ChordNetwork& net, std::uint64_t target)
       : net_(net), target_(target) {}
 
-  bool alive(NodeHandle node) const override { return net_.contains(node); }
-  std::size_t slot_of(NodeHandle node) const override {
-    return net_.slot_of(node);
-  }
-  int default_max_hops() const override { return 8 * net_.bits(); }
+  bool alive(NodeHandle node) const { return net_.contains(node); }
+  std::size_t slot_of(NodeHandle node) const { return net_.slot_of(node); }
+  int default_max_hops() const { return 8 * net_.bits(); }
 
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
-  void prefetch_tables(std::size_t slot) const override {
+  void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
+  void prefetch_tables(std::size_t slot) const {
     // Stage 2 (record line presumed warm from stage 1): pull in the
     // out-of-line successor list and finger table next_hop will scan.
     const ChordNode& cur = net_.node_at(slot);
@@ -251,7 +249,7 @@ class ChordStepPolicy final : public dht::StepPolicy {
                          cur.fingers.size() * sizeof(NodeHandle));
   }
 
-  dht::HopDecision next_hop(const dht::RouteState& state) override {
+  dht::HopDecision next_hop(const dht::RouteState& state) {
     const std::uint64_t space = net_.space_size();
     const ChordNode& cur = net_.node_at(state.current_slot());
 
@@ -265,7 +263,7 @@ class ChordStepPolicy final : public dht::StepPolicy {
     // graceful departures; later ones only after ungraceful ones).
     NodeHandle succ = kNoNode;
     for (const NodeHandle sh : cur.successors) {
-      if (state.attempt(sh)) {
+      if (state.attempt(*this, sh)) {
         succ = sh;
         break;
       }
@@ -292,14 +290,14 @@ class ChordStepPolicy final : public dht::StepPolicy {
       if (!in_half_open_cw(fh, cur.id, (target_ + space - 1) % space, space)) {
         continue;  // finger not in (cur, target)
       }
-      if (!state.attempt(fh)) continue;
+      if (!state.attempt(*this, fh)) continue;
       return dht::HopDecision::forward(fh, ChordNetwork::kFinger, "finger");
     }
 
     // All useful fingers dead or void: advance along the successor list.
     NodeHandle best = kNoNode;
     for (const NodeHandle sh : cur.successors) {
-      if (!state.attempt(sh) || sh == cur.id) continue;
+      if (!state.attempt(*this, sh) || sh == cur.id) continue;
       if (!in_half_open_cw(sh, cur.id, (target_ + space - 1) % space, space)) {
         continue;
       }
@@ -314,6 +312,7 @@ class ChordStepPolicy final : public dht::StepPolicy {
   const ChordNetwork& net_;
   const std::uint64_t target_;
 };
+static_assert(dht::StepPolicy<ChordStepPolicy>);
 
 }  // namespace
 

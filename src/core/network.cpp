@@ -376,7 +376,8 @@ void CycloidNetwork::compute_routing_table(CycloidNode& node) {
     double best_latency = 1e300;
     for (std::size_t i = level.lower_bound(base);
          i < level.size() && level.key(i) < base + window; ++i) {
-      const double latency = link_latency(handle_of(node.id), level.handle(i));
+      const double latency =
+          dht::torus_latency(handle_of(node.id), level.handle(i));
       if (latency < best_latency) {
         best_latency = latency;
         node.cubical_neighbor = level.handle(i);
@@ -522,35 +523,31 @@ namespace {
 /// the numeric distance to the key, so they skip already-visited nodes
 /// (engine-tracked) to rule out ping-pong in sparse networks; the traverse
 /// moves strictly decrease it and need no such check.
-class CycloidStepPolicy final : public dht::StepPolicy {
+class CycloidStepPolicy {
  public:
   CycloidStepPolicy(const CycloidNetwork& net, const CccId& key)
       : net_(net),
         key_(key),
         width_(static_cast<std::size_t>(net.leaf_width())) {}
 
-  bool alive(NodeHandle node) const override {
+  bool alive(NodeHandle node) const {
     return net_.position_slot(node) != dht::kNoSlot;
   }
-  std::size_t slot_of(NodeHandle node) const override {
+  std::size_t slot_of(NodeHandle node) const {
     return net_.position_slot(node);
   }
-  int default_max_hops() const override {
+  int default_max_hops() const {
     return 8 * util::ceil_log2(net_.space().size());
   }
   /// The three phases are each O(d); give the phase algorithm a generous
   /// budget and fall back to pure greedy leaf-set descent beyond it.
-  int fallback_budget() const override {
-    return 8 * net_.space().dimension() + 16;
-  }
-  bool track_visited() const override { return true; }
-  // link_latency: the StepPolicy default (the shared per-handle torus
-  // plane) is exactly Cycloid's model — no override needed.
+  int fallback_budget() const { return 8 * net_.space().dimension() + 16; }
+  bool track_visited() const { return true; }
 
   // One hint (DESIGN.md §14): the record holds the whole node, and the
   // stage-1 record prefetch measured no gain, but the liveness checks of
   // next_hop read one position-table entry per candidate. Warm those.
-  void prefetch_tables(std::size_t slot) const override {
+  void prefetch_tables(std::size_t slot) const {
     const CycloidNode& cur = net_.node_at(slot);
     net_.prefetch_position(cur.cubical_neighbor);
     net_.prefetch_position(cur.cyclic_larger);
@@ -560,7 +557,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
     }
   }
 
-  dht::HopDecision next_hop(const dht::RouteState& state) override {
+  dht::HopDecision next_hop(const dht::RouteState& state) {
     const CccSpace& space = net_.space();
     const CycloidNode& cur = net_.node_at(state.current_slot());
     const std::uint64_t cur_rank = space.closeness_rank(key_, cur.id);
@@ -580,7 +577,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
     std::uint64_t best_leaf_rank = cur_rank;
     for (std::size_t i = 0; i < 4 * width_; ++i) {
       const NodeHandle h = inside[i];
-      if (h == self || !state.attempt(h)) continue;
+      if (h == self || !state.attempt(*this, h)) continue;
       const std::uint64_t rank =
           space.closeness_rank(key_, CycloidNetwork::id_of(h));
       if (rank < best_leaf_rank) {
@@ -612,7 +609,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
       for (std::size_t i = 0; i < 2 * width_; ++i) {
         const NodeHandle h = outside[i];
         if (h == kNoNode || state.was_visited(h)) continue;
-        if (!state.attempt(h)) continue;
+        if (!state.attempt(*this, h)) continue;
         const CccId cand = CycloidNetwork::id_of(h);
         if (static_cast<int>(cand.cyclic) <= k) continue;
         const std::uint64_t dist =
@@ -632,7 +629,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
       // Descending, cube edge: the cubical neighbor flips bit k, extending
       // the shared prefix with the key by at least one bit.
       const NodeHandle cube = cur.cubical_neighbor;
-      if (!state.was_visited(cube) && state.attempt(cube) &&
+      if (!state.was_visited(cube) && state.attempt(*this, cube) &&
           space.msdb(CycloidNetwork::id_of(cube).cubical, key_.cubical) <
               target_msdb) {
         return dht::HopDecision::forward(cube, CycloidNetwork::kDescend,
@@ -647,7 +644,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
       std::uint64_t best_dist = ~0ULL;
       const auto consider = [&](NodeHandle h) {
         if (h != kNoNode && state.was_visited(h)) return;
-        if (!state.attempt(h)) return;
+        if (!state.attempt(*this, h)) return;
         const CccId cand = CycloidNetwork::id_of(h);
         const auto ck = static_cast<int>(cand.cyclic);
         if (ck < target_msdb || ck >= k) return;
@@ -682,6 +679,7 @@ class CycloidStepPolicy final : public dht::StepPolicy {
   const CccId key_;
   const std::size_t width_;
 };
+static_assert(dht::StepPolicy<CycloidStepPolicy>);
 
 }  // namespace
 

@@ -131,10 +131,6 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
       dht::NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
       std::vector<dht::TraceStep>* trace = nullptr) const;
 
-  // link_latency(a, b) and route_latency(trace) come from DhtNetwork (the
-  // shared per-handle latency plane — both are pure and never trap on
-  // departed handles).
-
   // DhtNetwork interface -----------------------------------------------
   // node_handles() uses the base registry implementation: a handle packs
   // (cubical << 8) | cyclic and cyclic < d <= 32, so ascending handle order

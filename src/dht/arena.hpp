@@ -64,8 +64,9 @@ class ArenaNetwork : public DhtNetwork {
   }
 
   /// Best-effort prefetch of the node record at `slot` — the stage-1 hint
-  /// (StepPolicy::prefetch) of the Chord, Koorde, Pastry and CAN step
-  /// policies: pure address arithmetic into the arena, no dereference, so
+  /// (a step policy's optional prefetch hook) of the Chord, Koorde and
+  /// Pastry step policies, the overlays where it measurably pays (DESIGN.md
+  /// Sec. 14): pure address arithmetic into the arena, no dereference, so
   /// it can run the moment the batch router resolves a lane's next slot.
   /// Out-of-range slots (including kNoSlot) are silent no-ops. Purely a
   /// performance hint: never changes routing results.

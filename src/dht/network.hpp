@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "dht/latency.hpp"
 #include "dht/maintenance.hpp"
 #include "dht/metrics.hpp"
 #include "dht/router.hpp"
@@ -159,24 +158,6 @@ class DhtNetwork {
                            LookupResult* results, BatchScratch& lanes,
                            const RouterOptions& options) const = 0;
 
-  // Shared latency plane -------------------------------------------------
-  // Links are priced the same way for every overlay: deterministic
-  // per-handle torus coordinates (dht/latency.hpp). Both calls are pure —
-  // they never consult membership, so departed handles price exactly as
-  // they did while live.
-
-  /// Simulated one-hop latency between two handles.
-  static double link_latency(NodeHandle a, NodeHandle b) noexcept {
-    return torus_latency(a, b);
-  }
-
-  /// Total simulated latency of a recorded route. The trace's per-hop
-  /// latencies — captured at routing time — are the single source of truth;
-  /// pricing never re-resolves hops that may since have departed.
-  static double route_latency(const std::vector<TraceStep>& trace) noexcept {
-    return trace_latency(trace);
-  }
-
   /// Let the overlay apply the repair promotions a finished batch learned
   /// (Koorde's backup promotion). The promotions run under the engine's
   /// kLookupPromotion cause scope.
@@ -270,12 +251,9 @@ class DhtNetwork {
   /// bit for bit (pinned in tests/maintenance_test.cpp).
   void stabilize_dirty(int threads = 1) { maintainer_.run_incremental(threads); }
 
-  /// Handles currently queued for the next stabilize_dirty.
-  std::size_t dirty_count() const noexcept {
-    return maintainer_.dirty_queue().size();
-  }
-  /// The queued handles themselves, each once (tests compare a dirty()
-  /// hook's marks against a reference through this view).
+  /// The handles queued for the next stabilize_dirty, each once (tests
+  /// compare a dirty() hook's marks against a reference through this
+  /// view).
   const std::vector<NodeHandle>& dirty_queue() const noexcept {
     return maintainer_.dirty_queue();
   }

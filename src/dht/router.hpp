@@ -25,9 +25,16 @@
 //   - a universal hop cap that turns would-be infinite routing loops into
 //     an explicit LookupStatus::kHopLimit instead of a hang;
 //   - interleaving: up to kMaxBatchWidth lookups in flight as round-robin
-//     lanes, each hop staged by two prefetch hints (StepPolicy::prefetch,
-//     then StepPolicy::prefetch_tables one rotation later) so one lane's
-//     DRAM misses overlap the other lanes' compute (DESIGN.md Sec. 14).
+//     lanes, each position given its policy's prefetch hints (prefetch as
+//     the lane moves there, where it pays, then prefetch_tables one
+//     rotation later) so one lane's DRAM misses overlap the other lanes'
+//     compute (DESIGN.md Sec. 14).
+//
+// A step policy is a plain type checked by the StepPolicy concept, and
+// route_batch is instantiated for each concrete policy, so no hop makes a
+// virtual or out-of-line call: the engine's calls into the policy and the
+// policy's calls back (RouteState::attempt receives the concrete policy)
+// are all visible to the compiler.
 //
 // The engine is const with respect to the network (DESIGN.md Sec. 6): every
 // side effect lands in the caller-owned LookupMetrics sink or the
@@ -37,6 +44,7 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -56,7 +64,7 @@ namespace cycloid::dht {
 struct RouterScratch {
   /// Distinct departed nodes contacted (RouteState::attempt dedup).
   std::vector<NodeHandle> dead_seen;
-  /// Nodes the route passed through (policies with track_visited()).
+  /// Nodes the route passed through (policies with a track_visited hook).
   std::vector<NodeHandle> visited;
 
   void clear() noexcept {
@@ -72,10 +80,11 @@ struct RouterOptions {
   /// (8 * bits of the overlay's identifier space).
   int max_hops = 0;
   /// When non-null, every counted hop is appended as a TraceStep and its
-  /// link latency is added to LookupResult::route_latency. The steps of
-  /// successive lookups follow one another, so tracing requires a single
-  /// in-flight lane (width 1 or a one-lookup batch). Untraced lookups
-  /// never evaluate link_latency, so they pay nothing for it.
+  /// link latency (torus_latency, the shared plane) is added to
+  /// LookupResult::route_latency. The steps of successive lookups follow
+  /// one another, so tracing requires a single in-flight lane (width 1 or
+  /// a one-lookup batch). Untraced lookups never price a link, so they pay
+  /// nothing for it.
   std::vector<TraceStep>* trace = nullptr;
 };
 
@@ -110,93 +119,14 @@ struct HopDecision {
   }
 };
 
-class RouteState;
+/// fallback_budget() value meaning "no step budget".
+inline constexpr int kNoFallbackBudget = -1;
 
-/// The per-overlay half of a lookup: pure routing logic, no accounting.
-/// Policies are cheap per-lookup objects (built by value in each batch lane
-/// by the overlay's policy factory), so they may carry per-lookup state
-/// such as Koorde's imaginary-node path or Viceroy's phase machine.
-class StepPolicy {
- public:
-  /// fallback_budget() value meaning "no step budget".
-  static constexpr int kNoFallbackBudget = -1;
-
-  virtual ~StepPolicy() = default;
-
-  /// Decide the next hop from `state.current()`. Must be logically const
-  /// with respect to the network; per-lookup policy state may mutate.
-  virtual HopDecision next_hop(const RouteState& state) = 0;
-
-  /// Liveness probe behind RouteState::attempt().
-  virtual bool alive(NodeHandle node) const = 0;
-
-  /// Dense registry slot of `node`, kNoSlot when unknown. Overlay policies
-  /// forward to DhtNetwork::slot_of; the engine resolves each forwarding
-  /// target's slot ONCE and carries it (RouteState::current_slot), so the
-  /// policy reaches the current node's state by array index
-  /// (ArenaNetwork::node_at). The default keeps slot-less synthetic
-  /// policies (engine unit tests) working on handles alone.
-  virtual std::size_t slot_of(NodeHandle node) const {
-    (void)node;
-    return kNoSlot;
-  }
-
-  /// Default hop cap when RouterOptions::max_hops is 0. Convention:
-  /// 8 * bits of the overlay's identifier space.
-  virtual int default_max_hops() const = 0;
-
-  /// Steps before the engine flips RouteState::fallback() (and counts a
-  /// guard fallback in the sink). kNoFallbackBudget disables the flip.
-  virtual int fallback_budget() const { return kNoFallbackBudget; }
-
-  /// Whether the engine should record visited nodes for
-  /// RouteState::was_visited() (only overlays whose moves may revisit).
-  virtual bool track_visited() const { return false; }
-
-  /// Simulated one-hop latency, accumulated into route traces and
-  /// LookupResult::route_latency. Defaults to the shared proximity plane
-  /// (dht/latency.hpp), so every overlay prices links identically; override
-  /// only to model a different cost function (engine unit tests do).
-  virtual double link_latency(NodeHandle a, NodeHandle b) const {
-    return torus_latency(a, b);
-  }
-
-  // Batch-mode prefetch hints (Router::route_batch) -----------------------
-  // Both hooks are pure hints: they must issue prefetches only (no reads
-  // that the result could depend on, no writes anywhere), so routing output
-  // is bit-identical whether or not they run. The engine calls each once
-  // per position, one lane rotation apart:
-  //
-  //   prefetch(slot)         the moment `slot` becomes a lane's next
-  //                          position — address arithmetic only (the node
-  //                          record is NOT yet cached), so overlays prefetch
-  //                          the arena record lines (ArenaNetwork::
-  //                          prefetch_node) and nothing that requires
-  //                          dereferencing them;
-  //   prefetch_tables(slot)  one rotation later, when the record is
-  //                          presumed cached — overlays with out-of-line
-  //                          routing state (Chord fingers, Koorde chains,
-  //                          Pastry leaf sets and row headers, CAN's
-  //                          routing table and zone list, the slot-table
-  //                          entries of Cycloid's candidates) dereference
-  //                          the record and prefetch those lines.
-  //
-  // An overlay overrides a hook only where it measurably pays (DESIGN.md
-  // Sec. 14). Viceroy's hop reads only its own record (Sec. 17), and the
-  // lanes alone hide that miss: a stage-1 hint measured no gain, so it
-  // overrides neither. CAN's hop reads its record and two blocks behind it
-  // (Sec. 18); the pair measured 1.7x at W = 8 and 2^17, so it takes both.
-  // Cycloid's record holds the whole node, and its hop reads one
-  // position-table entry per candidate (Sec. 19): stage 2 alone measured
-  // 1.13x-1.21x at W = 8 and 2^17, and stage 1 added nothing, so it takes
-  // stage 2 only.
-
-  /// Stage-1 hint: `slot` is about to become a lane's current position.
-  virtual void prefetch(std::size_t slot) const { (void)slot; }
-
-  /// Stage-2 hint: the record at `slot` should be cached by now; prefetch
-  /// the out-of-line state next_hop will read.
-  virtual void prefetch_tables(std::size_t slot) const { (void)slot; }
+/// A policy that answers the liveness probe behind RouteState::attempt and
+/// RouteState::resolve_chain. Only policies that call those need it.
+template <typename P>
+concept ProbesLiveness = requires(const P& policy, NodeHandle node) {
+  { policy.alive(node) } -> std::convertible_to<bool>;
 };
 
 /// The engine-owned view a policy routes against. Accounting members are
@@ -207,7 +137,7 @@ class RouteState {
   /// Node currently holding the request.
   NodeHandle current() const noexcept { return current_; }
   /// Dense registry slot of current(), resolved once per hop by the engine
-  /// via StepPolicy::slot_of (kNoSlot for slot-less policies). Overlay
+  /// via the policy's slot_of (kNoSlot for slot-less policies). Overlay
   /// policies use it to reach the current node's arena state without a
   /// hash probe: net_.node_at(state.current_slot()).
   std::size_t current_slot() const noexcept { return current_slot_; }
@@ -221,26 +151,62 @@ class RouteState {
   /// The caller-owned sink (for overlay-specific learnings).
   LookupMetrics& sink() const noexcept { return *sink_; }
 
-  /// Contact attempt against a possibly-departed entry. Returns true when
+  /// Contact attempt against a possibly-departed entry, probed through
+  /// `policy.alive` (the calling policy passes itself). Returns true when
   /// the node is live; otherwise charges one timeout for the first attempt
   /// against each distinct departed node (paper Sec. 4.3: "the number of
   /// timeouts experienced by a lookup is equal to the number of departed
   /// nodes encountered") and returns false. kNoNode is a silent miss.
-  bool attempt(NodeHandle node) const;
+  template <ProbesLiveness Policy>
+  bool attempt(const Policy& policy, NodeHandle node) const {
+    if (node == kNoNode) return false;
+    if (policy.alive(node)) return true;
+    std::vector<NodeHandle>& dead = scratch_->dead_seen;
+    if (std::find(dead.begin(), dead.end(), node) == dead.end()) {
+      dead.push_back(node);
+      ++result_->timeouts;
+    }
+    return false;
+  }
 
   /// True when the route already passed through `node` (only meaningful
-  /// for policies with track_visited()).
-  bool was_visited(NodeHandle node) const;
+  /// for policies with a track_visited hook).
+  bool was_visited(NodeHandle node) const {
+    const std::vector<NodeHandle>& visited = scratch_->visited;
+    return std::find(visited.begin(), visited.end(), node) != visited.end();
+  }
 
   /// Walk a primary-then-backups pointer chain owned by `owner`, consulting
   /// the sink's learned repairs first: a previously learned promotion skips
   /// straight past the entries it already found dead, a node marked broken
   /// resolves to kNoNode immediately. Live entries found behind dead ones
   /// are recorded with learn_link (repair-on-timeout); exhausting the chain
-  /// records mark_broken. Returns the first live entry or kNoNode.
-  NodeHandle resolve_chain(NodeHandle owner, NodeHandle primary,
+  /// records mark_broken. Each entry is probed with attempt(policy, ·).
+  /// Returns the first live entry or kNoNode.
+  template <ProbesLiveness Policy>
+  NodeHandle resolve_chain(const Policy& policy, NodeHandle owner,
+                           NodeHandle primary,
                            const std::vector<NodeHandle>& backups,
-                           bool locally_broken) const;
+                           bool locally_broken) const {
+    if (locally_broken || sink_->is_broken(owner)) return kNoNode;
+    std::size_t start = 0;
+    if (const auto learned = sink_->learned_link(owner)) {
+      const auto it = std::find(backups.begin(), backups.end(), *learned);
+      if (it != backups.end()) {
+        start = static_cast<std::size_t>(it - backups.begin()) + 1;
+      }
+    }
+    const auto entry = [&](std::size_t i) {
+      return i == 0 ? primary : backups[i - 1];
+    };
+    for (std::size_t i = start; i <= backups.size(); ++i) {
+      if (!attempt(policy, entry(i))) continue;
+      if (i > 0) sink_->learn_link(owner, entry(i));  // repair-on-timeout
+      return entry(i);
+    }
+    sink_->mark_broken(owner);
+    return kNoNode;
+  }
 
  private:
   friend class Router;
@@ -249,12 +215,11 @@ class RouteState {
   /// bind() targets them at a lookup.
   RouteState() = default;
 
-  /// Re-target this state at one lookup: wire the policy/sink/result/
-  /// scratch pointers and reset all per-lookup position fields. The batch
-  /// engine re-binds the same RouteState object once per lane refill.
-  void bind(const StepPolicy& policy, LookupMetrics& sink,
-            LookupResult& result, RouterScratch& scratch) noexcept {
-    policy_ = &policy;
+  /// Re-target this state at one lookup: wire the sink/result/scratch
+  /// pointers and reset all per-lookup position fields. The batch engine
+  /// re-binds the same RouteState object once per lane refill.
+  void bind(LookupMetrics& sink, LookupResult& result,
+            RouterScratch& scratch) noexcept {
     sink_ = &sink;
     result_ = &result;
     scratch_ = &scratch;
@@ -265,7 +230,6 @@ class RouteState {
     timeouts_at_last_hop_ = 0;
   }
 
-  const StepPolicy* policy_ = nullptr;
   LookupMetrics* sink_ = nullptr;
   LookupResult* result_ = nullptr;
   /// Engine buffers (dead-seen dedup — small, linear scan beats hashing —
@@ -277,6 +241,62 @@ class RouteState {
   int steps_ = 0;
   int timeouts_at_last_hop_ = 0;
 };
+
+/// The per-overlay half of a lookup: pure routing logic, no accounting.
+/// Policies are cheap per-lookup objects (built by value in each batch lane
+/// by the overlay's policy factory), so they may carry per-lookup state
+/// such as Koorde's imaginary-node path or Viceroy's phase machine.
+///
+/// Required hooks:
+///   HopDecision next_hop(const RouteState&)
+///       Decide the next hop from `state.current()`. Logically const with
+///       respect to the network; per-lookup policy state may mutate.
+///   std::size_t slot_of(NodeHandle) const
+///       Dense registry slot of a node, kNoSlot when unknown. Overlay
+///       policies forward to DhtNetwork::slot_of; the engine resolves each
+///       forwarding target's slot ONCE and carries it
+///       (RouteState::current_slot), so the policy reaches the current
+///       node's state by array index (ArenaNetwork::node_at).
+///   int default_max_hops() const
+///       Hop cap when RouterOptions::max_hops is 0. Convention: 8 * bits
+///       of the overlay's identifier space.
+/// A policy that calls RouteState::attempt or resolve_chain also provides
+/// `bool alive(NodeHandle) const` (ProbesLiveness).
+///
+/// Optional hooks, detected at compile time (absent means the default):
+///   int fallback_budget() const
+///       Steps before the engine flips RouteState::fallback() and counts a
+///       guard fallback in the sink. Default kNoFallbackBudget: no flip.
+///   bool track_visited() const
+///       Whether the engine records visited nodes for
+///       RouteState::was_visited() (only overlays whose moves may revisit).
+///       Default false.
+///   void prefetch(std::size_t slot) const
+///   void prefetch_tables(std::size_t slot) const
+///       Batch-mode prefetch hints for the position `slot`. prefetch runs
+///       the moment `slot` becomes a lane's position (the hop there was
+///       committed, or the lookup starts there): address arithmetic only,
+///       the record is not cached yet, so it prefetches the arena record
+///       (ArenaNetwork::prefetch_node). prefetch_tables runs one lane
+///       rotation later, one rotation before next_hop runs at `slot`, and
+///       may dereference the record to prefetch what next_hop will walk.
+///       Both prefetch only — no read the result could depend on, no write
+///       anywhere — so routing output is bit-identical whether or not they
+///       run. An overlay provides a hint only where it measurably pays
+///       (DESIGN.md Sec. 14): Chord, Koorde and Pastry take both and warm
+///       the out-of-line tables next_hop walks; CAN takes prefetch_tables
+///       for its two blocks, Cycloid for the position-table entries of its
+///       candidates; Viceroy's hop reads only its record, and the lanes
+///       alone hide that miss. Default: no hint.
+template <typename P>
+concept StepPolicy =
+    std::move_constructible<P> &&
+    requires(P& policy, const P& view, const RouteState& state,
+             NodeHandle node) {
+      { policy.next_hop(state) } -> std::same_as<HopDecision>;
+      { view.slot_of(node) } -> std::convertible_to<std::size_t>;
+      { view.default_max_hops() } -> std::convertible_to<int>;
+    };
 
 /// Reusable per-lane engine buffers for Router::route_batch: one
 /// RouterScratch per in-flight lane. A caller that batches repeatedly
@@ -304,21 +324,26 @@ class Router {
   /// the lane array live in a fixed-size std::array (no per-batch heap).
   static constexpr int kMaxBatchWidth = 16;
 
+  /// The step policy type a route_batch factory builds.
+  template <typename MakePolicy>
+  using PolicyOf =
+      std::decay_t<std::invoke_result_t<MakePolicy&, NodeHandle, KeyHash>>;
+
   /// Route `count` lookups (froms[i] toward keys[i]) with up to `width`
   /// in flight, writing per-lookup outcomes into results[0..count) and
   /// accounting into `sink` exactly as routing them one at a time would.
   /// `make_policy(from, key)` builds the overlay's per-lookup step policy
-  /// by value; the concrete policy type lets the compiler devirtualize the
-  /// hop loop. Widths outside [1, kMaxBatchWidth] are clamped. Each lane
-  /// routes out of its own slice of `batch`.
+  /// by value; it must model StepPolicy, and the hop loop is compiled for
+  /// its concrete type. Widths outside [1, kMaxBatchWidth] are clamped.
+  /// Each lane routes out of its own slice of `batch`.
   template <typename MakePolicy>
+    requires StepPolicy<PolicyOf<MakePolicy>>
   static void route_batch(const NodeHandle* froms, const KeyHash* keys,
                           std::size_t count, int width, LookupMetrics& sink,
                           LookupResult* results, BatchScratch& batch,
                           const RouterOptions& options,
                           MakePolicy&& make_policy) {
-    using Policy =
-        std::decay_t<std::invoke_result_t<MakePolicy&, NodeHandle, KeyHash>>;
+    using Policy = PolicyOf<MakePolicy>;
     if (count == 0) return;
     const std::size_t lane_count = std::min<std::size_t>(
         static_cast<std::size_t>(std::clamp(width, 1, kMaxBatchWidth)), count);
@@ -332,7 +357,8 @@ class Router {
     // moves to) and, one rotation later, a prefetch_tables visit (stage-2
     // hint for that position, its record now presumed cached). Everything
     // a step reads was prefetched one or two rotations earlier, while the
-    // other lanes were doing their own work.
+    // other lanes were doing their own work. A hint the policy lacks is
+    // skipped; the lane still spends the visit.
     struct Lane {
       std::optional<Policy> policy;
       RouteState state;
@@ -353,15 +379,15 @@ class Router {
       results[i] = LookupResult{};
       lane.policy.emplace(make_policy(froms[i], keys[i]));
       Policy& policy = *lane.policy;
-      lane.state.bind(policy, sink, results[i], scratch);
+      lane.state.bind(sink, results[i], scratch);
       lane.state.current_ = froms[i];
       lane.state.current_slot_ = policy.slot_of(froms[i]);
-      if (policy.track_visited()) scratch.visited.push_back(froms[i]);
+      if (tracks_visited(policy)) scratch.visited.push_back(froms[i]);
       lane.max_hops =
           options.max_hops > 0 ? options.max_hops : policy.default_max_hops();
       CYCLOID_EXPECTS(lane.max_hops > 0);
-      lane.budget = policy.fallback_budget();
-      policy.prefetch(lane.state.current_slot_);
+      lane.budget = fallback_budget_of(policy);
+      prefetch(policy, lane.state.current_slot_);
       lane.tables_due = true;
       ++in_flight;
     };
@@ -377,7 +403,7 @@ class Router {
         }
         Policy& policy = *lane.policy;
         if (lane.tables_due) {
-          policy.prefetch_tables(lane.state.current_slot_);
+          prefetch_tables(policy, lane.state.current_slot_);
           lane.tables_due = false;
           continue;
         }
@@ -388,7 +414,7 @@ class Router {
           --in_flight;
           if (next < count) refill(l);
         } else {
-          policy.prefetch(lane.state.current_slot_);
+          prefetch(policy, lane.state.current_slot_);
           lane.tables_due = true;
         }
       }
@@ -402,11 +428,38 @@ class Router {
   }
 
  private:
+  // The optional hooks (see StepPolicy): the policy's answer when it has
+  // the hook, else the default.
+  template <typename P>
+  static int fallback_budget_of(const P& policy) {
+    if constexpr (requires { policy.fallback_budget(); }) {
+      return policy.fallback_budget();
+    } else {
+      return kNoFallbackBudget;
+    }
+  }
+  template <typename P>
+  static bool tracks_visited(const P& policy) {
+    if constexpr (requires { policy.track_visited(); }) {
+      return policy.track_visited();
+    } else {
+      return false;
+    }
+  }
+  template <typename P>
+  static void prefetch(const P& policy, std::size_t slot) {
+    if constexpr (requires { policy.prefetch(slot); }) policy.prefetch(slot);
+  }
+  template <typename P>
+  static void prefetch_tables(const P& policy, std::size_t slot) {
+    if constexpr (requires { policy.prefetch_tables(slot); }) {
+      policy.prefetch_tables(slot);
+    }
+  }
+
   /// One iteration of the hop loop: a lane's step visit. Returns true when
   /// the lookup terminated (result status/success already set; destination
-  /// is the caller's to fill from state.current_). Templated on the
-  /// concrete policy type so each instantiation devirtualizes the per-hop
-  /// calls.
+  /// is the caller's to fill from state.current_).
   template <typename P>
   static bool step_once(RouteState& state, P& policy, LookupMetrics& sink,
                         const RouterOptions& options, int max_hops,
@@ -415,7 +468,7 @@ class Router {
     // Step-budget guard: beyond the budget the policy is restricted to its
     // provably-terminating fallback move; the flip is itself an event worth
     // counting (expected ~0 — tests assert the phase algorithms converge).
-    if (budget != StepPolicy::kNoFallbackBudget && state.steps_++ > budget &&
+    if (budget != kNoFallbackBudget && state.steps_++ > budget &&
         !state.fallback_) {
       state.fallback_ = true;
       ++sink.guard_fallbacks;
@@ -441,7 +494,7 @@ class Router {
 
     result.count_hop(decision.phase);
     if (options.trace != nullptr) {
-      const double latency = policy.link_latency(state.current_, decision.next);
+      const double latency = torus_latency(state.current_, decision.next);
       result.route_latency += latency;
       options.trace->push_back(TraceStep{
           decision.next, decision.phase, decision.link,
@@ -453,7 +506,9 @@ class Router {
     // current_slot it lets the policy reach the node's state with no hash
     // probe of its own.
     state.current_slot_ = policy.slot_of(decision.next);
-    if (policy.track_visited()) state.scratch_->visited.push_back(decision.next);
+    if (tracks_visited(policy)) {
+      state.scratch_->visited.push_back(decision.next);
+    }
     // Sender-decided delivery: the hop completes the lookup without
     // consulting the receiving node's (possibly stale) local view.
     return decision.final_hop;

@@ -288,20 +288,18 @@ namespace {
 /// predecessors, falling back to the successor ring. The per-lookup
 /// ImaginaryStart register lives in the policy; de Bruijn pointer repairs
 /// go through the engine's resolve_chain (sink-recorded promotions).
-class KoordeStepPolicy final : public dht::StepPolicy {
+class KoordeStepPolicy {
  public:
   KoordeStepPolicy(const KoordeNetwork& net, std::uint64_t target,
                    KoordeNetwork::ImaginaryStart path)
       : net_(net), target_(target), path_(path) {}
 
-  bool alive(NodeHandle node) const override { return net_.contains(node); }
-  std::size_t slot_of(NodeHandle node) const override {
-    return net_.slot_of(node);
-  }
-  int default_max_hops() const override { return 8 * net_.bits(); }
+  bool alive(NodeHandle node) const { return net_.contains(node); }
+  std::size_t slot_of(NodeHandle node) const { return net_.slot_of(node); }
+  int default_max_hops() const { return 8 * net_.bits(); }
 
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
-  void prefetch_tables(std::size_t slot) const override {
+  void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
+  void prefetch_tables(std::size_t slot) const {
     // Stage 2: warm the successor list next_hop scans and the de Bruijn
     // backups resolve_chain walks past a dead pointer.
     const KoordeNode& cur = net_.node_at(slot);
@@ -311,7 +309,7 @@ class KoordeStepPolicy final : public dht::StepPolicy {
                          cur.db_backups.size() * sizeof(NodeHandle));
   }
 
-  dht::HopDecision next_hop(const dht::RouteState& state) override {
+  dht::HopDecision next_hop(const dht::RouteState& state) {
     const std::uint64_t space = net_.space_size();
     const std::uint64_t mask = space - 1;
     const int shift = net_.shift_bits();
@@ -329,7 +327,7 @@ class KoordeStepPolicy final : public dht::StepPolicy {
 
       NodeHandle succ = kNoNode;
       for (const NodeHandle sh : cur.successors) {
-        if (state.attempt(sh)) {
+        if (state.attempt(*this, sh)) {
           succ = sh;
           break;
         }
@@ -356,7 +354,7 @@ class KoordeStepPolicy final : public dht::StepPolicy {
         // the real predecessor via the pointer (backups consulted through
         // the sink's learned repairs).
         const NodeHandle db = state.resolve_chain(
-            cur.id, cur.de_bruijn, cur.db_backups, cur.db_broken);
+            *this, cur.id, cur.de_bruijn, cur.db_backups, cur.db_broken);
         if (db == kNoNode) return dht::HopDecision::fail();
         const std::uint64_t digit =
             (path_.kshift >> (path_.window - shift)) & ((1ULL << shift) - 1);
@@ -384,6 +382,7 @@ class KoordeStepPolicy final : public dht::StepPolicy {
   const std::uint64_t target_;
   KoordeNetwork::ImaginaryStart path_;
 };
+static_assert(dht::StepPolicy<KoordeStepPolicy>);
 
 }  // namespace
 

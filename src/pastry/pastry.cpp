@@ -607,22 +607,18 @@ namespace {
 /// terminates; the engine's fallback budget is a safety net that forces
 /// pure (provably monotone) leaf descent if a pathological alternation
 /// between the two phases were ever to arise.
-class PastryStepPolicy final : public dht::StepPolicy {
+class PastryStepPolicy {
  public:
   PastryStepPolicy(const PastryNetwork& net, std::uint64_t target)
       : net_(net), target_(target) {}
 
-  bool alive(NodeHandle node) const override { return net_.contains(node); }
-  std::size_t slot_of(NodeHandle node) const override {
-    return net_.slot_of(node);
-  }
-  int default_max_hops() const override { return 8 * net_.bits(); }
-  int fallback_budget() const override {
-    return 8 * net_.digit_count() + 64;
-  }
+  bool alive(NodeHandle node) const { return net_.contains(node); }
+  std::size_t slot_of(NodeHandle node) const { return net_.slot_of(node); }
+  int default_max_hops() const { return 8 * net_.bits(); }
+  int fallback_budget() const { return 8 * net_.digit_count() + 64; }
 
-  void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
-  void prefetch_tables(std::size_t slot) const override {
+  void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
+  void prefetch_tables(std::size_t slot) const {
     // Stage 2: warm the leaf sets (both halves get scanned by best_leaf)
     // and the routing table's row headers (the row picked depends on the
     // key, so the header vector is the common line).
@@ -636,7 +632,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
                              sizeof(std::vector<NodeHandle>));
   }
 
-  dht::HopDecision next_hop(const dht::RouteState& state) override {
+  dht::HopDecision next_hop(const dht::RouteState& state) {
     const std::uint64_t space = net_.space_size();
     const PastryNode& cur = net_.node_at(state.current_slot());
     if (cur.id == target_) return dht::HopDecision::deliver();
@@ -648,7 +644,8 @@ class PastryStepPolicy final : public dht::StepPolicy {
       NodeHandle best = kNoNode;
       const auto consider = [&](const std::vector<NodeHandle>& entries) {
         for (const NodeHandle h : entries) {
-          if (!state.attempt(h)) continue;  // stale after ungraceful failures
+          // Stale after ungraceful failures.
+          if (!state.attempt(*this, h)) continue;
           const std::uint64_t dist = circular_distance(h, target_, space);
           const std::uint64_t cand_cw = clockwise_distance(target_, h, space);
           if (dist < best_dist ||
@@ -679,7 +676,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
     const NodeHandle entry =
         cur.routing_table[static_cast<std::size_t>(row)]
                          [static_cast<std::size_t>(net_.digit(target_, row))];
-    if (entry != kNoNode && state.attempt(entry)) {
+    if (entry != kNoNode && state.attempt(*this, entry)) {
       return dht::HopDecision::forward(entry, PastryNetwork::kPrefix,
                                        "prefix");
     }
@@ -690,7 +687,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
     std::uint64_t best_dist = circular_distance(cur.id, target_, space);
     const auto consider = [&](NodeHandle h) {
       if (h == kNoNode || h == cur.id) return;
-      if (!state.attempt(h)) return;
+      if (!state.attempt(*this, h)) return;
       if (net_.shared_prefix_digits(h, target_) < row) return;
       const std::uint64_t dist = circular_distance(h, target_, space);
       if (dist < best_dist) {
@@ -720,6 +717,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
   const PastryNetwork& net_;
   const std::uint64_t target_;
 };
+static_assert(dht::StepPolicy<PastryStepPolicy>);
 
 }  // namespace
 

@@ -421,19 +421,16 @@ namespace {
 /// pointers. Every decision reads only the current node's record: the
 /// stored links carry their targets' ids, and eager maintenance keeps them
 /// fresh, so the policy never times out.
-class ViceroyStepPolicy final : public dht::StepPolicy {
+class ViceroyStepPolicy {
  public:
   ViceroyStepPolicy(const ViceroyNetwork& net, double target)
       : net_(net), target_(target) {}
 
-  bool alive(NodeHandle node) const override { return net_.contains(node); }
-  std::size_t slot_of(NodeHandle node) const override {
-    return net_.slot_of(node);
-  }
+  std::size_t slot_of(NodeHandle node) const { return net_.slot_of(node); }
   /// Continuous identifier space: 8 * the 64 bits of the key hash.
-  int default_max_hops() const override { return 8 * 64; }
+  int default_max_hops() const { return 8 * 64; }
 
-  dht::HopDecision next_hop(const dht::RouteState& state) override {
+  dht::HopDecision next_hop(const dht::RouteState& state) {
     const ViceroyNode& cur = net_.node_at(state.current_slot());
     const ViceroyLinks& links = cur.links;
 
@@ -519,6 +516,7 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
   const double target_;
   Stage stage_ = Stage::kAscending;
 };
+static_assert(dht::StepPolicy<ViceroyStepPolicy>);
 
 }  // namespace
 

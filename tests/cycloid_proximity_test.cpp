@@ -36,13 +36,13 @@ TEST(Proximity, LinkLatencyIsAMetric) {
     const NodeHandle a = net->random_node(rng);
     const NodeHandle b = net->random_node(rng);
     const NodeHandle c = net->random_node(rng);
-    const double ab = net->link_latency(a, b);
+    const double ab = dht::torus_latency(a, b);
     EXPECT_GE(ab, 0.0);
     // Torus diagonal bound: sqrt(0.5^2 + 0.5^2).
     EXPECT_LE(ab, 0.7072);
-    EXPECT_DOUBLE_EQ(ab, net->link_latency(b, a));
-    EXPECT_DOUBLE_EQ(net->link_latency(a, a), 0.0);
-    EXPECT_LE(net->link_latency(a, c), ab + net->link_latency(b, c) + 1e-12);
+    EXPECT_DOUBLE_EQ(ab, dht::torus_latency(b, a));
+    EXPECT_DOUBLE_EQ(dht::torus_latency(a, a), 0.0);
+    EXPECT_LE(dht::torus_latency(a, c), ab + dht::torus_latency(b, c) + 1e-12);
   }
 }
 
@@ -70,7 +70,7 @@ TEST(Proximity, SelectionPicksLowestLatencyCandidate) {
     const CycloidNode& node = net->node_state(h);
     if (node.id.cyclic == 0) continue;
     ASSERT_NE(node.cubical_neighbor, dht::kNoNode);
-    const double chosen = net->link_latency(h, node.cubical_neighbor);
+    const double chosen = dht::torus_latency(h, node.cubical_neighbor);
     // In a complete network every pattern candidate exists; none may be
     // strictly closer than the chosen one.
     const std::uint64_t window = 1ULL << node.id.cyclic;
@@ -80,7 +80,7 @@ TEST(Proximity, SelectionPicksLowestLatencyCandidate) {
     for (std::uint64_t a = base; a < base + window; ++a) {
       const NodeHandle cand =
           CycloidNetwork::handle_of(CccId{node.id.cyclic - 1, a});
-      EXPECT_GE(net->link_latency(h, cand), chosen);
+      EXPECT_GE(dht::torus_latency(h, cand), chosen);
     }
   }
 }
@@ -114,7 +114,7 @@ TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
       const dht::LookupResult result =
           net->lookup_id(from, net->key_id(rng()), sink, &trace);
       hops += result.hops;
-      latency += net->route_latency(trace);
+      latency += dht::trace_latency(trace);
     }
     return std::pair{hops / lookups, latency / lookups};
   };
@@ -139,13 +139,12 @@ TEST(Proximity, TracePricingSurvivesDepartedHops) {
     const dht::LookupResult result =
         net->lookup_id(from, net->key_id(rng()), sink, &trace);
     if (!result.success || trace.size() < 3) continue;
-    const double before = net->route_latency(trace);
+    const double before = dht::trace_latency(trace);
     // Kill a strictly intermediate hop with no repair of any kind.
     const NodeHandle victim = trace[trace.size() / 2].node;
     ASSERT_NE(victim, from);
     ASSERT_NE(victim, result.destination);
     net->fail_ungraceful(victim);
-    EXPECT_DOUBLE_EQ(net->route_latency(trace), before);
     EXPECT_DOUBLE_EQ(dht::trace_latency(trace), before);
     return;  // one departure is the scenario; don't churn the instance
   }
@@ -163,10 +162,10 @@ TEST(Proximity, RouteLatencySumsLinkLatencies) {
     double expected = 0.0;
     NodeHandle prev = from;
     for (const auto& step : trace) {
-      expected += net->link_latency(prev, step.node);
+      expected += dht::torus_latency(prev, step.node);
       prev = step.node;
     }
-    EXPECT_DOUBLE_EQ(net->route_latency(trace), expected);
+    EXPECT_DOUBLE_EQ(dht::trace_latency(trace), expected);
   }
 }
 

@@ -15,15 +15,13 @@ namespace cycloid::dht {
 namespace {
 
 /// Base policy: every node is alive unless listed dead; forwards nowhere.
-class FakePolicy : public StepPolicy {
+/// Slot-less: the engine carries kNoSlot as every position's slot.
+class FakePolicy {
  public:
-  HopDecision next_hop(const RouteState&) override {
-    return HopDecision::deliver();
-  }
-  bool alive(NodeHandle node) const override {
-    return !dead_.contains(node);
-  }
-  int default_max_hops() const override { return 16; }
+  HopDecision next_hop(const RouteState&) { return HopDecision::deliver(); }
+  bool alive(NodeHandle node) const { return !dead_.contains(node); }
+  std::size_t slot_of(NodeHandle) const { return kNoSlot; }
+  int default_max_hops() const { return 16; }
 
   void kill(NodeHandle node) { dead_.insert(node); }
 
@@ -31,29 +29,44 @@ class FakePolicy : public StepPolicy {
   std::set<NodeHandle> dead_;
 };
 
+/// Two of the optional hooks the engine detects.
+template <typename P>
+concept HasFallbackBudget = requires(const P& p) { p.fallback_budget(); };
+template <typename P>
+concept HasTrackVisited = requires(const P& p) { p.track_visited(); };
+
 /// route_batch builds each lane's policy by value, so the single-lookup
 /// tests hand it this forwarding view: the test's own policy object does
-/// the routing and keeps whatever it recorded observable afterwards.
-class PolicyRef final : public StepPolicy {
+/// the routing and keeps whatever it recorded observable afterwards. The
+/// optional hooks are forwarded only when the concrete policy has them, so
+/// the engine sees exactly the hooks the test policy declares.
+template <typename P>
+class PolicyRef {
  public:
-  explicit PolicyRef(StepPolicy& policy) : policy_(&policy) {}
-  HopDecision next_hop(const RouteState& state) override {
+  explicit PolicyRef(P& policy) : policy_(&policy) {}
+  HopDecision next_hop(const RouteState& state) {
     return policy_->next_hop(state);
   }
-  bool alive(NodeHandle node) const override { return policy_->alive(node); }
-  int default_max_hops() const override { return policy_->default_max_hops(); }
-  int fallback_budget() const override { return policy_->fallback_budget(); }
-  bool track_visited() const override { return policy_->track_visited(); }
-  double link_latency(NodeHandle a, NodeHandle b) const override {
-    return policy_->link_latency(a, b);
+  std::size_t slot_of(NodeHandle node) const { return policy_->slot_of(node); }
+  int default_max_hops() const { return policy_->default_max_hops(); }
+  int fallback_budget() const
+    requires HasFallbackBudget<P>
+  {
+    return policy_->fallback_budget();
+  }
+  bool track_visited() const
+    requires HasTrackVisited<P>
+  {
+    return policy_->track_visited();
   }
 
  private:
-  StepPolicy* policy_;
+  P* policy_;
 };
 
 /// One lookup from `from`: a one-lookup Router::route_batch at width 1.
-LookupResult route_one(StepPolicy& policy, NodeHandle from, LookupMetrics& sink,
+template <typename P>
+LookupResult route_one(P& policy, NodeHandle from, LookupMetrics& sink,
                        const RouterOptions& options = {}) {
   const KeyHash key = 0;
   LookupResult result;
@@ -79,7 +92,7 @@ TEST(DhtRouterTest, DeliverAtSourceCountsNoHops) {
 // forever) must terminate with an explicit kHopLimit instead of hanging.
 class CyclicPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     return HopDecision::forward(state.current() == 1 ? 2 : 1, 0, "cycle");
   }
 };
@@ -106,7 +119,7 @@ TEST(DhtRouterTest, OptionsMaxHopsOverridesPolicyDefault) {
 
 class FailingPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState&) override {
+  HopDecision next_hop(const RouteState&) {
     return HopDecision::fail();
   }
 };
@@ -125,12 +138,12 @@ TEST(DhtRouterTest, FailReportsStatusAndPosition) {
 // often the lookup retries the same dead contact.
 class ProbingPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
-    EXPECT_FALSE(state.attempt(kNoNode));  // silent miss, never a timeout
-    EXPECT_FALSE(state.attempt(50));
-    EXPECT_FALSE(state.attempt(50));  // repeat: no extra charge
-    EXPECT_FALSE(state.attempt(51));
-    EXPECT_TRUE(state.attempt(52));
+  HopDecision next_hop(const RouteState& state) {
+    EXPECT_FALSE(state.attempt(*this, kNoNode));  // silent miss, no timeout
+    EXPECT_FALSE(state.attempt(*this, 50));
+    EXPECT_FALSE(state.attempt(*this, 50));  // repeat: no extra charge
+    EXPECT_FALSE(state.attempt(*this, 51));
+    EXPECT_TRUE(state.attempt(*this, 52));
     return HopDecision::deliver();
   }
 };
@@ -149,8 +162,8 @@ TEST(DhtRouterTest, AttemptChargesOneTimeoutPerDistinctDeadNode) {
 // learned, and consults the same sink's learnings on later lookups.
 class ChainPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
-    resolved = state.resolve_chain(10, 11, {12, 13}, locally_broken);
+  HopDecision next_hop(const RouteState& state) {
+    resolved = state.resolve_chain(*this, 10, 11, {12, 13}, locally_broken);
     return HopDecision::deliver();
   }
   NodeHandle resolved = kNoNode;
@@ -205,12 +218,12 @@ TEST(DhtRouterTest, ResolveChainHonoursLocallyBrokenFlag) {
 // budget and counts the flip once in guard_fallbacks.
 class BudgetPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     if (state.fallback()) return HopDecision::deliver();
     steps_before_flip = state.hops();
     return HopDecision::forward(state.current() + 1, 0, "walk");
   }
-  int fallback_budget() const override { return 3; }
+  int fallback_budget() const { return 3; }
   int steps_before_flip = 0;
 };
 
@@ -228,7 +241,7 @@ TEST(DhtRouterTest, FallbackBudgetFlipIsCountedOnce) {
 // semantics — the receiver's stale state must not bounce the key).
 class FinalHopPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState&) override {
+  HopDecision next_hop(const RouteState&) {
     ++calls;
     return HopDecision::forward_deliver(9, 1, "successor");
   }
@@ -255,19 +268,16 @@ TEST(DhtRouterTest, ForwardDeliverSkipsTheReceiversView) {
 }
 
 // Tracing: one TraceStep per counted hop, carrying the phase tag, link
-// label, per-hop timeout delta, and the policy's link latency.
+// label, per-hop timeout delta, and the link's latency on the shared plane.
 class TracingPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     if (state.current() == 1) {
-      EXPECT_FALSE(state.attempt(40));  // dead: charged to the first hop
+      EXPECT_FALSE(state.attempt(*this, 40));  // dead: charged to hop one
       return HopDecision::forward(2, 0, "a");
     }
     if (state.current() == 2) return HopDecision::forward(3, 1, "b");
     return HopDecision::deliver();
-  }
-  double link_latency(NodeHandle a, NodeHandle b) const override {
-    return static_cast<double>(a + b);
   }
 };
 
@@ -285,18 +295,20 @@ TEST(DhtRouterTest, TraceRecordsEveryHop) {
   EXPECT_EQ(trace[0].phase, 0u);
   EXPECT_STREQ(trace[0].link, "a");
   EXPECT_EQ(trace[0].timeouts_before, 1);
-  EXPECT_DOUBLE_EQ(trace[0].latency, 3.0);
+  EXPECT_DOUBLE_EQ(trace[0].latency, torus_latency(1, 2));
   EXPECT_EQ(trace[1].node, 3u);
   EXPECT_EQ(trace[1].phase, 1u);
   EXPECT_STREQ(trace[1].link, "b");
   EXPECT_EQ(trace[1].timeouts_before, 0);
-  EXPECT_DOUBLE_EQ(trace[1].latency, 5.0);
+  EXPECT_DOUBLE_EQ(trace[1].latency, torus_latency(2, 3));
+  EXPECT_DOUBLE_EQ(result.route_latency,
+                   torus_latency(1, 2) + torus_latency(2, 3));
 }
 
 // was_visited(): only tracked when the policy opts in; includes the source.
 class VisitedPolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     EXPECT_TRUE(state.was_visited(1));
     if (state.current() == 1) {
       EXPECT_FALSE(state.was_visited(2));
@@ -305,7 +317,7 @@ class VisitedPolicy : public FakePolicy {
     EXPECT_TRUE(state.was_visited(2));
     return HopDecision::deliver();
   }
-  bool track_visited() const override { return true; }
+  bool track_visited() const { return true; }
 };
 
 TEST(DhtRouterTest, VisitedTrackingIncludesSourceAndEveryHop) {
@@ -320,7 +332,7 @@ TEST(DhtRouterTest, VisitedTrackingIncludesSourceAndEveryHop) {
 // corrupt adjacent LookupResult memory; the contract must trap it.
 class OutOfRangePhasePolicy : public FakePolicy {
  public:
-  HopDecision next_hop(const RouteState&) override {
+  HopDecision next_hop(const RouteState&) {
     return HopDecision::forward(2, kMaxPhases, "bad-phase");
   }
 };
@@ -339,6 +351,39 @@ TEST(DhtRouterDeathTest, EngineTrapsPolicyWithOutOfRangePhase) {
   LookupMetrics sink;
   EXPECT_DEATH(route_one(policy, 1, sink), "Precondition");
 }
+
+// The contract is a concept: every fake above models it, and so does the
+// forwarding view over one, exposing only the optional hooks the concrete
+// policy declares. A type without next_hop or slot_of does not model it,
+// so route_batch refuses to compile for it. (Each overlay's policy asserts
+// the same next to its definition.)
+static_assert(StepPolicy<FakePolicy>);
+static_assert(StepPolicy<CyclicPolicy>);
+static_assert(StepPolicy<FailingPolicy>);
+static_assert(StepPolicy<ProbingPolicy>);
+static_assert(StepPolicy<ChainPolicy>);
+static_assert(StepPolicy<BudgetPolicy>);
+static_assert(StepPolicy<FinalHopPolicy>);
+static_assert(StepPolicy<TracingPolicy>);
+static_assert(StepPolicy<VisitedPolicy>);
+static_assert(StepPolicy<OutOfRangePhasePolicy>);
+static_assert(StepPolicy<PolicyRef<FakePolicy>>);
+static_assert(StepPolicy<PolicyRef<BudgetPolicy>>);
+static_assert(HasFallbackBudget<PolicyRef<BudgetPolicy>>);
+static_assert(!HasFallbackBudget<PolicyRef<FakePolicy>>);
+static_assert(HasTrackVisited<PolicyRef<VisitedPolicy>>);
+static_assert(!HasTrackVisited<PolicyRef<FakePolicy>>);
+
+struct NoNextHop {
+  std::size_t slot_of(NodeHandle) const { return kNoSlot; }
+  int default_max_hops() const { return 16; }
+};
+struct NoSlotOf {
+  HopDecision next_hop(const RouteState&) { return HopDecision::deliver(); }
+  int default_max_hops() const { return 16; }
+};
+static_assert(!StepPolicy<NoNextHop>);
+static_assert(!StepPolicy<NoSlotOf>);
 
 // ---------------------------------------------------------------------------
 // route_batch lane mechanics (DESIGN.md §14), against synthetic policies.
@@ -424,7 +469,7 @@ TEST(DhtRouterBatchTest, HopCapAppliesPerLaneNotPerBatch) {
 class KeyedPolicy : public FakePolicy {
  public:
   explicit KeyedPolicy(KeyHash key) : cyclic_(key % 2 != 0) {}
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     if (!cyclic_) return HopDecision::deliver();
     return HopDecision::forward(state.current() == 1 ? 2 : 1, 0, "cycle");
   }
@@ -467,11 +512,14 @@ struct PolicyCall {
   bool operator==(const PolicyCall&) const = default;
 };
 
-/// Logs every prefetch/prefetch_tables/next_hop call of one lookup, in
-/// order. Lookup `key` forwards key % 5 hops along handles from, from + 1,
-/// ..., then ends by key % 4: deliver, forward_deliver, fail, or cycling on
-/// to the hop cap. Slots differ from handles, so the log shows the engine
-/// hands every hook the slot slot_of resolved.
+/// Logs every hint and next_hop call of one lookup, in order. Lookup `key`
+/// forwards key % 5 hops along handles from, from + 1, ..., then ends by
+/// key % 4: deliver, forward_deliver, fail, or cycling on to the hop cap.
+/// Slots differ from handles, so the log shows the engine hands every hook
+/// the slot slot_of resolved. With kStage1 the policy also has the
+/// optional stage-1 hook (prefetch), as Chord, Koorde and Pastry do;
+/// without it, it has prefetch_tables only, as Cycloid and CAN do.
+template <bool kStage1>
 class HintLogPolicy : public FakePolicy {
  public:
   enum class Ending { kDeliver, kForwardDeliver, kFail, kHopCap };
@@ -483,16 +531,16 @@ class HintLogPolicy : public FakePolicy {
         ending_(static_cast<Ending>(key % 4)),
         log_(log) {}
 
-  std::size_t slot_of(NodeHandle node) const override {
-    return slot_for(node);
-  }
-  void prefetch(std::size_t slot) const override {
+  std::size_t slot_of(NodeHandle node) const { return slot_for(node); }
+  void prefetch(std::size_t slot) const
+    requires kStage1
+  {
     log_->push_back({PolicyCall::Kind::kPrefetch, slot});
   }
-  void prefetch_tables(std::size_t slot) const override {
+  void prefetch_tables(std::size_t slot) const {
     log_->push_back({PolicyCall::Kind::kTables, slot});
   }
-  HopDecision next_hop(const RouteState& state) override {
+  HopDecision next_hop(const RouteState& state) {
     log_->push_back({PolicyCall::Kind::kNextHop, state.current_slot()});
     const NodeHandle next = state.current() + 1;
     if (ending_ == Ending::kHopCap) return HopDecision::forward(next, 0);
@@ -516,14 +564,15 @@ class HintLogPolicy : public FakePolicy {
   std::vector<PolicyCall>* log_;
 };
 
-TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
-  // The hints only issue prefetches, so output equality across widths
-  // cannot see a hint dropped or misordered; this log can. At each
-  // position the lane asks next_hop about, the engine must first have
-  // called prefetch(slot) (when the hop there was committed) and then
-  // prefetch_tables(slot) (one rotation later), each exactly once, and
-  // nothing else — including where a lookup starts, and never for the
-  // receiver of a final hop or a hop the cap refused.
+static_assert(StepPolicy<KeyedPolicy>);
+static_assert(StepPolicy<HintLogPolicy<false>>);
+static_assert(StepPolicy<HintLogPolicy<true>>);
+
+/// Routes 23 lookups through HintLogPolicy<kStage1> at widths 1, 3 and 8
+/// and checks each lookup's outcome and its exact call log.
+template <bool kStage1>
+void expect_hint_schedule() {
+  using Policy = HintLogPolicy<kStage1>;
   constexpr std::size_t kCount = 23;
   const int cap = FakePolicy().default_max_hops();
   std::vector<NodeHandle> froms(kCount);
@@ -538,21 +587,18 @@ TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
     LookupMetrics sink;
     std::vector<LookupResult> results(kCount);
     BatchScratch lanes;
-    Router::route_batch(froms.data(), keys.data(), kCount, width, sink,
-                        results.data(), lanes, RouterOptions{},
-                        [&](NodeHandle, KeyHash key) {
-                          return HintLogPolicy(key, &logs[key]);
-                        });
+    Router::route_batch(
+        froms.data(), keys.data(), kCount, width, sink, results.data(), lanes,
+        RouterOptions{},
+        [&](NodeHandle, KeyHash key) { return Policy(key, &logs[key]); });
     for (std::size_t i = 0; i < kCount; ++i) {
       SCOPED_TRACE("lookup " + std::to_string(i));
-      const auto ending = static_cast<HintLogPolicy::Ending>(i % 4);
+      const auto ending = static_cast<typename Policy::Ending>(i % 4);
       int hops = static_cast<int>(i % 5);
       LookupStatus status = LookupStatus::kDelivered;
-      if (ending == HintLogPolicy::Ending::kForwardDeliver) hops += 1;
-      if (ending == HintLogPolicy::Ending::kFail) {
-        status = LookupStatus::kFailed;
-      }
-      if (ending == HintLogPolicy::Ending::kHopCap) {
+      if (ending == Policy::Ending::kForwardDeliver) hops += 1;
+      if (ending == Policy::Ending::kFail) status = LookupStatus::kFailed;
+      if (ending == Policy::Ending::kHopCap) {
         hops = cap;
         status = LookupStatus::kHopLimit;
       }
@@ -563,16 +609,35 @@ TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
       // next_hop runs at the source and at every receiver except a final
       // hop's; at the cap it runs once more and its forward is refused.
       const int positions =
-          ending == HintLogPolicy::Ending::kForwardDeliver ? hops : hops + 1;
+          ending == Policy::Ending::kForwardDeliver ? hops : hops + 1;
       std::vector<PolicyCall> expected;
       for (int p = 0; p < positions; ++p) {
-        const std::size_t slot = HintLogPolicy::slot_for(froms[i] + p);
-        expected.push_back({PolicyCall::Kind::kPrefetch, slot});
+        const std::size_t slot = Policy::slot_for(froms[i] + p);
+        if (kStage1) expected.push_back({PolicyCall::Kind::kPrefetch, slot});
         expected.push_back({PolicyCall::Kind::kTables, slot});
         expected.push_back({PolicyCall::Kind::kNextHop, slot});
       }
       EXPECT_EQ(logs[i], expected);
     }
+  }
+}
+
+TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
+  // The hints only issue prefetches, so output equality across widths
+  // cannot see a hint dropped or misordered; this log can. At each
+  // position the lane asks next_hop about, the engine must first have
+  // called the policy's hints for that slot, each exactly once: prefetch
+  // (when the hop there was committed, only for a policy with the stage-1
+  // hook) and then prefetch_tables (one rotation later). Nothing else is
+  // called — including where a lookup starts, and never for the receiver
+  // of a final hop or a hop the cap refused.
+  {
+    SCOPED_TRACE("prefetch_tables only");
+    expect_hint_schedule<false>();
+  }
+  {
+    SCOPED_TRACE("prefetch and prefetch_tables");
+    expect_hint_schedule<true>();
   }
 }
 

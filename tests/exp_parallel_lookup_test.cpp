@@ -375,7 +375,7 @@ TEST(MaintenanceAllocation, PastryJoinLeaveAndDrainAllocateNoPerNodeState) {
       const dht::NodeHandle newcomer = net->join(seed);
       EXPECT_NE(newcomer, dht::kNoNode);
       net->leave(newcomer);
-      const std::size_t queued = net->dirty_count();
+      const std::size_t queued = net->dirty_queue().size();
       net->stabilize_dirty(1);
       cost = allocation_count() - before - queued;
     }

@@ -362,11 +362,11 @@ TEST(IncrementalStabilization, SingleJoinDirtiesABoundedNeighborhood) {
   dht::NodeHandle h = dht::kNoNode;
   std::uint64_t seed = 77;
   while (h == dht::kNoNode) h = net->join(seed++);
-  EXPECT_GT(net->dirty_count(), 0u);
-  EXPECT_LT(net->dirty_count(), 64u);
+  EXPECT_GT(net->dirty_queue().size(), 0u);
+  EXPECT_LT(net->dirty_queue().size(), 64u);
   const std::size_t n = net->node_count();
   net->stabilize_dirty();
-  EXPECT_EQ(net->dirty_count(), 0u);
+  EXPECT_EQ(net->dirty_queue().size(), 0u);
   EXPECT_EQ(net->nodes_refreshed_dirty() + net->nodes_skipped_clean(), n);
   EXPECT_GT(net->nodes_skipped_clean(), (9 * n) / 10);  // >90% skipped
 }
@@ -377,9 +377,9 @@ TEST(IncrementalStabilization, FullPassClearsTheQueue) {
   std::uint64_t seed = 3;
   dht::NodeHandle h = dht::kNoNode;
   while (h == dht::kNoNode) h = net->join(seed++);
-  EXPECT_GT(net->dirty_count(), 0u);
+  EXPECT_GT(net->dirty_queue().size(), 0u);
   net->stabilize_all();
-  EXPECT_EQ(net->dirty_count(), 0u);  // everyone was refreshed anyway
+  EXPECT_EQ(net->dirty_queue().size(), 0u);  // everyone was refreshed anyway
 }
 
 TEST(IncrementalStabilizationDeathTest, DrainWithoutTrackingTraps) {

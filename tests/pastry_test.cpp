@@ -404,7 +404,7 @@ void run_exact_marks_soup(PastryNetwork& net, util::Rng& rng, int ops,
           [&] { net.leave(victim); }, where + " edge leave"));
     } else if (roll < 9 || !can_leave) {
       net.stabilize_dirty(op % 2 == 0 ? 1 : 3);
-      ASSERT_EQ(net.dirty_count(), 0u) << where;
+      ASSERT_EQ(net.dirty_queue().size(), 0u) << where;
       ASSERT_TRUE(net.check_invariants()) << where;
     } else if (net.node_count() > 2 * floor) {
       net.fail_simultaneously(0.05, rng);
