@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   util::Table table({"overlay", "updates/join", "updates/leave",
                      "updates/stabilization pass"});
   // JSON-only companion table: the same three phases split by maintenance
-  // cause (dht::Maintainer's per-cause counters). Text output is unchanged.
+  // cause (DhtNetwork's per-cause counters). Text output is unchanged.
   util::Table by_cause_table({"overlay", "phase", "total", "join repair",
                               "leave repair", "stabilize refresh",
                               "lookup promotion"});

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
 
   {
     // JSON-only: churn-driven maintenance updates per cell, split by cause
-    // (dht::Maintainer's per-cause counters). Text output is unchanged.
+    // (DhtNetwork's per-cause counters). Text output is unchanged.
     util::Table table({"overlay", "R", "maintenance total", "join repair",
                        "leave repair", "stabilize refresh",
                        "lookup promotion", "final size"});

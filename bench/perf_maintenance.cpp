@@ -4,11 +4,12 @@
 // Runs the Fig. 12 churn workload (2048-node start, Poisson lookups at 1/s,
 // per-node stabilization every 30 s) at aggressive membership rates
 // R in {0.5, 1.0, 2.0} joins/s = leaves/s and times the whole simulation:
-// maintenance updates/sec is how fast dht::Maintainer pushes repair work
-// through the per-overlay MaintenancePolicy. The per-cause split (join
-// repair / leave repair / stabilization refresh / lookup-learned promotion)
-// is printed alongside so a throughput regression can be told apart from a
-// charge-attribution change — the simulated columns stay seed-determined.
+// maintenance updates/sec is how fast DhtNetwork's mutation plane pushes
+// repair work through each overlay's maintenance hooks. The per-cause split
+// (join repair / leave repair / stabilization refresh / lookup-learned
+// promotion) is printed alongside so a throughput regression can be told
+// apart from a charge-attribution change — the simulated columns stay
+// seed-determined.
 //
 // Every cell then re-runs under StabilizeMode::kIncremental (identical RNG
 // stream, so the same joins/leaves/lookups): the second table pairs the two

@@ -46,62 +46,50 @@ Interval entry_span(const std::uint64_t* entry, int d) {
 
 }  // namespace
 
-/// CAN's repair rules: zone handovers keep all state fresh, so the policy
-/// repairs eagerly and every departure semantics funnels into the graceful
-/// takeover rule. Join repair is inseparable from the zone split itself
-/// (join_at splits and relinks in one motion), so on_join has nothing left
-/// to do; a refresh re-attempts coalescing of fragmented zones.
-class CanMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit CanMaintenancePolicy(CanNetwork& net) : net_(net) {}
+// CAN's maintenance hooks: zone handovers keep all state fresh, so CAN
+// repairs eagerly and every departure semantics funnels into the graceful
+// takeover rule. Join repair is inseparable from the zone split itself
+// (join_at splits and relinks in one motion), so on_join has nothing left
+// to do; a refresh re-attempts coalescing of fragmented zones.
 
-  bool repairs_eagerly() const override { return true; }
+bool CanNetwork::repairs_eagerly() const { return true; }
 
-  void on_join(NodeHandle) override {}
+void CanNetwork::on_join(NodeHandle) {}
 
-  void on_graceful_leave(NodeHandle node) override {
-    net_.depart_gracefully(node);
-  }
+void CanNetwork::on_graceful_leave(NodeHandle node) {
+  depart_gracefully(node);
+}
 
-  void on_vanish(NodeHandle node) override {
-    // CAN has no stale-state model; even a "vanished" node's zones must go
-    // somewhere, so this too runs the takeover rule.
-    net_.depart_gracefully(node);
-  }
+void CanNetwork::on_vanish(NodeHandle node) {
+  // CAN has no stale-state model; even a "vanished" node's zones must go
+  // somewhere, so this too runs the takeover rule. It is also the
+  // per-victim step of a mass departure: sequential takeovers (CAN repairs
+  // zone ownership as part of departure, so no state goes stale).
+  depart_gracefully(node);
+}
 
-  void on_mass_leave(NodeHandle node) override {
-    // Sequential takeovers (CAN repairs zone ownership as part of
-    // departure, so no state goes stale).
-    net_.depart_gracefully(node);
-  }
+void CanNetwork::refresh(NodeHandle node) {
+  // Zone handovers keep all state fresh; nothing to repair. Use the pass
+  // to re-attempt coalescing of fragmented zones (node-local: coalesce
+  // only merges the node's own zone list and never changes its grid
+  // footprint, so the parallel pass stays race-free).
+  if (CanNode* state = node_of(node)) coalesce(*state);
+}
 
-  void refresh(NodeHandle node) override {
-    // Zone handovers keep all state fresh; nothing to repair. Use the pass
-    // to re-attempt coalescing of fragmented zones (node-local: coalesce
-    // only merges the node's own zone list and never changes its grid
-    // footprint, so the parallel pass stays race-free).
-    if (CanNode* state = net_.node_of(node)) net_.coalesce(*state);
-  }
-
-  void dirty(dht::MembershipEvent, NodeHandle node) override {
-    // Adjacency and zone ownership are repaired eagerly; refresh only
-    // coalesces a node's own zone list. The only zone lists an event
-    // changes are the subject's and its neighbours' (the split owner on a
-    // join, the takeover heir on a departure are both adjacent), so mark
-    // exactly that patch.
-    const CanNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-    net_.mark_dirty(node);
-    for (const NodeHandle n : net_.neighbors_of(*state)) net_.mark_dirty(n);
-  }
-
- private:
-  CanNetwork& net_;
-};
+void CanNetwork::dirty(dht::MembershipEvent, NodeHandle node) {
+  // Adjacency and zone ownership are repaired eagerly; refresh only
+  // coalesces a node's own zone list. The only zone lists an event
+  // changes are the subject's and its neighbours' (the split owner on a
+  // join, the takeover heir on a departure are both adjacent), so mark
+  // exactly that patch.
+  const CanNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
+  mark_dirty(node);
+  for (const NodeHandle n : neighbors_of(*state)) mark_dirty(n);
+}
 
 CanNetwork::CanNetwork(int dims) : dims_(dims), grid_(std::min(dims, 2)) {
   CYCLOID_EXPECTS(dims >= 1 && dims <= kMaxDims);
-  set_maintenance_policy(std::make_unique<CanMaintenancePolicy>(*this));
 }
 
 std::unique_ptr<CanNetwork> CanNetwork::build_random(std::size_t count,

@@ -119,10 +119,10 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   // node_handles() uses the base registry implementation (handles are
   // ascending join serials — sorting the registry reproduces the previous
   // sorted-serial order).
-  // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
-  // overlay's takeover logic lives in CanMaintenancePolicy (can.cpp). The
-  // policy repairs eagerly: every departure — even fail_ungraceful — runs
-  // the graceful takeover rule, since CAN has no stale-state model.
+  // leave / fail_* / stabilize_* are DhtNetwork's; the overlay's takeover
+  // logic is this class's maintenance hooks (can.cpp). CAN repairs
+  // eagerly: every departure — even fail_ungraceful — runs the graceful
+  // takeover rule, since CAN has no stale-state model.
   std::string name() const override { return "CAN"; }
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
@@ -133,7 +133,13 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
                    const dht::RouterOptions& options) const override;
 
  private:
-  friend class CanMaintenancePolicy;
+  // Maintenance hooks (DhtNetwork's contract).
+  bool repairs_eagerly() const override;
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void refresh(dht::NodeHandle node) override;
+  void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
 
   bool zone_contains(const Zone& zone, const Point& p) const;
   /// Squared torus distance from the closest point of `zone` to `p`.
@@ -178,7 +184,7 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
 
   /// The CAN takeover rule: hand the departing node's zones to its
   /// smallest-volume neighbour, coalesce, relink (all departure semantics
-  /// funnel here — the maintenance policy repairs eagerly).
+  /// funnel here — CAN repairs eagerly).
   void depart_gracefully(dht::NodeHandle node);
 
   void unlink(dht::NodeHandle handle);

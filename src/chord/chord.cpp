@@ -13,103 +13,93 @@ using util::clockwise_distance;
 using util::in_half_open_cw;
 }  // namespace
 
-/// Chord's repair logic behind the maintenance engine: graceful leaves
-/// repair the successor structure immediately; fingers go stale until the
-/// stabilization refresh; a mass graceful departure makes every survivor
-/// re-check its ring pointers once.
-class ChordMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit ChordMaintenancePolicy(ChordNetwork& net) : net_(net) {}
+// Chord's maintenance hooks: graceful leaves repair the successor structure
+// immediately; fingers go stale until the stabilization refresh; a mass
+// graceful departure makes every survivor re-check its ring pointers once.
 
-  void on_join(NodeHandle node) override {
-    ChordNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);
-    net_.compute_state(*state);
-    net_.refresh_ring_around(state->id);
+void ChordNetwork::on_join(NodeHandle node) {
+  ChordNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);
+  compute_state(*state);
+  refresh_ring_around(state->id);
+}
+
+void ChordNetwork::on_graceful_leave(NodeHandle node) {
+  CYCLOID_EXPECTS(contains(node));
+  const std::uint64_t id = node_of(node)->id;
+  unlink(node);
+  if (!ring_.empty()) refresh_ring_around(id);
+}
+
+void ChordNetwork::on_vanish(NodeHandle node) {
+  // Nodes vanish without notifying anyone: successor lists and
+  // predecessor pointers stay stale alongside the fingers.
+  unlink(node);
+}
+
+void ChordNetwork::repair_after_mass_leave() {
+  // Graceful departures repair the ring; fingers stay frozen.
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    ChordNode& node = node_at(slot);
+    note_maintenance();  // everyone re-checks
+    link_ring(node);
   }
+}
 
-  void on_graceful_leave(NodeHandle node) override {
-    CYCLOID_EXPECTS(net_.contains(node));
-    const std::uint64_t id = net_.node_of(node)->id;
-    net_.unlink(node);
-    if (!net_.ring_.empty()) net_.refresh_ring_around(id);
-  }
+void ChordNetwork::refresh(NodeHandle node) {
+  ChordNode* state = node_of(node);
+  if (state == nullptr) return;
+  compute_state(*state);
+}
 
-  void on_vanish(NodeHandle node) override {
-    // Nodes vanish without notifying anyone: successor lists and
-    // predecessor pointers stay stale alongside the fingers.
-    net_.unlink(node);
-  }
+void ChordNetwork::before_pass() { ring_.settle(); }
 
-  void repair_after_mass_leave() override {
-    // Graceful departures repair the ring; fingers stay frozen.
-    for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
-      ChordNode& node = net_.node_at(slot);
-      net_.note_maintenance();  // everyone re-checks
-      net_.link_ring(node);
+void ChordNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
+  const ChordNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
+  const std::uint64_t id = state->id;
+  if (ring_.size() <= 1) return;  // nobody else references this node
+
+  // Ring structure (predecessor + successor lists): joins and graceful
+  // single leaves repair it eagerly via refresh_ring_around, and a mass
+  // graceful departure rebuilds it for every survivor — only a silent
+  // vanish leaves it stale. Mark the same neighbourhood the graceful
+  // repair walks: successor_list_length + 1 predecessors plus the strict
+  // successor.
+  if (event == dht::MembershipEvent::kVanish) {
+    std::uint64_t cursor = id;
+    for (int i = 0; i <= successor_list_length_; ++i) {
+      const NodeHandle h = ring_.predecessor(cursor);
+      mark_dirty(h);
+      cursor = h;  // Chord handles are ids
     }
+    mark_dirty(ring_.successor((id + 1) % space_size_));
   }
 
-  void refresh(NodeHandle node) override {
-    ChordNode* state = net_.node_of(node);
-    if (state == nullptr) return;
-    net_.compute_state(*state);
+  // Fingers are never eagerly repaired, for any event. X.finger[i] =
+  // successor(X.id + 2^i) changes exactly when X.id + 2^i lies in
+  // (pred(J), J] — the key slice this event moves between J and its
+  // successor — so mark the ring members in (pred(J) - 2^i, J - 2^i].
+  const std::uint64_t pred = ring_.predecessor(id);
+  const std::uint64_t space = space_size_;
+  for (int i = 0; i < bits_; ++i) {
+    const std::uint64_t step = 1ULL << i;
+    mark_members((pred + space - step) % space,
+                 (id + space - step) % space);
   }
+}
 
-  void before_pass() override { net_.ring_.settle(); }
-
-  void dirty(dht::MembershipEvent event, NodeHandle node) override {
-    const ChordNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-    const std::uint64_t id = state->id;
-    if (net_.ring_.size() <= 1) return;  // nobody else references this node
-
-    // Ring structure (predecessor + successor lists): joins and graceful
-    // single leaves repair it eagerly via refresh_ring_around, and a mass
-    // graceful departure rebuilds it for every survivor — only a silent
-    // vanish leaves it stale. Mark the same neighbourhood the graceful
-    // repair walks: successor_list_length + 1 predecessors plus the strict
-    // successor.
-    if (event == dht::MembershipEvent::kVanish) {
-      std::uint64_t cursor = id;
-      for (int i = 0; i <= net_.successor_list_length_; ++i) {
-        const NodeHandle h = net_.ring_.predecessor(cursor);
-        net_.mark_dirty(h);
-        cursor = h;  // Chord handles are ids
-      }
-      net_.mark_dirty(net_.ring_.successor((id + 1) % net_.space_size_));
-    }
-
-    // Fingers are never eagerly repaired, for any event. X.finger[i] =
-    // successor(X.id + 2^i) changes exactly when X.id + 2^i lies in
-    // (pred(J), J] — the key slice this event moves between J and its
-    // successor — so mark the ring members in (pred(J) - 2^i, J - 2^i].
-    const std::uint64_t pred = net_.ring_.predecessor(id);
-    const std::uint64_t space = net_.space_size_;
-    for (int i = 0; i < net_.bits_; ++i) {
-      const std::uint64_t step = 1ULL << i;
-      mark_members((pred + space - step) % space,
-                   (id + space - step) % space);
-    }
+void ChordNetwork::mark_members(std::uint64_t lo, std::uint64_t hi) {
+  const auto& ring = ring_;
+  std::size_t i = ring.upper_bound(lo);
+  if (lo >= hi) {  // wrapping interval: (lo, top] then [0, hi]
+    for (; i < ring.size(); ++i) mark_dirty(ring.handle(i));
+    i = 0;
   }
-
- private:
-  /// Mark every ring member whose id lies in the circular interval
-  /// (lo, hi].
-  void mark_members(std::uint64_t lo, std::uint64_t hi) {
-    const auto& ring = net_.ring_;
-    std::size_t i = ring.upper_bound(lo);
-    if (lo >= hi) {  // wrapping interval: (lo, top] then [0, hi]
-      for (; i < ring.size(); ++i) net_.mark_dirty(ring.handle(i));
-      i = 0;
-    }
-    for (; i < ring.size() && ring.key(i) <= hi; ++i) {
-      net_.mark_dirty(ring.handle(i));
-    }
+  for (; i < ring.size() && ring.key(i) <= hi; ++i) {
+    mark_dirty(ring.handle(i));
   }
-
-  ChordNetwork& net_;
-};
+}
 
 ChordNetwork::ChordNetwork(int bits, int successor_list_length)
     : bits_(bits),
@@ -117,7 +107,6 @@ ChordNetwork::ChordNetwork(int bits, int successor_list_length)
       successor_list_length_(successor_list_length) {
   CYCLOID_EXPECTS(bits >= 1 && bits <= 32);
   CYCLOID_EXPECTS(successor_list_length >= 1);
-  set_maintenance_policy(std::make_unique<ChordMaintenancePolicy>(*this));
 }
 
 std::unique_ptr<ChordNetwork> ChordNetwork::build_random(
@@ -147,9 +136,9 @@ bool ChordNetwork::insert(std::uint64_t id) {
   create_node(id).id = id;
   ring_.insert(id, id, bulk_building());
 
-  // The engine runs ChordMaintenancePolicy::on_join (compute_state +
-  // ring-neighbourhood refresh) under the join-repair cause scope; bulk
-  // construction defers derived state to finish_bulk's stabilize pass.
+  // notify_joined runs on_join (compute_state + ring-neighbourhood
+  // refresh) under the join-repair cause scope; bulk construction defers
+  // derived state to finish_bulk's stabilize pass.
   notify_joined(id);
   return true;
 }

@@ -64,9 +64,8 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
   // DhtNetwork interface -----------------------------------------------
   // node_handles() uses the base registry implementation (handle == id, so
   // ascending handle order is the ring order — also the engine's departure
-  // sampling order). leave / fail_* / stabilize_* are engine-owned
-  // (dht::Maintainer); the repair logic lives in ChordMaintenancePolicy
-  // (chord.cpp).
+  // sampling order). leave / fail_* / stabilize_* are DhtNetwork's; the
+  // repair logic is this class's maintenance hooks (chord.cpp).
   std::string name() const override { return "Chord"; }
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
@@ -77,7 +76,17 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
                    const dht::RouterOptions& options) const override;
 
  private:
-  friend class ChordMaintenancePolicy;
+  // Maintenance hooks (DhtNetwork's contract).
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void repair_after_mass_leave() override;
+  void refresh(dht::NodeHandle node) override;
+  void before_pass() override;
+  void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
+  /// Mark every ring member whose id lies in the circular interval
+  /// (lo, hi].
+  void mark_members(std::uint64_t lo, std::uint64_t hi);
 
   /// Set `node`'s predecessor and successor list from the live ring.
   void link_ring(ChordNode& node) const;

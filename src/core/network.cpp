@@ -14,147 +14,139 @@ using dht::NodeHandle;
 
 }  // namespace
 
-/// Cycloid's repair logic behind the maintenance engine (paper Sec. 3.3):
-/// joins and graceful leaves repair leaf sets eagerly; routing-table
-/// entries go stale until the stabilization refresh; mass graceful
-/// departures repair every leaf set once after all victims are unlinked.
-class CycloidMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit CycloidMaintenancePolicy(CycloidNetwork& net) : net_(net) {}
+// Cycloid's maintenance hooks (paper Sec. 3.3): joins and graceful leaves
+// repair leaf sets eagerly; routing-table entries go stale until the
+// stabilization refresh; mass graceful departures repair every leaf set
+// once after all victims are unlinked.
 
-  void on_join(NodeHandle node) override {
-    CycloidNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);
-    net_.compute_routing_table(*state);
-    net_.refresh_leafsets_around(state->id.cubical);
+void CycloidNetwork::on_join(NodeHandle node) {
+  CycloidNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);
+  compute_routing_table(*state);
+  refresh_leafsets_around(state->id.cubical);
+}
+
+void CycloidNetwork::on_graceful_leave(NodeHandle node) {
+  CYCLOID_EXPECTS(contains(node));
+  const CccId id = CycloidNetwork::id_of(node);
+  unlink(node);
+  // The departing node notifies its inside leaf set (and, when primary,
+  // its outside leaf set, which cascades through the neighboring
+  // cycles); all leaf sets referencing it are repaired. Cubical/cyclic
+  // entries elsewhere stay stale until stabilization.
+  refresh_leafsets_around(id.cubical);
+}
+
+void CycloidNetwork::on_vanish(NodeHandle node) {
+  // Nodes vanish without warning: nobody is notified, so leaf sets stay
+  // stale alongside the routing tables (paper Sec. 5's open problem).
+  // Lookups discover the damage through timeouts until stabilization.
+  unlink(node);
+}
+
+void CycloidNetwork::repair_after_mass_leave() {
+  // Graceful departures repair every leaf set; routing tables stay
+  // frozen.
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    compute_leaf_sets(node_at(slot));
   }
+}
 
-  void on_graceful_leave(NodeHandle node) override {
-    CYCLOID_EXPECTS(net_.contains(node));
-    const CccId id = CycloidNetwork::id_of(node);
-    net_.unlink(node);
-    // The departing node notifies its inside leaf set (and, when primary,
-    // its outside leaf set, which cascades through the neighboring
-    // cycles); all leaf sets referencing it are repaired. Cubical/cyclic
-    // entries elsewhere stay stale until stabilization.
-    net_.refresh_leafsets_around(id.cubical);
-  }
+void CycloidNetwork::refresh(NodeHandle node) {
+  CycloidNode* state = node_of(node);
+  if (state == nullptr) return;  // departed before its stabilization timer
+  compute_routing_table(*state);
+  compute_leaf_sets(*state);
+}
 
-  void on_vanish(NodeHandle node) override {
-    // Nodes vanish without warning: nobody is notified, so leaf sets stay
-    // stale alongside the routing tables (paper Sec. 5's open problem).
-    // Lookups discover the damage through timeouts until stabilization.
-    net_.unlink(node);
-  }
+void CycloidNetwork::before_pass() {
+  ring_.settle();
+  for (auto& level : by_level_) level.settle();
+}
 
-  void repair_after_mass_leave() override {
-    // Graceful departures repair every leaf set; routing tables stay
-    // frozen.
-    for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
-      net_.compute_leaf_sets(net_.node_at(slot));
-    }
-  }
+void CycloidNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
+  const CycloidNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
+  const CccId id = state->id;
 
-  void refresh(NodeHandle node) override {
-    CycloidNode* state = net_.node_of(node);
-    if (state == nullptr) return;  // departed before its stabilization timer
-    net_.compute_routing_table(*state);
-    net_.compute_leaf_sets(*state);
-  }
-
-  void before_pass() override {
-    net_.ring_.settle();
-    for (auto& level : net_.by_level_) level.settle();
-  }
-
-  void dirty(dht::MembershipEvent event, NodeHandle node) override {
-    const CycloidNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-    const CccId id = state->id;
-
-    // Leaf sets: on_join and on_graceful_leave run refresh_leafsets_around
-    // (exact recompute of every affected cycle) and repair_after_mass_leave
-    // recomputes all leaf sets, so only a silent vanish leaves leaf sets
-    // stale — mark the cycles the post-unlink repair walk would touch.
-    if (event == dht::MembershipEvent::kVanish) {
-      for (const std::uint64_t c : net_.affected_cycles(id.cubical)) {
-        for (std::size_t i = net_.cycle_begin(c), end = net_.cycle_end(c);
-             i < end; ++i) {
-          net_.mark_dirty(net_.ring_.handle(i));
-        }
+  // Leaf sets: on_join and on_graceful_leave run refresh_leafsets_around
+  // (exact recompute of every affected cycle) and repair_after_mass_leave
+  // recomputes all leaf sets, so only a silent vanish leaves leaf sets
+  // stale — mark the cycles the post-unlink repair walk would touch.
+  if (event == dht::MembershipEvent::kVanish) {
+    for (const std::uint64_t c : affected_cycles(id.cubical)) {
+      for (std::size_t i = cycle_begin(c), end = cycle_end(c);
+           i < end; ++i) {
+        mark_dirty(ring_.handle(i));
       }
     }
-
-    // Routing tables: a node at cyclic level m reads by_level_[m-1], so a
-    // change at (cubical, cyclic k) perturbs only level k + 1 — for every
-    // event, graceful or not (cubical/cyclic entries are never eagerly
-    // repaired).
-    mark_routing_referencers(id, event == dht::MembershipEvent::kJoin);
   }
 
- private:
-  /// Mark the level-(k+1) nodes whose cubical or cyclic routing entries the
-  /// change at `id` = (cubical a, cyclic k) can perturb. Exact inversion of
-  /// compute_routing_table's candidate windows:
-  ///  - cubical: X with cubical x scans [flip_bit(x,m) & ~(2^m-1), +2^m), so
-  ///    the affected x lie in the mirror window around flip_bit(a,m); a
-  ///    departure matters only to X whose stored entry is the victim, a join
-  ///    only to X the newcomer ties-or-beats on suffix gap (proximity
-  ///    selection marks the whole window — the latency argmin is not
-  ///    predictable from stored state).
-  ///  - cyclic: X takes the nearest level-k cubical at-or-after/at-or-before
-  ///    its own, so only X strictly between a's level-k neighbors (clamped
-  ///    to the range ends) can gain or lose the entry.
-  void mark_routing_referencers(const CccId& id, bool join) {
-    const std::size_t m = static_cast<std::size_t>(id.cyclic) + 1;
-    if (m >= net_.by_level_.size()) return;
-    const auto& level = net_.by_level_[m];  // potential referencers
-    if (level.empty()) return;
-    const auto& feeder = net_.by_level_[id.cyclic];
-    const NodeHandle changed = CycloidNetwork::handle_of(id);
-    const bool proximity =
-        net_.selection_ == NeighborSelection::kProximity;
+  // Routing tables: a node at cyclic level m reads by_level_[m-1], so a
+  // change at (cubical, cyclic k) perturbs only level k + 1 — for every
+  // event, graceful or not (cubical/cyclic entries are never eagerly
+  // repaired).
+  mark_routing_referencers(id, event == dht::MembershipEvent::kJoin);
+}
 
-    const std::uint64_t window = 1ULL << m;
-    const std::uint64_t base =
-        util::flip_bit(id.cubical, static_cast<int>(m)) & ~(window - 1);
-    for (std::size_t i = level.lower_bound(base);
-         i < level.size() && level.key(i) < base + window; ++i) {
-      const NodeHandle referencer = level.handle(i);
-      const CycloidNode* ref = net_.node_of(referencer);
-      CYCLOID_ASSERT(ref != nullptr);
-      if (!join) {
-        // Removing a non-selected candidate never changes the argmin.
-        if (ref->cubical_neighbor == changed) net_.mark_dirty(referencer);
-        continue;
-      }
-      if (proximity || ref->cubical_neighbor == kNoNode) {
-        net_.mark_dirty(referencer);
-        continue;
-      }
-      const std::uint64_t preferred =
-          util::flip_bit(level.key(i), static_cast<int>(m));
-      const auto gap = [preferred](std::uint64_t c) {
-        return c >= preferred ? c - preferred : preferred - c;
-      };
-      const std::uint64_t stored =
-          CycloidNetwork::id_of(ref->cubical_neighbor).cubical;
-      if (gap(id.cubical) <= gap(stored)) net_.mark_dirty(referencer);
+/// Mark the level-(k+1) nodes whose cubical or cyclic routing entries the
+/// change at `id` = (cubical a, cyclic k) can perturb. Exact inversion of
+/// compute_routing_table's candidate windows:
+///  - cubical: X with cubical x scans [flip_bit(x,m) & ~(2^m-1), +2^m), so
+///    the affected x lie in the mirror window around flip_bit(a,m); a
+///    departure matters only to X whose stored entry is the victim, a join
+///    only to X the newcomer ties-or-beats on suffix gap (proximity
+///    selection marks the whole window — the latency argmin is not
+///    predictable from stored state).
+///  - cyclic: X takes the nearest level-k cubical at-or-after/at-or-before
+///    its own, so only X strictly between a's level-k neighbors (clamped
+///    to the range ends) can gain or lose the entry.
+void CycloidNetwork::mark_routing_referencers(const CccId& id, bool join) {
+  const std::size_t m = static_cast<std::size_t>(id.cyclic) + 1;
+  if (m >= by_level_.size()) return;
+  const auto& level = by_level_[m];  // potential referencers
+  if (level.empty()) return;
+  const auto& feeder = by_level_[id.cyclic];
+  const NodeHandle changed = CycloidNetwork::handle_of(id);
+  const bool proximity = selection_ == NeighborSelection::kProximity;
+
+  const std::uint64_t window = 1ULL << m;
+  const std::uint64_t base =
+      util::flip_bit(id.cubical, static_cast<int>(m)) & ~(window - 1);
+  for (std::size_t i = level.lower_bound(base);
+       i < level.size() && level.key(i) < base + window; ++i) {
+    const NodeHandle referencer = level.handle(i);
+    const CycloidNode* ref = node_of(referencer);
+    CYCLOID_ASSERT(ref != nullptr);
+    if (!join) {
+      // Removing a non-selected candidate never changes the argmin.
+      if (ref->cubical_neighbor == changed) mark_dirty(referencer);
+      continue;
     }
-
-    // Cyclic neighbors. `feeder` still contains `a` itself (post-join /
-    // pre-unlink); the strict bounds exclude it.
-    const std::size_t at = feeder.lower_bound(id.cubical);
-    const std::size_t past = feeder.upper_bound(id.cubical);
-    std::size_t start = at > 0 ? level.upper_bound(feeder.key(at - 1)) : 0;
-    const std::size_t stop = past < feeder.size()
-                                 ? level.lower_bound(feeder.key(past))
-                                 : level.size();
-    for (; start < stop; ++start) net_.mark_dirty(level.handle(start));
+    if (proximity || ref->cubical_neighbor == kNoNode) {
+      mark_dirty(referencer);
+      continue;
+    }
+    const std::uint64_t preferred =
+        util::flip_bit(level.key(i), static_cast<int>(m));
+    const auto gap = [preferred](std::uint64_t c) {
+      return c >= preferred ? c - preferred : preferred - c;
+    };
+    const std::uint64_t stored =
+        CycloidNetwork::id_of(ref->cubical_neighbor).cubical;
+    if (gap(id.cubical) <= gap(stored)) mark_dirty(referencer);
   }
 
-  CycloidNetwork& net_;
-};
+  // Cyclic neighbors. `feeder` still contains `a` itself (post-join /
+  // pre-unlink); the strict bounds exclude it.
+  const std::size_t at = feeder.lower_bound(id.cubical);
+  const std::size_t past = feeder.upper_bound(id.cubical);
+  std::size_t start = at > 0 ? level.upper_bound(feeder.key(at - 1)) : 0;
+  const std::size_t stop = past < feeder.size()
+                               ? level.lower_bound(feeder.key(past))
+                               : level.size();
+  for (; start < stop; ++start) mark_dirty(level.handle(start));
+}
 
 CycloidNetwork::CycloidNetwork(int dimension, int leaf_width,
                                NeighborSelection selection)
@@ -163,7 +155,6 @@ CycloidNetwork::CycloidNetwork(int dimension, int leaf_width,
   CYCLOID_EXPECTS(leaf_width >= 1 && leaf_width <= kMaxLeafWidth);
   by_level_.resize(static_cast<std::size_t>(dimension));
   slot_by_position_.assign(space_.size(), kNoPositionSlot);
-  set_maintenance_policy(std::make_unique<CycloidMaintenancePolicy>(*this));
 }
 
 std::unique_ptr<CycloidNetwork> CycloidNetwork::build_complete(
@@ -215,11 +206,11 @@ bool CycloidNetwork::insert(const CccId& id) {
   ring_.insert(pos, handle, bulk_building());
   by_level_[id.cyclic].insert(id.cubical, handle, bulk_building());
 
-  // The engine runs the join repairs (CycloidMaintenancePolicy::on_join)
-  // under the join-repair cause scope. Bulk construction defers all
-  // derived state to the single stabilize pass in finish_bulk — the eager
-  // per-insert computation would be recomputed from final membership there
-  // anyway — so notify_joined is a no-op while bulk_building().
+  // notify_joined runs the join repairs (on_join) under the join-repair
+  // cause scope. Bulk construction defers all derived state to the single
+  // stabilize pass in finish_bulk — the eager per-insert computation would
+  // be recomputed from final membership there anyway — so notify_joined is
+  // a no-op while bulk_building().
   notify_joined(handle);
   return true;
 }

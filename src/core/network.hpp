@@ -136,8 +136,8 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   // (cubical << 8) | cyclic and cyclic < d <= 32, so ascending handle order
   // is exactly ascending (cubical, cyclic) — the ring order (this is also
   // the order the maintenance engine's departure sampling draws in).
-  // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
-  // overlay's repair logic lives in CycloidMaintenancePolicy (network.cpp).
+  // leave / fail_* / stabilize_* are DhtNetwork's; the overlay's repair
+  // logic is this class's maintenance hooks (network.cpp).
   std::string name() const override;
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
@@ -151,7 +151,17 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   enum Phase : std::size_t { kAscend = 0, kDescend = 1, kTraverse = 2 };
 
  private:
-  friend class CycloidMaintenancePolicy;
+  // Maintenance hooks (DhtNetwork's contract).
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void repair_after_mass_leave() override;
+  void refresh(dht::NodeHandle node) override;
+  void before_pass() override;
+  void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
+  /// Mark the level-(k+1) nodes whose cubical or cyclic routing entries
+  /// the change at `id` = (cubical a, cyclic k) can perturb.
+  void mark_routing_referencers(const CccId& id, bool join);
 
   /// Compute the routing-table entries of `node` from the live membership
   /// (the paper's "local-remote" search, idealized as stabilization does).

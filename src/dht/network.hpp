@@ -18,27 +18,32 @@
 // caller that wants the repairs a lookup learned applied to the network
 // hands its sink to absorb() afterwards.
 //
-// Both planes are engine-owned; an overlay contributes only policies:
+// Each plane has one shared implementation; an overlay contributes a step
+// policy for reads and its maintenance hooks for writes:
 //
 //               reads                           mutates
 //   lookup ──► dht::Router ── StepPolicy ──► [overlay routing state]
 //   join/leave/fail_*/stabilize_*
-//          ──► dht::Maintainer ── MaintenancePolicy ──► [overlay state]
+//          ──► DhtNetwork ── maintenance hooks ──► [overlay state]
 //
 // dht::Router (dht/router.hpp) owns the hop loop: each overlay's one
 // route_batch override hands a per-lookup step-policy factory to
 // Router::route_batch, which owns timeout detection, phase accounting,
 // tracing, and the universal hop cap.
-// dht::Maintainer (dht/maintenance.hpp) owns the mutation plane's shared
-// machinery: departure sampling for the fail_* experiments, stale-entry
-// bookkeeping, departure-semantics recording, the parallel stabilization
-// pass, and the per-cause maintenance counters charged through
-// note_maintenance().
+// DhtNetwork itself owns the mutation plane's shared machinery: departure
+// sampling for the fail_* experiments, stale-entry bookkeeping,
+// departure-semantics recording, the parallel stabilization pass, the
+// dirty queue, and the per-cause maintenance counters charged through
+// note_maintenance(). Each overlay overrides the private maintenance hooks
+// (on_join, on_graceful_leave, on_vanish, refresh, ...) with its repair
+// logic for one membership event: no sampling, no loops over victims, no
+// accounting plumbing. The public calls bracket every hook in a cause
+// scope, so a charge lands on the right cause's counter without the hook
+// naming the cause.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -159,19 +164,17 @@ class DhtNetwork {
                            const RouterOptions& options) const = 0;
 
   /// Let the overlay apply the repair promotions a finished batch learned
-  /// (Koorde's backup promotion). The promotions run under the engine's
+  /// (Koorde's backup promotion). The promotions run under the
   /// kLookupPromotion cause scope.
   void absorb(const LookupMetrics& batch) {
-    Maintainer::CauseScope scope(maintainer_,
-                                 MaintenanceCause::kLookupPromotion);
+    CauseScope scope(*this, MaintenanceCause::kLookupPromotion);
     apply_repairs(batch);
   }
 
   // Mutation plane ---------------------------------------------------------
-  // Non-join membership mutation is engine-owned: the calls below delegate
-  // to this network's dht::Maintainer, which samples victims, installs the
-  // cause scope for maintenance accounting, and invokes the overlay's
-  // MaintenancePolicy hooks (dht/maintenance.hpp).
+  // Non-join membership mutation is shared: the calls below sample victims,
+  // install the cause scope for maintenance accounting, and invoke the
+  // overlay's maintenance hooks (the private virtuals further down).
 
   /// Add one node whose identifier derives from `seed`; returns its handle
   /// (kNoNode if the derived identifier was already taken).
@@ -179,12 +182,12 @@ class DhtNetwork {
 
   /// Graceful departure: the node notifies the neighbors its protocol says
   /// to notify; everything else goes stale until stabilization.
-  void leave(NodeHandle node) { maintainer_.leave(node); }
+  void leave(NodeHandle node);
 
   /// Simultaneous graceful departures: every node leaves with probability p
   /// (paper Sec. 4.3). No stabilization runs afterwards.
   void fail_simultaneously(double p, util::Rng& rng) {
-    maintainer_.depart_sample(p, rng, /*ungraceful=*/false);
+    depart_sample(p, rng, /*ungraceful=*/false);
   }
 
   /// Simultaneous UNGRACEFUL departures — nodes vanish without notifying
@@ -196,74 +199,80 @@ class DhtNetwork {
   /// degrade to the graceful behaviour; last_departure_semantics() reports
   /// which semantics actually ran.
   void fail_ungraceful(double p, util::Rng& rng) {
-    maintainer_.depart_sample(p, rng, /*ungraceful=*/true);
+    depart_sample(p, rng, /*ungraceful=*/true);
   }
 
   /// Single ungraceful departure: `node` vanishes without notifying anyone
   /// (the per-node counterpart of the sampling overload above, with the
   /// same eager-repair degradation). Used by churn tests that need to kill
   /// one specific traced hop.
-  void fail_ungraceful(NodeHandle node) { maintainer_.vanish(node); }
+  void fail_ungraceful(NodeHandle node);
 
   /// Semantics of the most recent fail_* call (kNone before the first) —
   /// distinguishes a genuine ungraceful run from the silent graceful
   /// degradation of the eager-repair overlays.
   DepartureSemantics last_departure_semantics() const noexcept {
-    return maintainer_.last_departure_semantics();
+    return last_semantics_;
   }
 
   /// True when departures may have left stale references that only a
-  /// stabilization pass will repair (cleared by stabilize_all/finish_bulk).
-  bool has_stale_entries() const noexcept { return maintainer_.stale(); }
+  /// stabilization pass will repair (cleared by stabilize_all,
+  /// stabilize_dirty and finish_bulk).
+  bool has_stale_entries() const noexcept { return stale_; }
 
   /// Refresh one node's routing state from the live membership (the
   /// "system stabilization" the paper delegates repairs to).
-  void stabilize_one(NodeHandle node) { maintainer_.refresh_one(node); }
+  void stabilize_one(NodeHandle node);
 
   /// Refresh every node's routing state, fanning the per-node recomputation
-  /// out over `threads` workers via Maintainer::run_pass. Safe to
-  /// parallelize because a policy's refresh only reads the membership
-  /// indexes (frozen for the duration of the pass) and other nodes'
-  /// immutable identity fields, and writes only its own node's state (its
-  /// maintenance charges are atomic adds). The resulting network state and
-  /// the maintenance totals are identical at any thread count (DESIGN.md
-  /// §9/§10).
-  void stabilize_all(int threads = 1) { maintainer_.run_pass(threads); }
+  /// out over `threads` workers. Safe to parallelize because an overlay's
+  /// refresh only reads the membership indexes (frozen for the duration of
+  /// the pass) and other nodes' immutable identity fields, and writes only
+  /// its own node's state (its maintenance charges are atomic adds). The
+  /// resulting network state and the maintenance totals are identical at
+  /// any thread count (DESIGN.md §9/§10). Leaves no node dirty: the queue
+  /// is cleared.
+  void stabilize_all(int threads = 1);
 
   // Incremental stabilization --------------------------------------------
   // With dirty tracking enabled, every membership event routes through the
-  // policy's dirty() hook, which enqueues exactly the nodes whose refresh
+  // overlay's dirty() hook, which enqueues exactly the nodes whose refresh
   // output the event changed; stabilize_dirty then refreshes only those
   // (same determinism contract as stabilize_all, DESIGN.md §11). Enable on
   // a freshly built or just-stabilized network so no pre-existing staleness
   // is silently skipped.
 
-  /// Enable/disable dirty-neighborhood tracking (starts from an empty
-  /// queue).
+  /// Enable/disable dirty-neighborhood tracking. Enabling starts from an
+  /// empty queue; pair it with a full pass (or a fresh build) so no
+  /// pre-existing staleness is silently skipped.
   void set_dirty_tracking(bool enabled) {
-    maintainer_.set_dirty_tracking(enabled);
+    dirty_tracking_ = enabled;
+    clear_dirty();
   }
-  bool dirty_tracking() const noexcept { return maintainer_.dirty_tracking(); }
+  bool dirty_tracking() const noexcept { return dirty_tracking_; }
 
   /// Drain the dirty queue: refresh exactly the still-live enqueued nodes,
-  /// fanned over `threads` workers. State and metrics are identical at any
-  /// thread count, and the resulting state matches a full stabilize_all
-  /// bit for bit (pinned in tests/maintenance_test.cpp).
-  void stabilize_dirty(int threads = 1) { maintainer_.run_incremental(threads); }
+  /// fanned over `threads` workers against frozen membership. The drain
+  /// order is a sorted slot snapshot, so state and metrics are identical at
+  /// any thread count, and the resulting state matches a full stabilize_all
+  /// bit for bit (pinned in tests/maintenance_test.cpp). Live nodes left
+  /// clean are counted into nodes_skipped_clean().
+  void stabilize_dirty(int threads = 1);
 
-  /// The handles queued for the next stabilize_dirty, each once (tests
-  /// compare a dirty() hook's marks against a reference through this
-  /// view).
+  /// The handles queued for the next stabilize_dirty, each once, in enqueue
+  /// order (tests compare a dirty() hook's marks against a reference
+  /// through this view).
   const std::vector<NodeHandle>& dirty_queue() const noexcept {
-    return maintainer_.dirty_queue();
+    return dirty_queue_;
   }
-  /// Cumulative live nodes stabilize_dirty skipped because they were clean.
+  /// Cumulative live nodes stabilize_dirty skipped because they were clean
+  /// (the work a full pass would have wasted).
   std::uint64_t nodes_skipped_clean() const noexcept {
-    return maintainer_.nodes_skipped_clean();
+    return nodes_skipped_clean_;
   }
   /// Cumulative dirty nodes stabilize_dirty refreshed.
   std::uint64_t nodes_refreshed_dirty() const noexcept {
-    return maintainer_.nodes_refreshed_dirty();
+    return nodes_refreshed_dirty_;
   }
 
   // Bulk construction ----------------------------------------------------
@@ -303,13 +312,16 @@ class DhtNetwork {
   /// call gives the four per-cause totals (join repair, leave repair,
   /// stabilization refresh, lookup-learned promotion).
   MaintenanceBreakdown maintenance_by_cause() const {
-    return maintainer_.metrics().by_cause();
+    return metrics_.by_cause();
   }
   /// The per-cause counters (total() is the grand total).
-  const MaintenanceMetrics& maintenance_metrics() const {
-    return maintainer_.metrics();
+  const MaintenanceMetrics& maintenance_metrics() const { return metrics_; }
+  /// Zero the per-cause counters and the two drain counters.
+  void reset_maintenance() {
+    metrics_.reset();
+    nodes_skipped_clean_ = 0;
+    nodes_refreshed_dirty_ = 0;
   }
-  void reset_maintenance() { maintainer_.reset(); }
 
  protected:
   /// Membership-registry hooks: overlays call these exactly where they
@@ -329,48 +341,158 @@ class DhtNetwork {
     handle_pos_.erase(node);
   }
 
-  /// Install the overlay's repair policy (every overlay constructor does
-  /// this once, before any membership mutation).
-  void set_maintenance_policy(std::unique_ptr<MaintenancePolicy> policy) {
-    maintainer_.set_policy(std::move(policy));
+  /// Overlay insert paths call this after membership registration so
+  /// on_join runs under the join-repair cause scope (no-op during bulk
+  /// construction: finish_bulk's pass rebuilds everything anyway).
+  void notify_joined(NodeHandle node);
+
+  /// Mutation-plane accounting: `updates` state changes performed by
+  /// repair/stabilization machinery, charged under the active cause scope.
+  /// Callable from the parallel stabilize workers (a charge is a relaxed
+  /// atomic add).
+  void note_maintenance(std::uint64_t updates = 1) {
+    metrics_.charge(cause_, updates);
   }
 
-  /// Overlay insert paths call this after membership registration so the
-  /// engine can run the policy's on_join under the join-repair cause scope
-  /// (no-op during bulk construction).
-  void notify_joined(NodeHandle node) { maintainer_.joined(node); }
+  /// Queue `node` for the next stabilize_dirty. Deduplicated; no-op while
+  /// dirty tracking is off or for kNoNode. Overlays call this from their
+  /// dirty() hooks, and Koorde also from apply_repairs, whose
+  /// lookup-learned promotions mutate state outside membership events.
+  void mark_dirty(NodeHandle node) {
+    if (!dirty_tracking_ || node == kNoNode || dirty_index_.contains(node)) {
+      return;
+    }
+    dirty_index_.insert(node, dirty_queue_.size());
+    dirty_queue_.push_back(node);
+  }
 
-  /// Overlay hook: apply the repair promotions a finished sink learned
-  /// (Koorde promotes live backups into dead de Bruijn pointers). Default:
-  /// nothing to repair.
+ private:
+  // Maintenance hooks ----------------------------------------------------
+  // An overlay's repair logic, one hook per membership event. The public
+  // mutation calls run them with the cause scope already set; they charge
+  // via note_maintenance(updates).
+  //
+  // Contract (mirrors StepPolicy's, DESIGN.md §10):
+  //  - on_join runs after the newcomer's membership registration, outside
+  //    bulk mode only (finish_bulk's pass covers bulk builds).
+  //  - on_graceful_leave unlinks `node` and performs the protocol's
+  //    departure notifications/repairs.
+  //  - on_vanish unlinks `node` and repairs nothing (silent departure). It
+  //    is also the per-victim step of a graceful fail_simultaneously, whose
+  //    repair_after_mass_leave runs once after all victims are gone.
+  //  - refresh recomputes one node's state from live membership; it must
+  //    tolerate a departed handle (return, don't trap), write only `node`'s
+  //    state, and depend only on frozen membership — the stabilize_all
+  //    parallel/determinism contract.
+  //  - repairs_eagerly() == true declares that every membership change
+  //    repairs all affected state inline (no stale entries), which makes
+  //    ungraceful departures indistinguishable from graceful ones; the
+  //    ungraceful fail_* calls then degrade to graceful semantics.
+
+  virtual void on_join(NodeHandle node) = 0;
+  virtual void on_graceful_leave(NodeHandle node) = 0;
+  virtual void on_vanish(NodeHandle node) = 0;
+  virtual void refresh(NodeHandle node) = 0;
+
+  virtual bool repairs_eagerly() const { return false; }
+  virtual void repair_after_mass_leave() {}
+
+  /// Serial pre-pass hook: runs once on the pass-driving thread before
+  /// stabilize_all/stabilize_dirty fan refresh() out to workers, with
+  /// membership already frozen. Overlays use it to restore shared
+  /// read-only invariants the concurrent refreshes depend on but must not
+  /// repair themselves — Chord re-sorts its deferred bulk-build ring here.
+  /// Must be deterministic (no randomness) so pass output stays
+  /// thread-count independent. Default: nothing to restore.
+  virtual void before_pass() {}
+
+  /// Enqueue (via mark_dirty) every node whose refresh() output changes
+  /// because of this membership event — the dirty-neighborhood hook behind
+  /// stabilize_dirty (DESIGN.md §11).
+  ///
+  /// Contract:
+  ///  - Called only while dirty tracking is enabled; for kJoin it runs after
+  ///    on_join completed, for the departure events it runs before the
+  ///    departure hook, with `node` still a live member (so the overlay can
+  ///    still read its links to enumerate fan-in).
+  ///  - The hook must be read-only on overlay state, draw no randomness, and
+  ///    may over-enqueue (refresh of a clean node is a no-op) but never
+  ///    under-enqueue: any node not enqueued here — and not already dirty
+  ///    from an earlier event — is skipped by stabilize_dirty and must equal
+  ///    its full-pass state bit for bit.
+  ///  - The default is a no-op, correct only for overlays whose refresh()
+  ///    reads nothing but eagerly-maintained state (Viceroy).
+  virtual void dirty(MembershipEvent event, NodeHandle node) {
+    (void)event;
+    (void)node;
+  }
+
+  /// Apply the repair promotions a finished sink learned (Koorde promotes
+  /// live backups into dead de Bruijn pointers); absorb runs it under the
+  /// kLookupPromotion scope. Default: nothing to repair.
   virtual void apply_repairs(const LookupMetrics& batch) {
     (void)batch;
   }
 
-  /// Mutation-plane accounting: `updates` state changes performed by
-  /// repair/stabilization machinery, charged under the engine's active
-  /// cause scope. Callable from the parallel stabilize workers (a charge is
-  /// a relaxed atomic add).
-  void note_maintenance(std::uint64_t updates = 1) {
-    maintainer_.charge(updates);
+  /// RAII cause scope: the mutation calls install one around every hook,
+  /// so note_maintenance charges land on that cause.
+  class CauseScope {
+   public:
+    CauseScope(DhtNetwork& net, MaintenanceCause cause)
+        : net_(net), previous_(net.cause_) {
+      net_.cause_ = cause;
+    }
+    ~CauseScope() { net_.cause_ = previous_; }
+    CauseScope(const CauseScope&) = delete;
+    CauseScope& operator=(const CauseScope&) = delete;
+
+   private:
+    DhtNetwork& net_;
+    MaintenanceCause previous_;
+  };
+
+  /// The shared Bernoulli departure pass behind fail_simultaneously
+  /// (`ungraceful == false`) and fail_ungraceful (`true`). Samples victims
+  /// from node_handles() — ascending identifier order, the exact order
+  /// (and therefore RNG draw sequence) of every pre-engine per-overlay
+  /// loop — and keeps at least one survivor.
+  void depart_sample(double p, util::Rng& rng, bool ungraceful);
+
+  /// Route a membership event through the dirty() hook (no-op when
+  /// tracking is off).
+  void note_event(MembershipEvent event, NodeHandle node) {
+    if (dirty_tracking_) dirty(event, node);
   }
 
-  /// Queue `node` for the next stabilize_dirty (no-op while dirty tracking
-  /// is off). Policies call this from their dirty() hooks; overlays whose
-  /// state mutates outside membership events (Koorde's lookup-learned
-  /// promotions in apply_repairs) call it directly.
-  void mark_dirty(NodeHandle node) { maintainer_.mark_dirty(node); }
+  /// Empty the dirty queue. Erasing the queued handles one by one, rather
+  /// than clearing the index, keeps a warm index's buckets.
+  void clear_dirty() {
+    for (const NodeHandle node : dirty_queue_) dirty_index_.erase(node);
+    dirty_queue_.clear();
+  }
 
- private:
   /// Dense handle list + positions: O(1) random_node and removal, and the
   /// stable slot identity behind slot_of/handle_at.
   std::vector<NodeHandle> handle_vec_;
   SlotIndex handle_pos_;
   /// Between begin_bulk() and finish_bulk(): inserts defer table work.
   bool bulk_building_ = false;
-  /// The mutation-plane engine (declared last; it only stores a reference
-  /// to this network and never touches it during construction).
-  Maintainer maintainer_{*this};
+
+  MaintenanceMetrics metrics_;
+  /// Active cause for incoming charges. Defaults to kJoinRepair: join-time
+  /// repair work runs inside the overlay's insert path (CAN's zone split
+  /// cannot be separated from it), before any cause scope is installed.
+  MaintenanceCause cause_ = MaintenanceCause::kJoinRepair;
+  DepartureSemantics last_semantics_ = DepartureSemantics::kNone;
+  bool stale_ = false;  ///< has_stale_entries()
+  // Dirty-neighborhood plane: the insertion-ordered queue, and a
+  // handle -> queue position index that dedupes it. The queue order never
+  // reaches refresh (stabilize_dirty drains a sorted slot snapshot).
+  bool dirty_tracking_ = false;
+  std::vector<NodeHandle> dirty_queue_;
+  SlotIndex dirty_index_;
+  std::uint64_t nodes_skipped_clean_ = 0;
+  std::uint64_t nodes_refreshed_dirty_ = 0;
 };
 
 }  // namespace cycloid::dht

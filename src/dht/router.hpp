@@ -357,8 +357,9 @@ class Router {
     // moves to) and, one rotation later, a prefetch_tables visit (stage-2
     // hint for that position, its record now presumed cached). Everything
     // a step reads was prefetched one or two rotations earlier, while the
-    // other lanes were doing their own work. A hint the policy lacks is
-    // skipped; the lane still spends the visit.
+    // other lanes were doing their own work. A policy without
+    // prefetch_tables makes one visit per hop: its lanes never owe the
+    // second one.
     struct Lane {
       std::optional<Policy> policy;
       RouteState state;
@@ -388,7 +389,7 @@ class Router {
       CYCLOID_EXPECTS(lane.max_hops > 0);
       lane.budget = fallback_budget_of(policy);
       prefetch(policy, lane.state.current_slot_);
-      lane.tables_due = true;
+      lane.tables_due = has_tables_hint<Policy>;
       ++in_flight;
     };
 
@@ -415,7 +416,7 @@ class Router {
           if (next < count) refill(l);
         } else {
           prefetch(policy, lane.state.current_slot_);
-          lane.tables_due = true;
+          lane.tables_due = has_tables_hint<Policy>;
         }
       }
     }
@@ -451,10 +452,13 @@ class Router {
     if constexpr (requires { policy.prefetch(slot); }) policy.prefetch(slot);
   }
   template <typename P>
+  static constexpr bool has_tables_hint =
+      requires(const P& policy, std::size_t slot) {
+        policy.prefetch_tables(slot);
+      };
+  template <typename P>
   static void prefetch_tables(const P& policy, std::size_t slot) {
-    if constexpr (requires { policy.prefetch_tables(slot); }) {
-      policy.prefetch_tables(slot);
-    }
+    if constexpr (has_tables_hint<P>) policy.prefetch_tables(slot);
   }
 
   /// One iteration of the hop loop: a lane's step visit. Returns true when

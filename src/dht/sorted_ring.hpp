@@ -3,8 +3,8 @@
 // query is one std::lower_bound over the contiguous keys.
 //
 // Bulk/settle contract: a bulk insert appends in O(1); the overlay's
-// MaintenancePolicy::before_pass calls settle() — one sort — before
-// finish_bulk's stabilize pass queries the ring. Queries trap while the ring
+// before_pass maintenance hook (DhtNetwork) calls settle() — one sort —
+// before finish_bulk's stabilize pass queries the ring. Queries trap while the ring
 // is unsorted, and settle() traps on a duplicate key: an unsorted ring
 // cannot be probed for a collision, so that trap replaces the per-insert
 // probe for keys the handle registry does not deduplicate (Viceroy's ids).

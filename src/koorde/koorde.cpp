@@ -15,117 +15,110 @@ using util::clockwise_distance;
 using util::in_half_open_cw;
 }  // namespace
 
-/// Koorde's repair rules (paper Sec. 4.3): joins and graceful leaves repair
-/// the successor structure around the affected identifier; mass graceful
-/// departures repair every node's ring state but leave de Bruijn pointers
-/// frozen; ungraceful departures repair nothing. A refresh recomputes the
-/// full node state (ring + de Bruijn pointer + backups).
-class KoordeMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit KoordeMaintenancePolicy(KoordeNetwork& net) : net_(net) {}
+// Koorde's maintenance hooks (paper Sec. 4.3): joins and graceful leaves
+// repair the successor structure around the affected identifier; mass
+// graceful departures repair every node's ring state but leave de Bruijn
+// pointers frozen; ungraceful departures repair nothing. A refresh
+// recomputes the full node state (ring + de Bruijn pointer + backups).
 
-  void on_join(NodeHandle node) override {
-    KoordeNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);
-    net_.compute_state(*state);
-    net_.refresh_ring_around(state->id);
+void KoordeNetwork::on_join(NodeHandle node) {
+  KoordeNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);
+  compute_state(*state);
+  refresh_ring_around(state->id);
+}
+
+void KoordeNetwork::on_graceful_leave(NodeHandle node) {
+  CYCLOID_EXPECTS(contains(node));
+  const std::uint64_t id = node_of(node)->id;
+  unlink(node);
+  if (!ring_.empty()) refresh_ring_around(id);
+}
+
+void KoordeNetwork::on_vanish(NodeHandle node) { unlink(node); }
+
+void KoordeNetwork::before_pass() { ring_.settle(); }
+
+void KoordeNetwork::repair_after_mass_leave() {
+  // Graceful departures repair the ring; de Bruijn pointers stay frozen.
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    repair_ring(node_at(slot));
+  }
+}
+
+void KoordeNetwork::refresh(NodeHandle node) {
+  KoordeNode* state = node_of(node);
+  if (state == nullptr) return;
+  compute_state(*state);
+}
+
+void KoordeNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
+  const KoordeNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
+  const std::uint64_t id = state->id;
+  if (ring_.size() <= 1) return;  // nobody else references this node
+
+  // Ring structure: eagerly repaired for joins and graceful departures
+  // (refresh_ring_around / repair_after_mass_leave); only a vanish leaves
+  // it stale — mark the neighbourhood the graceful repair would walk.
+  if (event == dht::MembershipEvent::kVanish) {
+    std::uint64_t cursor = id;
+    for (int i = 0; i <= successor_list_length_; ++i) {
+      const NodeHandle h = ring_.predecessor(cursor);
+      mark_dirty(h);
+      cursor = h;  // Koorde handles are ids
+    }
+    mark_dirty(ring_.successor((id + 1) % space_size_));
   }
 
-  void on_graceful_leave(NodeHandle node) override {
-    CYCLOID_EXPECTS(net_.contains(node));
-    const std::uint64_t id = net_.node_of(node)->id;
-    net_.unlink(node);
-    if (!net_.ring_.empty()) net_.refresh_ring_around(id);
-  }
-
-  void on_vanish(NodeHandle node) override { net_.unlink(node); }
-
-  void before_pass() override { net_.ring_.settle(); }
-
-  void repair_after_mass_leave() override {
-    // Graceful departures repair the ring; de Bruijn pointers stay frozen.
-    for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
-      net_.repair_ring(net_.node_at(slot));
+  // De Bruijn pointers + backups are never eagerly repaired, for any
+  // event. X's structure is the backup_count + 1 members at-or-before
+  // t = (X.id << shift_bits) mod space walking backwards, so it contains
+  // J exactly when t lies in [J, hi) — hi being the (backup_count + 1)-th
+  // member strictly after J.
+  std::uint64_t hi = id;
+  for (int b = 0; b <= backup_count_; ++b) {
+    hi = ring_.successor((hi + 1) % space_size_);
+    if (hi == id) {  // walked the full (tiny) ring: everyone references J
+      for (const NodeHandle h : ring_.handles()) mark_dirty(h);
+      return;
     }
   }
+  mark_preimage(id, hi);
+}
 
-  void refresh(NodeHandle node) override {
-    KoordeNode* state = net_.node_of(node);
-    if (state == nullptr) return;
-    net_.compute_state(*state);
-  }
-
-  void dirty(dht::MembershipEvent event, NodeHandle node) override {
-    const KoordeNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-    const std::uint64_t id = state->id;
-    if (net_.ring_.size() <= 1) return;  // nobody else references this node
-
-    // Ring structure: eagerly repaired for joins and graceful departures
-    // (refresh_ring_around / repair_after_mass_leave); only a vanish leaves
-    // it stale — mark the neighbourhood the graceful repair would walk.
-    if (event == dht::MembershipEvent::kVanish) {
-      std::uint64_t cursor = id;
-      for (int i = 0; i <= net_.successor_list_length_; ++i) {
-        const NodeHandle h = net_.ring_.predecessor(cursor);
-        net_.mark_dirty(h);
-        cursor = h;  // Koorde handles are ids
+/// Mark every ring member X whose de Bruijn target (X.id << shift_bits)
+/// mod space lies in the circular interval [lo, hi). Targets are exactly
+/// the multiples of 2^shift_bits with the top shift_bits of X.id dropped,
+/// so each non-wrapping piece [a, b) inverts to one X.id range
+/// [ceil(a/2^s), ceil(b/2^s)) per choice of the dropped top digit.
+void KoordeNetwork::mark_preimage(std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t space = space_size_;
+  const auto& ring = ring_;
+  const auto mark_piece = [&](std::uint64_t a, std::uint64_t b) {
+    if (a >= b) return;
+    const int s = shift_bits_;
+    const std::uint64_t r_lo = (a + (1ULL << s) - 1) >> s;
+    const std::uint64_t r_hi = (b + (1ULL << s) - 1) >> s;
+    if (r_lo >= r_hi) return;
+    const std::uint64_t digits = 1ULL << s;
+    const std::uint64_t stride = space >> s;
+    for (std::uint64_t c = 0; c < digits; ++c) {
+      const std::uint64_t from = c * stride + r_lo;
+      const std::uint64_t to = c * stride + r_hi;
+      for (std::size_t i = ring.lower_bound(from);
+           i < ring.size() && ring.key(i) < to; ++i) {
+        mark_dirty(ring.handle(i));
       }
-      net_.mark_dirty(net_.ring_.successor((id + 1) % net_.space_size_));
     }
-
-    // De Bruijn pointers + backups are never eagerly repaired, for any
-    // event. X's structure is the backup_count + 1 members at-or-before
-    // t = (X.id << shift_bits) mod space walking backwards, so it contains
-    // J exactly when t lies in [J, hi) — hi being the (backup_count + 1)-th
-    // member strictly after J.
-    std::uint64_t hi = id;
-    for (int b = 0; b <= net_.backup_count_; ++b) {
-      hi = net_.ring_.successor((hi + 1) % net_.space_size_);
-      if (hi == id) {  // walked the full (tiny) ring: everyone references J
-        for (const NodeHandle h : net_.ring_.handles()) net_.mark_dirty(h);
-        return;
-      }
-    }
-    mark_preimage(id, hi);
+  };
+  if (lo < hi) {
+    mark_piece(lo, hi);
+  } else {
+    mark_piece(lo, space);
+    mark_piece(0, hi);
   }
-
- private:
-  /// Mark every ring member X whose de Bruijn target (X.id << shift_bits)
-  /// mod space lies in the circular interval [lo, hi). Targets are exactly
-  /// the multiples of 2^shift_bits with the top shift_bits of X.id dropped,
-  /// so each non-wrapping piece [a, b) inverts to one X.id range
-  /// [ceil(a/2^s), ceil(b/2^s)) per choice of the dropped top digit.
-  void mark_preimage(std::uint64_t lo, std::uint64_t hi) {
-    const std::uint64_t space = net_.space_size_;
-    const auto& ring = net_.ring_;
-    const auto mark_piece = [&](std::uint64_t a, std::uint64_t b) {
-      if (a >= b) return;
-      const int s = net_.shift_bits_;
-      const std::uint64_t r_lo = (a + (1ULL << s) - 1) >> s;
-      const std::uint64_t r_hi = (b + (1ULL << s) - 1) >> s;
-      if (r_lo >= r_hi) return;
-      const std::uint64_t digits = 1ULL << s;
-      const std::uint64_t stride = space >> s;
-      for (std::uint64_t c = 0; c < digits; ++c) {
-        const std::uint64_t from = c * stride + r_lo;
-        const std::uint64_t to = c * stride + r_hi;
-        for (std::size_t i = ring.lower_bound(from);
-             i < ring.size() && ring.key(i) < to; ++i) {
-          net_.mark_dirty(ring.handle(i));
-        }
-      }
-    };
-    if (lo < hi) {
-      mark_piece(lo, hi);
-    } else {
-      mark_piece(lo, space);
-      mark_piece(0, hi);
-    }
-  }
-
-  KoordeNetwork& net_;
-};
+}
 
 KoordeNetwork::KoordeNetwork(int bits, int successor_list_length,
                              int backup_count, int shift_bits)
@@ -139,7 +132,6 @@ KoordeNetwork::KoordeNetwork(int bits, int successor_list_length,
   CYCLOID_EXPECTS(backup_count >= 0);
   // Identifiers are read as whole base-2^shift_bits digit strings.
   CYCLOID_EXPECTS(shift_bits >= 1 && bits % shift_bits == 0);
-  set_maintenance_policy(std::make_unique<KoordeMaintenancePolicy>(*this));
 }
 
 std::unique_ptr<KoordeNetwork> KoordeNetwork::build_random(int bits,

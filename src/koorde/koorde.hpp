@@ -89,8 +89,8 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   ImaginaryStart best_start(const KoordeNode& node, std::uint64_t key) const;
 
   // DhtNetwork interface -----------------------------------------------
-  // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
-  // overlay's repair logic lives in KoordeMaintenancePolicy (koorde.cpp).
+  // leave / fail_* / stabilize_* are DhtNetwork's; the overlay's repair
+  // logic is this class's maintenance hooks (koorde.cpp).
   std::string name() const override { return "Koorde"; }
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
@@ -100,13 +100,20 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
                    dht::LookupResult* results, dht::BatchScratch& lanes,
                    const dht::RouterOptions& options) const override;
 
- protected:
+ private:
+  // Maintenance hooks (DhtNetwork's contract).
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void before_pass() override;
+  void repair_after_mass_leave() override;
+  void refresh(dht::NodeHandle node) override;
+  void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
   /// Apply the backup promotions a batch of const lookups learned: the
   /// repair-on-timeout mutation, deferred out of the routing core.
   void apply_repairs(const dht::LookupMetrics& batch) override;
-
- private:
-  friend class KoordeMaintenancePolicy;
+  /// Mark the ring members whose de Bruijn target lies in [lo, hi).
+  void mark_preimage(std::uint64_t lo, std::uint64_t hi);
 
   void compute_state(KoordeNode& node);
   void repair_ring(KoordeNode& node);

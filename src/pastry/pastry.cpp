@@ -18,253 +18,249 @@ using util::circular_distance;
 using util::clockwise_distance;
 }  // namespace
 
-/// Pastry's repair rules (header comment): joins repair the joiner's full
-/// state plus the leaf sets around it; graceful leaves repair the leaf sets
-/// around the departed identifier; mass graceful departures repair every
-/// node's leaf sets while routing tables and neighborhoods stay frozen;
-/// ungraceful departures repair nothing. A refresh recomputes leaf sets,
-/// routing table, and neighborhood set.
-class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit PastryMaintenancePolicy(PastryNetwork& net) : net_(net) {}
+// Pastry's maintenance hooks (header comment): joins repair the joiner's
+// full state plus the leaf sets around it; graceful leaves repair the leaf
+// sets around the departed identifier; mass graceful departures repair
+// every node's leaf sets while routing tables and neighborhoods stay
+// frozen; ungraceful departures repair nothing. A refresh recomputes leaf
+// sets, routing table, and neighborhood set.
 
-  void on_join(NodeHandle node) override {
-    PastryNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);
-    net_.compute_leaf_sets(*state);
-    net_.compute_routing_table(*state);
-    net_.compute_neighborhood(*state);
-    net_.refresh_leafsets_around(state->id);
+void PastryNetwork::on_join(NodeHandle node) {
+  PastryNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);
+  compute_leaf_sets(*state);
+  compute_routing_table(*state);
+  compute_neighborhood(*state);
+  refresh_leafsets_around(state->id);
+}
+
+void PastryNetwork::on_graceful_leave(NodeHandle node) {
+  CYCLOID_EXPECTS(contains(node));
+  const std::uint64_t id = node_of(node)->id;
+  unlink(node);
+  if (!ring_.empty()) refresh_leafsets_around(id);
+}
+
+void PastryNetwork::on_vanish(NodeHandle node) { unlink(node); }
+
+void PastryNetwork::before_pass() { ring_.settle(); }
+
+void PastryNetwork::repair_after_mass_leave() {
+  // Graceful departures repair the leaf sets; routing tables stay frozen.
+  for (std::size_t slot = 0; slot < node_count(); ++slot) {
+    compute_leaf_sets(node_at(slot));
   }
+}
 
-  void on_graceful_leave(NodeHandle node) override {
-    CYCLOID_EXPECTS(net_.contains(node));
-    const std::uint64_t id = net_.node_of(node)->id;
-    net_.unlink(node);
-    if (!net_.ring_.empty()) net_.refresh_leafsets_around(id);
+void PastryNetwork::refresh(NodeHandle node) {
+  PastryNode* state = node_of(node);
+  if (state == nullptr) return;
+  compute_leaf_sets(*state);
+  compute_routing_table(*state);
+  compute_neighborhood(*state);
+}
+
+void PastryNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
+  const PastryNode* state = node_of(node);
+  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
+  if (ring_.size() <= 1) return;  // nobody else references this node
+
+  // Leaf sets: eagerly repaired for joins, graceful leaves and mass
+  // departures (refresh_leafsets_around / repair_after_mass_leave); only
+  // a silent vanish leaves them stale — mark the nodes the repair walk
+  // would visit.
+  if (event == dht::MembershipEvent::kVanish) mark_leaf_neighbors(state->id);
+
+  // Routing tables and neighborhood sets are never eagerly repaired, for
+  // any event.
+  const bool join = event == dht::MembershipEvent::kJoin;
+  mark_routing_referencers(state->id, node, join);
+  mark_neighborhood_referencers(*state, node, join);
+}
+
+/// leaf_half_ + 1 ring neighbours on each side of `id` (the same walk
+/// refresh_leafsets_around repairs), taken pre-unlink.
+void PastryNetwork::mark_leaf_neighbors(std::uint64_t id) {
+  std::uint64_t cursor = id;
+  for (int i = 0; i < leaf_half_ + 1; ++i) {
+    const NodeHandle h = ring_.predecessor(cursor);
+    if (h == id) break;  // wrapped around a tiny ring
+    mark_dirty(h);
+    cursor = h;  // Pastry handles are ids
   }
-
-  void on_vanish(NodeHandle node) override { net_.unlink(node); }
-
-  void before_pass() override { net_.ring_.settle(); }
-
-  void repair_after_mass_leave() override {
-    // Graceful departures repair the leaf sets; routing tables stay frozen.
-    for (std::size_t slot = 0; slot < net_.node_count(); ++slot) {
-      net_.compute_leaf_sets(net_.node_at(slot));
-    }
+  cursor = id;
+  for (int i = 0; i < leaf_half_ + 1; ++i) {
+    const NodeHandle h = ring_.successor((cursor + 1) % space_size_);
+    if (h == id) break;
+    mark_dirty(h);
+    cursor = h;
   }
+}
 
-  void refresh(NodeHandle node) override {
-    PastryNode* state = net_.node_of(node);
-    if (state == nullptr) return;
-    net_.compute_leaf_sets(*state);
-    net_.compute_routing_table(*state);
-    net_.compute_neighborhood(*state);
-  }
-
-  void dirty(dht::MembershipEvent event, NodeHandle node) override {
-    const PastryNode* state = net_.node_of(node);
-    CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-    if (net_.ring_.size() <= 1) return;  // nobody else references this node
-
-    // Leaf sets: eagerly repaired for joins, graceful leaves and mass
-    // departures (refresh_leafsets_around / repair_after_mass_leave); only
-    // a silent vanish leaves them stale — mark the nodes the repair walk
-    // would visit.
-    if (event == dht::MembershipEvent::kVanish) mark_leaf_neighbors(state->id);
-
-    // Routing tables and neighborhood sets are never eagerly repaired, for
-    // any event.
-    const bool join = event == dht::MembershipEvent::kJoin;
-    mark_routing_referencers(state->id, node, join);
-    mark_neighborhood_referencers(*state, node, join);
-  }
-
- private:
-  /// leaf_half_ + 1 ring neighbours on each side of `id` (the same walk
-  /// refresh_leafsets_around repairs), taken pre-unlink.
-  void mark_leaf_neighbors(std::uint64_t id) {
-    std::uint64_t cursor = id;
-    for (int i = 0; i < net_.leaf_half_ + 1; ++i) {
-      const NodeHandle h = net_.ring_.predecessor(cursor);
-      if (h == id) break;  // wrapped around a tiny ring
-      net_.mark_dirty(h);
-      cursor = h;  // Pastry handles are ids
-    }
-    cursor = id;
-    for (int i = 0; i < net_.leaf_half_ + 1; ++i) {
-      const NodeHandle h = net_.ring_.successor((cursor + 1) % net_.space_size_);
-      if (h == id) break;
-      net_.mark_dirty(h);
-      cursor = h;
-    }
-  }
-
-  /// X can reference the change at J in routing row r only when X shares
-  /// J's first r digits and differs at digit r (a sibling sub-window of
-  /// J's row-r prefix window), and only through the entry whose window W
-  /// holds J. That entry is the member of W nearest X's preferred id (X's
-  /// suffix placed in W), so a clean X's entry is J (departures) or J
-  /// ties-or-beats it (joins) only when the preferred id lies in J's
-  /// closed Voronoi cell in W: from the midpoint to J's nearest smaller
-  /// member of W (or W's lower edge) to the midpoint to its nearest larger
-  /// one (or W's upper edge), ties included. Each sibling sub-window's X
-  /// with a suffix in that cell form one ring range; the per-node test
-  /// runs there unchanged. A stale X outside them is already queued
-  /// (DESIGN.md §11, §20).
-  void mark_routing_referencers(std::uint64_t id, NodeHandle changed,
-                                bool join) {
-    const auto& ring = net_.ring_;
-    const std::size_t self = ring.index_of(id);
-    const std::uint64_t below = ring.key(ring.prev(self));
-    const std::uint64_t above = ring.key(ring.next(self));
-    const int columns = 1 << net_.bits_per_digit_;
-    for (int row = 0; row < net_.rows_; ++row) {
-      const int col = net_.digit(id, row);
-      const int suffix_bits =
-          net_.bits_ - (row + 1) * net_.bits_per_digit_;
-      const std::uint64_t window = 1ULL << suffix_bits;
-      const std::uint64_t lo = id & ~(window - 1);  // W = [lo, lo + window)
-      // J's closed cell in W, as suffix offsets. The ring neighbours are
-      // J's nearest members of W when they lie in it (a wrapped neighbour
-      // never does).
-      const std::uint64_t first =
-          below >= lo && below < id ? (below + id + 1) / 2 - lo : 0;
-      const std::uint64_t last =
-          above > id && above - lo < window ? (id + above) / 2 - lo
-                                            : window - 1;
-      const std::uint64_t prefix =
-          id & ~((window << net_.bits_per_digit_) - 1);
-      for (int c = 0; c < columns; ++c) {
-        if (c == col) continue;  // J's own sub-window: a deeper row
-        const std::uint64_t base =
-            prefix | (static_cast<std::uint64_t>(c) << suffix_bits);
-        for (std::size_t i = ring.lower_bound(base + first);
-             i < ring.size() && ring.key(i) <= base + last; ++i) {
-          mark_if_routing_referencer(ring.handle(i), row, col,
-                                     lo | (ring.key(i) & (window - 1)), id,
-                                     changed, join);
-        }
+/// X can reference the change at J in routing row r only when X shares
+/// J's first r digits and differs at digit r (a sibling sub-window of
+/// J's row-r prefix window), and only through the entry whose window W
+/// holds J. That entry is the member of W nearest X's preferred id (X's
+/// suffix placed in W), so a clean X's entry is J (departures) or J
+/// ties-or-beats it (joins) only when the preferred id lies in J's
+/// closed Voronoi cell in W: from the midpoint to J's nearest smaller
+/// member of W (or W's lower edge) to the midpoint to its nearest larger
+/// one (or W's upper edge), ties included. Each sibling sub-window's X
+/// with a suffix in that cell form one ring range; the per-node test
+/// runs there unchanged. A stale X outside them is already queued
+/// (DESIGN.md §11, §20).
+void PastryNetwork::mark_routing_referencers(std::uint64_t id,
+                                             NodeHandle changed, bool join) {
+  const auto& ring = ring_;
+  const std::size_t self = ring.index_of(id);
+  const std::uint64_t below = ring.key(ring.prev(self));
+  const std::uint64_t above = ring.key(ring.next(self));
+  const int columns = 1 << bits_per_digit_;
+  for (int row = 0; row < rows_; ++row) {
+    const int col = digit(id, row);
+    const int suffix_bits =
+        bits_ - (row + 1) * bits_per_digit_;
+    const std::uint64_t window = 1ULL << suffix_bits;
+    const std::uint64_t lo = id & ~(window - 1);  // W = [lo, lo + window)
+    // J's closed cell in W, as suffix offsets. The ring neighbours are
+    // J's nearest members of W when they lie in it (a wrapped neighbour
+    // never does).
+    const std::uint64_t first =
+        below >= lo && below < id ? (below + id + 1) / 2 - lo : 0;
+    const std::uint64_t last =
+        above > id && above - lo < window ? (id + above) / 2 - lo
+                                          : window - 1;
+    const std::uint64_t prefix =
+        id & ~((window << bits_per_digit_) - 1);
+    for (int c = 0; c < columns; ++c) {
+      if (c == col) continue;  // J's own sub-window: a deeper row
+      const std::uint64_t base =
+          prefix | (static_cast<std::uint64_t>(c) << suffix_bits);
+      for (std::size_t i = ring.lower_bound(base + first);
+           i < ring.size() && ring.key(i) <= base + last; ++i) {
+        mark_if_routing_referencer(ring.handle(i), row, col,
+                                   lo | (ring.key(i) & (window - 1)), id,
+                                   changed, join);
       }
     }
   }
+}
 
-  /// Departures matter only to an X whose stored entry is the victim
-  /// (removing a non-selected candidate never changes the argmin); joins
-  /// only to an X the newcomer ties-or-beats on gap to X's `preferred` id.
-  void mark_if_routing_referencer(NodeHandle referencer, int row, int col,
-                                  std::uint64_t preferred, std::uint64_t id,
-                                  NodeHandle changed, bool join) {
-    const PastryNode* ref = net_.node_of(referencer);
-    CYCLOID_ASSERT(ref != nullptr);
-    const auto& table = ref->routing_table;
-    if (table.size() != static_cast<std::size_t>(net_.rows_)) {
-      net_.mark_dirty(referencer);  // unshaped table: be conservative
-      return;
-    }
-    const NodeHandle entry =
-        table[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
-    if (!join) {
-      if (entry == changed) net_.mark_dirty(referencer);
-      return;
-    }
-    if (entry == kNoNode) {
-      net_.mark_dirty(referencer);
-      return;
-    }
-    const auto gap = [preferred](std::uint64_t c) {
-      return c >= preferred ? c - preferred : preferred - c;
-    };
-    if (gap(id) <= gap(entry)) net_.mark_dirty(referencer);
+/// Departures matter only to an X whose stored entry is the victim
+/// (removing a non-selected candidate never changes the argmin); joins
+/// only to an X the newcomer ties-or-beats on gap to X's `preferred` id.
+void PastryNetwork::mark_if_routing_referencer(NodeHandle referencer, int row,
+                                               int col, std::uint64_t preferred,
+                                               std::uint64_t id,
+                                               NodeHandle changed, bool join) {
+  const PastryNode* ref = node_of(referencer);
+  CYCLOID_ASSERT(ref != nullptr);
+  const auto& table = ref->routing_table;
+  if (table.size() != static_cast<std::size_t>(rows_)) {
+    mark_dirty(referencer);  // unshaped table: be conservative
+    return;
   }
-
-  /// X's neighborhood (the |M| proximity-nearest nodes) changes on a
-  /// departure only when it held the victim, and on a join only when the
-  /// set is not full yet or the newcomer ties-or-beats the current
-  /// farthest member. Either way a clean X with a full set lies within
-  /// its own |M|-th proximity of J, and so within the reach R: the hook
-  /// reads the grid cells covering the disc of radius R around J. A clean
-  /// X holds fewer than |M| nodes only when the network has at most
-  /// |M| + 1 nodes, which are then read whole.
-  void mark_neighborhood_referencers(const PastryNode& state,
-                                     NodeHandle changed, bool join) {
-    if (net_.neighborhood_size_ == 0) return;
-    const std::size_t m =
-        static_cast<std::size_t>(net_.neighborhood_size_);
-    const auto& grid = net_.grid_;
-    const bool whole = net_.node_count() <= m + 1;
-    const double reach = net_.reach_.load(std::memory_order_relaxed);
-    const auto visit = [&](std::size_t cell) {
-      for (const PastryNetwork::GridEntry& e : grid.bucket(cell)) {
-        if (e.handle == changed) continue;
-        const double prox =
-            PastryNetwork::proximity(e.x, e.y, state.x, state.y);
-        if (!whole && prox > reach) continue;
-        mark_if_neighborhood_holder(e.handle, prox, state, changed, join, m);
-      }
-    };
-
-    // The square of cells the disc of radius sqrt(R) around J overlaps:
-    // on each axis, the cells of [J - sqrt(R), J + sqrt(R)] under the
-    // monotone cell map (§16), read with wrap. The 1e-6 and 1e-12 margins
-    // are far above the rounding of the cell map and of proximity().
-    const auto side = static_cast<std::int64_t>(grid.columns());  // == rows()
-    const double width = static_cast<double>(side);
-    const double half = std::sqrt(reach + 1e-12);
-    const auto span = [width, half](double center) {
-      return std::pair<std::int64_t, std::int64_t>{
-          static_cast<std::int64_t>(std::floor((center - half) * width - 1e-6)),
-          static_cast<std::int64_t>(
-              std::floor((center + half) * width + 1e-6))};
-    };
-    const auto [row_lo, row_hi] = span(state.y);
-    const auto [col_lo, col_hi] = span(state.x);
-    if (whole || row_hi - row_lo + 1 >= side ||
-        col_hi - col_lo + 1 >= side) {  // read every cell
-      for (std::size_t cell = 0; cell < grid.cell_count(); ++cell) visit(cell);
-      return;
-    }
-    const auto wrap = [side](std::int64_t c) {
-      return static_cast<std::uint32_t>((c % side + side) % side);
-    };
-    for (std::int64_t row = row_lo; row <= row_hi; ++row) {
-      for (std::int64_t col = col_lo; col <= col_hi; ++col) {
-        visit(grid.cell(wrap(col), wrap(row)));
-      }
-    }
+  const NodeHandle entry =
+      table[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
+  if (!join) {
+    if (entry == changed) mark_dirty(referencer);
+    return;
   }
+  if (entry == kNoNode) {
+    mark_dirty(referencer);
+    return;
+  }
+  const auto gap = [preferred](std::uint64_t c) {
+    return c >= preferred ? c - preferred : preferred - c;
+  };
+  if (gap(id) <= gap(entry)) mark_dirty(referencer);
+}
 
-  /// `prox` is proximity(X, J). A clean X with a full set holds J, or J
-  /// ties-or-beats its farthest member, only when `prox` is within X's
-  /// own reach, so a full set that reaches less far is passed over first.
-  void mark_if_neighborhood_holder(NodeHandle handle, double prox,
-                                   const PastryNode& state,
-                                   NodeHandle changed, bool join,
-                                   std::size_t m) {
-    const PastryNode* other = net_.node_of(handle);
-    CYCLOID_ASSERT(other != nullptr);
-    if (other->neighborhood.size() == m && prox > other->reach) return;
-    if (!join) {
-      if (std::find(other->neighborhood.begin(), other->neighborhood.end(),
-                    changed) != other->neighborhood.end()) {
-        net_.mark_dirty(handle);
-      }
-      return;
+/// X's neighborhood (the |M| proximity-nearest nodes) changes on a
+/// departure only when it held the victim, and on a join only when the
+/// set is not full yet or the newcomer ties-or-beats the current
+/// farthest member. Either way a clean X with a full set lies within
+/// its own |M|-th proximity of J, and so within the reach R: the hook
+/// reads the grid cells covering the disc of radius R around J. A clean
+/// X holds fewer than |M| nodes only when the network has at most
+/// |M| + 1 nodes, which are then read whole.
+void PastryNetwork::mark_neighborhood_referencers(const PastryNode& state,
+                                                  NodeHandle changed,
+                                                  bool join) {
+  if (neighborhood_size_ == 0) return;
+  const std::size_t m =
+      static_cast<std::size_t>(neighborhood_size_);
+  const auto& grid = grid_;
+  const bool whole = node_count() <= m + 1;
+  const double reach = reach_.load(std::memory_order_relaxed);
+  const auto visit = [&](std::size_t cell) {
+    for (const PastryNetwork::GridEntry& e : grid.bucket(cell)) {
+      if (e.handle == changed) continue;
+      const double prox =
+          PastryNetwork::proximity(e.x, e.y, state.x, state.y);
+      if (!whole && prox > reach) continue;
+      mark_if_neighborhood_holder(e.handle, prox, state, changed, join, m);
     }
-    if (other->neighborhood.size() < m) {
-      net_.mark_dirty(handle);
-      return;
-    }
-    const PastryNode* farthest = net_.node_of(other->neighborhood.back());
-    if (farthest == nullptr ||  // stale entry: be conservative
-        net_.proximity(*other, state) <= net_.proximity(*other, *farthest)) {
-      net_.mark_dirty(handle);
+  };
+
+  // The square of cells the disc of radius sqrt(R) around J overlaps:
+  // on each axis, the cells of [J - sqrt(R), J + sqrt(R)] under the
+  // monotone cell map (§16), read with wrap. The 1e-6 and 1e-12 margins
+  // are far above the rounding of the cell map and of proximity().
+  const auto side = static_cast<std::int64_t>(grid.columns());  // == rows()
+  const double width = static_cast<double>(side);
+  const double half = std::sqrt(reach + 1e-12);
+  const auto span = [width, half](double center) {
+    return std::pair<std::int64_t, std::int64_t>{
+        static_cast<std::int64_t>(std::floor((center - half) * width - 1e-6)),
+        static_cast<std::int64_t>(
+            std::floor((center + half) * width + 1e-6))};
+  };
+  const auto [row_lo, row_hi] = span(state.y);
+  const auto [col_lo, col_hi] = span(state.x);
+  if (whole || row_hi - row_lo + 1 >= side ||
+      col_hi - col_lo + 1 >= side) {  // read every cell
+    for (std::size_t cell = 0; cell < grid.cell_count(); ++cell) visit(cell);
+    return;
+  }
+  const auto wrap = [side](std::int64_t c) {
+    return static_cast<std::uint32_t>((c % side + side) % side);
+  };
+  for (std::int64_t row = row_lo; row <= row_hi; ++row) {
+    for (std::int64_t col = col_lo; col <= col_hi; ++col) {
+      visit(grid.cell(wrap(col), wrap(row)));
     }
   }
+}
 
-  PastryNetwork& net_;
-};
+/// `prox` is proximity(X, J). A clean X with a full set holds J, or J
+/// ties-or-beats its farthest member, only when `prox` is within X's
+/// own reach, so a full set that reaches less far is passed over first.
+void PastryNetwork::mark_if_neighborhood_holder(NodeHandle handle,
+                                                double prox,
+                                                const PastryNode& state,
+                                                NodeHandle changed, bool join,
+                                                std::size_t m) {
+  const PastryNode* other = node_of(handle);
+  CYCLOID_ASSERT(other != nullptr);
+  if (other->neighborhood.size() == m && prox > other->reach) return;
+  if (!join) {
+    if (std::find(other->neighborhood.begin(), other->neighborhood.end(),
+                  changed) != other->neighborhood.end()) {
+      mark_dirty(handle);
+    }
+    return;
+  }
+  if (other->neighborhood.size() < m) {
+    mark_dirty(handle);
+    return;
+  }
+  const PastryNode* farthest = node_of(other->neighborhood.back());
+  if (farthest == nullptr ||  // stale entry: be conservative
+      proximity(*other, state) <= proximity(*other, *farthest)) {
+    mark_dirty(handle);
+  }
+}
 
 PastryNetwork::PastryNetwork(int bits, int bits_per_digit, int leaf_set_size,
                              int neighborhood_size)
@@ -278,7 +274,6 @@ PastryNetwork::PastryNetwork(int bits, int bits_per_digit, int leaf_set_size,
   CYCLOID_EXPECTS(bits_per_digit >= 1 && bits % bits_per_digit == 0);
   CYCLOID_EXPECTS(leaf_set_size >= 2 && leaf_set_size % 2 == 0);
   CYCLOID_EXPECTS(neighborhood_size >= 0);
-  set_maintenance_policy(std::make_unique<PastryMaintenancePolicy>(*this));
 }
 
 std::unique_ptr<PastryNetwork> PastryNetwork::build_random(

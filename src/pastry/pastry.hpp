@@ -103,8 +103,8 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   // DhtNetwork interface -----------------------------------------------
   // node_handles() uses the base registry implementation (handle == id, so
   // ascending handle order is the ring order).
-  // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
-  // overlay's repair logic lives in PastryMaintenancePolicy (pastry.cpp).
+  // leave / fail_* / stabilize_* are DhtNetwork's; the overlay's repair
+  // logic is this class's maintenance hooks (pastry.cpp).
   std::string name() const override { return "Pastry"; }
   std::vector<std::string> phase_names() const override;
   dht::NodeHandle owner_of(dht::KeyHash key) const override;
@@ -115,7 +115,29 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
                    const dht::RouterOptions& options) const override;
 
  private:
-  friend class PastryMaintenancePolicy;
+  // Maintenance hooks (DhtNetwork's contract).
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void before_pass() override;
+  void repair_after_mass_leave() override;
+  void refresh(dht::NodeHandle node) override;
+  void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
+  // The dirty hook's parts: leaf-set neighbours, routing-row referencers
+  // and neighbourhood holders of the change at `id` (pastry.cpp).
+  void mark_leaf_neighbors(std::uint64_t id);
+  void mark_routing_referencers(std::uint64_t id, dht::NodeHandle changed,
+                                bool join);
+  void mark_if_routing_referencer(dht::NodeHandle referencer, int row,
+                                  int col, std::uint64_t preferred,
+                                  std::uint64_t id, dht::NodeHandle changed,
+                                  bool join);
+  void mark_neighborhood_referencers(const PastryNode& state,
+                                     dht::NodeHandle changed, bool join);
+  void mark_if_neighborhood_holder(dht::NodeHandle handle, double prox,
+                                   const PastryNode& state,
+                                   dht::NodeHandle changed, bool join,
+                                   std::size_t m);
 
   /// Numerically closest node to `id` (circular distance; clockwise wins
   /// ties) — Pastry's key-assignment rule.

@@ -102,66 +102,55 @@ class SuccessorSweep {
 
 }  // namespace
 
-/// Viceroy's repair rules: every join and leave updates both outgoing AND
-/// incoming connections immediately (the eager maintenance the paper's
-/// conclusion criticizes), so nothing ever goes stale — repairs_eagerly()
-/// is true, mass departures (graceful or not) reduce to plain unlinks, and
-/// a refresh has nothing to do. With accounting on, a join or leave charges
-/// 7 (the node's own links) plus the other nodes whose links it rewrote.
-class ViceroyMaintenancePolicy final : public dht::MaintenancePolicy {
- public:
-  explicit ViceroyMaintenancePolicy(ViceroyNetwork& net) : net_(net) {}
+// Viceroy's maintenance hooks: every join and leave updates both outgoing
+// AND incoming connections immediately (the eager maintenance the paper's
+// conclusion criticizes), so nothing ever goes stale — repairs_eagerly()
+// is true, mass departures (graceful or not) reduce to plain unlinks, and
+// a refresh has nothing to do. With accounting on, a join or leave charges
+// 7 (the node's own links) plus the other nodes whose links it rewrote.
 
-  bool repairs_eagerly() const override { return true; }
+bool ViceroyNetwork::repairs_eagerly() const { return true; }
 
-  void on_join(NodeHandle node) override {
-    net_.link_newcomer(node);
-    if (net_.count_maintenance_) {
-      net_.note_maintenance(7 + net_.count_touched());
-    }
+void ViceroyNetwork::on_join(NodeHandle node) {
+  link_newcomer(node);
+  if (count_maintenance_) {
+    note_maintenance(7 + count_touched());
   }
-
-  void on_graceful_leave(NodeHandle node) override {
-    net_.unlink(node);
-    if (net_.count_maintenance_) {
-      net_.note_maintenance(7 + net_.count_touched());
-    }
-  }
-
-  void on_vanish(NodeHandle node) override { net_.unlink(node); }
-
-  void before_pass() override {
-    // Bulk construction appends to the rings unsorted (dht/sorted_ring.hpp);
-    // settle() also traps on the id collision a bulk insert cannot probe.
-    // Only then can the links be filled.
-    net_.ring_.settle();
-    for (auto& level : net_.levels_) level.settle();
-    if (net_.fill_pending_) {
-      net_.fill_links();
-      net_.fill_pending_ = false;
-    }
-  }
-
-  // Mass departures take the default on_mass_leave -> on_vanish path: the
-  // simultaneous-failure experiment drops the victims without charging,
-  // each unlink repairing the links that pointed at its victim.
-
-  void refresh(NodeHandle) override {
-    // Links are maintained eagerly on every join/leave; nothing to refresh.
-  }
-
-  // dirty() keeps the base no-op: every stored link is repaired inside the
-  // join or leave that moved it, so no membership event leaves any node's
-  // refresh output stale and there is never anything to enqueue for
-  // run_incremental.
-
- private:
-  ViceroyNetwork& net_;
-};
-
-ViceroyNetwork::ViceroyNetwork() {
-  set_maintenance_policy(std::make_unique<ViceroyMaintenancePolicy>(*this));
 }
+
+void ViceroyNetwork::on_graceful_leave(NodeHandle node) {
+  unlink(node);
+  if (count_maintenance_) {
+    note_maintenance(7 + count_touched());
+  }
+}
+
+void ViceroyNetwork::on_vanish(NodeHandle node) { unlink(node); }
+
+void ViceroyNetwork::before_pass() {
+  // Bulk construction appends to the rings unsorted (dht/sorted_ring.hpp);
+  // settle() also traps on the id collision a bulk insert cannot probe.
+  // Only then can the links be filled.
+  ring_.settle();
+  for (auto& level : levels_) level.settle();
+  if (fill_pending_) {
+    fill_links();
+    fill_pending_ = false;
+  }
+}
+
+// Mass departures, graceful or not, run on_vanish per victim: the
+// simultaneous-failure experiment drops the victims without charging,
+// each unlink repairing the links that pointed at its victim.
+
+void ViceroyNetwork::refresh(NodeHandle) {
+  // Links are maintained eagerly on every join/leave; nothing to refresh.
+}
+
+// dirty() keeps the base no-op: every stored link is repaired inside the
+// join or leave that moved it, so no membership event leaves any node's
+// refresh output stale and there is never anything to enqueue for
+// stabilize_dirty.
 
 std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
                                                              util::Rng& rng,

@@ -73,7 +73,7 @@ struct ViceroyNode {
 
 class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
  public:
-  ViceroyNetwork();
+  ViceroyNetwork() = default;
 
   /// A network of `count` nodes with uniform-random identifiers and levels
   /// drawn from [1, log2(count)]. `threads` sizes the finish_bulk stabilize
@@ -100,10 +100,10 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   // node_handles() keeps its override: handles are join serials, so the
   // base registry sort would NOT give ascending identifier order — the
   // real-valued ring does.
-  // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
-  // overlay's eager repair lives in ViceroyMaintenancePolicy (viceroy.cpp).
-  // The policy repairs eagerly, so even fail_ungraceful runs with graceful
-  // semantics — every stored link stays fresh (paper Sec. 4.3).
+  // leave / fail_* / stabilize_* are DhtNetwork's; the overlay's eager
+  // repair is this class's maintenance hooks (viceroy.cpp). Viceroy
+  // repairs eagerly, so even fail_ungraceful runs with graceful semantics
+  // — every stored link stays fresh (paper Sec. 4.3).
   std::string name() const override { return "Viceroy"; }
   std::vector<dht::NodeHandle> node_handles() const override;
   std::vector<std::string> phase_names() const override;
@@ -124,7 +124,13 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   void enable_maintenance_accounting(bool on) { count_maintenance_ = on; }
 
  private:
-  friend class ViceroyMaintenancePolicy;
+  // Maintenance hooks (DhtNetwork's contract; dirty() keeps the no-op).
+  bool repairs_eagerly() const override;
+  void on_join(dht::NodeHandle node) override;
+  void on_graceful_leave(dht::NodeHandle node) override;
+  void on_vanish(dht::NodeHandle node) override;
+  void before_pass() override;
+  void refresh(dht::NodeHandle node) override;
 
   /// The level-`level` ring; nullptr outside [1, max_level()].
   const dht::SortedRing<double>* level_ring(int level) const;

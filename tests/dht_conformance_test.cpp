@@ -208,6 +208,23 @@ TEST_P(ConformanceTest, DepartureSemanticsAreRecorded) {
   EXPECT_EQ(net->has_stale_entries(), !eager);
   net->stabilize_all();
   EXPECT_FALSE(net->has_stale_entries());
+
+  // A single vanish records its semantics the same way. An empty graceful
+  // sample and a pass first reset the record and the stale flag, so the
+  // checks see the vanish's own.
+  net->fail_simultaneously(0.0, graceful_rng);
+  EXPECT_EQ(net->last_departure_semantics(),
+            dht::DepartureSemantics::kGraceful);
+  net->stabilize_all();
+  ASSERT_FALSE(net->has_stale_entries());
+  util::Rng victim_rng(26);
+  const std::size_t before = net->node_count();
+  net->fail_ungraceful(net->random_node(victim_rng));
+  EXPECT_EQ(net->node_count(), before - 1);
+  EXPECT_EQ(net->last_departure_semantics(),
+            eager ? dht::DepartureSemantics::kGraceful
+                  : dht::DepartureSemantics::kUngraceful);
+  EXPECT_EQ(net->has_stale_entries(), !eager);
 }
 
 TEST_P(ConformanceTest, NameIsStable) {

@@ -512,14 +512,17 @@ struct PolicyCall {
   bool operator==(const PolicyCall&) const = default;
 };
 
+/// Which optional prefetch hooks a HintLogPolicy has: none, as Viceroy;
+/// prefetch_tables only, as Cycloid and CAN; or the stage-1 prefetch too,
+/// as Chord, Koorde and Pastry.
+enum class Hints { kNone, kTables, kBoth };
+
 /// Logs every hint and next_hop call of one lookup, in order. Lookup `key`
 /// forwards key % 5 hops along handles from, from + 1, ..., then ends by
 /// key % 4: deliver, forward_deliver, fail, or cycling on to the hop cap.
 /// Slots differ from handles, so the log shows the engine hands every hook
-/// the slot slot_of resolved. With kStage1 the policy also has the
-/// optional stage-1 hook (prefetch), as Chord, Koorde and Pastry do;
-/// without it, it has prefetch_tables only, as Cycloid and CAN do.
-template <bool kStage1>
+/// the slot slot_of resolved. kHints selects the optional hooks it has.
+template <Hints kHints>
 class HintLogPolicy : public FakePolicy {
  public:
   enum class Ending { kDeliver, kForwardDeliver, kFail, kHopCap };
@@ -533,11 +536,13 @@ class HintLogPolicy : public FakePolicy {
 
   std::size_t slot_of(NodeHandle node) const { return slot_for(node); }
   void prefetch(std::size_t slot) const
-    requires kStage1
+    requires(kHints == Hints::kBoth)
   {
     log_->push_back({PolicyCall::Kind::kPrefetch, slot});
   }
-  void prefetch_tables(std::size_t slot) const {
+  void prefetch_tables(std::size_t slot) const
+    requires(kHints != Hints::kNone)
+  {
     log_->push_back({PolicyCall::Kind::kTables, slot});
   }
   HopDecision next_hop(const RouteState& state) {
@@ -565,14 +570,15 @@ class HintLogPolicy : public FakePolicy {
 };
 
 static_assert(StepPolicy<KeyedPolicy>);
-static_assert(StepPolicy<HintLogPolicy<false>>);
-static_assert(StepPolicy<HintLogPolicy<true>>);
+static_assert(StepPolicy<HintLogPolicy<Hints::kNone>>);
+static_assert(StepPolicy<HintLogPolicy<Hints::kTables>>);
+static_assert(StepPolicy<HintLogPolicy<Hints::kBoth>>);
 
-/// Routes 23 lookups through HintLogPolicy<kStage1> at widths 1, 3 and 8
+/// Routes 23 lookups through HintLogPolicy<kHints> at widths 1, 3 and 8
 /// and checks each lookup's outcome and its exact call log.
-template <bool kStage1>
+template <Hints kHints>
 void expect_hint_schedule() {
-  using Policy = HintLogPolicy<kStage1>;
+  using Policy = HintLogPolicy<kHints>;
   constexpr std::size_t kCount = 23;
   const int cap = FakePolicy().default_max_hops();
   std::vector<NodeHandle> froms(kCount);
@@ -613,8 +619,12 @@ void expect_hint_schedule() {
       std::vector<PolicyCall> expected;
       for (int p = 0; p < positions; ++p) {
         const std::size_t slot = Policy::slot_for(froms[i] + p);
-        if (kStage1) expected.push_back({PolicyCall::Kind::kPrefetch, slot});
-        expected.push_back({PolicyCall::Kind::kTables, slot});
+        if (kHints == Hints::kBoth) {
+          expected.push_back({PolicyCall::Kind::kPrefetch, slot});
+        }
+        if (kHints != Hints::kNone) {
+          expected.push_back({PolicyCall::Kind::kTables, slot});
+        }
         expected.push_back({PolicyCall::Kind::kNextHop, slot});
       }
       EXPECT_EQ(logs[i], expected);
@@ -628,16 +638,21 @@ TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
   // position the lane asks next_hop about, the engine must first have
   // called the policy's hints for that slot, each exactly once: prefetch
   // (when the hop there was committed, only for a policy with the stage-1
-  // hook) and then prefetch_tables (one rotation later). Nothing else is
-  // called — including where a lookup starts, and never for the receiver
-  // of a final hop or a hop the cap refused.
+  // hook) and then prefetch_tables (one rotation later, only for a policy
+  // with that hook). Nothing else is called — including where a lookup
+  // starts, and never for the receiver of a final hop or a hop the cap
+  // refused. A policy with no hint sees next_hop alone, once per position.
+  {
+    SCOPED_TRACE("no hint");
+    expect_hint_schedule<Hints::kNone>();
+  }
   {
     SCOPED_TRACE("prefetch_tables only");
-    expect_hint_schedule<false>();
+    expect_hint_schedule<Hints::kTables>();
   }
   {
     SCOPED_TRACE("prefetch and prefetch_tables");
-    expect_hint_schedule<true>();
+    expect_hint_schedule<Hints::kBoth>();
   }
 }
 

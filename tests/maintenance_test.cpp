@@ -1,9 +1,10 @@
 // Tests for the maintenance-overhead accounting (the fifth DHT metric of
 // paper Sec. 4) across the overlays — now the per-cause counters owned by
-// dht::Maintainer. The golden section pins each overlay's per-cause totals
+// dht::DhtNetwork. The golden section pins each overlay's per-cause totals
 // over a fixed join/leave/fail/stabilize script to the values the
 // pre-engine per-overlay counters produced; the parallel section pins
-// run_pass(1) ≡ run_pass(N): state field by field, and the totals.
+// stabilize_all(1) ≡ stabilize_all(N): state field by field, and the
+// totals.
 #include <gtest/gtest.h>
 
 #include <array>
