@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                        "Ablation: key-assignment policy vs load balance");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t keys = bench::env_u64("CYCLOID_BENCH_KEYS", 100000);
+  const std::uint64_t keys = 100000;
 
   util::Table table({"occupancy", "nodes",
                      "Cycloid (closest, 2-D)", "Pastry (closest, 1-D)",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   if (report.done()) return report.exit_code();
 
   const int bits = 11;  // 2048-id ring
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_ABLATION_LOOKUPS", 10000);
+  const std::uint64_t lookups = 10000;
 
   util::Table table({"backups", "entries/node", "failures @ p=0.3",
                      "failures @ p=0.5", "mean timeouts @ p=0.5"});

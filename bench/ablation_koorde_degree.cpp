@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   if (report.done()) return report.exit_code();
 
   const int bits = 12;  // 4096-id ring (12 is divisible by b = 1, 2, 3)
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_ABLATION_LOOKUPS", 20000);
+  const std::uint64_t lookups = 20000;
 
   util::Table table({"degree", "b", "mean path (dense)",
                      "de Bruijn % (dense)", "mean path (50% full)"});

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   if (report.done()) return report.exit_code();
 
   const int d = 8;
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_ABLATION_LOOKUPS", 20000);
+  const std::uint64_t lookups = 20000;
 
   util::Table table({"variant", "entries/node", "mean path",
                      "mean path @ p=0.3 departed", "timeouts @ p=0.3"});

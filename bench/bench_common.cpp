@@ -1,36 +1,24 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <utility>
 
+#include "dht/router.hpp"
 #include "dht/types.hpp"
 #include "exp/workloads.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
 
+extern char** environ;  // POSIX: the process environment
+
 namespace cycloid::bench {
-
-int threads() {
-  const auto fallback =
-      static_cast<std::uint64_t>(cycloid::util::default_thread_count());
-  std::uint64_t value = env_u64("CYCLOID_BENCH_THREADS", fallback);
-  // env_u64 already rejects garbage and 64-bit overflow; additionally
-  // reject 0 (would serialize the pool) and counts that only "work" by
-  // truncating in the narrowing cast below.
-  if (value == 0 || value > kMaxBenchThreads) value = fallback;
-  return static_cast<int>(value);
-}
-
-int interleave() {
-  std::uint64_t value = env_u64("CYCLOID_BENCH_INTERLEAVE", 1);
-  // env_u64 already rejects garbage and 64-bit overflow; additionally
-  // reject 0 (no lanes is meaningless) and widths past the engine's lane
-  // cap rather than silently clamping.
-  if (value == 0 || value > kMaxBenchInterleave) value = 1;
-  return static_cast<int>(value);
-}
 
 bool parse_u64(const char* value, std::uint64_t& out) {
   if (value == nullptr || *value < '0' || *value > '9') return false;
@@ -42,27 +30,106 @@ bool parse_u64(const char* value, std::uint64_t& out) {
   return true;
 }
 
+std::optional<std::uint64_t> Setting::accept(const char* value) const {
+  std::uint64_t parsed = 0;
+  if (!parse_u64(value, parsed) || parsed < min || parsed > max) return {};
+  return parsed;
+}
+
+std::span<const Setting> settings() {
+  // Upper bound of every count and duration: no run is this large.
+  constexpr std::uint64_t kMaxRun = 1'000'000'000;
+  // One row per Knob, in enum order.
+  static const std::array<Setting, 13> table{{
+      {"CYCLOID_BENCH_LOOKUP_CAP", 100'000, 1, kMaxRun,
+       "lookups per cell in fig5, fig6, fig7, fig10 and ext_related_dhts"},
+      {"CYCLOID_BENCH_FAILURE_LOOKUPS", 10'000, 1, kMaxRun,
+       "lookups per cell in fig11_failures and ext_ungraceful_failures"},
+      {"CYCLOID_BENCH_PNS_LOOKUPS", 20'000, 1, kMaxRun,
+       "lookups per cell in ext_proximity_selection"},
+      {"CYCLOID_BENCH_TRACE_ROUTES", 0, 0, kMaxRun,
+       "traced routes per overlay appended by fig5 and fig7 (0: none)"},
+      {"CYCLOID_BENCH_CHURN_SECONDS", 3'000, 1, kMaxRun,
+       "virtual seconds per cell in fig12_churn"},
+      {"CYCLOID_BENCH_PNS_CHURN_SECONDS", 600, 1, kMaxRun,
+       "virtual seconds per cell in ext_proximity_churn"},
+      {"CYCLOID_BENCH_PERF_CHURN_SECONDS", 600, 1, kMaxRun,
+       "virtual seconds per cell in perf_maintenance"},
+      {"CYCLOID_BENCH_CHURN_INCREMENTAL", 0, 0, 1,
+       "1: fig12_churn stabilizes by dirty-queue drains, not per-node timers"},
+      {"CYCLOID_BENCH_MAINT_INCREMENTAL", 0, 0, 1,
+       "1: ext_maintenance_cost ends on a dirty-queue drain, not a full pass"},
+      {"CYCLOID_BENCH_PERF_MAX_NODES", 1 << 17, 1 << 11, kMaxRun,
+       "largest n of 2^11, 2^14, 2^17 in perf_lookup_throughput, perf_build"},
+      {"CYCLOID_BENCH_PERF_LOOKUPS", 32'768, 1, kMaxRun,
+       "lookups per timed run in perf_lookup_throughput"},
+      {"CYCLOID_BENCH_THREADS",
+       static_cast<std::uint64_t>(util::default_thread_count()), 1, 4096,
+       "worker threads (default: hardware threads)"},
+      {"CYCLOID_BENCH_INTERLEAVE", 1, 1, dht::Router::kMaxBatchWidth,
+       "lookups in flight per batch shard"},
+  }};
+  return table;
+}
+
+std::uint64_t setting(Knob knob) {
+  const Setting& row = settings()[static_cast<std::size_t>(knob)];
+  return row.accept(std::getenv(row.name)).value_or(row.fallback);
+}
+
+std::vector<PerfSize> perf_sizes() {
+  std::vector<PerfSize> sizes;
+  for (const std::uint64_t n : {1ULL << 11, 1ULL << 14, 1ULL << 17}) {
+    if (n > setting(Knob::kPerfMaxNodes)) break;
+    int dim = 3;
+    while (static_cast<std::uint64_t>(dim) * (1ULL << dim) < n) ++dim;
+    sizes.push_back({n, dim});
+  }
+  return sizes;
+}
+
 Report::Report(int argc, const char* const* argv, std::string program,
                std::string description)
     : program_(std::move(program)), description_(std::move(description)) {
-  // Install the interleave knob process-wide so every lookup batch a bench
-  // binary runs — figure drivers included — honors CYCLOID_BENCH_INTERLEAVE
-  // (output is identical at every width; only throughput changes).
-  exp::set_lookup_interleave(interleave());
   util::ArgParser parser(program_, description_);
   parser.add_option("json", "",
                     "also write all sections as a JSON document to this path");
-  if (!parser.parse(argc, argv)) {
+  std::string error = parser.parse(argc, argv) ? "" : parser.error();
+  // A misspelt setting fails like a bad option, before any work.
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view name(*entry, std::strcspn(*entry, "="));
+    if (!name.starts_with("CYCLOID_BENCH_")) continue;
+    const auto rows = settings();
+    const auto row = std::ranges::find(rows, name, &Setting::name);
+    if (row == rows.end()) {
+      error = "unknown environment variable " + std::string(name);
+    } else if (const char* value = std::getenv(row->name);
+               !row->accept(value)) {
+      std::cerr << program_ << ": ignoring " << name << "='" << value
+                << "', not in [" << row->min << ", " << row->max
+                << "]; using the default " << row->fallback << "\n";
+    }
+  }
+  if (parser.help_requested() || !error.empty()) {
     done_ = true;
+    std::string help = parser.help_text() +
+                       "\nenvironment (a malformed or out-of-range value "
+                       "falls back to the default):\n";
+    for (const Setting& row : settings()) {
+      help += "  " + std::string(row.name) + " in [" +
+              std::to_string(row.min) + ", " + std::to_string(row.max) +
+              "], default " + std::to_string(row.fallback) + "\n      " +
+              row.doc + "\n";
+    }
     if (parser.help_requested()) {
-      std::cout << parser.help_text();
+      std::cout << help;
     } else {
-      std::cerr << program_ << ": " << parser.error() << "\n"
-                << parser.help_text();
+      std::cerr << program_ << ": " << error << "\n" << help;
       exit_code_ = 2;
     }
     return;
   }
+  exp::set_lookup_interleave(interleave());
   json_path_ = parser.get("json");
   if (json_path_.empty()) return;
   // Open the path before the run, so an unwritable path fails fast — with
@@ -127,7 +194,7 @@ const char* status_label(dht::LookupStatus status) {
 
 void Report::route_traces(const std::vector<exp::OverlayKind>& kinds,
                           int cycloid_dim) {
-  const std::uint64_t count = env_u64("CYCLOID_BENCH_TRACE_ROUTES", 0);
+  const std::uint64_t count = setting(Knob::kTraceRoutes);
   if (count == 0) return;
   for (const exp::OverlayKind kind : kinds) {
     const auto net = exp::make_dense_overlay(kind, cycloid_dim, kBenchSeed);

@@ -3,17 +3,20 @@
 // Each binary regenerates one table or figure from the paper's evaluation
 // (Sec. 4) and prints it as a fixed-width table. Absolute hop counts depend
 // only on topology, so they are directly comparable to the paper; sample
-// sizes are capped (CYCLOID_BENCH_LOOKUP_CAP) because the means converge
-// long before the paper's full n^2/4 lookup workload.
+// sizes are capped (Knob::kLookupCap) because the means converge long
+// before the paper's full n^2/4 lookup workload. Run sizes come from the
+// CYCLOID_BENCH_* environment variables in settings(); `--help` lists them.
 //
 // Every binary also understands `--json <path>` (see Report below): the same
 // sections it prints as text are dumped as one JSON document, so plots and
 // regression diffs do not have to scrape the fixed-width tables.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,59 +25,67 @@
 
 namespace cycloid::bench {
 
-/// Paper workload: every node issues n/4 lookups (n^2/4 total). Returns the
-/// scale in (0, 1] that caps the total at `cap` lookups.
-inline double lookup_scale_for(std::uint64_t n, std::uint64_t cap) {
-  const double full = static_cast<double>(n) * static_cast<double>(n) / 4.0;
-  return full <= static_cast<double>(cap)
-             ? 1.0
-             : static_cast<double>(cap) / full;
-}
-
 /// Strict base-10 parse of `value` into `out`. The whole string must be
 /// digits (no sign, no whitespace, no trailing junk) and fit in 64 bits.
 bool parse_u64(const char* value, std::uint64_t& out);
 
-/// Env-var override (integer) with default; lets CI shrink or grow runs.
-/// Unset, empty, or malformed values (trailing junk, signs, overflow) fall
-/// back to the default instead of silently truncating to garbage.
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  std::uint64_t parsed = 0;
-  if (value == nullptr || !parse_u64(value, parsed)) return fallback;
-  return parsed;
+/// The CYCLOID_BENCH_* settings, one row each in settings(), in this order.
+enum class Knob {
+  kLookupCap, kFailureLookups, kPnsLookups, kTraceRoutes, kChurnSeconds,
+  kPnsChurnSeconds, kPerfChurnSeconds, kChurnIncremental, kMaintIncremental,
+  kPerfMaxNodes, kPerfLookups, kThreads, kInterleave
+};
+
+/// One row of the settings table: an environment variable, its default,
+/// the inclusive range a set value must lie in, and a one-line doc.
+struct Setting {
+  const char* name;
+  std::uint64_t fallback, min, max;
+  const char* doc;
+
+  /// `value` parsed strictly (parse_u64), when it lies in [min, max].
+  std::optional<std::uint64_t> accept(const char* value) const;
+};
+
+/// Every CYCLOID_BENCH_* variable the bench binaries read.
+std::span<const Setting> settings();
+
+/// The value of `knob`: its variable when the row accepts it, else the
+/// default. Quiet: Report's constructor names each rejected value once.
+std::uint64_t setting(Knob knob);
+
+/// setting(Knob::kThreads) and setting(Knob::kInterleave) as ints; Report
+/// installs the width as exp's lookup interleave default. Results are
+/// identical at any thread count and width.
+inline int threads() { return static_cast<int>(setting(Knob::kThreads)); }
+inline int interleave() {
+  return static_cast<int>(setting(Knob::kInterleave));
 }
 
-/// Default lookup cap per experiment cell.
-inline std::uint64_t lookup_cap() {
-  return env_u64("CYCLOID_BENCH_LOOKUP_CAP", 100000);
+/// Wall-clock seconds since `start`: the perf benches' timer.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
-/// Upper bound accepted from CYCLOID_BENCH_THREADS. Values above this fit
-/// in a u64 but are nonsense as worker counts (and would truncate when
-/// narrowed to int), so they fall back like any other malformed value.
-inline constexpr std::uint64_t kMaxBenchThreads = 4096;
+/// A perf-bench network size: n, and the smallest Cycloid dimension whose
+/// d * 2^d identifier space holds n (the sparse factories size from it).
+struct PerfSize {
+  std::uint64_t n;
+  int dim;
+};
 
-/// Worker threads for parallel experiments (results are identical at any
-/// thread count; see exp::run_lookup_batch / util::parallel_for). Override
-/// with CYCLOID_BENCH_THREADS — strictly parsed (env_u64): garbage,
-/// partial parses, zero, and counts beyond kMaxBenchThreads all fall back
-/// to the hardware default instead of silently truncating.
-int threads();
+/// n in {2^11, 2^14, 2^17}, up to setting(Knob::kPerfMaxNodes).
+std::vector<PerfSize> perf_sizes();
 
-/// Upper bound accepted from CYCLOID_BENCH_INTERLEAVE — the engine's lane
-/// cap (dht::Router::kMaxBatchWidth); wider requests could only queue.
-inline constexpr std::uint64_t kMaxBenchInterleave = 16;
-
-/// Interleave width for the lookup batches (results are identical at any
-/// width; see exp::run_lookup_batch / dht::Router::route_batch). Override
-/// with CYCLOID_BENCH_INTERLEAVE — strictly parsed exactly like
-/// CYCLOID_BENCH_THREADS: garbage, partial parses, zero, and widths beyond
-/// kMaxBenchInterleave all fall back to 1 (the sequential path) instead of
-/// silently truncating. Report's constructor installs this value as the
-/// process-wide exp::set_lookup_interleave default, so every bench binary
-/// honors the knob.
-int interleave();
+/// Paper workload: every node issues n/4 lookups (n^2/4 total). Returns the
+/// scale in (0, 1] that caps the total at setting(Knob::kLookupCap).
+inline double lookup_scale_for(std::uint64_t n) {
+  const double full = static_cast<double>(n) * static_cast<double>(n) / 4.0;
+  const auto cap = static_cast<double>(setting(Knob::kLookupCap));
+  return full <= cap ? 1.0 : cap / full;
+}
 
 /// Fixed seed: every bench prints identical tables run to run.
 inline constexpr std::uint64_t kBenchSeed = 0xC1C101DULL;
@@ -87,9 +98,10 @@ inline constexpr std::uint64_t kBenchSeed = 0xC1C101DULL;
 /// cells are emitted as JSON numbers, everything else as strings.
 class Report {
  public:
-  /// Parses argv and opens the `--json` path. When done() is true afterwards
-  /// (help, a bad option, or a path that cannot be opened for writing), main
-  /// should immediately return exit_code().
+  /// Parses argv, checks the CYCLOID_BENCH_* environment and opens the
+  /// `--json` path. When done() is true afterwards (help, a bad option, an
+  /// unknown CYCLOID_BENCH_* variable, or a path that cannot be opened for
+  /// writing), main should immediately return exit_code().
   Report(int argc, const char* const* argv, std::string program,
          std::string description);
   ~Report();
@@ -112,9 +124,9 @@ class Report {
   void note(const std::string& text);
 
   /// Append one "sample routes" section per overlay kind: per-hop engine
-  /// traces (dht::RouterOptions::trace) of CYCLOID_BENCH_TRACE_ROUTES random
-  /// lookups in the dense d = `cycloid_dim` network. Off by default
-  /// (env var unset or 0), so the regular figure output stays byte-stable.
+  /// traces (dht::RouterOptions::trace) of Knob::kTraceRoutes random
+  /// lookups in the dense d = `cycloid_dim` network. Nothing is appended at
+  /// 0, so the regular figure output stays byte-stable.
   void route_traces(const std::vector<exp::OverlayKind>& kinds,
                     int cycloid_dim);
 

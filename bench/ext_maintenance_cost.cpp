@@ -24,11 +24,7 @@ int main(int argc, char** argv) {
   const int d = 8;  // 2048-position identifier space
   const std::size_t count = 1600;  // leave room for joins
   const int events = 200;
-  // CYCLOID_BENCH_MAINT_INCREMENTAL=1 replaces the final stabilize_all with
-  // an incremental drain of the neighborhoods the 400 membership events
-  // dirtied. Default off keeps the output byte-identical.
-  const bool incremental =
-      bench::env_u64("CYCLOID_BENCH_MAINT_INCREMENTAL", 0) != 0;
+  const bool incremental = bench::setting(bench::Knob::kMaintIncremental) != 0;
 
   util::Table table({"overlay", "updates/join", "updates/leave",
                      "updates/stabilization pass"});

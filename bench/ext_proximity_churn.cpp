@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
       "Extension: suffix vs proximity neighbour selection under churn");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t seconds =
-      bench::env_u64("CYCLOID_BENCH_PNS_CHURN_SECONDS", 600);
+  const std::uint64_t seconds = bench::setting(bench::Knob::kPnsChurnSeconds);
   const auto duration = static_cast<double>(seconds);
   const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20,
                                      0.25, 0.30, 0.35, 0.40};

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using ccc::CycloidNetwork;
   using ccc::NeighborSelection;
 
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_PNS_LOOKUPS", 20000);
+  const std::uint64_t lookups = bench::setting(bench::Knob::kPnsLookups);
 
   util::Table table({"n", "policy", "mean hops", "mean route latency",
                      "latency/hop"});
@@ -50,18 +50,12 @@ int main(int argc, char** argv) {
                            .add(selection == NeighborSelection::kProximity
                                     ? "proximity"
                                     : "suffix");
-      // Guard degenerate cells: with CYCLOID_BENCH_PNS_LOOKUPS=0 the
-      // summaries are empty (mean() traps on an empty series by contract),
-      // and a zero-hop-only sample would divide by zero in latency/hop.
-      if (hops.empty()) {
-        r.add("n/a").add("n/a").add("n/a");
+      r.add(hops.mean(), 2).add(latency.mean(), 3);
+      // A zero-hop-only sample would divide by zero in latency/hop.
+      if (hops.mean() == 0.0) {
+        r.add("n/a");
       } else {
-        r.add(hops.mean(), 2).add(latency.mean(), 3);
-        if (hops.mean() == 0.0) {
-          r.add("n/a");
-        } else {
-          r.add(latency.mean() / hops.mean(), 3);
-        }
+        r.add(latency.mean() / hops.mean(), 3);
       }
     }
   }

@@ -19,14 +19,13 @@ int main(int argc, char** argv) {
   util::Table table({"n", "Cycloid-7", "Chord", "Pastry", "CAN (2-d)",
                      "sqrt(n)/2 (CAN model)"});
 
-  const std::uint64_t cap = bench::lookup_cap();
   const std::vector<exp::OverlayKind> kinds = {
       exp::OverlayKind::kCycloid7, exp::OverlayKind::kChord,
       exp::OverlayKind::kPastry, exp::OverlayKind::kCan};
   for (const int d : {4, 5, 6, 7, 8}) {
     const std::uint64_t n = static_cast<std::uint64_t>(d) << d;
     const auto rows = exp::run_dense_path_lengths(
-        kinds, {d}, bench::lookup_scale_for(n, cap), bench::kBenchSeed + 31,
+        kinds, {d}, bench::lookup_scale_for(n), bench::kBenchSeed + 31,
         bench::threads());
     table.row().add(n);
     for (const auto& row : rows) table.add(row.mean_path, 2);

@@ -3,7 +3,7 @@
 // node leaving without warning in advance."
 //
 // 2048-node networks; each node *vanishes* with probability p, repairing
-// nothing; 10,000 lookups run against the stale state, then again after one
+// nothing; lookups run against the stale state, then again after one
 // stabilization pass. Graceful-mode leaf sets kept every Cycloid lookup
 // resolvable (Fig. 11); here even leaf sets are stale, so lookups can fail —
 // and the 11-entry variant's wider leaf sets measurably blunt the damage.
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                        "Extension: lookups after ungraceful departures");
   if (report.done()) return report.exit_code();
 
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_FAILURE_LOOKUPS", 10000);
+  const std::uint64_t lookups = bench::setting(bench::Knob::kFailureLookups);
   const std::vector<double> probabilities = {0.1, 0.2, 0.3, 0.4, 0.5};
   // Viceroy and CAN repair incoming links as part of any membership change
   // in this simulation, so they have no stale state to expose here.

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   if (report.done()) return report.exit_code();
 
   const std::size_t peers = 2048;
-  const std::uint64_t queries =
-      bench::env_u64("CYCLOID_BENCH_SEARCH_QUERIES", 2000);
+  const std::uint64_t queries = 2000;
   util::Rng rng(bench::kBenchSeed);
   auto net = unstructured::UnstructuredNetwork::build_random(peers, 4, rng);
 

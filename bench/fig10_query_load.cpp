@@ -13,11 +13,10 @@ int main(int argc, char** argv) {
                        "Fig. 10: query-load balance across nodes");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t cap = bench::lookup_cap();
   for (const int d : {4, 8}) {
     const std::uint64_t n = static_cast<std::uint64_t>(d) << d;
     const auto rows = exp::run_query_load(
-        exp::all_overlays(), {d}, bench::lookup_scale_for(n, cap),
+        exp::all_overlays(), {d}, bench::lookup_scale_for(n),
         bench::kBenchSeed, bench::threads());
     util::Table table(
         {"overlay", "lookups", "mean", "1st pct", "99th pct", "stddev"});

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                        "simultaneous departures");
   if (report.done()) return report.exit_code();
 
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_FAILURE_LOOKUPS", 10000);
+  const std::uint64_t lookups = bench::setting(bench::Knob::kFailureLookups);
   const std::vector<double> probabilities = {0.1, 0.2, 0.3, 0.4, 0.5};
   const auto rows = exp::run_failure_experiment(
       exp::all_overlays(), 8, probabilities, lookups, bench::kBenchSeed,

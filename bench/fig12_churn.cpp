@@ -16,15 +16,11 @@ int main(int argc, char** argv) {
                        "Fig. 12 + Table 5: lookups during continuous churn");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t seconds =
-      bench::env_u64("CYCLOID_BENCH_CHURN_SECONDS", 3000);
+  const std::uint64_t seconds = bench::setting(bench::Knob::kChurnSeconds);
   const auto duration = static_cast<double>(seconds);
-  // CYCLOID_BENCH_CHURN_INCREMENTAL=1 swaps the per-node stabilization
-  // timers for the engine's dirty-queue drains (same RNG stream, so the
-  // workload is identical). Default off: the tables below stay
-  // byte-identical with previous revisions.
+  // Both modes consume the same RNG stream, so the workload is identical.
   const exp::StabilizeMode mode =
-      bench::env_u64("CYCLOID_BENCH_CHURN_INCREMENTAL", 0) != 0
+      bench::setting(bench::Knob::kChurnIncremental) != 0
           ? exp::StabilizeMode::kIncremental
           : exp::StabilizeMode::kFull;
   const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20,

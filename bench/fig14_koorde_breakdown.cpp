@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                        "Fig. 14: Koorde path breakdown vs network sparsity");
   if (report.done()) return report.exit_code();
 
-  const auto lookups = bench::env_u64("CYCLOID_BENCH_SPARSITY_LOOKUPS", 10000);
+  const std::uint64_t lookups = 10000;
   const std::vector<double> sparsities = {0.0,   0.125, 0.25, 0.375,
                                           0.5,   0.625, 0.75};
   const auto rows = exp::run_sparsity_experiment(

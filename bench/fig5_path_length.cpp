@@ -16,10 +16,9 @@ int main(int argc, char** argv) {
   util::Table table(
       {"n", "d", "Cycloid-7", "Cycloid-11", "Viceroy", "Chord", "Koorde"});
 
-  const std::uint64_t cap = bench::lookup_cap();
   for (const int d : {3, 4, 5, 6, 7, 8}) {
     const std::uint64_t n = static_cast<std::uint64_t>(d) << d;
-    const double scale = bench::lookup_scale_for(n, cap);
+    const double scale = bench::lookup_scale_for(n);
     const auto rows = exp::run_dense_path_lengths(
         exp::all_overlays(), {d}, scale, bench::kBenchSeed, bench::threads());
     table.row().add(n).add(d);
@@ -35,8 +34,9 @@ int main(int argc, char** argv) {
                  table);
   report.note("\n(paper shape: Viceroy > 2x Cycloid at every size; Cycloid\n"
               " is the shortest constant-degree DHT; lookups = min(n^2/4, " +
-              std::to_string(bench::lookup_cap()) + ") per cell)\n");
-  // Engine-level per-hop traces (set CYCLOID_BENCH_TRACE_ROUTES=N).
+              std::to_string(bench::setting(bench::Knob::kLookupCap)) +
+              ") per cell)\n");
+  // Engine-level per-hop traces (bench::Knob::kTraceRoutes).
   report.route_traces(exp::all_overlays(), 5);
   return 0;
 }

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   util::Table table({"dimension", "Cycloid-7 (n=d*2^d)", "Viceroy (n=2^d)",
                      "Chord (n=2^d)", "Koorde (n=2^d)"});
 
-  const std::uint64_t cap = bench::lookup_cap();
   const int threads = bench::threads();
   for (const int d : {3, 4, 5, 6, 7, 8}) {
     table.row().add(d);
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
       auto net = ccc::CycloidNetwork::build_complete(d);
       const std::uint64_t n = net->node_count();
       const auto lookups = static_cast<std::uint64_t>(
-          static_cast<double>(n * n) / 4.0 * bench::lookup_scale_for(n, cap));
+          static_cast<double>(n * n) / 4.0 * bench::lookup_scale_for(n));
       const auto stats = exp::run_lookup_batch(
           *net, lookups, bench::kBenchSeed + static_cast<std::uint64_t>(d),
           threads);
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t n = 1ULL << d;
     const auto lookups = static_cast<std::uint64_t>(
-        static_cast<double>(n * n) / 4.0 * bench::lookup_scale_for(n, cap));
+        static_cast<double>(n * n) / 4.0 * bench::lookup_scale_for(n));
     {
       util::Rng rng(bench::kBenchSeed + 100 + static_cast<std::uint64_t>(d));
       auto net = viceroy::ViceroyNetwork::build_random(n, rng);

@@ -16,13 +16,12 @@ int main(int argc, char** argv) {
                        "phase");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t cap = bench::lookup_cap();
   const auto run_kind = [&](exp::OverlayKind kind) {
     std::vector<exp::PathLengthRow> rows;
     for (const int d : {3, 4, 5, 6, 7, 8}) {
       const std::uint64_t n = static_cast<std::uint64_t>(d) << d;
       auto r = exp::run_dense_path_lengths(
-          {kind}, {d}, bench::lookup_scale_for(n, cap), bench::kBenchSeed + 7,
+          {kind}, {d}, bench::lookup_scale_for(n), bench::kBenchSeed + 7,
           bench::threads());
       rows.push_back(r.front());
     }
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   report.note("\n(paper shape: Cycloid's ascending <= ~15% vs ~30% in\n"
               " Viceroy; Viceroy spends >half in the traverse-ring phase;\n"
               " Koorde's successor hops are ~30% when dense)\n");
-  // Engine-level per-hop traces (set CYCLOID_BENCH_TRACE_ROUTES=N).
+  // Engine-level per-hop traces (bench::Knob::kTraceRoutes).
   report.route_traces({exp::OverlayKind::kCycloid7, exp::OverlayKind::kViceroy,
                        exp::OverlayKind::kKoorde},
                       5);

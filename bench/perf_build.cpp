@@ -22,11 +22,6 @@
 // the same kind of work (no per-insert state is discarded), so their
 // speedup hovers around 1x by design.
 //
-// Knobs:
-//   CYCLOID_BENCH_PERF_MAX_NODES  largest network size to run (default 2^17;
-//                                 CI smoke sets 2048 — builds stay cheap)
-//   CYCLOID_BENCH_THREADS         worker threads for the bulk NT runs
-//
 // Typical use: scripts/perf.sh, which writes BENCH_build.json via --json.
 #include <chrono>
 #include <cstdint>
@@ -38,24 +33,6 @@
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Smallest Cycloid dimension whose d * 2^d identifier space holds `nodes`
-/// (the sparse factories size every overlay's space from this).
-int dimension_for(std::uint64_t nodes) {
-  int d = 3;
-  while (static_cast<std::uint64_t>(d) * (1ULL << d) < nodes) ++d;
-  return d;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace cycloid;
   bench::Report report(
@@ -64,17 +41,9 @@ int main(int argc, char** argv) {
       "and N threads, for every overlay at n in {2^11, 2^14, 2^17}");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t max_nodes =
-      bench::env_u64("CYCLOID_BENCH_PERF_MAX_NODES", 1ULL << 17);
   const int threads = bench::threads();
 
-  std::vector<std::uint64_t> sizes;
-  for (const std::uint64_t n : {1ULL << 11, 1ULL << 14, 1ULL << 17}) {
-    if (n <= max_nodes) sizes.push_back(n);
-  }
-
-  for (const std::uint64_t n : sizes) {
-    const int dim = dimension_for(n);
+  for (const auto [n, dim] : bench::perf_sizes()) {
     util::Table table({"overlay", "nodes", "eager s", "bulk 1T s",
                        "bulk " + std::to_string(threads) + "T s",
                        "speedup (eager / bulk NT)"});
@@ -89,7 +58,7 @@ int main(int argc, char** argv) {
         while (net->node_count() < n) net->join(join_seed++);
         net->stabilize_all(1);
       }
-      const double eager_s = seconds_since(eager_start);
+      const double eager_s = bench::seconds_since(eager_start);
 
       const auto bulk1_start = std::chrono::steady_clock::now();
       {
@@ -97,7 +66,7 @@ int main(int argc, char** argv) {
             kind, dim, static_cast<std::size_t>(n), bench::kBenchSeed,
             /*threads=*/1);
       }
-      const double bulk1_s = seconds_since(bulk1_start);
+      const double bulk1_s = bench::seconds_since(bulk1_start);
 
       const auto bulkn_start = std::chrono::steady_clock::now();
       {
@@ -105,7 +74,7 @@ int main(int argc, char** argv) {
             kind, dim, static_cast<std::size_t>(n), bench::kBenchSeed,
             threads);
       }
-      const double bulkn_s = seconds_since(bulkn_start);
+      const double bulkn_s = bench::seconds_since(bulkn_start);
 
       table.row()
           .add(exp::overlay_label(kind))

@@ -11,14 +11,8 @@
 // shard of exp::run_lookup_batch reuses one dht::BatchScratch, so these
 // numbers measure routing, not the allocator.
 //
-// Knobs:
-//   CYCLOID_BENCH_PERF_MAX_NODES  largest network size to run (default 2^17;
-//                                 CI smoke sets 2048 — builds stay cheap)
-//   CYCLOID_BENCH_PERF_LOOKUPS    lookups per timed run (default 32768)
-//   CYCLOID_BENCH_THREADS         worker threads for the parallel runs
-//   CYCLOID_BENCH_INTERLEAVE      default in-flight lookup width for the
-//                                 main table's runs (the sweep table times
-//                                 W in {1, 2, 4, 8} regardless)
+// The interleave setting applies to the main table's runs; the sweep table
+// times W in {1, 2, 4, 8} regardless.
 //
 // Typical use: scripts/perf.sh, which writes BENCH_lookups.json via --json.
 #include <algorithm>
@@ -31,24 +25,6 @@
 #include "exp/workloads.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Smallest Cycloid dimension whose d * 2^d identifier space holds `nodes`
-/// (the sparse factories size every overlay's space from this).
-int dimension_for(std::uint64_t nodes) {
-  int d = 3;
-  while (static_cast<std::uint64_t>(d) * (1ULL << d) < nodes) ++d;
-  return d;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace cycloid;
   bench::Report report(
@@ -56,19 +32,10 @@ int main(int argc, char** argv) {
       "Wall-clock lookups/sec for every overlay at n in {2^11, 2^14, 2^17}");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t max_nodes =
-      bench::env_u64("CYCLOID_BENCH_PERF_MAX_NODES", 1ULL << 17);
-  const std::uint64_t lookups =
-      bench::env_u64("CYCLOID_BENCH_PERF_LOOKUPS", 32768);
+  const std::uint64_t lookups = bench::setting(bench::Knob::kPerfLookups);
   const int threads = bench::threads();
 
-  std::vector<std::uint64_t> sizes;
-  for (const std::uint64_t n : {1ULL << 11, 1ULL << 14, 1ULL << 17}) {
-    if (n <= max_nodes) sizes.push_back(n);
-  }
-
-  for (const std::uint64_t n : sizes) {
-    const int dim = dimension_for(n);
+  for (const auto [n, dim] : bench::perf_sizes()) {
     util::Table table({"overlay", "nodes", "lookups", "build s", "1-thread s",
                        "1-thread lookups/s",
                        std::to_string(threads) + "-thread lookups/s",
@@ -83,7 +50,7 @@ int main(int argc, char** argv) {
       const auto build_start = std::chrono::steady_clock::now();
       const auto net = exp::make_sparse_overlay(
           kind, dim, static_cast<std::size_t>(n), bench::kBenchSeed);
-      const double build_s = seconds_since(build_start);
+      const double build_s = bench::seconds_since(build_start);
 
       // Warm-up: fault in node state and size the per-shard scratch
       // buffers (untimed).
@@ -93,11 +60,11 @@ int main(int argc, char** argv) {
       const auto seq_start = std::chrono::steady_clock::now();
       const exp::WorkloadStats seq = exp::run_lookup_batch(
           *net, lookups, bench::kBenchSeed + 2, /*threads=*/1);
-      const double seq_s = seconds_since(seq_start);
+      const double seq_s = bench::seconds_since(seq_start);
 
       const auto par_start = std::chrono::steady_clock::now();
       exp::run_lookup_batch(*net, lookups, bench::kBenchSeed + 2, threads);
-      const double par_s = seconds_since(par_start);
+      const double par_s = bench::seconds_since(par_start);
 
       // Hot-path cost per hop decision (1-thread run): routing time
       // divided by total message forwardings. The slot-dense storage
@@ -131,7 +98,7 @@ int main(int argc, char** argv) {
         const auto w_start = std::chrono::steady_clock::now();
         exp::run_lookup_batch(*net, lookups, bench::kBenchSeed + 2,
                               /*threads=*/1, /*check_owner=*/true, w);
-        const double w_s = seconds_since(w_start);
+        const double w_s = bench::seconds_since(w_start);
         sweep.row()
             .add(exp::overlay_label(kind))
             .add(n)

@@ -16,10 +16,6 @@
 // modes' updates/sec, the wall-clock speedup, and the fraction of per-drain
 // scans the dirty queue skipped as already clean.
 //
-// Knobs:
-//   CYCLOID_BENCH_PERF_CHURN_SECONDS  virtual seconds per cell (default 600;
-//                                     CI smoke sets 120 — runs stay cheap)
-//
 // Typical use: scripts/perf.sh, which writes BENCH_maintenance.json via
 // --json.
 #include <chrono>
@@ -31,16 +27,6 @@
 #include "exp/experiments.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace cycloid;
   bench::Report report(
@@ -48,8 +34,7 @@ int main(int argc, char** argv) {
       "Wall-clock maintenance updates/sec under the Fig. 12 churn workload");
   if (report.done()) return report.exit_code();
 
-  const std::uint64_t seconds =
-      bench::env_u64("CYCLOID_BENCH_PERF_CHURN_SECONDS", 600);
+  const std::uint64_t seconds = bench::setting(bench::Knob::kPerfChurnSeconds);
   const auto duration = static_cast<double>(seconds);
   const std::vector<double> rates = {0.5, 1.0, 2.0};
 
@@ -65,13 +50,13 @@ int main(int argc, char** argv) {
       const exp::ChurnRow full = exp::run_churn_experiment(
           kind, 8, rate, duration, 30.0, bench::kBenchSeed,
           exp::StabilizeMode::kFull);
-      const double full_wall_s = seconds_since(full_start);
+      const double full_wall_s = bench::seconds_since(full_start);
 
       const auto incr_start = std::chrono::steady_clock::now();
       const exp::ChurnRow incr = exp::run_churn_experiment(
           kind, 8, rate, duration, 30.0, bench::kBenchSeed,
           exp::StabilizeMode::kIncremental);
-      const double incr_wall_s = seconds_since(incr_start);
+      const double incr_wall_s = bench::seconds_since(incr_start);
 
       const auto cause = [&](dht::MaintenanceCause c) {
         return full.maintenance_by_cause[static_cast<std::size_t>(c)];

@@ -23,9 +23,13 @@
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
 #
 # Workloads are capped so a run takes minutes (override through the same
-# environment variables). Outputs land in build-oracle/head; with a base
-# ref, the ref is exported with `git archive`, built and run the same way
-# into build-oracle/base, and every file is diffed. Exit status 1 when any
+# environment variables; `--help` on any bench binary lists the 13 it
+# reads). Both sides run with the same knobs, so a knob must keep its
+# name: the head's binaries exit 2 on a CYCLOID_BENCH_* name their settings
+# table lacks, and older binaries ignore it. Outputs land in
+# build-oracle/head; with a base ref, the ref is exported with
+# `git archive`, built and run the same way into build-oracle/base, and
+# every file is diffed. Exit status 1 when any
 # output differs — between the two widths, or between head and base.
 set -euo pipefail
 

@@ -9,6 +9,12 @@
 #   CYCLOID_BENCH_PERF_CHURN_SECONDS=120 ...           # maintenance smoke
 #   CYCLOID_BENCH_PNS_CHURN_SECONDS=120 ...            # proximity smoke
 #
+# These variables are rows of the bench settings table: any bench binary's
+# --help lists all 13 with defaults and ranges. A misspelt CYCLOID_BENCH_*
+# name makes the binaries exit 2, and so fails this script; a value out of
+# range (PERF_MAX_NODES below 2048, say) falls back to the default with a
+# note on stderr.
+#
 # Every emitted document is validated with `python3 -m json.tool` before
 # the script reports success, so a malformed cell can never reach the CI
 # artifacts unnoticed.

@@ -62,7 +62,6 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
 
   const CccSpace& space() const noexcept { return space_; }
   int leaf_width() const noexcept { return leaf_width_; }
-  NeighborSelection neighbor_selection() const noexcept { return selection_; }
 
   /// Handle <-> id mapping (handle packs (cubical << 8) | cyclic).
   static dht::NodeHandle handle_of(const CccId& id) noexcept {

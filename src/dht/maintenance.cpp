@@ -78,26 +78,23 @@ void DhtNetwork::depart_sample(double p, util::Rng& rng, bool ungraceful) {
     victims.pop_back();  // keep the network non-empty
   }
 
+  last_semantics_ = graceful ? DepartureSemantics::kGraceful
+                             : DepartureSemantics::kUngraceful;
+  if (victims.empty()) return;  // nothing departed, so nothing to repair
+
   CauseScope scope(*this, MaintenanceCause::kLeaveRepair);
   // Each victim's dirty hook runs just before its own departure hook, so the
   // mass departure decomposes into a sequence of single removals — exactly
   // the membership sequence the hooks' fan-in enumeration assumes. A
   // graceful mass departure unlinks each victim like a vanish and repairs
   // once, after all of them are gone.
-  if (graceful) {
-    for (const NodeHandle handle : victims) {
-      note_event(MembershipEvent::kGracefulLeave, handle);
-      on_vanish(handle);
-    }
-    repair_after_mass_leave();
-    last_semantics_ = DepartureSemantics::kGraceful;
-  } else {
-    for (const NodeHandle handle : victims) {
-      note_event(MembershipEvent::kVanish, handle);
-      on_vanish(handle);
-    }
-    last_semantics_ = DepartureSemantics::kUngraceful;
+  const MembershipEvent event = graceful ? MembershipEvent::kGracefulLeave
+                                         : MembershipEvent::kVanish;
+  for (const NodeHandle handle : victims) {
+    note_event(event, handle);
+    on_vanish(handle);
   }
+  if (graceful) repair_after_mass_leave();
   stale_ = stale_ || !repairs_eagerly();
 }
 

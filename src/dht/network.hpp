@@ -249,7 +249,6 @@ class DhtNetwork {
     dirty_tracking_ = enabled;
     clear_dirty();
   }
-  bool dirty_tracking() const noexcept { return dirty_tracking_; }
 
   /// Drain the dirty queue: refresh exactly the still-live enqueued nodes,
   /// fanned over `threads` workers against frozen membership. The drain

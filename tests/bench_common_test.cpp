@@ -1,13 +1,17 @@
-// Tests for the shared bench-binary helpers: strict env-var parsing and the
-// --json report writer.
+// Tests for the shared bench-binary helpers: the settings table and its
+// strict env-var parsing, and the --json report writer.
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "util/table.hpp"
 
@@ -40,30 +44,91 @@ TEST(ParseU64, RejectsGarbage) {
   EXPECT_EQ(out, 42u) << "failed parses must not clobber the output";
 }
 
+const Setting& row(Knob knob) {
+  return settings()[static_cast<std::size_t>(knob)];
+}
+
+TEST(Settings, ThirteenUniquePrefixedNamesOnePerKnob) {
+  // The names are the interface: scripts, CI and docs set them.
+  const std::pair<Knob, const char*> expected[] = {
+      {Knob::kLookupCap, "CYCLOID_BENCH_LOOKUP_CAP"},
+      {Knob::kFailureLookups, "CYCLOID_BENCH_FAILURE_LOOKUPS"},
+      {Knob::kPnsLookups, "CYCLOID_BENCH_PNS_LOOKUPS"},
+      {Knob::kTraceRoutes, "CYCLOID_BENCH_TRACE_ROUTES"},
+      {Knob::kChurnSeconds, "CYCLOID_BENCH_CHURN_SECONDS"},
+      {Knob::kPnsChurnSeconds, "CYCLOID_BENCH_PNS_CHURN_SECONDS"},
+      {Knob::kPerfChurnSeconds, "CYCLOID_BENCH_PERF_CHURN_SECONDS"},
+      {Knob::kChurnIncremental, "CYCLOID_BENCH_CHURN_INCREMENTAL"},
+      {Knob::kMaintIncremental, "CYCLOID_BENCH_MAINT_INCREMENTAL"},
+      {Knob::kPerfMaxNodes, "CYCLOID_BENCH_PERF_MAX_NODES"},
+      {Knob::kPerfLookups, "CYCLOID_BENCH_PERF_LOOKUPS"},
+      {Knob::kThreads, "CYCLOID_BENCH_THREADS"},
+      {Knob::kInterleave, "CYCLOID_BENCH_INTERLEAVE"}};
+  ASSERT_EQ(settings().size(), std::size(expected));
+  for (const auto& [knob, name] : expected) {
+    EXPECT_STREQ(row(knob).name, name);
+  }
+  std::set<std::string_view> names;
+  for (const Setting& setting : settings()) {
+    const std::string_view name = setting.name;
+    EXPECT_TRUE(name.starts_with("CYCLOID_BENCH_")) << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+    EXPECT_NE(std::string_view(setting.doc), "") << name;
+  }
+}
+
+TEST(Settings, DefaultsLieWithinBounds) {
+  for (const Setting& setting : settings()) {
+    EXPECT_LE(setting.min, setting.fallback) << setting.name;
+    EXPECT_LE(setting.fallback, setting.max) << setting.name;
+    EXPECT_EQ(setting.accept(std::to_string(setting.fallback).c_str()),
+              setting.fallback)
+        << setting.name;
+  }
+}
+
+// Strict parsing of one row's variable, CYCLOID_BENCH_FAILURE_LOOKUPS.
 class EnvU64Test : public ::testing::Test {
  protected:
-  static constexpr const char* kVar = "CYCLOID_TEST_ENV_U64";
+  static constexpr const char* kVar = "CYCLOID_BENCH_FAILURE_LOOKUPS";
+  static std::uint64_t value() { return setting(Knob::kFailureLookups); }
+  static std::uint64_t fallback() {
+    return row(Knob::kFailureLookups).fallback;
+  }
   void TearDown() override { ::unsetenv(kVar); }
   void set(const char* value) { ::setenv(kVar, value, 1); }
 };
 
 TEST_F(EnvU64Test, UnsetAndEmptyFallBack) {
   ::unsetenv(kVar);
-  EXPECT_EQ(env_u64(kVar, 77), 77u);
+  EXPECT_EQ(value(), fallback());
+  EXPECT_EQ(fallback(), 10000u);
   set("");
-  EXPECT_EQ(env_u64(kVar, 77), 77u);
+  EXPECT_EQ(value(), fallback());
 }
 
 TEST_F(EnvU64Test, ValidValueWins) {
   set("2048");
-  EXPECT_EQ(env_u64(kVar, 77), 2048u);
+  EXPECT_EQ(value(), 2048u);
 }
 
 TEST_F(EnvU64Test, MalformedValuesFallBack) {
   for (const char* bad : {"junk", "10k", "3.5", "-1", " 8", "8 ", "0x20",
                           "99999999999999999999999999"}) {
     set(bad);
-    EXPECT_EQ(env_u64(kVar, 77), 77u) << "value: '" << bad << "'";
+    EXPECT_EQ(value(), fallback()) << "value: '" << bad << "'";
+  }
+}
+
+TEST(Settings, ZeroLookupCountFallsBackToTheDefault) {
+  // A zero count would leave an experiment's sample empty, which traps.
+  for (const Knob knob : {Knob::kLookupCap, Knob::kFailureLookups,
+                          Knob::kPnsLookups, Knob::kPerfLookups}) {
+    ::setenv(row(knob).name, "0", 1);
+    EXPECT_EQ(setting(knob), row(knob).fallback) << row(knob).name;
+    ::setenv(row(knob).name, "1", 1);
+    EXPECT_EQ(setting(knob), 1u) << row(knob).name;
+    ::unsetenv(row(knob).name);
   }
 }
 
@@ -112,7 +177,7 @@ TEST_F(BenchInterleaveTest, UnsetDefaultsToSequential) {
 TEST_F(BenchInterleaveTest, ValidWidthWins) {
   set("4");
   EXPECT_EQ(interleave(), 4);
-  set("16");  // kMaxBenchInterleave itself is accepted
+  set("16");  // dht::Router::kMaxBatchWidth itself is accepted
   EXPECT_EQ(interleave(), 16);
   set("1");
   EXPECT_EQ(interleave(), 1);
@@ -171,9 +236,12 @@ TEST(Report, HelpAndUnknownOptionFinishEarly) {
     const char* argv[] = {"prog", "--help"};
     ::testing::internal::CaptureStdout();
     Report report(2, argv, "prog", "help test");
-    ::testing::internal::GetCapturedStdout();
+    const std::string help = ::testing::internal::GetCapturedStdout();
     EXPECT_TRUE(report.done());
     EXPECT_EQ(report.exit_code(), 0);
+    for (const Setting& setting : settings()) {
+      EXPECT_NE(help.find(setting.name), std::string::npos) << setting.name;
+    }
   }
   {
     const char* argv[] = {"prog", "--bogus"};
@@ -196,6 +264,61 @@ TEST(Report, UnwritableJsonPathFailsBeforeTheRun) {
   EXPECT_TRUE(report.done());
   EXPECT_EQ(report.exit_code(), 2);
   EXPECT_NE(error.find("cannot open --json path"), std::string::npos);
+}
+
+TEST(Report, UnknownBenchVariableFinishesEarlyWithExitCode2) {
+  const std::string path = ::testing::TempDir() + "unknown_setting.json";
+  std::remove(path.c_str());
+  const char* argv[] = {"prog", "--json", path.c_str()};
+  ::setenv("CYCLOID_BENCH_INTERLEAV", "8", 1);
+  ::testing::internal::CaptureStderr();
+  {
+    Report report(3, argv, "prog", "unknown setting test");
+    EXPECT_TRUE(report.done());
+    EXPECT_EQ(report.exit_code(), 2);
+  }
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("CYCLOID_BENCH_INTERLEAV");
+  EXPECT_NE(error.find("unknown environment variable CYCLOID_BENCH_INTERLEAV"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(std::ifstream(path).good()) << "no --json file is written";
+}
+
+TEST(Report, RejectedValueFallsBackWithOneNote) {
+  const char* argv[] = {"prog"};
+  ::setenv("CYCLOID_BENCH_FAILURE_LOOKUPS", "0", 1);
+  ::testing::internal::CaptureStderr();
+  {
+    Report report(1, argv, "prog", "rejected value test");
+    EXPECT_FALSE(report.done());
+  }
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("CYCLOID_BENCH_FAILURE_LOOKUPS");
+  EXPECT_NE(error.find("CYCLOID_BENCH_FAILURE_LOOKUPS='0'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("using the default 10000"), std::string::npos)
+      << error;
+  EXPECT_EQ(std::count(error.begin(), error.end(), '\n'), 1) << error;
+}
+
+TEST(Report, OtherVariablesAreIgnored) {
+  const char* argv[] = {"prog"};
+  for (const char* name : {"CYCLOID_TEST_ENV_U64", "CYCLOID_BENCH",
+                           "CYCLOID_BENCHMARK_RUNS", "NOT_CYCLOID_BENCH_X"}) {
+    ::setenv(name, "junk", 1);
+  }
+  ::testing::internal::CaptureStderr();
+  {
+    Report report(1, argv, "prog", "ignored variables test");
+    EXPECT_FALSE(report.done());
+  }
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  for (const char* name : {"CYCLOID_TEST_ENV_U64", "CYCLOID_BENCH",
+                           "CYCLOID_BENCHMARK_RUNS", "NOT_CYCLOID_BENCH_X"}) {
+    ::unsetenv(name);
+  }
+  EXPECT_EQ(error, "");
 }
 
 }  // namespace

@@ -209,14 +209,23 @@ TEST_P(ConformanceTest, DepartureSemanticsAreRecorded) {
   net->stabilize_all();
   EXPECT_FALSE(net->has_stale_entries());
 
-  // A single vanish records its semantics the same way. An empty graceful
-  // sample and a pass first reset the record and the stale flag, so the
-  // checks see the vanish's own.
+  // An empty sample records the semantics that ran but changes nothing:
+  // no repair is charged and no entry goes stale.
+  const std::uint64_t settled = net->maintenance_metrics().total();
+  net->fail_ungraceful(0.0, ungraceful_rng);
+  EXPECT_EQ(net->last_departure_semantics(),
+            eager ? dht::DepartureSemantics::kGraceful
+                  : dht::DepartureSemantics::kUngraceful);
+  EXPECT_EQ(net->maintenance_metrics().total(), settled);
+  EXPECT_FALSE(net->has_stale_entries());
   net->fail_simultaneously(0.0, graceful_rng);
   EXPECT_EQ(net->last_departure_semantics(),
             dht::DepartureSemantics::kGraceful);
-  net->stabilize_all();
+  EXPECT_EQ(net->maintenance_metrics().total(), settled);
   ASSERT_FALSE(net->has_stale_entries());
+
+  // A single vanish records its semantics the same way. The empty graceful
+  // sample reset the record, so the checks see the vanish's own.
   util::Rng victim_rng(26);
   const std::size_t before = net->node_count();
   net->fail_ungraceful(net->random_node(victim_rng));
