@@ -214,7 +214,7 @@ void Report::route_traces(const std::vector<exp::OverlayKind>& kinds,
           .add(sample.result.hops)
           .add(sample.result.timeouts)
           .add(status_label(sample.result.status))
-          .add(sample.latency(), 3)
+          .add(sample.result.route_latency, 3)
           .add(route);
     }
     section("Sample routes: " + exp::overlay_label(kind) + " (dense, d=" +

@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
       dht::LookupMetrics sink;
       for (std::uint64_t i = 0; i < lookups; ++i) {
         const dht::NodeHandle from = net->random_node(rng);
-        const ccc::CccId key = net->key_id(rng());
+        const dht::KeyHash key = rng();
         std::vector<dht::TraceStep> trace;
-        const dht::LookupResult result =
-            net->lookup_id(from, key, sink, &trace);
+        dht::RouterOptions options;
+        options.trace = &trace;
+        const dht::LookupResult result = net->route(from, key, sink, options);
         hops.add(result.hops);
         latency.add(dht::trace_latency(trace));
       }

@@ -16,11 +16,21 @@ int main() {
   std::cout << "Complete " << d << "-dimensional Cycloid ("
             << net->node_count() << " nodes)\n";
 
+  // Route toward an explicit id: its ring position, read as a key hash,
+  // maps back to it.
+  const auto route_to = [&](dht::NodeHandle from, const CccId& key,
+                            dht::LookupMetrics& sink,
+                            std::vector<dht::TraceStep>& trace) {
+    dht::RouterOptions options;
+    options.trace = &trace;
+    return net->route(from, net->space().ring_position(key), sink, options);
+  };
+
   const auto show_route = [&](const CccId& from, const CccId& key) {
     dht::LookupMetrics sink;
     std::vector<dht::TraceStep> trace;
     const dht::LookupResult result =
-        net->lookup_id(CycloidNetwork::handle_of(from), key, sink, &trace);
+        route_to(CycloidNetwork::handle_of(from), key, sink, trace);
     static const char* kPhaseNames[] = {"ascend  ", "descend ", "traverse"};
     std::cout << "\nlookup " << ccc::to_string(key, d) << " from "
               << ccc::to_string(from, d) << ":\n";
@@ -56,7 +66,7 @@ int main() {
   dht::LookupMetrics sink;
   std::vector<dht::TraceStep> trace;
   const CccId key{2, 0b1111};
-  const auto result = net->lookup_id(start, key, sink, &trace);
+  const auto result = route_to(start, key, sink, trace);
   std::cout << "\nlookup " << ccc::to_string(key, d) << " from "
             << ccc::to_string(CycloidNetwork::id_of(start), d) << ":\n";
   for (const auto& step : trace) {

@@ -18,6 +18,12 @@
 #   - ext_proximity_selection (CYCLOID_BENCH_PNS_LOOKUPS=2000) and
 #     ext_proximity_churn (CYCLOID_BENCH_PNS_CHURN_SECONDS=120): route
 #     latencies priced from the traces on the shared latency plane.
+# Last, benchmark/ is built as its own CMake project and each of its four
+# workloads runs once as a smoke run (`cycloid_bench --workload <w> --seed 1
+# --smoke --seconds 0 --trace 0`); its "digest", "attempted" and "failed"
+# lines land in bench.<w>.txt. The digest hashes every simulated total,
+# maintenance after a mass departure included, which no figure driver
+# prints. A run that exits non-zero fails the oracle.
 #
 #   scripts/oracle.sh              # write the outputs of the working tree
 #   scripts/oracle.sh <base-ref>   # ... and diff them against <base-ref>
@@ -30,7 +36,8 @@
 # build-oracle/head; with a base ref, the ref is exported with
 # `git archive`, built and run the same way into build-oracle/base, and
 # every file is diffed. Exit status 1 when any
-# output differs — between the two widths, or between head and base.
+# output differs — between the two widths, or between head and base — or
+# when a benchmark run fails.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,6 +58,7 @@ variants=(
   ext_proximity_churn=ext_proximity_churn:CYCLOID_BENCH_PNS_CHURN_SECONDS=120
 )
 examples=(overlay_compare)
+workloads=(lookup-2e14 lookup-2e17 churn-2e11 failure-2e14)
 work="$PWD/build-oracle"
 
 launcher=()
@@ -61,7 +69,8 @@ fi
 
 # oracle <source dir> <name>: build the drivers and run each at W=1
 # and W=8 into $work/<name>, the variant runs likewise, then each
-# example once; fails when the two widths disagree.
+# example once, then the benchmark's smoke runs; fails when the two widths
+# disagree or a benchmark run fails.
 oracle() {
   local build="$work/build-$2" out="$work/$2" status=0 targets=()
   for entry in "${variants[@]}"; do
@@ -96,6 +105,25 @@ oracle() {
   done
   for example in "${examples[@]}"; do
     "$build/examples/$example" > "$out/$example.txt"
+  done
+  # Release, as benchmark/run.py builds it; the log keeps the compiler's
+  # output out of the report.
+  local bench_build="$work/build-$2-benchmark" result
+  { cmake -B "$bench_build" -S "$1/benchmark" -DCMAKE_BUILD_TYPE=Release \
+      "${launcher[@]}" &&
+    cmake --build "$bench_build" -j "$(nproc)" --target cycloid_bench
+  } > "$bench_build.log" 2>&1 || {
+    echo "oracle: $2 benchmark build failed, see $bench_build.log" >&2
+    status=1
+  }
+  for workload in "${workloads[@]}"; do
+    if ! result=$("$bench_build/cycloid_bench" --workload "$workload" \
+                    --seed 1 --smoke --seconds 0 --trace 0); then
+      echo "oracle: $2 cycloid_bench --workload $workload failed" >&2
+      status=1
+    fi
+    grep -E '^"(digest|attempted|failed)":' <<< "$result" \
+      > "$out/bench.$workload.txt" || status=1
   done
   echo "oracle: $2 outputs in $out"
   return "$status"

@@ -110,8 +110,8 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   /// exactly the node's geometric neighbours in ascending handle order,
   /// with boxes that tile each neighbour's zones; the ownership grid lists
   /// each live node in exactly the cells its zones overlap and no departed
-  /// node) — cheap enough for tests to call after every operation.
-  bool check_invariants() const;
+  /// node).
+  bool check_invariants() const override;
 
   enum Phase : std::size_t { kGreedy = 0 };
 

@@ -9,7 +9,6 @@ namespace {
 using dht::kNoNode;
 using dht::LookupResult;
 using dht::NodeHandle;
-using util::clockwise_distance;
 using util::in_half_open_cw;
 }  // namespace
 
@@ -21,29 +20,20 @@ void ChordNetwork::on_join(NodeHandle node) {
   ChordNode* state = node_of(node);
   CYCLOID_ASSERT(state != nullptr);
   compute_state(*state);
-  refresh_ring_around(state->id);
+  refresh_ring_around(node);  // handles are ids
 }
 
 void ChordNetwork::on_graceful_leave(NodeHandle node) {
-  CYCLOID_EXPECTS(contains(node));
-  const std::uint64_t id = node_of(node)->id;
   unlink(node);
-  if (!ring_.empty()) refresh_ring_around(id);
-}
-
-void ChordNetwork::on_vanish(NodeHandle node) {
-  // Nodes vanish without notifying anyone: successor lists and
-  // predecessor pointers stay stale alongside the fingers.
-  unlink(node);
+  refresh_ring_around(node);
 }
 
 void ChordNetwork::repair_after_mass_leave() {
-  // Graceful departures repair the ring; fingers stay frozen.
-  for (std::size_t slot = 0; slot < node_count(); ++slot) {
-    ChordNode& node = node_at(slot);
-    note_maintenance();  // everyone re-checks
-    link_ring(node);
-  }
+  // Graceful departures repair the ring; fingers stay frozen. Every
+  // survivor is charged, changed or not (CHANGES.md FOUND: charging only
+  // the changed ones would move the maintenance goldens).
+  note_maintenance(node_count());
+  relink_all();
 }
 
 void ChordNetwork::refresh(NodeHandle node) {
@@ -52,37 +42,19 @@ void ChordNetwork::refresh(NodeHandle node) {
   compute_state(*state);
 }
 
-void ChordNetwork::before_pass() { ring_.settle(); }
-
 void ChordNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
-  const ChordNode* state = node_of(node);
-  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-  const std::uint64_t id = state->id;
-  if (ring_.size() <= 1) return;  // nobody else references this node
-
-  // Ring structure (predecessor + successor lists): joins and graceful
-  // single leaves repair it eagerly via refresh_ring_around, and a mass
-  // graceful departure rebuilds it for every survivor — only a silent
-  // vanish leaves it stale. Mark the same neighbourhood the graceful
-  // repair walks: successor_list_length + 1 predecessors plus the strict
-  // successor.
-  if (event == dht::MembershipEvent::kVanish) {
-    std::uint64_t cursor = id;
-    for (int i = 0; i <= successor_list_length_; ++i) {
-      const NodeHandle h = ring_.predecessor(cursor);
-      mark_dirty(h);
-      cursor = h;  // Chord handles are ids
-    }
-    mark_dirty(ring_.successor((id + 1) % space_size_));
-  }
+  CYCLOID_ASSERT(contains(node));  // pre-unlink / post-join contract
+  if (ring().size() <= 1) return;  // nobody else references this node
+  mark_ring(event, node);
 
   // Fingers are never eagerly repaired, for any event. X.finger[i] =
   // successor(X.id + 2^i) changes exactly when X.id + 2^i lies in
   // (pred(J), J] — the key slice this event moves between J and its
   // successor — so mark the ring members in (pred(J) - 2^i, J - 2^i].
-  const std::uint64_t pred = ring_.predecessor(id);
-  const std::uint64_t space = space_size_;
-  for (int i = 0; i < bits_; ++i) {
+  const std::uint64_t id = node;
+  const std::uint64_t pred = ring().predecessor(id);
+  const std::uint64_t space = space_size();
+  for (int i = 0; i < bits(); ++i) {
     const std::uint64_t step = 1ULL << i;
     mark_members((pred + space - step) % space,
                  (id + space - step) % space);
@@ -90,7 +62,7 @@ void ChordNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
 }
 
 void ChordNetwork::mark_members(std::uint64_t lo, std::uint64_t hi) {
-  const auto& ring = ring_;
+  const auto& ring = this->ring();
   std::size_t i = ring.upper_bound(lo);
   if (lo >= hi) {  // wrapping interval: (lo, top] then [0, hi]
     for (; i < ring.size(); ++i) mark_dirty(ring.handle(i));
@@ -102,116 +74,46 @@ void ChordNetwork::mark_members(std::uint64_t lo, std::uint64_t hi) {
 }
 
 ChordNetwork::ChordNetwork(int bits, int successor_list_length)
-    : bits_(bits),
-      space_size_(1ULL << bits),
-      successor_list_length_(successor_list_length) {
-  CYCLOID_EXPECTS(bits >= 1 && bits <= 32);
-  CYCLOID_EXPECTS(successor_list_length >= 1);
-}
+    : SuccessorRing(bits, successor_list_length) {}
 
 std::unique_ptr<ChordNetwork> ChordNetwork::build_random(
     int bits, std::size_t count, util::Rng& rng, int successor_list_length,
     int threads) {
   auto net = std::make_unique<ChordNetwork>(bits, successor_list_length);
-  CYCLOID_EXPECTS(count >= 1 && count <= net->space_size_);
-  net->begin_bulk();
-  while (net->node_count() < count) net->insert(rng.below(net->space_size_));
-  net->finish_bulk(threads);
+  net->populate_random(count, rng, threads);
   return net;
 }
 
 std::unique_ptr<ChordNetwork> ChordNetwork::build_complete(int bits,
                                                            int threads) {
   auto net = std::make_unique<ChordNetwork>(bits);
-  net->begin_bulk();
-  for (std::uint64_t id = 0; id < net->space_size_; ++id) net->insert(id);
-  net->finish_bulk(threads);
+  net->populate_complete(threads);
   return net;
-}
-
-bool ChordNetwork::insert(std::uint64_t id) {
-  CYCLOID_EXPECTS(id < space_size_);
-  if (contains(id)) return false;
-
-  create_node(id).id = id;
-  ring_.insert(id, id, bulk_building());
-
-  // notify_joined runs on_join (compute_state + ring-neighbourhood
-  // refresh) under the join-repair cause scope; bulk construction defers
-  // derived state to finish_bulk's stabilize pass.
-  notify_joined(id);
-  return true;
-}
-
-void ChordNetwork::unlink(NodeHandle handle) {
-  CYCLOID_EXPECTS(contains(handle));
-  ring_.erase(handle);
-  destroy_node(handle);
 }
 
 std::vector<std::string> ChordNetwork::phase_names() const {
   return {"finger", "successor"};
 }
 
-void ChordNetwork::link_ring(ChordNode& node) const {
-  node.predecessor = ring_.predecessor(node.id);
-  node.successors.clear();
-  std::size_t at = ring_.index_of(node.id);
-  for (int i = 0; i < successor_list_length_; ++i) {
-    at = ring_.next(at);
-    node.successors.push_back(ring_.handle(at));
-  }
-}
-
 void ChordNetwork::compute_state(ChordNode& node) {
-  const ChordNode before = node;
-  link_ring(node);
-  node.fingers.assign(static_cast<std::size_t>(bits_), kNoNode);
-  for (int i = 0; i < bits_; ++i) {
-    node.fingers[static_cast<std::size_t>(i)] =
-        ring_.successor((node.id + (1ULL << i)) % space_size_);
+  const auto fingers = static_cast<std::size_t>(bits());
+  bool changed = relink(node) || node.fingers.size() != fingers;
+  node.fingers.resize(fingers);
+  for (std::size_t i = 0; i < fingers; ++i) {
+    const NodeHandle finger =
+        ring().successor((node.id + (1ULL << i)) % space_size());
+    changed = changed || node.fingers[i] != finger;
+    node.fingers[i] = finger;
   }
-
-  if (node.predecessor != before.predecessor ||
-      node.successors != before.successors ||
-      node.fingers != before.fingers) {
-    note_maintenance();
-  }
+  // One update when the ring links or any finger changed.
+  if (changed) note_maintenance();
 }
 
 void ChordNetwork::refresh_ring_around(std::uint64_t id) {
-  // A membership change at `id` affects the successor lists of up to
-  // successor_list_length_ preceding nodes, the predecessor pointer of the
-  // succeeding node, and the changed node itself.
-  std::uint64_t cursor = id;
-  for (int i = 0; i <= successor_list_length_; ++i) {
-    if (ring_.empty()) return;
-    const NodeHandle handle = ring_.predecessor(cursor);
-    ChordNode* node = node_of(handle);
-    CYCLOID_ASSERT(node != nullptr);
-    // Repair the successor structure only; fingers remain as they were.
-    const NodeHandle old_pred = node->predecessor;
-    const auto old_successors = node->successors;
-    link_ring(*node);
-    if (node->predecessor != old_pred || node->successors != old_successors) {
-      note_maintenance();
-    }
-    cursor = node->id;
-  }
-  if (!ring_.empty()) {
-    // The node following `id` (strictly — after a join, `id` itself is
-    // present and must not shadow its successor) gets a fresh predecessor.
-    const NodeHandle next = ring_.successor((id + 1) % space_size_);
-    ChordNode* node = node_of(next);
-    CYCLOID_ASSERT(node != nullptr);
-    const NodeHandle old_pred = node->predecessor;
-    node->predecessor = ring_.predecessor(node->id);
-    if (node->predecessor != old_pred) note_maintenance();
-  }
-}
-
-NodeHandle ChordNetwork::owner_of(dht::KeyHash key) const {
-  return ring_.successor(key % space_size_);
+  // Every walked member whose links changed is charged, the member after
+  // `id` (whose predecessor alone is rewritten) included.
+  const dht::RingRepair repair = relink_around(id);
+  note_maintenance(repair.before + (repair.after ? 1 : 0));
 }
 
 namespace {
@@ -315,14 +217,8 @@ void ChordNetwork::route_batch(const NodeHandle* froms,
   dht::Router::route_batch(froms, keys, count, width, sink, results, lanes,
                            options, [this](NodeHandle from, dht::KeyHash key) {
                              CYCLOID_EXPECTS(contains(from));
-                             return ChordStepPolicy(*this, key % space_size_);
+                             return ChordStepPolicy(*this, key % space_size());
                            });
-}
-
-NodeHandle ChordNetwork::join(std::uint64_t seed) {
-  const std::uint64_t id = util::mix64(seed) % space_size_;
-  if (!insert(id)) return kNoNode;
-  return id;
 }
 
 }  // namespace cycloid::chord

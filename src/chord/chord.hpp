@@ -7,6 +7,10 @@
 // robustness, and greedy closest-preceding-finger routing. Keys are stored
 // at their successor. Graceful leaves repair the successor structure
 // immediately; fingers go stale until stabilization.
+//
+// The ring itself (membership, the successor list and its repair walk, the
+// owner oracle) is dht::SuccessorRing, shared with Koorde; this class adds
+// the fingers, the step policy and what each repair is charged.
 #pragma once
 
 #include <cstdint>
@@ -14,24 +18,19 @@
 #include <string>
 #include <vector>
 
-#include "dht/arena.hpp"
 #include "dht/network.hpp"
-#include "dht/sorted_ring.hpp"
+#include "dht/successor_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::chord {
 
-struct ChordNode {
-  std::uint64_t id = 0;
-  dht::NodeHandle predecessor = dht::kNoNode;
-  /// successors[0] is the immediate successor; kept alive by eager repair.
-  std::vector<dht::NodeHandle> successors;
+struct ChordNode : dht::RingNode {
   /// fingers[i] targets successor(id + 2^i); may be stale between
   /// stabilizations.
   std::vector<dht::NodeHandle> fingers;
 };
 
-class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
+class ChordNetwork final : public dht::SuccessorRing<ChordNode> {
  public:
   /// An empty network over a 2^bits identifier space.
   explicit ChordNetwork(int bits, int successor_list_length = 3);
@@ -50,13 +49,8 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
   static std::unique_ptr<ChordNetwork> build_complete(int bits,
                                                       int threads = 1);
 
-  int bits() const noexcept { return bits_; }
-  std::uint64_t space_size() const noexcept { return space_size_; }
-
-  /// Direct insertion at a specific identifier (false if occupied).
-  bool insert(std::uint64_t id);
-
-  // node_state/node_of/node_at come from dht::ArenaNetwork<ChordNode>.
+  // bits/space_size/insert/join/owner_of/check_invariants come from
+  // dht::SuccessorRing, node_state/node_of/node_at from dht::ArenaNetwork.
 
   /// Routing-phase slots in LookupResult::phase_hops.
   enum Phase : std::size_t { kFinger = 0, kSuccessor = 1 };
@@ -68,41 +62,27 @@ class ChordNetwork final : public dht::ArenaNetwork<ChordNode> {
   // repair logic is this class's maintenance hooks (chord.cpp).
   std::string name() const override { return "Chord"; }
   std::vector<std::string> phase_names() const override;
-  dht::NodeHandle owner_of(dht::KeyHash key) const override;
-  dht::NodeHandle join(std::uint64_t seed) override;
   void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
                    std::size_t count, int width, dht::LookupMetrics& sink,
                    dht::LookupResult* results, dht::BatchScratch& lanes,
                    const dht::RouterOptions& options) const override;
 
  private:
-  // Maintenance hooks (DhtNetwork's contract).
+  // Maintenance hooks (DhtNetwork's contract; before_pass and on_vanish
+  // are dht::SuccessorRing's).
   void on_join(dht::NodeHandle node) override;
   void on_graceful_leave(dht::NodeHandle node) override;
-  void on_vanish(dht::NodeHandle node) override;
   void repair_after_mass_leave() override;
   void refresh(dht::NodeHandle node) override;
-  void before_pass() override;
   void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
   /// Mark every ring member whose id lies in the circular interval
   /// (lo, hi].
   void mark_members(std::uint64_t lo, std::uint64_t hi);
 
-  /// Set `node`'s predecessor and successor list from the live ring.
-  void link_ring(ChordNode& node) const;
+  /// Recompute `node`'s ring links and fingers; one update when any changed.
   void compute_state(ChordNode& node);
-  /// Repair successor lists / predecessors in the ring neighbourhood of a
-  /// join or leave at identifier `id`.
+  /// The ring repair around a join or leave at identifier `id`, charged.
   void refresh_ring_around(std::uint64_t id);
-  void unlink(dht::NodeHandle handle);
-
-  int bits_;
-  std::uint64_t space_size_;
-  int successor_list_length_;
-
-  /// Live identifiers (id == handle), the ground truth behind owner_of and
-  /// every state recompute.
-  dht::SortedRing<std::uint64_t> ring_;
 };
 
 }  // namespace cycloid::chord

@@ -9,7 +9,6 @@ namespace cycloid::ccc {
 namespace {
 
 using dht::kNoNode;
-using dht::LookupResult;
 using dht::NodeHandle;
 
 }  // namespace
@@ -264,12 +263,9 @@ bool CycloidNetwork::check_invariants() const {
   //    sum to n, so no member is missing.
   const auto ring_agrees = [&](const dht::SortedRing<std::uint64_t>& ring,
                                auto id_at) {
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      if (i > 0 && !(ring.key(i - 1) < ring.key(i))) return false;
-      const NodeHandle h = ring.handle(i);
-      if (h != handle_of(id_at(ring.key(i))) || !contains(h)) return false;
-    }
-    return true;
+    return ring.all_ascending([&](std::uint64_t key, NodeHandle h) {
+      return h == handle_of(id_at(key)) && contains(h);
+    });
   };
   if (ring_.size() != n ||
       !ring_agrees(ring_, [&](std::uint64_t pos) {
@@ -686,23 +682,6 @@ void CycloidNetwork::route_batch(const dht::NodeHandle* froms,
                              CYCLOID_EXPECTS(contains(from));
                              return CycloidStepPolicy(*this, key_id(key));
                            });
-}
-
-LookupResult CycloidNetwork::lookup_id(
-    NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
-    std::vector<dht::TraceStep>* trace) const {
-  CYCLOID_EXPECTS(contains(from));
-  dht::RouterOptions options;
-  options.trace = trace;
-  // The policy routes toward `key` directly; the batch's hash key is unused.
-  const dht::KeyHash unused_hash = 0;
-  LookupResult result;
-  dht::BatchScratch lanes;
-  dht::Router::route_batch(&from, &unused_hash, 1, 1, sink, &result, lanes,
-                           options, [&](NodeHandle, dht::KeyHash) {
-                             return CycloidStepPolicy(*this, key);
-                           });
-  return result;
 }
 
 // --------------------------------------------------------------------------

@@ -112,23 +112,13 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
   /// the level rings hold the same members, each ring in sorted order; the
   /// position table holds slot_of(h) at each live node's position and is
   /// empty everywhere else; each record fills exactly its first
-  /// 4 * leaf_width leaf slots. Cheap enough for tests to call after every
-  /// operation; not valid during bulk construction.
-  bool check_invariants() const;
+  /// 4 * leaf_width leaf slots.
+  bool check_invariants() const override;
 
   /// True when key's cycle lies within the cubical span covered by the
   /// node's outside leaf set (the paper's "target ID is within the leaf
   /// sets" traverse-phase trigger).
   bool key_in_leaf_range(const CycloidNode& node, const CccId& key) const;
-
-  /// Routing support: lookup toward an explicit CCC position, accounting
-  /// into `sink` (a one-lookup Router::route_batch, like route()). When
-  /// `trace` is non-null, every forwarding step is appended to it (one
-  /// entry per counted hop). Times the routing safety net (pure numeric
-  /// leaf-set descent) engaged land in sink.guard_fallbacks.
-  dht::LookupResult lookup_id(
-      dht::NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
-      std::vector<dht::TraceStep>* trace = nullptr) const;
 
   // DhtNetwork interface -----------------------------------------------
   // node_handles() uses the base registry implementation: a handle packs

@@ -163,6 +163,15 @@ class DhtNetwork {
                            LookupResult* results, BatchScratch& lanes,
                            const RouterOptions& options) const = 0;
 
+  /// The overlay's structural invariants that hold after every public
+  /// call: at least that the membership registry, the node arena and the
+  /// overlay's own indexes (rings, grids, tables) list the same members,
+  /// each ring in ascending order. Cheap enough for tests to call after
+  /// every operation; not valid during bulk construction, whose rings are
+  /// unsorted. Invariants that hold only after a full refresh pass are not
+  /// part of it.
+  virtual bool check_invariants() const = 0;
+
   /// Let the overlay apply the repair promotions a finished batch learned
   /// (Koorde's backup promotion). The promotions run under the
   /// kLookupPromotion cause scope.

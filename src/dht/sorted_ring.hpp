@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -126,6 +127,18 @@ class SortedRing {
     return handles_[prev(upper_bound(key))];
   }
 
+  /// True when the keys ascend strictly and filed(key, handle) holds for
+  /// every entry: the shape of each overlay's membership invariant
+  /// (check_invariants). An unsorted bulk ring reads false, not a trap.
+  template <typename Filed>
+  bool all_ascending(Filed&& filed) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (i > 0 && !(keys_[i - 1] < keys_[i])) return false;
+      if (!filed(keys_[i], handles_[i])) return false;
+    }
+    return true;
+  }
+
   /// Member whose key is nearest `target` (itself in [lo, hi)) among the
   /// keys in [lo, hi), ties going to the larger key; kNoNode when no key
   /// lies in the window. No wrap: the window is a prefix-routing window.
@@ -149,5 +162,23 @@ class SortedRing {
   std::vector<NodeHandle> handles_;
   bool sorted_ = true;
 };
+
+/// The membership invariant of a ring whose handles are its keys (Chord,
+/// Koorde, Pastry): every arena record sits at its own handle's slot, and
+/// `ring` lists exactly `net`'s n members in ascending order. Each ring
+/// handle is a member equal to its key, the keys are distinct and there
+/// are n of them, so no member is missing.
+template <typename Net>
+bool ring_matches_registry(const Net& net,
+                           const SortedRing<std::uint64_t>& ring) {
+  const std::size_t n = net.node_count();
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (net.node_at(slot).id != net.handle_at(slot)) return false;
+  }
+  return ring.size() == n &&
+         ring.all_ascending([&](std::uint64_t key, NodeHandle handle) {
+           return handle == key && net.contains(handle);
+         });
+}
 
 }  // namespace cycloid::dht

@@ -180,12 +180,6 @@ WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
                     /*received=*/nullptr);
 }
 
-double RouteSample::latency() const {
-  double total = 0.0;
-  for (const dht::TraceStep& step : trace) total += step.latency;
-  return total;
-}
-
 std::vector<RouteSample> sample_routes(const dht::DhtNetwork& net,
                                        std::uint64_t count,
                                        std::uint64_t seed) {

@@ -86,11 +86,9 @@ WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
 struct RouteSample {
   dht::NodeHandle source = dht::kNoNode;
   dht::KeyHash key = 0;
+  /// Its route_latency is the total link latency along `trace`.
   dht::LookupResult result;
   std::vector<dht::TraceStep> trace;
-
-  /// Total simulated link latency along the route.
-  double latency() const;
 };
 
 /// Trace `count` random lookups (sources and keys drawn from a stream

@@ -25,25 +25,17 @@ void KoordeNetwork::on_join(NodeHandle node) {
   KoordeNode* state = node_of(node);
   CYCLOID_ASSERT(state != nullptr);
   compute_state(*state);
-  refresh_ring_around(state->id);
+  refresh_ring_around(node);  // handles are ids
 }
 
 void KoordeNetwork::on_graceful_leave(NodeHandle node) {
-  CYCLOID_EXPECTS(contains(node));
-  const std::uint64_t id = node_of(node)->id;
   unlink(node);
-  if (!ring_.empty()) refresh_ring_around(id);
+  refresh_ring_around(node);
 }
-
-void KoordeNetwork::on_vanish(NodeHandle node) { unlink(node); }
-
-void KoordeNetwork::before_pass() { ring_.settle(); }
 
 void KoordeNetwork::repair_after_mass_leave() {
   // Graceful departures repair the ring; de Bruijn pointers stay frozen.
-  for (std::size_t slot = 0; slot < node_count(); ++slot) {
-    repair_ring(node_at(slot));
-  }
+  note_maintenance(relink_all());
 }
 
 void KoordeNetwork::refresh(NodeHandle node) {
@@ -53,34 +45,21 @@ void KoordeNetwork::refresh(NodeHandle node) {
 }
 
 void KoordeNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
-  const KoordeNode* state = node_of(node);
-  CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
-  const std::uint64_t id = state->id;
-  if (ring_.size() <= 1) return;  // nobody else references this node
-
-  // Ring structure: eagerly repaired for joins and graceful departures
-  // (refresh_ring_around / repair_after_mass_leave); only a vanish leaves
-  // it stale — mark the neighbourhood the graceful repair would walk.
-  if (event == dht::MembershipEvent::kVanish) {
-    std::uint64_t cursor = id;
-    for (int i = 0; i <= successor_list_length_; ++i) {
-      const NodeHandle h = ring_.predecessor(cursor);
-      mark_dirty(h);
-      cursor = h;  // Koorde handles are ids
-    }
-    mark_dirty(ring_.successor((id + 1) % space_size_));
-  }
+  CYCLOID_ASSERT(contains(node));  // pre-unlink / post-join contract
+  if (ring().size() <= 1) return;  // nobody else references this node
+  mark_ring(event, node);
 
   // De Bruijn pointers + backups are never eagerly repaired, for any
   // event. X's structure is the backup_count + 1 members at-or-before
   // t = (X.id << shift_bits) mod space walking backwards, so it contains
   // J exactly when t lies in [J, hi) — hi being the (backup_count + 1)-th
   // member strictly after J.
+  const std::uint64_t id = node;
   std::uint64_t hi = id;
   for (int b = 0; b <= backup_count_; ++b) {
-    hi = ring_.successor((hi + 1) % space_size_);
+    hi = ring().successor((hi + 1) % space_size());
     if (hi == id) {  // walked the full (tiny) ring: everyone references J
-      for (const NodeHandle h : ring_.handles()) mark_dirty(h);
+      for (const NodeHandle h : ring().handles()) mark_dirty(h);
       return;
     }
   }
@@ -93,8 +72,8 @@ void KoordeNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
 /// so each non-wrapping piece [a, b) inverts to one X.id range
 /// [ceil(a/2^s), ceil(b/2^s)) per choice of the dropped top digit.
 void KoordeNetwork::mark_preimage(std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t space = space_size_;
-  const auto& ring = ring_;
+  const std::uint64_t space = space_size();
+  const auto& ring = this->ring();
   const auto mark_piece = [&](std::uint64_t a, std::uint64_t b) {
     if (a >= b) return;
     const int s = shift_bits_;
@@ -122,13 +101,9 @@ void KoordeNetwork::mark_preimage(std::uint64_t lo, std::uint64_t hi) {
 
 KoordeNetwork::KoordeNetwork(int bits, int successor_list_length,
                              int backup_count, int shift_bits)
-    : bits_(bits),
-      space_size_(1ULL << bits),
-      successor_list_length_(successor_list_length),
+    : SuccessorRing(bits, successor_list_length),
       backup_count_(backup_count),
       shift_bits_(shift_bits) {
-  CYCLOID_EXPECTS(bits >= 1 && bits <= 32);
-  CYCLOID_EXPECTS(successor_list_length >= 1);
   CYCLOID_EXPECTS(backup_count >= 0);
   // Identifiers are read as whole base-2^shift_bits digit strings.
   CYCLOID_EXPECTS(shift_bits >= 1 && bits % shift_bits == 0);
@@ -139,103 +114,50 @@ std::unique_ptr<KoordeNetwork> KoordeNetwork::build_random(int bits,
                                                            util::Rng& rng,
                                                            int threads) {
   auto net = std::make_unique<KoordeNetwork>(bits);
-  CYCLOID_EXPECTS(count >= 1 && count <= net->space_size_);
-  net->begin_bulk();
-  while (net->node_count() < count) net->insert(rng.below(net->space_size_));
-  net->finish_bulk(threads);
+  net->populate_random(count, rng, threads);
   return net;
 }
 
 std::unique_ptr<KoordeNetwork> KoordeNetwork::build_complete(int bits,
                                                              int threads) {
   auto net = std::make_unique<KoordeNetwork>(bits);
-  net->begin_bulk();
-  for (std::uint64_t id = 0; id < net->space_size_; ++id) net->insert(id);
-  net->finish_bulk(threads);
+  net->populate_complete(threads);
   return net;
-}
-
-bool KoordeNetwork::insert(std::uint64_t id) {
-  CYCLOID_EXPECTS(id < space_size_);
-  if (contains(id)) return false;
-
-  create_node(id).id = id;
-  ring_.insert(id, id, bulk_building());
-
-  // Bulk construction defers derived state to finish_bulk's stabilize pass
-  // (which recomputes it from final membership anyway).
-  notify_joined(id);
-  return true;
-}
-
-void KoordeNetwork::unlink(NodeHandle handle) {
-  CYCLOID_EXPECTS(contains(handle));
-  ring_.erase(handle);
-  destroy_node(handle);
 }
 
 std::vector<std::string> KoordeNetwork::phase_names() const {
   return {"debruijn", "successor"};
 }
 
-void KoordeNetwork::repair_ring(KoordeNode& node) {
-  const NodeHandle old_pred = node.predecessor;
-  const auto old_successors = node.successors;
-  node.predecessor = ring_.predecessor(node.id);
-  node.successors.clear();
-  std::uint64_t walk = node.id;
-  for (int s = 0; s < successor_list_length_; ++s) {
-    const NodeHandle succ = ring_.successor((walk + 1) % space_size_);
-    node.successors.push_back(succ);
-    walk = succ;
-  }
-  if (node.predecessor != old_pred || node.successors != old_successors) {
-    note_maintenance();
-  }
-}
-
 void KoordeNetwork::compute_state(KoordeNode& node) {
-  repair_ring(node);
+  // One update when the ring links changed; a new de Bruijn pointer or
+  // backup list is never charged (CHANGES.md FOUND: charging it would
+  // move the maintenance goldens).
+  if (relink(node)) note_maintenance();
 
   // First de Bruijn node: the live node at or immediately preceding
   // 2^shift_bits * m (2m for the classic degree-2 graph).
-  const std::uint64_t db_target = (node.id << shift_bits_) % space_size_;
-  node.de_bruijn = ring_.predecessor_incl(db_target);
+  const std::uint64_t db_target = (node.id << shift_bits_) % space_size();
+  node.de_bruijn = ring().predecessor_incl(db_target);
   node.db_backups.clear();
   std::uint64_t walk = node.de_bruijn;
   for (int b = 0; b < backup_count_; ++b) {
-    walk = ring_.predecessor(walk);
+    walk = ring().predecessor(walk);
     node.db_backups.push_back(walk);
   }
   node.db_broken = false;
 }
 
 void KoordeNetwork::refresh_ring_around(std::uint64_t id) {
-  std::uint64_t cursor = id;
-  for (int i = 0; i <= successor_list_length_; ++i) {
-    if (ring_.empty()) return;
-    const NodeHandle handle = ring_.predecessor(cursor);
-    KoordeNode* node = node_of(handle);
-    CYCLOID_ASSERT(node != nullptr);
-    repair_ring(*node);
-    cursor = node->id;
-  }
-  if (!ring_.empty()) {
-    // Strictly after `id`: a freshly joined node must not shadow its
-    // successor here.
-    KoordeNode* next = node_of(ring_.successor((id + 1) % space_size_));
-    CYCLOID_ASSERT(next != nullptr);
-    next->predecessor = ring_.predecessor(next->id);
-  }
-}
-
-NodeHandle KoordeNetwork::owner_of(dht::KeyHash key) const {
-  return ring_.successor(key % space_size_);
+  // Only the members before `id` are charged: the member after it gets a
+  // new predecessor for free (CHANGES.md FOUND: charging it would move the
+  // maintenance goldens and churn-2e11's digest).
+  note_maintenance(relink_around(id).before);
 }
 
 KoordeNetwork::ImaginaryStart KoordeNetwork::best_start(
     const KoordeNode& node, std::uint64_t key) const {
-  const std::uint64_t mask = space_size_ - 1;
+  const std::uint64_t mask = space_size() - 1;
   // First live successor (later entries only matter after ungraceful
   // departures); with none alive, fall through to the trivial start — the
   // lookup loop will detect the dead ring and fail.
@@ -244,29 +166,29 @@ KoordeNetwork::ImaginaryStart KoordeNetwork::best_start(
     succ = node_of(sh);
     if (succ != nullptr) break;
   }
-  if (succ == nullptr) return ImaginaryStart{node.id, key & mask, bits_};
+  if (succ == nullptr) return ImaginaryStart{node.id, key & mask, bits()};
   const std::uint64_t start = node.id;
   const std::uint64_t span =
-      clockwise_distance(node.id, succ->id, space_size_);
+      clockwise_distance(node.id, succ->id, space_size());
 
   // Largest t such that some imaginary node in [node, successor) — the
   // imaginary range this node is the real predecessor of — already has the
-  // key's top t bits as its low t bits; the remaining bits_ - t key bits
+  // key's top t bits as its low t bits; the remaining bits - t key bits
   // are injected MSB-first, one shift_bits-wide digit per de Bruijn hop.
   // t is restricted to whole digits so the injection stays aligned (t = 0
   // always qualifies, since shift_bits divides bits).
   const auto make_start = [&](std::uint64_t imaginary, int t) {
-    const std::uint64_t inject = t >= bits_ ? 0 : ((key << t) & mask);
-    return ImaginaryStart{imaginary, inject, bits_,
-                          (bits_ - t) / shift_bits_};
+    const std::uint64_t inject = t >= bits() ? 0 : ((key << t) & mask);
+    return ImaginaryStart{imaginary, inject, bits(),
+                          (bits() - t) / shift_bits_};
   };
-  for (int t = bits_; t >= 0; --t) {
-    if ((bits_ - t) % shift_bits_ != 0) continue;
-    const std::uint64_t pattern = t == 0 ? 0 : key >> (bits_ - t);
+  for (int t = bits(); t >= 0; --t) {
+    if ((bits() - t) % shift_bits_ != 0) continue;
+    const std::uint64_t pattern = t == 0 ? 0 : key >> (bits() - t);
     const std::uint64_t t_mask = t == 0 ? 0 : ((t == 64 ? ~0ULL : (1ULL << t) - 1));
     const std::uint64_t offset = (pattern - start) & t_mask;
     const std::uint64_t candidate = (start + offset) & mask;
-    if (clockwise_distance(node.id, candidate, space_size_) < span) {
+    if (clockwise_distance(node.id, candidate, space_size()) < span) {
       return make_start(candidate, t);
     }
   }
@@ -400,7 +322,7 @@ void KoordeNetwork::route_batch(const NodeHandle* froms,
       [this](NodeHandle from, dht::KeyHash key) {
         const KoordeNode* source = node_of(from);
         CYCLOID_EXPECTS(source != nullptr);
-        const std::uint64_t target = key & (space_size_ - 1);
+        const std::uint64_t target = key & (space_size() - 1);
         return KoordeStepPolicy(*this, target, best_start(*source, target));
       });
 }
@@ -427,12 +349,6 @@ void KoordeNetwork::apply_repairs(const dht::LookupMetrics& batch) {
     note_maintenance();
     mark_dirty(handle);
   }
-}
-
-NodeHandle KoordeNetwork::join(std::uint64_t seed) {
-  const std::uint64_t id = util::mix64(seed) % space_size_;
-  if (!insert(id)) return kNoNode;
-  return id;
 }
 
 }  // namespace cycloid::koorde

@@ -18,6 +18,11 @@
 // core is const, a lookup records the promotion it learned into its
 // LookupMetrics sink (later lookups through the same sink see it), and
 // apply_repairs() writes it back into the node when the sink is absorbed.
+//
+// The successor ring itself (membership, the successor list and its repair
+// walk, the owner oracle) is dht::SuccessorRing, shared with Chord; this
+// class adds the de Bruijn pointer and backups, the step policy and what
+// each repair is charged.
 #pragma once
 
 #include <cstdint>
@@ -25,23 +30,19 @@
 #include <string>
 #include <vector>
 
-#include "dht/arena.hpp"
 #include "dht/network.hpp"
-#include "dht/sorted_ring.hpp"
+#include "dht/successor_ring.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::koorde {
 
-struct KoordeNode {
-  std::uint64_t id = 0;
-  dht::NodeHandle predecessor = dht::kNoNode;
-  std::vector<dht::NodeHandle> successors;      // 3, kept repaired
+struct KoordeNode : dht::RingNode {             // 3 successors
   dht::NodeHandle de_bruijn = dht::kNoNode;     // may be stale
   std::vector<dht::NodeHandle> db_backups;      // 3 predecessors of de_bruijn
   bool db_broken = false;  // pointer and all backups found dead
 };
 
-class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
+class KoordeNetwork final : public dht::SuccessorRing<KoordeNode> {
  public:
   /// `shift_bits` selects the de Bruijn degree 2^shift_bits: each de Bruijn
   /// hop corrects shift_bits bits of the key, so lookups take ~bits/shift_bits
@@ -64,11 +65,8 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   static std::unique_ptr<KoordeNetwork> build_complete(int bits,
                                                        int threads = 1);
 
-  int bits() const noexcept { return bits_; }
-  std::uint64_t space_size() const noexcept { return space_size_; }
-
-  bool insert(std::uint64_t id);
-  // node_state/node_of/node_at come from dht::ArenaNetwork<KoordeNode>.
+  // bits/space_size/insert/join/owner_of/check_invariants come from
+  // dht::SuccessorRing, node_state/node_of/node_at from dht::ArenaNetwork.
 
   enum Phase : std::size_t { kDeBruijn = 0, kSuccessor = 1 };
 
@@ -93,19 +91,16 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   // logic is this class's maintenance hooks (koorde.cpp).
   std::string name() const override { return "Koorde"; }
   std::vector<std::string> phase_names() const override;
-  dht::NodeHandle owner_of(dht::KeyHash key) const override;
-  dht::NodeHandle join(std::uint64_t seed) override;
   void route_batch(const dht::NodeHandle* froms, const dht::KeyHash* keys,
                    std::size_t count, int width, dht::LookupMetrics& sink,
                    dht::LookupResult* results, dht::BatchScratch& lanes,
                    const dht::RouterOptions& options) const override;
 
  private:
-  // Maintenance hooks (DhtNetwork's contract).
+  // Maintenance hooks (DhtNetwork's contract; before_pass and on_vanish
+  // are dht::SuccessorRing's).
   void on_join(dht::NodeHandle node) override;
   void on_graceful_leave(dht::NodeHandle node) override;
-  void on_vanish(dht::NodeHandle node) override;
-  void before_pass() override;
   void repair_after_mass_leave() override;
   void refresh(dht::NodeHandle node) override;
   void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
@@ -115,19 +110,14 @@ class KoordeNetwork final : public dht::ArenaNetwork<KoordeNode> {
   /// Mark the ring members whose de Bruijn target lies in [lo, hi).
   void mark_preimage(std::uint64_t lo, std::uint64_t hi);
 
+  /// Recompute `node`'s ring links, de Bruijn pointer and backups; one
+  /// update when the ring links changed.
   void compute_state(KoordeNode& node);
-  void repair_ring(KoordeNode& node);
+  /// The ring repair around a join or leave at identifier `id`, charged.
   void refresh_ring_around(std::uint64_t id);
-  void unlink(dht::NodeHandle handle);
 
-  int bits_;
-  std::uint64_t space_size_;
-  int successor_list_length_;
   int backup_count_;
   int shift_bits_;
-
-  /// Live identifiers (id == handle).
-  dht::SortedRing<std::uint64_t> ring_;
 };
 
 }  // namespace cycloid::koorde

@@ -91,12 +91,11 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   static double proximity(double ax, double ay, double bx, double by);
 
   /// Structural invariants: the registry, the arena and the ring hold the
-  /// same members, the ring in ascending order; the proximity grid files
-  /// each live node once, in the cell of its coordinates, and no departed
-  /// node; every routing table is rows x 2^b; the network's neighbourhood
-  /// reach is at least every node's. Cheap enough for tests to call after
-  /// every operation; not valid during bulk construction.
-  bool check_invariants() const;
+  /// same members, the ring in ascending order (dht::ring_matches_registry);
+  /// the proximity grid files each live node once, in the cell of its
+  /// coordinates, and no departed node; every routing table is rows x 2^b;
+  /// the network's neighbourhood reach is at least every node's.
+  bool check_invariants() const override;
 
   enum Phase : std::size_t { kPrefix = 0, kLeaf = 1 };
 

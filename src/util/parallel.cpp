@@ -56,15 +56,4 @@ void parallel_for_impl(std::size_t count, int threads,
 
 }  // namespace detail
 
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& fn) {
-  CYCLOID_EXPECTS(fn != nullptr);
-  detail::parallel_for_impl(
-      count, threads,
-      [](void* ctx, std::size_t index) {
-        (*static_cast<const std::function<void(std::size_t)>*>(ctx))(index);
-      },
-      const_cast<std::function<void(std::size_t)>*>(&fn));
-}
-
 }  // namespace cycloid::util

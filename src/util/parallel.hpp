@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 
 namespace cycloid::util {
@@ -19,7 +18,7 @@ int default_thread_count() noexcept;
 
 namespace detail {
 
-/// Type-erased worker-pool core behind both parallel_for overloads: runs
+/// Type-erased worker-pool core behind parallel_for: runs
 /// invoke(ctx, 0) .. invoke(ctx, count-1) across `threads` workers
 /// (threads <= 1 runs inline), each index exactly once; the first exception
 /// thrown by any invocation is rethrown on the caller's thread after all
@@ -37,8 +36,9 @@ void parallel_for_impl(std::size_t count, int threads,
 /// thread after all workers finish.
 ///
 /// The template binds the callable directly (no std::function type erasure
-/// on hot fan-outs); the callable is shared by every worker, so it must be
-/// safe to invoke concurrently.
+/// on hot fan-outs; a std::function binds like any other callable); the
+/// callable is shared by every worker, so it must be safe to invoke
+/// concurrently.
 template <typename Fn>
 void parallel_for(std::size_t count, int threads, Fn&& fn) {
   using Callable = std::remove_reference_t<Fn>;
@@ -49,10 +49,5 @@ void parallel_for(std::size_t count, int threads, Fn&& fn) {
       },
       const_cast<std::remove_const_t<Callable>*>(&fn));
 }
-
-/// Non-template overload kept for callers that already hold a
-/// std::function (and for ABI stability of the pre-template call sites).
-void parallel_for(std::size_t count, int threads,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace cycloid::util

@@ -391,6 +391,29 @@ int ViceroyNetwork::max_level() const noexcept {
   return static_cast<int>(levels_.size());
 }
 
+bool ViceroyNetwork::check_invariants() const {
+  // Keys are distinct within each ring and a record has one id and one
+  // level, so n member entries on the general ring, and n over the level
+  // rings, name every member once. Level 0 stands for the general ring.
+  const auto filed = [this](int level) {
+    return [this, level](double id, NodeHandle handle) {
+      const ViceroyNode* node = node_of(handle);
+      return node != nullptr && node->id == id &&
+             (level == 0 || node->level == level);
+    };
+  };
+  if (ring_.size() != node_count() || !ring_.all_ascending(filed(0))) {
+    return false;
+  }
+  std::size_t members = 0;
+  for (int level = 1; level <= max_level(); ++level) {
+    members += level_ring(level)->size();
+    if (!level_ring(level)->all_ascending(filed(level))) return false;
+  }
+  return members == node_count() &&
+         (levels_.empty() || !levels_.back().empty());
+}
+
 std::vector<NodeHandle> ViceroyNetwork::node_handles() const {
   return ring_.handles();
 }

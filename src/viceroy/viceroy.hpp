@@ -114,6 +114,13 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
                    dht::LookupResult* results, dht::BatchScratch& lanes,
                    const dht::RouterOptions& options) const override;
 
+  /// Structural invariants: the general ring and the level rings list
+  /// exactly the members, each in ascending id order; every ring handle is
+  /// a member whose record has that id (and, on a level ring, that level);
+  /// the last level ring is non-empty. The stored links are checked
+  /// against a brute-force resolver in the tests.
+  bool check_invariants() const override;
+
   /// Viceroy repairs both outgoing AND incoming connections on every join
   /// and leave (that is why it never times out — and why the paper calls
   /// its maintenance expensive). With accounting on, each join or leave

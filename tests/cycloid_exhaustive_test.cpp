@@ -23,7 +23,7 @@ TEST_P(ExhaustiveTest, EverySourceToEveryPosition_Complete) {
   for (const NodeHandle from : net->node_handles()) {
     for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
       const CccId key = space.from_ring_position(pos);
-      const dht::LookupResult result = net->lookup_id(from, key, sink);
+      const dht::LookupResult result = net->lookup(from, pos, sink);
       // In a complete network the owner of a position is the node at it.
       ASSERT_EQ(result.destination, CycloidNetwork::handle_of(key))
           << "from=" << to_string(CycloidNetwork::id_of(from), d)
@@ -44,7 +44,7 @@ TEST_P(ExhaustiveTest, EverySourceToEveryPosition_HalfPopulated) {
   for (const NodeHandle from : net->node_handles()) {
     for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
       const CccId key = space.from_ring_position(pos);
-      const dht::LookupResult result = net->lookup_id(from, key, sink);
+      const dht::LookupResult result = net->lookup(from, pos, sink);
       ASSERT_EQ(result.destination, net->owner_of_id(key))
           << "from=" << to_string(CycloidNetwork::id_of(from), d)
           << " key=" << to_string(key, d);
@@ -67,7 +67,7 @@ TEST_P(ExhaustiveTest, EveryPairAfterEverySingleDeparture) {
     for (const NodeHandle from : net->node_handles()) {
       for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
         const CccId key = space.from_ring_position(pos);
-        const dht::LookupResult result = net->lookup_id(from, key, sink);
+        const dht::LookupResult result = net->lookup(from, pos, sink);
         ASSERT_EQ(result.destination, net->owner_of_id(key))
             << "victim=" << victim_pos << " from="
             << to_string(CycloidNetwork::id_of(from), d)
@@ -88,7 +88,7 @@ TEST(ExhaustiveTinyDimensions, DegenerateSpacesWork) {
       for (const NodeHandle from : net->node_handles()) {
         for (std::uint64_t pos = 0; pos < space.size(); ++pos) {
           const CccId key = space.from_ring_position(pos);
-          const dht::LookupResult result = net->lookup_id(from, key, sink);
+          const dht::LookupResult result = net->lookup(from, pos, sink);
           ASSERT_EQ(result.destination, net->owner_of_id(key))
               << "d=" << d << " count=" << count;
         }

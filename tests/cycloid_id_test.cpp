@@ -53,6 +53,9 @@ TEST_P(CccSpaceTest, RingPositionRoundTrip) {
     const CccId id = space.from_ring_position(pos);
     EXPECT_TRUE(space.valid(id));
     EXPECT_EQ(space.ring_position(id), pos);
+    // Read as a key hash, a ring position maps back to its id, so routing
+    // toward ring_position(id) targets exactly id.
+    EXPECT_EQ(space.id_from_hash(pos), id);
   }
 }
 

@@ -23,7 +23,8 @@ using dht::NodeHandle;
 NodeHandle route_join(CycloidNetwork& net, NodeHandle contact,
                       const CccId& joiner) {
   dht::LookupMetrics sink;
-  const dht::LookupResult result = net.lookup_id(contact, joiner, sink);
+  const dht::LookupResult result =
+      net.lookup(contact, net.space().ring_position(joiner), sink);
   return result.destination;
 }
 

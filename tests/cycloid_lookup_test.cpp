@@ -146,7 +146,7 @@ TEST(LookupExample, PaperFigure4Route) {
   const dht::NodeHandle from = CycloidNetwork::handle_of(CccId{0, 0b0100});
   dht::LookupMetrics sink;
   const dht::LookupResult result =
-      net->lookup_id(from, CccId{2, 0b1111}, sink);
+      net->lookup(from, net->space().ring_position(CccId{2, 0b1111}), sink);
   EXPECT_EQ(CycloidNetwork::id_of(result.destination), (CccId{2, 0b1111}));
   EXPECT_GT(result.hops, 0);
   EXPECT_LE(result.hops, 3 * 4);
@@ -168,9 +168,11 @@ TEST(LookupTrace, OneStepPerHopEndingAtDestination) {
   dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const NodeHandle from = net->random_node(rng);
-    const CccId key = net->key_id(rng());
+    const dht::KeyHash key = rng();
     std::vector<dht::TraceStep> trace;
-    const dht::LookupResult result = net->lookup_id(from, key, sink, &trace);
+    dht::RouterOptions options;
+    options.trace = &trace;
+    const dht::LookupResult result = net->route(from, key, sink, options);
     ASSERT_EQ(trace.size(), static_cast<std::size_t>(result.hops));
     if (!trace.empty()) {
       EXPECT_EQ(trace.back().node, result.destination);
@@ -199,8 +201,10 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
   dht::LookupMetrics sink;
   for (int i = 0; i < 300; ++i) {
     std::vector<dht::TraceStep> trace;
-    const dht::LookupResult result = net->lookup_id(
-        net->random_node(rng), net->key_id(rng()), sink, &trace);
+    dht::RouterOptions options;
+    options.trace = &trace;
+    const dht::LookupResult result =
+        net->route(net->random_node(rng), rng(), sink, options);
     reported_timeouts += result.timeouts;
     for (const auto& step : trace) traced_timeouts += step.timeouts_before;
   }

@@ -111,8 +111,9 @@ TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
     for (int i = 0; i < lookups; ++i) {
       const NodeHandle from = net->random_node(rng);
       std::vector<dht::TraceStep> trace;
-      const dht::LookupResult result =
-          net->lookup_id(from, net->key_id(rng()), sink, &trace);
+      dht::RouterOptions options;
+      options.trace = &trace;
+      const dht::LookupResult result = net->route(from, rng(), sink, options);
       hops += result.hops;
       latency += dht::trace_latency(trace);
     }
@@ -136,8 +137,9 @@ TEST(Proximity, TracePricingSurvivesDepartedHops) {
   for (int i = 0; i < 200; ++i) {
     const NodeHandle from = net->random_node(rng);
     std::vector<dht::TraceStep> trace;
-    const dht::LookupResult result =
-        net->lookup_id(from, net->key_id(rng()), sink, &trace);
+    dht::RouterOptions options;
+    options.trace = &trace;
+    const dht::LookupResult result = net->route(from, rng(), sink, options);
     if (!result.success || trace.size() < 3) continue;
     const double before = dht::trace_latency(trace);
     // Kill a strictly intermediate hop with no repair of any kind.
@@ -158,7 +160,9 @@ TEST(Proximity, RouteLatencySumsLinkLatencies) {
   for (int i = 0; i < 100; ++i) {
     const NodeHandle from = net->random_node(rng);
     std::vector<dht::TraceStep> trace;
-    net->lookup_id(from, net->key_id(rng()), sink, &trace);
+    dht::RouterOptions options;
+    options.trace = &trace;
+    net->route(from, rng(), sink, options);
     double expected = 0.0;
     NodeHandle prev = from;
     for (const auto& step : trace) {

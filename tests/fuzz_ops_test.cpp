@@ -316,6 +316,11 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
         break;
       }
     }
+    // Every overlay's structural invariants hold after every op: the
+    // registry, the arena and the overlay's indexes agree, and the rest of
+    // what each overlay's check_invariants() states.
+    ASSERT_TRUE(primary.check_invariants()) << "op " << op;
+    ASSERT_TRUE(shadow.check_invariants()) << "op " << op;
     if (kind == OverlayKind::kViceroy) {
       // Viceroy stores its links: after every op, every node's links and
       // their ids must equal the brute-force reference.
@@ -324,38 +329,6 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
           dynamic_cast<const viceroy::ViceroyNetwork&>(primary), where));
       ASSERT_NO_FATAL_FAILURE(viceroy::expect_links_match_reference(
           dynamic_cast<const viceroy::ViceroyNetwork&>(shadow), where));
-    }
-    if (kind == OverlayKind::kCycloid7 || kind == OverlayKind::kCycloid11) {
-      // Cycloid resolves slots through its ring-position table: after every
-      // op, the table, the registry, the arena and the rings must agree.
-      ASSERT_TRUE(dynamic_cast<const ccc::CycloidNetwork&>(primary)
-                      .check_invariants())
-          << "op " << op;
-      ASSERT_TRUE(
-          dynamic_cast<const ccc::CycloidNetwork&>(shadow).check_invariants())
-          << "op " << op;
-    }
-    if (kind == OverlayKind::kCan) {
-      // CAN caches its neighbours' zones: after every op, every routing
-      // table must list exactly the geometric neighbours with boxes that
-      // tile their zones.
-      ASSERT_TRUE(dynamic_cast<const can::CanNetwork&>(primary)
-                      .check_invariants())
-          << "op " << op;
-      ASSERT_TRUE(
-          dynamic_cast<const can::CanNetwork&>(shadow).check_invariants())
-          << "op " << op;
-    }
-    if (kind == OverlayKind::kPastry) {
-      // Pastry's dirty hook reads ring ranges and a grid disc whose radius
-      // must cover every stored neighbourhood: after every op, the ring,
-      // the grid, the tables and that radius must hold up.
-      ASSERT_TRUE(dynamic_cast<const pastry::PastryNetwork&>(primary)
-                      .check_invariants())
-          << "op " << op;
-      ASSERT_TRUE(dynamic_cast<const pastry::PastryNetwork&>(shadow)
-                      .check_invariants())
-          << "op " << op;
     }
   }
   primary.stabilize_dirty(2);

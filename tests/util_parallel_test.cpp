@@ -91,8 +91,8 @@ TEST(ParallelFor, ExceptionRethrownOnlyAfterAllWorkersJoin) {
 }
 
 TEST(ParallelFor, StdFunctionOverloadPropagatesExceptions) {
-  // Callers already holding a std::function take the non-template
-  // overload; the rethrow contract is identical.
+  // A std::function binds the template like any other callable; the
+  // rethrow contract is identical.
   const std::function<void(std::size_t)> fn = [](std::size_t i) {
     if (i == 7) throw std::runtime_error("boom");
   };
