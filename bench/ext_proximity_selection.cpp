@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                        "Extension: proximity-aware cubical-neighbour selection");
   if (report.done()) return report.exit_code();
   using ccc::CycloidNetwork;
-  using ccc::NeighborSelection;
+  using dht::NeighborSelection;
 
   const std::uint64_t lookups = bench::setting(bench::Knob::kPnsLookups);
 

@@ -3,10 +3,13 @@
 # fig5/fig6/fig7/fig10/fig11/fig12/fig13 drivers, and of the three
 # extension drivers that also build Pastry and CAN (related DHTs,
 # maintenance cost, ungraceful failures), at interleave widths 1 and 8,
-# plus the stdout of examples/overlay_compare (the one caller of
-# exp::query_load_distribution). fig10 pins how many queries each node
-# received, the output most sensitive to a changed hop. Five more runs set
-# one knob each, into <name>.w<width>.*:
+# plus the stdout of two examples: overlay_compare (the one caller of
+# exp::query_load_distribution) and `simulate --overlay all --churn 0.2
+# --duration 600`, as simulate.churn (the churn driver on all seven
+# overlays, Pastry and CAN included, which fig12 and ext_proximity_churn
+# leave out). fig10 pins how many queries each node received, the output
+# most sensitive to a changed hop. Five more runs set one knob each, into
+# <name>.w<width>.*:
 #   - ext_maintenance_cost and fig12 with dirty tracking on
 #     (CYCLOID_BENCH_MAINT_INCREMENTAL / CYCLOID_BENCH_CHURN_INCREMENTAL),
 #     as <driver>.incremental: their drains refresh exactly the nodes the
@@ -57,7 +60,12 @@ variants=(
   ext_proximity_selection=ext_proximity_selection:CYCLOID_BENCH_PNS_LOOKUPS=2000
   ext_proximity_churn=ext_proximity_churn:CYCLOID_BENCH_PNS_CHURN_SECONDS=120
 )
-examples=(overlay_compare)
+# <name>=<example> [<arg>...]: the example runs with those arguments, its
+# stdout into <name>.txt.
+examples=(
+  overlay_compare=overlay_compare
+  "simulate.churn=simulate --overlay all --churn 0.2 --duration 600"
+)
 workloads=(lookup-2e14 lookup-2e17 churn-2e11 failure-2e14)
 work="$PWD/build-oracle"
 
@@ -77,10 +85,14 @@ oracle() {
     entry="${entry#*=}"
     targets+=("${entry%%:*}")
   done
+  for entry in "${examples[@]}"; do
+    entry="${entry#*=}"
+    targets+=("${entry%% *}")
+  done
   cmake -B "$build" -S "$1" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     "${launcher[@]}" > /dev/null
   cmake --build "$build" -j "$(nproc)" \
-    --target "${figures[@]}" "${targets[@]}" "${examples[@]}" > /dev/null
+    --target "${figures[@]}" "${targets[@]}" > /dev/null
   rm -rf "$out"
   mkdir -p "$out"
   for fig in "${figures[@]}"; do
@@ -103,8 +115,10 @@ oracle() {
       cmp "$out/$name.w1.$ext" "$out/$name.w8.$ext" || status=1
     done
   done
-  for example in "${examples[@]}"; do
-    "$build/examples/$example" > "$out/$example.txt"
+  for entry in "${examples[@]}"; do
+    local run
+    read -ra run <<< "${entry#*=}"
+    "$build/examples/${run[0]}" "${run[@]:1}" > "$out/${entry%%=*}.txt"
   done
   # Release, as benchmark/run.py builds it; the log keeps the compiler's
   # output out of the report.

@@ -107,7 +107,7 @@ void CycloidNetwork::mark_routing_referencers(const CccId& id, bool join) {
   if (level.empty()) return;
   const auto& feeder = by_level_[id.cyclic];
   const NodeHandle changed = CycloidNetwork::handle_of(id);
-  const bool proximity = selection_ == NeighborSelection::kProximity;
+  const bool proximity = selection_ == dht::NeighborSelection::kProximity;
 
   const std::uint64_t window = 1ULL << m;
   const std::uint64_t base =
@@ -148,7 +148,7 @@ void CycloidNetwork::mark_routing_referencers(const CccId& id, bool join) {
 }
 
 CycloidNetwork::CycloidNetwork(int dimension, int leaf_width,
-                               NeighborSelection selection)
+                               dht::NeighborSelection selection)
     : space_(dimension), leaf_width_(leaf_width), selection_(selection) {
   CYCLOID_EXPECTS(dimension <= kMaxDimension);
   CYCLOID_EXPECTS(leaf_width >= 1 && leaf_width <= kMaxLeafWidth);
@@ -157,7 +157,8 @@ CycloidNetwork::CycloidNetwork(int dimension, int leaf_width,
 }
 
 std::unique_ptr<CycloidNetwork> CycloidNetwork::build_complete(
-    int dimension, int leaf_width, NeighborSelection selection, int threads) {
+    int dimension, int leaf_width, dht::NeighborSelection selection,
+    int threads) {
   auto net = std::make_unique<CycloidNetwork>(dimension, leaf_width, selection);
   const CccSpace& space = net->space_;
   net->reserve_nodes(space.size());
@@ -172,7 +173,7 @@ std::unique_ptr<CycloidNetwork> CycloidNetwork::build_complete(
 
 std::unique_ptr<CycloidNetwork> CycloidNetwork::build_random(
     int dimension, std::size_t count, util::Rng& rng, int leaf_width,
-    NeighborSelection selection, int threads) {
+    dht::NeighborSelection selection, int threads) {
   auto net = std::make_unique<CycloidNetwork>(dimension, leaf_width, selection);
   const CccSpace& space = net->space_;
   CYCLOID_EXPECTS(count >= 1 && count <= space.size());
@@ -357,7 +358,7 @@ void CycloidNetwork::compute_routing_table(CycloidNode& node) {
   const std::uint64_t preferred = util::flip_bit(node.id.cubical, static_cast<int>(k));
   const std::uint64_t window = 1ULL << k;
   const std::uint64_t base = preferred & ~(window - 1);
-  if (selection_ == NeighborSelection::kProximity) {
+  if (selection_ == dht::NeighborSelection::kProximity) {
     // Proximity extension: scan every candidate matching the pattern and
     // keep the one with the lowest link latency (Pastry-style PNS).
     double best_latency = 1e300;

@@ -26,13 +26,6 @@
 
 namespace cycloid::ccc {
 
-/// How the cubical neighbour is chosen among the nodes matching its
-/// pattern (the pattern leaves the low bits free, so there are many
-/// candidates — "the crucial difference from the traditional hypercube
-/// connection pattern", paper Sec. 2.1). Now the engine-level selection
-/// enum (dht/latency.hpp); the alias keeps the pre-hoist spelling.
-using NeighborSelection = dht::NeighborSelection;
-
 class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
  public:
   /// Largest dimension a network accepts: the position table costs
@@ -41,23 +34,29 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
 
   /// An empty network over a d-dimensional CCC space. leaf_width 1 gives the
   /// paper's 7-entry node, leaf_width 2 the 11-entry variant, and at most
-  /// kMaxLeafWidth fits in the record.
+  /// kMaxLeafWidth fits in the record. `selection` picks the cubical
+  /// neighbour among the nodes matching its pattern (the pattern leaves the
+  /// low bits free, so there are many candidates — "the crucial difference
+  /// from the traditional hypercube connection pattern", paper Sec. 2.1).
   CycloidNetwork(int dimension, int leaf_width = 1,
-                 NeighborSelection selection = NeighborSelection::kClosestSuffix);
+                 dht::NeighborSelection selection =
+                     dht::NeighborSelection::kClosestSuffix);
 
   /// The complete network: all d * 2^d identifiers populated. Built in
   /// bulk mode: membership first, then one stabilize pass over `threads`
   /// workers (byte-identical to the incremental build at any count).
   static std::unique_ptr<CycloidNetwork> build_complete(
       int dimension, int leaf_width = 1,
-      NeighborSelection selection = NeighborSelection::kClosestSuffix,
+      dht::NeighborSelection selection =
+          dht::NeighborSelection::kClosestSuffix,
       int threads = 1);
 
   /// A network of `count` nodes at distinct uniform-random identifiers
   /// (bulk mode; the RNG draw sequence matches the incremental builder).
   static std::unique_ptr<CycloidNetwork> build_random(
       int dimension, std::size_t count, util::Rng& rng, int leaf_width = 1,
-      NeighborSelection selection = NeighborSelection::kClosestSuffix,
+      dht::NeighborSelection selection =
+          dht::NeighborSelection::kClosestSuffix,
       int threads = 1);
 
   const CccSpace& space() const noexcept { return space_; }
@@ -205,7 +204,7 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
 
   CccSpace space_;
   int leaf_width_;
-  NeighborSelection selection_;
+  dht::NeighborSelection selection_;
 
   /// The large cycle: every node keyed by ring position, i.e. ordered by
   /// (cubical, cyclic), so each local cycle is one contiguous run.

@@ -1,11 +1,8 @@
 // Slot-dense node storage plane shared by all overlays.
 //
-// Every overlay used to own a `std::unordered_map<NodeHandle,
-// std::unique_ptr<Node>> nodes_`, so each hop of the router's loop paid a
-// hash find plus a unique_ptr chase just to reach the current node's routing
-// state. ArenaNetwork hoists that ownership into the engine: node objects
-// live by value in one contiguous vector whose indices are exactly the
-// DhtNetwork handle-registry slots (slot_of/handle_at), so
+// ArenaNetwork owns every overlay's node records: they live by value in one
+// contiguous vector whose indices are exactly the DhtNetwork handle-registry
+// slots (slot_of/handle_at), so
 //
 //   - handle -> node resolution is one SlotIndex probe + an array index
 //     (node_of), and

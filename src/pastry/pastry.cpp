@@ -25,6 +25,27 @@ using util::clockwise_distance;
 // frozen; ungraceful departures repair nothing. A refresh recomputes leaf
 // sets, routing table, and neighborhood set.
 
+/// The leaf_half_ + 1 ring members on each side of `id`, nearest first:
+/// every node whose leaf set a membership change at `id` can touch. The
+/// walk stops where a ring that small wraps back to `id`, so it never
+/// visits `id` itself. The ring must not be empty.
+template <typename Visit>
+void PastryNetwork::walk_leaf_neighbors(std::uint64_t id,
+                                        Visit&& visit) const {
+  std::uint64_t cursor = id;
+  for (int i = 0; i <= leaf_half_; ++i) {
+    cursor = ring_.predecessor(cursor);  // Pastry handles are ids
+    if (cursor == id) break;
+    visit(cursor);
+  }
+  cursor = id;
+  for (int i = 0; i <= leaf_half_; ++i) {
+    cursor = ring_.successor((cursor + 1) % space_size_);
+    if (cursor == id) break;
+    visit(cursor);
+  }
+}
+
 void PastryNetwork::on_join(NodeHandle node) {
   PastryNode* state = node_of(node);
   CYCLOID_ASSERT(state != nullptr);
@@ -68,33 +89,16 @@ void PastryNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
   // Leaf sets: eagerly repaired for joins, graceful leaves and mass
   // departures (refresh_leafsets_around / repair_after_mass_leave); only
   // a silent vanish leaves them stale — mark the nodes the repair walk
-  // would visit.
-  if (event == dht::MembershipEvent::kVanish) mark_leaf_neighbors(state->id);
+  // would visit, taken pre-unlink.
+  if (event == dht::MembershipEvent::kVanish) {
+    walk_leaf_neighbors(state->id, [&](NodeHandle h) { mark_dirty(h); });
+  }
 
   // Routing tables and neighborhood sets are never eagerly repaired, for
   // any event.
   const bool join = event == dht::MembershipEvent::kJoin;
   mark_routing_referencers(state->id, node, join);
   mark_neighborhood_referencers(*state, node, join);
-}
-
-/// leaf_half_ + 1 ring neighbours on each side of `id` (the same walk
-/// refresh_leafsets_around repairs), taken pre-unlink.
-void PastryNetwork::mark_leaf_neighbors(std::uint64_t id) {
-  std::uint64_t cursor = id;
-  for (int i = 0; i < leaf_half_ + 1; ++i) {
-    const NodeHandle h = ring_.predecessor(cursor);
-    if (h == id) break;  // wrapped around a tiny ring
-    mark_dirty(h);
-    cursor = h;  // Pastry handles are ids
-  }
-  cursor = id;
-  for (int i = 0; i < leaf_half_ + 1; ++i) {
-    const NodeHandle h = ring_.successor((cursor + 1) % space_size_);
-    if (h == id) break;
-    mark_dirty(h);
-    cursor = h;
-  }
 }
 
 /// X can reference the change at J in routing row r only when X shares
@@ -543,28 +547,11 @@ void PastryNetwork::fold_reach(double proximity) {
 }
 
 void PastryNetwork::refresh_leafsets_around(std::uint64_t id) {
-  // Membership change at `id` affects the leaf sets of leaf_half_ nodes on
-  // each side.
-  std::uint64_t cursor = id;
-  for (int i = 0; i < leaf_half_ + 1; ++i) {
-    if (ring_.empty()) return;
-    const NodeHandle handle = ring_.predecessor(cursor);
+  walk_leaf_neighbors(id, [&](NodeHandle handle) {
     PastryNode* node = node_of(handle);
     CYCLOID_ASSERT(node != nullptr);
     compute_leaf_sets(*node);
-    cursor = node->id;
-    if (cursor == id) break;  // wrapped
-  }
-  cursor = id;
-  for (int i = 0; i < leaf_half_ + 1; ++i) {
-    if (ring_.empty()) return;
-    const NodeHandle handle = ring_.successor((cursor + 1) % space_size_);
-    PastryNode* node = node_of(handle);
-    CYCLOID_ASSERT(node != nullptr);
-    compute_leaf_sets(*node);
-    cursor = node->id;
-    if (cursor == id) break;
-  }
+  });
 }
 
 bool PastryNetwork::key_in_leaf_range(const PastryNode& node,

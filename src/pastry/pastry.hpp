@@ -122,9 +122,9 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   void repair_after_mass_leave() override;
   void refresh(dht::NodeHandle node) override;
   void dirty(dht::MembershipEvent event, dht::NodeHandle node) override;
-  // The dirty hook's parts: leaf-set neighbours, routing-row referencers
-  // and neighbourhood holders of the change at `id` (pastry.cpp).
-  void mark_leaf_neighbors(std::uint64_t id);
+  // The dirty hook's parts: leaf-set neighbours (walk_leaf_neighbors, the
+  // eager repair's walk), routing-row referencers and neighbourhood holders
+  // of the change at `id` (pastry.cpp).
   void mark_routing_referencers(std::uint64_t id, dht::NodeHandle changed,
                                 bool join);
   void mark_if_routing_referencer(dht::NodeHandle referencer, int row,
@@ -145,6 +145,8 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   void compute_leaf_sets(PastryNode& node);
   void compute_routing_table(PastryNode& node);
   void compute_neighborhood(PastryNode& node);
+  template <typename Visit>
+  void walk_leaf_neighbors(std::uint64_t id, Visit&& visit) const;
   void refresh_leafsets_around(std::uint64_t id);
   void unlink(dht::NodeHandle handle);
   /// Re-fit the proximity grid to the node count when it has drifted 2x,

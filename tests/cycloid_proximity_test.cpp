@@ -49,7 +49,7 @@ TEST(Proximity, LinkLatencyIsAMetric) {
 TEST(Proximity, SelectionStillMatchesTheCubicalPattern) {
   util::Rng rng(2);
   auto net = CycloidNetwork::build_random(6, 200, rng, 1,
-                                          NeighborSelection::kProximity);
+                                          dht::NeighborSelection::kProximity);
   for (const NodeHandle h : net->node_handles()) {
     const CycloidNode& node = net->node_state(h);
     if (node.id.cyclic == 0 || node.cubical_neighbor == dht::kNoNode) continue;
@@ -65,7 +65,8 @@ TEST(Proximity, SelectionStillMatchesTheCubicalPattern) {
 }
 
 TEST(Proximity, SelectionPicksLowestLatencyCandidate) {
-  auto net = CycloidNetwork::build_complete(6, 1, NeighborSelection::kProximity);
+  auto net =
+      CycloidNetwork::build_complete(6, 1, dht::NeighborSelection::kProximity);
   for (const NodeHandle h : net->node_handles()) {
     const CycloidNode& node = net->node_state(h);
     if (node.id.cyclic == 0) continue;
@@ -88,7 +89,7 @@ TEST(Proximity, SelectionPicksLowestLatencyCandidate) {
 TEST(Proximity, LookupsRemainCorrectUnderProximityPolicy) {
   util::Rng rng(3);
   auto net = CycloidNetwork::build_random(7, 400, rng, 1,
-                                          NeighborSelection::kProximity);
+                                          dht::NeighborSelection::kProximity);
   dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const dht::KeyHash key = rng();
@@ -101,7 +102,7 @@ TEST(Proximity, LookupsRemainCorrectUnderProximityPolicy) {
 }
 
 TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
-  const auto measure = [](NeighborSelection selection) {
+  const auto measure = [](dht::NeighborSelection selection) {
     auto net = CycloidNetwork::build_complete(7, 1, selection);
     util::Rng rng(4);
     double hops = 0.0;
@@ -120,8 +121,9 @@ TEST(Proximity, ReducesRouteLatencyAtSimilarHops) {
     return std::pair{hops / lookups, latency / lookups};
   };
   const auto [suffix_hops, suffix_latency] =
-      measure(NeighborSelection::kClosestSuffix);
-  const auto [pns_hops, pns_latency] = measure(NeighborSelection::kProximity);
+      measure(dht::NeighborSelection::kClosestSuffix);
+  const auto [pns_hops, pns_latency] =
+      measure(dht::NeighborSelection::kProximity);
   EXPECT_LT(pns_latency, 0.9 * suffix_latency);
   EXPECT_LT(std::abs(pns_hops - suffix_hops), 0.15 * suffix_hops);
 }
