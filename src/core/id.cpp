@@ -2,35 +2,6 @@
 
 namespace cycloid::ccc {
 
-std::uint64_t CccSpace::closeness_rank(const CccId& key, const CccId& x) const {
-  CYCLOID_EXPECTS(valid(key) && valid(x));
-
-  const std::uint64_t cub_dist = cubical_distance(key.cubical, x.cubical);
-  // Prefer the clockwise side on equal cubical distance: the candidate whose
-  // cubical index follows the key's is the key's "successor" cycle.
-  const std::uint64_t cub_side =
-      (cub_dist == 0 ||
-       util::clockwise_distance(key.cubical, x.cubical, cube_size_) == cub_dist)
-          ? 0
-          : 1;
-
-  const std::uint64_t cyc_dist = cyclic_distance(key.cyclic, x.cyclic);
-  const std::uint64_t cyc_side =
-      (cyc_dist == 0 ||
-       util::clockwise_distance(key.cyclic, x.cyclic,
-                                static_cast<std::uint64_t>(d_)) == cyc_dist)
-          ? 0
-          : 1;
-
-  // cub_dist <= 2^31 for d <= 32; cyc_dist < d <= 32. Lexicographic packing.
-  return (cub_dist << 9) | (cub_side << 8) | (cyc_dist << 1) | cyc_side;
-}
-
-bool CccSpace::id_closer(const CccId& key, const CccId& x,
-                         const CccId& y) const {
-  return closeness_rank(key, x) < closeness_rank(key, y);
-}
-
 std::string to_string(const CccId& id, int dimension) {
   std::string bits;
   bits.reserve(static_cast<std::size_t>(dimension));

@@ -9,8 +9,9 @@
 // "Numerical closeness" — the paper's key-assignment rule and the metric of
 // its traverse-cycle routing phase — compares cubical distance first, then
 // cyclic distance, breaking ties clockwise ("the key's successor will be
-// responsible"). id_closer() below is the single source of truth for that
-// order; both owner_of() and the routing fallback use it.
+// responsible"). closeness_rank() below, and id_closer() on top of it, is
+// the single source of truth for that order; both owner_of() and the
+// routing fallback use it.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +92,38 @@ class CccSpace {
   /// Tuple compared: (cubical distance, clockwise-side preference,
   /// cyclic distance, clockwise-side preference). Antisymmetric and total
   /// over distinct ids, so every key has a unique owner.
-  bool id_closer(const CccId& key, const CccId& x, const CccId& y) const;
+  constexpr bool id_closer(const CccId& key, const CccId& x,
+                           const CccId& y) const {
+    return closeness_rank(key, x) < closeness_rank(key, y);
+  }
 
   /// Rank of x relative to key under the id_closer order, packed into one
   /// integer so callers can memoize comparisons cheaply.
-  std::uint64_t closeness_rank(const CccId& key, const CccId& x) const;
+  constexpr std::uint64_t closeness_rank(const CccId& key,
+                                         const CccId& x) const {
+    CYCLOID_EXPECTS(valid(key) && valid(x));
+
+    const std::uint64_t cub_dist = cubical_distance(key.cubical, x.cubical);
+    // Prefer the clockwise side on equal cubical distance: the candidate
+    // whose cubical index follows the key's is the key's "successor" cycle.
+    const std::uint64_t cub_side =
+        (cub_dist == 0 || util::clockwise_distance(key.cubical, x.cubical,
+                                                   cube_size_) == cub_dist)
+            ? 0
+            : 1;
+
+    const std::uint64_t cyc_dist = cyclic_distance(key.cyclic, x.cyclic);
+    const std::uint64_t cyc_side =
+        (cyc_dist == 0 ||
+         util::clockwise_distance(key.cyclic, x.cyclic,
+                                  static_cast<std::uint64_t>(d_)) == cyc_dist)
+            ? 0
+            : 1;
+
+    // cub_dist <= 2^31 for d <= 32; cyc_dist < d <= 32. Lexicographic
+    // packing.
+    return (cub_dist << 9) | (cub_side << 8) | (cyc_dist << 1) | cyc_side;
+  }
 
  private:
   int d_;

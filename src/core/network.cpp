@@ -1,6 +1,7 @@
 #include "core/network.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/bits.hpp"
 
@@ -532,9 +533,12 @@ class CycloidStepPolicy {
   int fallback_budget() const { return 8 * net_.space().dimension() + 16; }
   bool track_visited() const { return true; }
 
-  // One hint (DESIGN.md §14): the record holds the whole node, and the
-  // stage-1 record prefetch measured no gain, but the liveness checks of
-  // next_hop read one position-table entry per candidate. Warm those.
+  // Two hints (DESIGN.md §14): the record holds the whole node, and the
+  // liveness checks of next_hop read one position-table entry per
+  // candidate. Stage 1 warms the record, the miss the lanes hide; stage 2
+  // reads it to warm the entries, but GCC 12 finds prefetch_position free
+  // of side effects and deletes those calls, so it emits no instruction.
+  void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const {
     const CycloidNode& cur = net_.node_at(slot);
     net_.prefetch_position(cur.cubical_neighbor);
@@ -548,40 +552,51 @@ class CycloidStepPolicy {
   dht::HopDecision next_hop(const dht::RouteState& state) {
     const CccSpace& space = net_.space();
     const CycloidNode& cur = net_.node_at(state.current_slot());
-    const std::uint64_t cur_rank = space.closeness_rank(key_, cur.id);
     // The record packs inside_pred, inside_succ, outside_pred and
     // outside_succ, width_ entries each.
     const NodeHandle* const inside = cur.leaves.data();
     const NodeHandle* const outside = inside + 2 * width_;
     const NodeHandle self = CycloidNetwork::handle_of(cur.id);
 
-    // Best strictly-improving leaf-set member (the traverse-cycle move and
-    // the universal fallback). Joins and graceful departures keep leaf sets
-    // alive; after UNGRACEFUL departures a leaf entry may be dead, which
-    // costs a timeout on first contact. An entry listed twice needs no
-    // dedup: attempt() charges a dead node once per lookup, and a repeat
-    // cannot beat itself under the strict rank comparison.
-    NodeHandle best_leaf = kNoNode;
-    std::uint64_t best_leaf_rank = cur_rank;
+    // Contact every leaf-set member, whatever move this hop makes: joins
+    // and graceful departures keep leaf sets alive, but after UNGRACEFUL
+    // departures a leaf entry may be dead, and attempt() charges its
+    // timeout to the hop that meets it. Only the traverse-cycle move and
+    // the universal fallback rank the live ones (best_leaf). `live` is
+    // written and read only below live_count; zeroing all 16 slots on
+    // every hop cost Cycloid-11 ~5% of its lookup rate.
+    std::array<NodeHandle, 4 * kMaxLeafWidth> live;
+    std::size_t live_count = 0;
     for (std::size_t i = 0; i < 4 * width_; ++i) {
       const NodeHandle h = inside[i];
-      if (h == self || !state.attempt(*this, h)) continue;
-      const std::uint64_t rank =
-          space.closeness_rank(key_, CycloidNetwork::id_of(h));
-      if (rank < best_leaf_rank) {
-        best_leaf_rank = rank;
-        best_leaf = h;
-      }
+      if (h != self && state.attempt(*this, h)) live[live_count++] = h;
     }
+    // Best strictly-improving live leaf, kNoNode when the current node is
+    // the closest. An entry listed twice needs no dedup: a repeat cannot
+    // beat itself under the strict rank comparison.
+    const auto best_leaf = [&] {
+      NodeHandle best = kNoNode;
+      std::uint64_t best_rank = space.closeness_rank(key_, cur.id);
+      for (std::size_t i = 0; i < live_count; ++i) {
+        const std::uint64_t rank =
+            space.closeness_rank(key_, CycloidNetwork::id_of(live[i]));
+        if (rank < best_rank) {
+          best_rank = rank;
+          best = live[i];
+        }
+      }
+      return best;
+    };
 
     // Traverse-cycle phase: the target is within the leaf sets' span (or
     // the engine flipped us into guard mode) — forward to the numerically
     // closest leaf until the closest node is the current node itself.
     if (state.fallback() || net_.key_in_leaf_range(cur, key_)) {
-      if (best_leaf == kNoNode) {
+      const NodeHandle leaf = best_leaf();
+      if (leaf == kNoNode) {
         return dht::HopDecision::deliver();  // cur is the owner by local view
       }
-      return dht::HopDecision::forward(best_leaf, CycloidNetwork::kTraverse,
+      return dht::HopDecision::forward(leaf, CycloidNetwork::kTraverse,
                                        "leaf-set");
     }
 
@@ -655,10 +670,11 @@ class CycloidStepPolicy {
 
     // Phase move unavailable (void or faulty links): "the message can be
     // forwarded to a node in the leaf sets" (paper Sec. 3.2).
-    if (best_leaf == kNoNode) {
+    const NodeHandle leaf = best_leaf();
+    if (leaf == kNoNode) {
       return dht::HopDecision::deliver();  // terminate at a live node
     }
-    return dht::HopDecision::forward(best_leaf, CycloidNetwork::kTraverse,
+    return dht::HopDecision::forward(leaf, CycloidNetwork::kTraverse,
                                      "leaf-fallback");
   }
 

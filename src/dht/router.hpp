@@ -281,10 +281,10 @@ class RouteState {
 ///       anywhere — so routing output is bit-identical whether or not they
 ///       run. An overlay provides a hint only where it measurably pays
 ///       (DESIGN.md Sec. 14): Chord, Koorde and Pastry take both and warm
-///       the out-of-line tables next_hop walks; CAN takes prefetch_tables
-///       for its two blocks, Cycloid for the position-table entries of its
-///       candidates; Viceroy's hop reads only its record, and the lanes
-///       alone hide that miss. Default: no hint.
+///       the out-of-line tables next_hop walks, Cycloid both for its record
+///       and the position-table entries of its candidates; CAN takes
+///       prefetch_tables for its two blocks; Viceroy's hop reads only its
+///       record, and the lanes alone hide that miss. Default: no hint.
 template <typename P>
 concept StepPolicy =
     std::move_constructible<P> &&

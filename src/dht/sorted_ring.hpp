@@ -1,6 +1,6 @@
 // The ordered membership index behind every ring overlay (DESIGN.md §15):
 // keys and their NodeHandles in two parallel vectors sorted by key, so a
-// query is one std::lower_bound over the contiguous keys.
+// query is one branch-free binary search over the contiguous keys.
 //
 // Bulk/settle contract: a bulk insert appends in O(1); the overlay's
 // before_pass maintenance hook (DhtNetwork) calls settle() — one sort —
@@ -66,15 +66,11 @@ class SortedRing {
 
   /// Index of the first key >= `key` (size() when none).
   std::size_t lower_bound(Key key) const {
-    CYCLOID_EXPECTS(sorted_);
-    return static_cast<std::size_t>(
-        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+    return partition_point([key](Key x) { return x < key; });
   }
   /// Index of the first key > `key` (size() when none).
   std::size_t upper_bound(Key key) const {
-    CYCLOID_EXPECTS(sorted_);
-    return static_cast<std::size_t>(
-        std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+    return partition_point([key](Key x) { return !(key < x); });
   }
   /// Index of `key`, which must be present.
   std::size_t index_of(Key key) const {
@@ -158,6 +154,25 @@ class SortedRing {
   }
 
  private:
+  /// Index of the first key for which `before` is false, `before` being
+  /// true on a prefix of the keys: a halving search whose step is a
+  /// conditional add, not a branch, so a query costs ~log2(n) dependent
+  /// loads and no mispredictions (DESIGN.md §15).
+  template <typename Before>
+  std::size_t partition_point(Before before) const {
+    CYCLOID_EXPECTS(sorted_);
+    if (keys_.empty()) return 0;
+    // The answer lies in [base, base + n] throughout.
+    const Key* base = keys_.data();
+    std::size_t n = keys_.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base += before(base[half - 1]) * half;
+      n -= half;
+    }
+    return static_cast<std::size_t>(base - keys_.data()) + before(*base);
+  }
+
   std::vector<Key> keys_;
   std::vector<NodeHandle> handles_;
   bool sorted_ = true;

@@ -392,8 +392,12 @@ std::vector<std::string> PastryNetwork::phase_names() const {
 }
 
 NodeHandle PastryNetwork::closest_to(std::uint64_t id) const {
-  const NodeHandle succ = ring_.successor(id);
-  const NodeHandle pred = ring_.predecessor(id);
+  CYCLOID_EXPECTS(!ring_.empty());
+  // One search: the successor sits at `at` (wrapping past the top), the
+  // predecessor just before it (wrapping below the bottom).
+  const std::size_t at = ring_.lower_bound(id);
+  const NodeHandle succ = ring_.handle(at == ring_.size() ? 0 : at);
+  const NodeHandle pred = ring_.handle(ring_.prev(at));
   if (succ == pred) return succ;  // one or two nodes
   const std::uint64_t up = clockwise_distance(id, succ, space_size_);
   const std::uint64_t down = clockwise_distance(pred, id, space_size_);

@@ -471,6 +471,70 @@ TEST_P(ConformanceTest, RouteBatchMatchesSequentialPerLookup) {
   check(/*seed=*/555, /*count=*/600);
 }
 
+// Which hop each timeout is charged to. The golden totals above pin only
+// sums, so a dead entry charged one hop late would pass them; this digest
+// covers every traced step's (node, phase, timeouts_before) and every
+// route's (destination, status, timeouts) over 500 routes on the golden
+// network after ungraceful failures.
+struct TimeoutDigest {
+  OverlayKind kind;
+  std::uint64_t digest;
+};
+
+constexpr TimeoutDigest kTimeoutDigests[] = {
+    {OverlayKind::kCycloid7, 0xf420faf71d05f45aULL},
+    {OverlayKind::kCycloid11, 0x39fc59cb52ea9bc4ULL},
+    {OverlayKind::kViceroy, 0x75a115cd32b0557dULL},
+    {OverlayKind::kChord, 0xd6d8ed30f8fe5bd3ULL},
+    {OverlayKind::kKoorde, 0x5e19286f17476ce9ULL},
+    {OverlayKind::kPastry, 0x8dbe2905f3237c21ULL},
+    {OverlayKind::kCan, 0x52347d7dc88ab400ULL},
+};
+
+TEST_P(ConformanceTest, TimeoutsAreChargedToTheHopThatMeetsThem) {
+  const auto it = std::find_if(
+      std::begin(kTimeoutDigests), std::end(kTimeoutDigests),
+      [&](const TimeoutDigest& e) { return e.kind == GetParam(); });
+  ASSERT_NE(it, std::end(kTimeoutDigests));
+  auto net = make_sparse_overlay(GetParam(), 8, 300, 42);
+  util::Rng fail_rng(7);
+  net->fail_ungraceful(0.25, fail_rng);
+
+  // FNV-1a over the little-endian bytes of each folded value.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (value >> (8 * byte)) & 0xffu;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  util::Rng rng(43);
+  dht::LookupMetrics sink;
+  std::uint64_t timeouts = 0;
+  for (int i = 0; i < 500; ++i) {
+    const NodeHandle from = net->random_node(rng);
+    const dht::KeyHash key = rng();
+    std::vector<dht::TraceStep> trace;
+    dht::RouterOptions options;
+    options.trace = &trace;
+    const dht::LookupResult result = net->route(from, key, sink, options);
+    for (const dht::TraceStep& step : trace) {
+      fold(step.node);
+      fold(step.phase);
+      fold(static_cast<std::uint64_t>(step.timeouts_before));
+    }
+    fold(result.destination);
+    fold(static_cast<std::uint64_t>(result.status));
+    fold(static_cast<std::uint64_t>(result.timeouts));
+    timeouts += static_cast<std::uint64_t>(result.timeouts);
+  }
+  // Overlays that repair eagerly leave no dead entry to charge.
+  const bool eager = GetParam() == OverlayKind::kViceroy ||
+                     GetParam() == OverlayKind::kCan;
+  EXPECT_EQ(timeouts > 0, !eager);
+  EXPECT_EQ(digest, it->digest) << std::hex << "0x" << digest;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOverlays, ConformanceTest,
                          ::testing::ValuesIn(extended_overlays()),
                          [](const ::testing::TestParamInfo<OverlayKind>& info) {

@@ -513,8 +513,8 @@ struct PolicyCall {
 };
 
 /// Which optional prefetch hooks a HintLogPolicy has: none, as Viceroy;
-/// prefetch_tables only, as Cycloid and CAN; or the stage-1 prefetch too,
-/// as Chord, Koorde and Pastry.
+/// prefetch_tables only, as CAN; or the stage-1 prefetch too, as Cycloid,
+/// Chord, Koorde and Pastry.
 enum class Hints { kNone, kTables, kBoth };
 
 /// Logs every hint and next_hop call of one lookup, in order. Lookup `key`

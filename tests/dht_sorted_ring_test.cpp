@@ -4,6 +4,7 @@
 // bulk append + settle() contract, and the traps that guard it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -157,6 +158,38 @@ TEST(SortedRing, RealValuedKeys) {
   EXPECT_EQ(ring.successor(0.8), 2u);
   EXPECT_EQ(ring.predecessor(0.25), 1u);
   EXPECT_EQ(ring.predecessor_incl(0.25), 2u);
+}
+
+// The branch-free search against std::lower_bound / std::upper_bound at
+// every ring size up to 70, probing below, at, between and above every key,
+// for the integer rings and Viceroy's real-valued one.
+template <typename Key>
+void expect_std_bounds(Key step) {
+  SortedRing<Key> ring;
+  std::vector<Key> keys;
+  for (std::size_t n = 0; n <= 70; ++n) {
+    for (std::size_t i = 0; i <= 2 * n + 2; ++i) {
+      const Key probe = static_cast<Key>(i) * step / 2;
+      EXPECT_EQ(ring.lower_bound(probe),
+                static_cast<std::size_t>(
+                    std::lower_bound(keys.begin(), keys.end(), probe) -
+                    keys.begin()))
+          << "size " << n << " probe " << probe;
+      EXPECT_EQ(ring.upper_bound(probe),
+                static_cast<std::size_t>(
+                    std::upper_bound(keys.begin(), keys.end(), probe) -
+                    keys.begin()))
+          << "size " << n << " probe " << probe;
+    }
+    const Key key = static_cast<Key>(n + 1) * step;
+    ring.insert(key, n, false);
+    keys.push_back(key);
+  }
+}
+
+TEST(SortedRing, SearchesMatchStdBoundsAtEverySize) {
+  expect_std_bounds<std::uint64_t>(2);
+  expect_std_bounds<double>(1.0 / 128);
 }
 
 TEST(SortedRing, BulkAppendThenSettleMatchesSortedInserts) {
