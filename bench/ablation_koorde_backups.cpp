@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     std::uint64_t failures_05 = 0;
     double timeouts_05 = 0.0;
     for (const double p : {0.3, 0.5}) {
-      auto net = std::make_unique<koorde::KoordeNetwork>(bits, 3, backups);
+      auto net = std::make_unique<koorde::KoordeNetwork>(bits, backups);
       for (std::uint64_t id = 0; id < (1ULL << bits); ++id) net->insert(id);
       net->stabilize_all();
       util::Rng rng(bench::kBenchSeed + static_cast<std::uint64_t>(backups));

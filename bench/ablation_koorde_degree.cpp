@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     double dense_db_share = 0.0;
     double sparse_path = 0.0;
     {
-      auto net = std::make_unique<koorde::KoordeNetwork>(bits, 3, 3, b);
+      auto net = std::make_unique<koorde::KoordeNetwork>(bits, 3, b);
       for (std::uint64_t id = 0; id < (1ULL << bits); ++id) net->insert(id);
       net->stabilize_all();
       util::Rng rng(bench::kBenchSeed + static_cast<std::uint64_t>(b));
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       }
     }
     {
-      auto net = std::make_unique<koorde::KoordeNetwork>(bits, 3, 3, b);
+      auto net = std::make_unique<koorde::KoordeNetwork>(bits, 3, b);
       util::Rng build_rng(bench::kBenchSeed + 5);
       while (net->node_count() < 2048) {
         net->insert(build_rng.below(1ULL << bits));

@@ -43,9 +43,8 @@ int main(int argc, char** argv) {
     const std::size_t si = (i / rates.size()) % selections.size();
     const std::size_t mi = i / (rates.size() * selections.size());
     rows[i] = exp::run_churn_experiment(exp::OverlayKind::kCycloid7, 8,
-                                        rates[ri], duration, 30.0,
-                                        bench::kBenchSeed, modes[mi],
-                                        selections[si]);
+                                        rates[ri], duration, bench::kBenchSeed,
+                                        modes[mi], selections[si]);
   });
   const auto row_at = [&](std::size_t mi, std::size_t si,
                           std::size_t ri) -> const exp::ChurnRow& {

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   util::parallel_for(rows.size(), bench::threads(), [&](std::size_t i) {
     rows[i] = exp::run_churn_experiment(kinds[i / rates.size()], 8,
                                         rates[i % rates.size()], duration,
-                                        30.0, bench::kBenchSeed, mode);
+                                        bench::kBenchSeed, mode);
   });
   const auto row_at = [&](std::size_t kind_idx, std::size_t rate_idx)
       -> const exp::ChurnRow& {

@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
     for (const double rate : rates) {
       const auto full_start = std::chrono::steady_clock::now();
       const exp::ChurnRow full = exp::run_churn_experiment(
-          kind, 8, rate, duration, 30.0, bench::kBenchSeed,
+          kind, 8, rate, duration, bench::kBenchSeed,
           exp::StabilizeMode::kFull);
       const double full_wall_s = bench::seconds_since(full_start);
 
       const auto incr_start = std::chrono::steady_clock::now();
       const exp::ChurnRow incr = exp::run_churn_experiment(
-          kind, 8, rate, duration, 30.0, bench::kBenchSeed,
+          kind, 8, rate, duration, bench::kBenchSeed,
           exp::StabilizeMode::kIncremental);
       const double incr_wall_s = bench::seconds_since(incr_start);
 

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     for (const exp::OverlayKind kind : kinds) {
       const exp::ChurnRow row = exp::run_churn_experiment(
           kind, dim, args.get_double("churn"), args.get_double("duration"),
-          30.0, seed);
+          seed);
       table.row()
           .add(exp::overlay_label(kind))
           .add(row.lookups)

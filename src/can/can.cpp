@@ -88,40 +88,26 @@ void CanNetwork::dirty(dht::MembershipEvent, NodeHandle node) {
   for (const NodeHandle n : neighbors_of(*state)) mark_dirty(n);
 }
 
-CanNetwork::CanNetwork(int dims) : dims_(dims), grid_(std::min(dims, 2)) {
-  CYCLOID_EXPECTS(dims >= 1 && dims <= kMaxDims);
-}
-
 std::unique_ptr<CanNetwork> CanNetwork::build_random(std::size_t count,
-                                                     util::Rng& rng,
-                                                     int dims,
-                                                     int threads) {
-  auto net = std::make_unique<CanNetwork>(dims);
+                                                     util::Rng& rng) {
+  auto net = std::make_unique<CanNetwork>();
   CYCLOID_EXPECTS(count >= 1);
   // Bulk brackets for uniformity with the other builders; zone splits are
   // final state (nothing deferred), and the coalesce pass finds no buddy
   // pairs on a fresh build.
   net->begin_bulk();
   while (net->node_count() < count) {
-    Point p{};
-    for (int d = 0; d < dims; ++d) p[static_cast<std::size_t>(d)] = rng.uniform01();
-    net->join_at(p);
+    const double x = rng.uniform01();
+    net->join_at(Point{x, rng.uniform01()});
   }
-  net->finish_bulk(threads);
+  net->finish_bulk();
   return net;
 }
 
-Point CanNetwork::point_from_hash(dht::KeyHash key) const {
-  // Slice the 64-bit hash into dims_ coordinates of 64/dims_ bits each.
-  Point p{};
-  const int slice = 64 / dims_;
-  for (int d = 0; d < dims_; ++d) {
-    const std::uint64_t chunk =
-        (key >> (d * slice)) & ((slice == 64 ? ~0ULL : (1ULL << slice) - 1));
-    p[static_cast<std::size_t>(d)] =
-        static_cast<double>(chunk) / std::ldexp(1.0, slice);
-  }
-  return p;
+Point CanNetwork::point_from_hash(dht::KeyHash key) {
+  // 32 bits per axis, each scaled exactly into [0, 1).
+  return {static_cast<double>(key & 0xffffffffULL) * 0x1p-32,
+          static_cast<double>(key >> 32) * 0x1p-32};
 }
 
 double CanNetwork::volume_of(NodeHandle handle) const {
@@ -129,7 +115,7 @@ double CanNetwork::volume_of(NodeHandle handle) const {
   double volume = 0.0;
   for (const Zone& zone : node.zones) {
     double v = 1.0;
-    for (int d = 0; d < dims_; ++d) {
+    for (int d = 0; d < kDims; ++d) {
       const Interval& iv = zone.span[static_cast<std::size_t>(d)];
       v *= iv.hi - iv.lo;
     }
@@ -139,7 +125,7 @@ double CanNetwork::volume_of(NodeHandle handle) const {
 }
 
 bool CanNetwork::zone_contains(const Zone& zone, const Point& p) const {
-  for (int d = 0; d < dims_; ++d) {
+  for (int d = 0; d < kDims; ++d) {
     const Interval& iv = zone.span[static_cast<std::size_t>(d)];
     const double x = p[static_cast<std::size_t>(d)];
     if (x < iv.lo || x >= iv.hi) return false;
@@ -149,7 +135,7 @@ bool CanNetwork::zone_contains(const Zone& zone, const Point& p) const {
 
 double CanNetwork::zone_distance2(const Zone& zone, const Point& p) const {
   double total = 0.0;
-  for (int d = 0; d < dims_; ++d) {
+  for (int d = 0; d < kDims; ++d) {
     const double axis = torus_axis_distance(p[static_cast<std::size_t>(d)],
                                             zone.span[static_cast<std::size_t>(d)]);
     total += axis * axis;
@@ -168,7 +154,7 @@ double CanNetwork::node_distance2(const CanNode& node, const Point& p) const {
 double CanNetwork::entry_distance2(const std::uint64_t* entry,
                                    const Point& p) const {
   double total = 0.0;
-  for (int d = 0; d < dims_; ++d) {
+  for (int d = 0; d < kDims; ++d) {
     const double axis = torus_axis_distance(p[static_cast<std::size_t>(d)],
                                             entry_span(entry, d));
     total += axis * axis;
@@ -178,7 +164,7 @@ double CanNetwork::entry_distance2(const std::uint64_t* entry,
 
 std::vector<NodeHandle> CanNetwork::neighbors_of(const CanNode& node) const {
   std::vector<NodeHandle> handles;
-  for (std::size_t at = 0; at < node.table.size(); at += entry_words()) {
+  for (std::size_t at = 0; at < node.table.size(); at += kEntryWords) {
     if (handles.empty() || handles.back() != node.table[at]) {
       handles.push_back(node.table[at]);
     }
@@ -191,7 +177,7 @@ void CanNetwork::append_entries(std::vector<std::uint64_t>& table,
                                 const CanNode& other) const {
   for (const Zone& zone : other.zones) {
     table.push_back(neighbor);
-    for (int d = 0; d < dims_; ++d) {
+    for (int d = 0; d < kDims; ++d) {
       const Interval& iv = zone.span[static_cast<std::size_t>(d)];
       table.push_back(std::bit_cast<std::uint64_t>(iv.lo));
       table.push_back(std::bit_cast<std::uint64_t>(iv.hi));
@@ -203,7 +189,7 @@ void CanNetwork::insert_entries(CanNode& node, NodeHandle neighbor,
                                 const CanNode& other) const {
   std::vector<std::uint64_t>& table = node.table;
   std::size_t at = 0;
-  while (at < table.size() && table[at] < neighbor) at += entry_words();
+  while (at < table.size() && table[at] < neighbor) at += kEntryWords;
   CYCLOID_ASSERT(at == table.size() || table[at] != neighbor);
   std::vector<std::uint64_t> entries;
   append_entries(entries, neighbor, other);
@@ -218,10 +204,10 @@ void CanNetwork::erase_entries(CanNode& node, NodeHandle neighbor) const {
   std::vector<std::uint64_t>& table = node.table;
   std::size_t first = 0;
   while (first < table.size() && table[first] < neighbor) {
-    first += entry_words();
+    first += kEntryWords;
   }
   std::size_t last = first;
-  while (last < table.size() && table[last] == neighbor) last += entry_words();
+  while (last < table.size() && table[last] == neighbor) last += kEntryWords;
   table.erase(table.begin() + static_cast<std::ptrdiff_t>(first),
               table.begin() + static_cast<std::ptrdiff_t>(last));
 }
@@ -229,7 +215,7 @@ void CanNetwork::erase_entries(CanNode& node, NodeHandle neighbor) const {
 bool CanNetwork::zones_adjacent(const Zone& a, const Zone& b) const {
   int overlapping = 0;
   int abutting = 0;
-  for (int d = 0; d < dims_; ++d) {
+  for (int d = 0; d < kDims; ++d) {
     const Interval& x = a.span[static_cast<std::size_t>(d)];
     const Interval& y = b.span[static_cast<std::size_t>(d)];
     if (intervals_overlap(x, y)) {
@@ -240,7 +226,7 @@ bool CanNetwork::zones_adjacent(const Zone& a, const Zone& b) const {
       return false;  // separated in this dimension: not contiguous
     }
   }
-  return overlapping == dims_ - 1 && abutting == 1;
+  return overlapping == kDims - 1 && abutting == 1;
 }
 
 bool CanNetwork::nodes_adjacent(const CanNode& a, const CanNode& b) const {
@@ -261,8 +247,6 @@ NodeHandle CanNetwork::node_owning(const Point& p) const {
 }
 
 std::vector<std::size_t> CanNetwork::footprint(const CanNode& node) const {
-  // Axis 1 of a one-dimensional network is the default [0, 1) interval,
-  // which spans the grid's single row.
   std::vector<std::size_t> cells;
   for (const Zone& zone : node.zones) {
     const auto columns = grid_.column_span(zone.span[0].lo, zone.span[0].hi);
@@ -297,13 +281,9 @@ void CanNetwork::relist(NodeHandle handle,
 }
 
 void CanNetwork::refit_grid() {
-  // A zone's projection onto the two gridded axes covers about n^(-2/dims)
-  // of the square, so n^(2/dims) projections tile it: fitting the grid to
-  // that count keeps every zone in O(1) cells at any dimension.
-  const double n = static_cast<double>(node_count());
-  const auto members = static_cast<std::size_t>(
-      dims_ <= 2 ? n : std::round(std::pow(n, 2.0 / dims_)));
-  if (!grid_.fit(members)) return;
+  // A zone covers about 1/n of the square, so fitting the grid to the node
+  // count keeps every zone in O(1) cells.
+  if (!grid_.fit(node_count())) return;
   for (std::size_t slot = 0; slot < node_count(); ++slot) {
     relist(handle_at(slot), {}, footprint(node_at(slot)));
   }
@@ -330,7 +310,7 @@ void CanNetwork::relink(NodeHandle handle,
     if (other == nullptr) continue;
     if (nodes_adjacent(*node, *other)) {
       adjacent.emplace_back(cand, other);
-      words += other->zones.size() * entry_words();
+      words += other->zones.size() * kEntryWords;
       insert_entries(*other, handle, *node);
     }
   }
@@ -355,7 +335,7 @@ void CanNetwork::coalesce(CanNode& node) const {
         // they abut exactly (no torus wrap — the union must stay a box).
         int differing = -1;
         bool buddies = true;
-        for (int d = 0; d < dims_ && buddies; ++d) {
+        for (int d = 0; d < kDims && buddies; ++d) {
           const Interval& x = node.zones[i].span[static_cast<std::size_t>(d)];
           const Interval& y = node.zones[j].span[static_cast<std::size_t>(d)];
           if (x == y) continue;
@@ -383,12 +363,8 @@ NodeHandle CanNetwork::join_at(const Point& point) {
   const NodeHandle handle = next_serial_++;
 
   if (node_count() == 0) {
-    Zone all{};
-    for (int d = 0; d < dims_; ++d) {
-      all.span[static_cast<std::size_t>(d)] = Interval{0.0, 1.0};
-    }
     CanNode& node = create_node(handle);
-    node.zones.push_back(all);
+    node.zones.push_back(Zone{});  // the whole torus
     relist(handle, {}, footprint(node));
     refit_grid();
     notify_joined(handle);
@@ -413,7 +389,7 @@ NodeHandle CanNetwork::join_at(const Point& point) {
   Zone& zone = owner->zones[zone_index];
   int split_dim = 0;
   double longest = -1.0;
-  for (int d = 0; d < dims_; ++d) {
+  for (int d = 0; d < kDims; ++d) {
     const Interval& iv = zone.span[static_cast<std::size_t>(d)];
     if (iv.hi - iv.lo > longest) {
       longest = iv.hi - iv.lo;
@@ -522,7 +498,7 @@ class CanStepPolicy {
     const double cur_dist = net_.node_distance2(cur, target_);
     double best_dist = cur_dist;
     NodeHandle side = kNoNode;
-    const std::size_t stride = net_.entry_words();
+    const std::size_t stride = CanNetwork::kEntryWords;
     const std::uint64_t* entry = cur.table.data();
     const std::uint64_t* const end = entry + cur.table.size();
     while (entry != end) {
@@ -638,7 +614,7 @@ bool CanNetwork::check_invariants() const {
 
   // 2. Each routing table lists exactly the node's geometric neighbours,
   //    in ascending handle order (so the tables are symmetric).
-  const std::size_t stride = entry_words();
+  const std::size_t stride = kEntryWords;
   for (std::size_t sa = 0; sa < node_count(); ++sa) {
     const CanNode& a = node_at(sa);
     if (a.table.size() % stride != 0) return false;
@@ -661,7 +637,7 @@ bool CanNetwork::check_invariants() const {
   //    equal the zones (DESIGN.md §18); all bounds are dyadic, so the
   //    volume sums are exact.
   const auto inside = [&](const std::uint64_t* box, const Zone& zone) {
-    for (int d = 0; d < dims_; ++d) {
+    for (int d = 0; d < kDims; ++d) {
       const Interval iv = entry_span(box, d);
       const Interval& outer = zone.span[static_cast<std::size_t>(d)];
       if (iv.lo < outer.lo || iv.hi > outer.hi || !(iv.lo < iv.hi)) {
@@ -671,7 +647,7 @@ bool CanNetwork::check_invariants() const {
     return true;
   };
   const auto overlap = [&](const std::uint64_t* x, const std::uint64_t* y) {
-    for (int d = 0; d < dims_; ++d) {
+    for (int d = 0; d < kDims; ++d) {
       if (!intervals_overlap(entry_span(x, d), entry_span(y, d))) return false;
     }
     return true;
@@ -693,7 +669,7 @@ bool CanNetwork::check_invariants() const {
           if (overlap(&table[prior], box)) return false;
         }
         double v = 1.0;
-        for (int d = 0; d < dims_; ++d) {
+        for (int d = 0; d < kDims; ++d) {
           const Interval iv = entry_span(box, d);
           v *= iv.hi - iv.lo;
         }

@@ -1,7 +1,8 @@
 // CAN (Ratnasamy et al. 2001) — the mesh-class DHT of paper Sec. 2.3 and
 // Table 1: "CAN chooses its keys from a d-dimensional toroidal space. Each
 // node is associated with a region of this key space, and its neighbors are
-// the nodes that own the contiguous regions."
+// the nodes that own the contiguous regions." This one is two-dimensional
+// (d = 2), the setup every experiment runs.
 //
 // Nodes own axis-aligned dyadic boxes ("zones") of the unit torus. A join
 // splits the zone containing the newcomer's point in half along its longest
@@ -9,7 +10,7 @@
 // smallest-volume neighbour (which coalesces perfect buddies back into
 // larger boxes — a node can temporarily hold several zones, as in the CAN
 // paper's takeover rule). Routing greedily forwards to the neighbour whose
-// zone is nearest the target point; path lengths are O(dims * n^(1/dims)).
+// zone is nearest the target point; path lengths are O(sqrt(n)).
 //
 // Each node keeps the CAN paper's coordinate routing table: every
 // neighbour's handle and zones, in one flat block (DESIGN.md §18), so a
@@ -32,10 +33,11 @@
 
 namespace cycloid::can {
 
-inline constexpr int kMaxDims = 4;
+/// Axes of the key space: x, then y.
+inline constexpr int kDims = 2;
 
 /// Half-open interval [lo, hi) of the unit torus (never wraps; zones are
-/// dyadic sub-boxes of [0,1)^dims).
+/// dyadic sub-boxes of [0,1)^2).
 struct Interval {
   double lo = 0.0;
   double hi = 1.0;
@@ -43,20 +45,20 @@ struct Interval {
 };
 
 struct Zone {
-  std::array<Interval, kMaxDims> span;  // entries [0, dims) are meaningful
+  std::array<Interval, kDims> span;
   friend bool operator==(const Zone&, const Zone&) = default;
 };
 
 /// Point of the unit torus.
-using Point = std::array<double, kMaxDims>;
+using Point = std::array<double, kDims>;
 
 struct CanNode {
   std::vector<Zone> zones;  // usually one; more after takeovers
   /// Coordinate routing table: one entry per zone of each zone-contiguous
   /// neighbour, in ascending handle order (a neighbour's entries adjacent,
-  /// in its zone-list order). An entry is CanNetwork::entry_words() words:
-  /// the neighbour's handle, then that zone's lo and hi on axes
-  /// 0..dims-1 as IEEE-754 bit patterns (40 B at dims = 2). A neighbour's
+  /// in its zone-list order). An entry is CanNetwork::kEntryWords words:
+  /// the neighbour's handle, then that zone's lo and hi on each axis as
+  /// IEEE-754 bit patterns (40 B). A neighbour's
   /// refresh may coalesce its zones without rewriting this copy, which then
   /// stays a finer tiling of the same region (DESIGN.md §18).
   std::vector<std::uint64_t> table;
@@ -64,22 +66,18 @@ struct CanNode {
 
 class CanNetwork final : public dht::ArenaNetwork<CanNode> {
  public:
-  explicit CanNetwork(int dims = 2);
+  /// Words per routing-table entry: the handle plus 2 * kDims bounds.
+  static constexpr std::size_t kEntryWords = 1 + 2 * kDims;
 
   /// Bootstrap a network by `count` protocol-level joins at random points.
   /// Joins stay eager even under bulk mode — a join's zone split IS the
-  /// final state, not derived state the stabilize pass would recompute —
-  /// so `threads` only sizes the finish_bulk coalesce pass (a no-op on a
-  /// fresh build); accepted for builder-signature uniformity.
+  /// final state, not derived state the stabilize pass would recompute.
   static std::unique_ptr<CanNetwork> build_random(std::size_t count,
-                                                  util::Rng& rng,
-                                                  int dims = 2,
-                                                  int threads = 1);
+                                                  util::Rng& rng);
 
-  int dims() const noexcept { return dims_; }
-
-  /// Map a key hash to a point of the torus (one hash slice per dimension).
-  Point point_from_hash(dht::KeyHash key) const;
+  /// Map a key hash to a point of the torus: its low 32 bits give x, its
+  /// high 32 bits y.
+  static Point point_from_hash(dht::KeyHash key);
 
   /// Protocol join at an explicit point; returns the new node's handle
   /// (the first join owns the whole space).
@@ -96,10 +94,6 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   /// Squared torus distance from the node's nearest zone to `p`.
   double node_distance2(const CanNode& node, const Point& p) const;
 
-  /// Words per routing-table entry: the handle plus 2 * dims bounds.
-  std::size_t entry_words() const noexcept {
-    return 1 + 2 * static_cast<std::size_t>(dims_);
-  }
   /// Squared torus distance from the box of the table entry starting at
   /// `entry` to `p` — zone_distance2's arithmetic on the cached bounds.
   double entry_distance2(const std::uint64_t* entry, const Point& p) const;
@@ -152,8 +146,8 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
   /// arena's slot-indexed node_at overloads.
   dht::NodeHandle node_owning(const Point& p) const;
 
-  /// Grid cells the node's zones overlap (their spans over the first two
-  /// axes), ascending and each once. Coalescing leaves it unchanged.
+  /// Grid cells the node's zones overlap, ascending and each once.
+  /// Coalescing leaves it unchanged.
   std::vector<std::size_t> footprint(const CanNode& node) const;
   /// Move `handle`'s grid listing from the cells `before` to `after`.
   void relist(dht::NodeHandle handle, const std::vector<std::size_t>& before,
@@ -189,10 +183,9 @@ class CanNetwork final : public dht::ArenaNetwork<CanNode> {
 
   void unlink(dht::NodeHandle handle);
 
-  int dims_;
   std::uint64_t next_serial_ = 0;
-  /// Each live node, listed in every cell its zones overlap over the first
-  /// min(dims, 2) axes (DESIGN.md §16).
+  /// Each live node, listed in every cell its zones overlap (DESIGN.md
+  /// §16).
   dht::UnitGrid<dht::NodeHandle> grid_;
 };
 

@@ -73,13 +73,13 @@ void ChordNetwork::mark_members(std::uint64_t lo, std::uint64_t hi) {
   }
 }
 
-ChordNetwork::ChordNetwork(int bits, int successor_list_length)
-    : SuccessorRing(bits, successor_list_length) {}
+ChordNetwork::ChordNetwork(int bits) : SuccessorRing(bits) {}
 
-std::unique_ptr<ChordNetwork> ChordNetwork::build_random(
-    int bits, std::size_t count, util::Rng& rng, int successor_list_length,
-    int threads) {
-  auto net = std::make_unique<ChordNetwork>(bits, successor_list_length);
+std::unique_ptr<ChordNetwork> ChordNetwork::build_random(int bits,
+                                                         std::size_t count,
+                                                         util::Rng& rng,
+                                                         int threads) {
+  auto net = std::make_unique<ChordNetwork>(bits);
   net->populate_random(count, rng, threads);
   return net;
 }
@@ -131,11 +131,9 @@ class ChordStepPolicy {
 
   void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const {
-    // Stage 2 (record line presumed warm from stage 1): pull in the
-    // out-of-line successor list and finger table next_hop will scan.
+    // Stage 2 (record line presumed warm from stage 1, the successor list
+    // with it): pull in the finger table next_hop will scan.
     const ChordNode& cur = net_.node_at(slot);
-    util::prefetch_lines(cur.successors.data(),
-                         cur.successors.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.fingers.data(),
                          cur.fingers.size() * sizeof(NodeHandle));
   }

@@ -3,10 +3,10 @@
 // The Cycloid paper includes Chord in every experiment as the
 // non-constant-degree baseline. This implementation follows the paper's
 // simulation setup: an m-bit circular identifier space, finger tables with
-// m entries (finger[i] = successor(id + 2^i)), a successor list for ring
-// robustness, and greedy closest-preceding-finger routing. Keys are stored
-// at their successor. Graceful leaves repair the successor structure
-// immediately; fingers go stale until stabilization.
+// m entries (finger[i] = successor(id + 2^i)), a list of three successors
+// for ring robustness, and greedy closest-preceding-finger routing. Keys
+// are stored at their successor. Graceful leaves repair the successor
+// structure immediately; fingers go stale until stabilization.
 //
 // The ring itself (membership, the successor list and its repair walk, the
 // owner oracle) is dht::SuccessorRing, shared with Koorde; this class adds
@@ -33,7 +33,7 @@ struct ChordNode : dht::RingNode {
 class ChordNetwork final : public dht::SuccessorRing<ChordNode> {
  public:
   /// An empty network over a 2^bits identifier space.
-  explicit ChordNetwork(int bits, int successor_list_length = 3);
+  explicit ChordNetwork(int bits);
 
   /// A network of `count` nodes at distinct uniform-random identifiers
   /// (bulk mode: membership first, then one stabilize pass over `threads`
@@ -41,7 +41,6 @@ class ChordNetwork final : public dht::SuccessorRing<ChordNode> {
   static std::unique_ptr<ChordNetwork> build_random(int bits,
                                                     std::size_t count,
                                                     util::Rng& rng,
-                                                    int successor_list_length = 3,
                                                     int threads = 1);
 
   /// The complete network: every identifier populated (used for the paper's

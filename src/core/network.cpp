@@ -533,21 +533,10 @@ class CycloidStepPolicy {
   int fallback_budget() const { return 8 * net_.space().dimension() + 16; }
   bool track_visited() const { return true; }
 
-  // Two hints (DESIGN.md §14): the record holds the whole node, and the
-  // liveness checks of next_hop read one position-table entry per
-  // candidate. Stage 1 warms the record, the miss the lanes hide; stage 2
-  // reads it to warm the entries, but GCC 12 finds prefetch_position free
-  // of side effects and deletes those calls, so it emits no instruction.
+  // One hint (DESIGN.md §14): the record holds the whole node, so stage 1
+  // warms it, the miss the lanes hide, and each lane makes one visit per
+  // hop.
   void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
-  void prefetch_tables(std::size_t slot) const {
-    const CycloidNode& cur = net_.node_at(slot);
-    net_.prefetch_position(cur.cubical_neighbor);
-    net_.prefetch_position(cur.cyclic_larger);
-    net_.prefetch_position(cur.cyclic_smaller);
-    for (std::size_t i = 0; i < 4 * width_; ++i) {
-      net_.prefetch_position(cur.leaves[i]);
-    }
-  }
 
   dht::HopDecision next_hop(const dht::RouteState& state) {
     const CccSpace& space = net_.space();

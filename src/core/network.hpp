@@ -21,7 +21,6 @@
 #include "dht/latency.hpp"
 #include "dht/network.hpp"
 #include "dht/sorted_ring.hpp"
-#include "util/prefetch.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::ccc {
@@ -95,16 +94,6 @@ class CycloidNetwork final : public dht::ArenaNetwork<CycloidNode> {
     if (pos == kNoPosition) return kNoSlot;
     const std::uint32_t slot = slot_by_position_[pos];
     return slot == kNoPositionSlot ? kNoSlot : slot;
-  }
-
-  /// Best-effort prefetch of the position-table entry position_slot(handle)
-  /// reads (the step policy's stage-2 hint); a no-op for a handle that
-  /// names no position. Never changes routing results.
-  void prefetch_position(dht::NodeHandle handle) const noexcept {
-    const std::uint64_t pos = position_of(handle);
-    if (pos != kNoPosition) {
-      util::prefetch_lines(&slot_by_position_[pos], sizeof(std::uint32_t));
-    }
   }
 
   /// Structural invariants: the registry, the arena, the global ring and

@@ -61,13 +61,16 @@ class ArenaNetwork : public DhtNetwork {
   }
 
   /// Best-effort prefetch of the node record at `slot` — the stage-1 hint
-  /// (a step policy's optional prefetch hook) of the Chord, Koorde and
-  /// Pastry step policies, the overlays where it measurably pays (DESIGN.md
-  /// Sec. 14): pure address arithmetic into the arena, no dereference, so
-  /// it can run the moment the batch router resolves a lane's next slot.
+  /// (a step policy's optional prefetch hook) of the Chord, Koorde, Pastry
+  /// and Cycloid step policies, the overlays where it measurably pays
+  /// (DESIGN.md Sec. 14): pure address arithmetic into the arena, no
+  /// dereference, so it can run the moment the batch router resolves a
+  /// lane's next slot.
   /// Out-of-range slots (including kNoSlot) are silent no-ops. Purely a
-  /// performance hint: never changes routing results.
-  void prefetch_node(std::size_t slot) const noexcept {
+  /// performance hint: never changes routing results. Always inlined, as
+  /// util::prefetch_lines is: a function that only prefetches has no side
+  /// effect GCC must keep, so a call to it that is not inlined is deleted.
+  [[gnu::always_inline]] void prefetch_node(std::size_t slot) const noexcept {
     if (slot < arena_.size()) {
       util::prefetch_lines(&arena_[slot], sizeof(NodeT));
     }

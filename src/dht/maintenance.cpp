@@ -10,20 +10,6 @@
 
 namespace cycloid::dht {
 
-std::string maintenance_cause_name(MaintenanceCause cause) {
-  switch (cause) {
-    case MaintenanceCause::kJoinRepair:
-      return "join";
-    case MaintenanceCause::kLeaveRepair:
-      return "leave";
-    case MaintenanceCause::kStabilizeRefresh:
-      return "refresh";
-    case MaintenanceCause::kLookupPromotion:
-      return "promotion";
-  }
-  return "unknown";
-}
-
 void DhtNetwork::notify_joined(NodeHandle node) {
   if (bulk_building()) return;
   CauseScope scope(*this, MaintenanceCause::kJoinRepair);

@@ -16,7 +16,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace cycloid::dht {
 
@@ -37,10 +36,6 @@ enum class MaintenanceCause : std::size_t {
   kLookupPromotion = 3,
 };
 inline constexpr std::size_t kMaintenanceCauses = 4;
-
-/// Stable short name for reports and JSON fields ("join", "leave",
-/// "refresh", "promotion").
-std::string maintenance_cause_name(MaintenanceCause cause);
 
 /// Per-cause update counts (indexed by MaintenanceCause).
 using MaintenanceBreakdown = std::array<std::uint64_t, kMaintenanceCauses>;

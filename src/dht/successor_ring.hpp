@@ -11,8 +11,8 @@
 // paper's fifth metric.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "dht/arena.hpp"
 #include "dht/sorted_ring.hpp"
@@ -21,13 +21,18 @@
 
 namespace cycloid::dht {
 
+/// Successors each node keeps: three, the paper's setup (Sec. 4).
+inline constexpr std::size_t kSuccessorListLength = 3;
+
 /// The ring fields of a node record; Chord's and Koorde's records extend it.
 struct RingNode {
   std::uint64_t id = 0;
   NodeHandle predecessor = kNoNode;
   /// successors[0] is the immediate successor; kept repaired by joins and
-  /// graceful leaves, stale after a silent departure until a refresh.
-  std::vector<NodeHandle> successors;
+  /// graceful leaves, stale after a silent departure until a refresh, and
+  /// kNoNode until the node's first relink.
+  std::array<NodeHandle, kSuccessorListLength> successors{kNoNode, kNoNode,
+                                                          kNoNode};
 };
 
 /// What relink_around changed: how many of the members before the event
@@ -72,12 +77,8 @@ class SuccessorRing : public ArenaNetwork<NodeT> {
   }
 
  protected:
-  SuccessorRing(int bits, int successor_list_length)
-      : bits_(bits),
-        space_size_(1ULL << bits),
-        successor_list_length_(successor_list_length) {
+  explicit SuccessorRing(int bits) : bits_(bits), space_size_(1ULL << bits) {
     CYCLOID_EXPECTS(bits >= 1 && bits <= 32);
-    CYCLOID_EXPECTS(successor_list_length >= 1);
   }
 
   /// Live identifiers (id == handle), the ground truth behind owner_of and
@@ -115,11 +116,6 @@ class SuccessorRing : public ArenaNetwork<NodeT> {
     const NodeHandle predecessor = ring_.handle(ring_.prev(at));
     bool changed = node.predecessor != predecessor;
     node.predecessor = predecessor;
-    const auto length = static_cast<std::size_t>(successor_list_length_);
-    if (node.successors.size() != length) {
-      node.successors.resize(length);
-      changed = true;
-    }
     for (NodeHandle& successor : node.successors) {
       at = ring_.next(at);
       const NodeHandle next = ring_.handle(at);
@@ -140,7 +136,7 @@ class SuccessorRing : public ArenaNetwork<NodeT> {
   }
 
   /// The members whose ring links a membership change at `id` perturbs:
-  /// the successor_list_length + 1 members before `id`, nearest first (a
+  /// the kSuccessorListLength + 1 members before `id`, nearest first (a
   /// ring that small is revisited), then the first member strictly after
   /// `id` (after a join, `id` itself must not shadow it). visit(handle,
   /// after) sees each in that order, `after` true for the last. The ring
@@ -148,7 +144,7 @@ class SuccessorRing : public ArenaNetwork<NodeT> {
   template <typename Visit>
   void walk_neighbourhood(std::uint64_t id, Visit&& visit) const {
     std::uint64_t cursor = id;
-    for (int i = 0; i <= successor_list_length_; ++i) {
+    for (std::size_t i = 0; i <= kSuccessorListLength; ++i) {
       cursor = ring_.predecessor(cursor);  // handles are ids
       visit(cursor, false);
     }
@@ -196,7 +192,6 @@ class SuccessorRing : public ArenaNetwork<NodeT> {
 
   int bits_;
   std::uint64_t space_size_;
-  int successor_list_length_;
   SortedRing<std::uint64_t> ring_;
 };
 

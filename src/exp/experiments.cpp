@@ -204,8 +204,7 @@ std::vector<UngracefulRow> run_ungraceful_experiment(
 
 ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
                               double join_leave_rate, double duration,
-                              double stabilize_period, std::uint64_t seed,
-                              StabilizeMode mode,
+                              std::uint64_t seed, StabilizeMode mode,
                               dht::NeighborSelection selection) {
   const std::uint64_t s =
       cell_seed(seed, static_cast<std::uint64_t>(kind),
@@ -242,17 +241,17 @@ ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
     events.push(Event{time, scheduled++, kind, node});
   };
 
-  // Per-node stabilization every `stabilize_period` seconds, at a phase
+  // Per-node stabilization every kStabilizePeriod seconds, at a phase
   // drawn uniformly across the interval. Under kIncremental one periodic
   // dirty-queue drain replaces the per-node timers, but the phases are
   // still drawn, so both modes consume the identical RNG stream and see
   // the same join/leave/lookup sequence.
   const auto draw_timer = [&](dht::NodeHandle h, double now) {
-    const double phase = rng.uniform01() * stabilize_period;
+    const double phase = rng.uniform01() * kStabilizePeriod;
     if (!incremental) schedule(now + phase, Kind::kStabilize, h);
   };
   for (const dht::NodeHandle h : net->node_handles()) draw_timer(h, 0.0);
-  if (incremental) schedule(stabilize_period, Kind::kDrain);
+  if (incremental) schedule(kStabilizePeriod, Kind::kDrain);
   // Poisson lookups at 1 per second, joins and leaves each at rate R
   // (paper Sec. 4.4).
   schedule(rng.exponential(1.0), Kind::kLookup);
@@ -283,11 +282,11 @@ ChurnRow run_churn_experiment(OverlayKind kind, int dimension,
         // numbers (ROADMAP item 9).
         if (!net->contains(event.node)) break;
         net->stabilize_one(event.node);
-        schedule(now + stabilize_period, Kind::kStabilize, event.node);
+        schedule(now + kStabilizePeriod, Kind::kStabilize, event.node);
         break;
       case Kind::kDrain:
         net->stabilize_dirty();
-        schedule(now + stabilize_period, Kind::kDrain);
+        schedule(now + kStabilizePeriod, Kind::kDrain);
         break;
       case Kind::kLookup: {
         const dht::NodeHandle source = net->random_node(rng);

@@ -163,18 +163,20 @@ struct ChurnRow {
   double route_latency_p99 = 0.0;
 };
 
-/// Start a 2048-node network; Poisson lookups at 1/s, Poisson joins and
-/// leaves each at rate R, per-node stabilization every `stabilize_period`
-/// seconds with uniformly distributed phases (paper Sec. 4.4). Runs for
-/// `duration` virtual seconds.
+/// Seconds between a node's stabilizations under churn (paper Sec. 4.4).
+inline constexpr double kStabilizePeriod = 30.0;
+
+/// Start a d * 2^d-node network (2048 at d = 8); Poisson lookups at 1/s,
+/// Poisson joins and leaves each at rate R, per-node stabilization every
+/// kStabilizePeriod seconds with uniformly distributed phases (paper Sec.
+/// 4.4). Runs for `duration` virtual seconds.
 /// `selection` switches the Cycloid variants onto proximity-aware
 /// neighbour selection (ignored by the other overlays); both selections
 /// consume the identical RNG stream, so suffix-vs-proximity cells compare
 /// the same join/leave/lookup workload.
 ChurnRow run_churn_experiment(
     OverlayKind kind, int dimension, double join_leave_rate, double duration,
-    double stabilize_period, std::uint64_t seed,
-    StabilizeMode mode = StabilizeMode::kFull,
+    std::uint64_t seed, StabilizeMode mode = StabilizeMode::kFull,
     dht::NeighborSelection selection = dht::NeighborSelection::kClosestSuffix);
 
 // --- Figs. 13/14: identifier-space sparsity ---------------------------------

@@ -71,22 +71,19 @@ std::unique_ptr<dht::DhtNetwork> make_dense_overlay(
       return ccc::CycloidNetwork::build_complete(cycloid_dim, 2, selection,
                                                  threads);
     case OverlayKind::kViceroy:
-      return viceroy::ViceroyNetwork::build_random(n, rng, threads);
+      return viceroy::ViceroyNetwork::build_random(n, rng);
     case OverlayKind::kChord:
       return ring_complete
                  ? chord::ChordNetwork::build_complete(bits, threads)
-                 : chord::ChordNetwork::build_random(
-                       bits, n, rng, /*successor_list_length=*/3, threads);
+                 : chord::ChordNetwork::build_random(bits, n, rng, threads);
     case OverlayKind::kKoorde:
       return ring_complete
                  ? koorde::KoordeNetwork::build_complete(bits, threads)
                  : koorde::KoordeNetwork::build_random(bits, n, rng, threads);
     case OverlayKind::kPastry:
-      // Binary digits (b = 1) so any ring width divides evenly.
-      return pastry::PastryNetwork::build_random(
-          bits, n, rng, /*bits_per_digit=*/1, threads);
+      return pastry::PastryNetwork::build_random(bits, n, rng, threads);
     case OverlayKind::kCan:
-      return can::CanNetwork::build_random(n, rng, /*dims=*/2, threads);
+      return can::CanNetwork::build_random(n, rng);
   }
   CYCLOID_ASSERT(false);
   return nullptr;
@@ -108,17 +105,15 @@ std::unique_ptr<dht::DhtNetwork> make_sparse_overlay(
       return ccc::CycloidNetwork::build_random(cycloid_dim, count, rng, 2,
                                                selection, threads);
     case OverlayKind::kViceroy:
-      return viceroy::ViceroyNetwork::build_random(count, rng, threads);
+      return viceroy::ViceroyNetwork::build_random(count, rng);
     case OverlayKind::kChord:
-      return chord::ChordNetwork::build_random(
-          bits, count, rng, /*successor_list_length=*/3, threads);
+      return chord::ChordNetwork::build_random(bits, count, rng, threads);
     case OverlayKind::kKoorde:
       return koorde::KoordeNetwork::build_random(bits, count, rng, threads);
     case OverlayKind::kPastry:
-      return pastry::PastryNetwork::build_random(
-          bits, count, rng, /*bits_per_digit=*/1, threads);
+      return pastry::PastryNetwork::build_random(bits, count, rng, threads);
     case OverlayKind::kCan:
-      return can::CanNetwork::build_random(count, rng, /*dims=*/2, threads);
+      return can::CanNetwork::build_random(count, rng);
   }
   CYCLOID_ASSERT(false);
   return nullptr;

@@ -35,8 +35,8 @@ const std::vector<OverlayKind>& all_overlays();
 /// The evaluation systems plus the related-work DHTs (Pastry, CAN).
 const std::vector<OverlayKind>& extended_overlays();
 
-/// The three constant-degree systems plus the Chord reference (for
-/// experiments where the paper omits one of the Cycloid variants).
+/// The overlay's name in tables and JSON: "Cycloid-7", "Cycloid-11",
+/// "Viceroy", "Chord", "Koorde", "Pastry" or "CAN".
 std::string overlay_label(OverlayKind kind);
 
 /// Dense network: for Cycloid the complete d-dimensional CCC (d * 2^d

@@ -35,15 +35,4 @@ inline double reduce_unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// FNV-1a — a cheap non-cryptographic mixer used where the full SHA-1 is
-/// overkill (e.g. tie-breaking in tests).
-constexpr std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char ch : text) {
-    h ^= static_cast<std::uint8_t>(ch);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace cycloid::hash

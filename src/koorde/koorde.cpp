@@ -99,9 +99,8 @@ void KoordeNetwork::mark_preimage(std::uint64_t lo, std::uint64_t hi) {
   }
 }
 
-KoordeNetwork::KoordeNetwork(int bits, int successor_list_length,
-                             int backup_count, int shift_bits)
-    : SuccessorRing(bits, successor_list_length),
+KoordeNetwork::KoordeNetwork(int bits, int backup_count, int shift_bits)
+    : SuccessorRing(bits),
       backup_count_(backup_count),
       shift_bits_(shift_bits) {
   CYCLOID_EXPECTS(backup_count >= 0);
@@ -214,11 +213,9 @@ class KoordeStepPolicy {
 
   void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const {
-    // Stage 2: warm the successor list next_hop scans and the de Bruijn
-    // backups resolve_chain walks past a dead pointer.
+    // Stage 2 (the successor list sits in the record stage 1 fetched):
+    // warm the de Bruijn backups resolve_chain walks past a dead pointer.
     const KoordeNode& cur = net_.node_at(slot);
-    util::prefetch_lines(cur.successors.data(),
-                         cur.successors.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.db_backups.data(),
                          cur.db_backups.size() * sizeof(NodeHandle));
   }

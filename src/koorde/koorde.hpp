@@ -36,7 +36,7 @@
 
 namespace cycloid::koorde {
 
-struct KoordeNode : dht::RingNode {             // 3 successors
+struct KoordeNode : dht::RingNode {
   dht::NodeHandle de_bruijn = dht::kNoNode;     // may be stale
   std::vector<dht::NodeHandle> db_backups;      // 3 predecessors of de_bruijn
   bool db_broken = false;  // pointer and all backups found dead
@@ -51,8 +51,7 @@ class KoordeNetwork final : public dht::SuccessorRing<KoordeNode> {
   /// positions — the routing-table/hop-count trade-off the Cycloid paper
   /// notes Koorde offers. shift_bits = 1 is the classic degree-2 Koorde
   /// used throughout the paper reproduction.
-  explicit KoordeNetwork(int bits, int successor_list_length = 3,
-                         int backup_count = 3, int shift_bits = 1);
+  explicit KoordeNetwork(int bits, int backup_count = 3, int shift_bits = 1);
 
   int shift_bits() const noexcept { return shift_bits_; }
 

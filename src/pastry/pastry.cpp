@@ -25,7 +25,7 @@ using util::clockwise_distance;
 // frozen; ungraceful departures repair nothing. A refresh recomputes leaf
 // sets, routing table, and neighborhood set.
 
-/// The leaf_half_ + 1 ring members on each side of `id`, nearest first:
+/// The kLeafHalf + 1 ring members on each side of `id`, nearest first:
 /// every node whose leaf set a membership change at `id` can touch. The
 /// walk stops where a ring that small wraps back to `id`, so it never
 /// visits `id` itself. The ring must not be empty.
@@ -33,13 +33,13 @@ template <typename Visit>
 void PastryNetwork::walk_leaf_neighbors(std::uint64_t id,
                                         Visit&& visit) const {
   std::uint64_t cursor = id;
-  for (int i = 0; i <= leaf_half_; ++i) {
+  for (int i = 0; i <= kLeafHalf; ++i) {
     cursor = ring_.predecessor(cursor);  // Pastry handles are ids
     if (cursor == id) break;
     visit(cursor);
   }
   cursor = id;
-  for (int i = 0; i <= leaf_half_; ++i) {
+  for (int i = 0; i <= kLeafHalf; ++i) {
     cursor = ring_.successor((cursor + 1) % space_size_);
     if (cursor == id) break;
     visit(cursor);
@@ -102,16 +102,15 @@ void PastryNetwork::dirty(dht::MembershipEvent event, NodeHandle node) {
 }
 
 /// X can reference the change at J in routing row r only when X shares
-/// J's first r digits and differs at digit r (a sibling sub-window of
-/// J's row-r prefix window), and only through the entry whose window W
-/// holds J. That entry is the member of W nearest X's preferred id (X's
-/// suffix placed in W), so a clean X's entry is J (departures) or J
-/// ties-or-beats it (joins) only when the preferred id lies in J's
-/// closed Voronoi cell in W: from the midpoint to J's nearest smaller
-/// member of W (or W's lower edge) to the midpoint to its nearest larger
-/// one (or W's upper edge), ties included. Each sibling sub-window's X
-/// with a suffix in that cell form one ring range; the per-node test
-/// runs there unchanged. A stale X outside them is already queued
+/// J's first r bits and differs at bit r. X's row-r entry is then the
+/// member of J's window W (the ids sharing J's first r + 1 bits) nearest
+/// X's preferred id (X's suffix placed in W), so a clean X's entry is J
+/// (departures) or J ties-or-beats it (joins) only when the preferred id
+/// lies in J's closed Voronoi cell in W: from the midpoint to J's nearest
+/// smaller member of W (or W's lower edge) to the midpoint to its nearest
+/// larger one (or W's upper edge), ties included. The X with a suffix in
+/// that cell form one ring range of the sibling window; the per-node test
+/// runs there unchanged. A stale X outside it is already queued
 /// (DESIGN.md §11, §20).
 void PastryNetwork::mark_routing_referencers(std::uint64_t id,
                                              NodeHandle changed, bool join) {
@@ -119,12 +118,8 @@ void PastryNetwork::mark_routing_referencers(std::uint64_t id,
   const std::size_t self = ring.index_of(id);
   const std::uint64_t below = ring.key(ring.prev(self));
   const std::uint64_t above = ring.key(ring.next(self));
-  const int columns = 1 << bits_per_digit_;
-  for (int row = 0; row < rows_; ++row) {
-    const int col = digit(id, row);
-    const int suffix_bits =
-        bits_ - (row + 1) * bits_per_digit_;
-    const std::uint64_t window = 1ULL << suffix_bits;
+  for (int row = 0; row < bits_; ++row) {
+    const std::uint64_t window = 1ULL << (bits_ - 1 - row);
     const std::uint64_t lo = id & ~(window - 1);  // W = [lo, lo + window)
     // J's closed cell in W, as suffix offsets. The ring neighbours are
     // J's nearest members of W when they lie in it (a wrapped neighbour
@@ -134,18 +129,12 @@ void PastryNetwork::mark_routing_referencers(std::uint64_t id,
     const std::uint64_t last =
         above > id && above - lo < window ? (id + above) / 2 - lo
                                           : window - 1;
-    const std::uint64_t prefix =
-        id & ~((window << bits_per_digit_) - 1);
-    for (int c = 0; c < columns; ++c) {
-      if (c == col) continue;  // J's own sub-window: a deeper row
-      const std::uint64_t base =
-          prefix | (static_cast<std::uint64_t>(c) << suffix_bits);
-      for (std::size_t i = ring.lower_bound(base + first);
-           i < ring.size() && ring.key(i) <= base + last; ++i) {
-        mark_if_routing_referencer(ring.handle(i), row, col,
-                                   lo | (ring.key(i) & (window - 1)), id,
-                                   changed, join);
-      }
+    const std::uint64_t sibling = lo ^ window;  // where the X live
+    for (std::size_t i = ring.lower_bound(sibling + first);
+         i < ring.size() && ring.key(i) <= sibling + last; ++i) {
+      mark_if_routing_referencer(ring.handle(i), row,
+                                 lo | (ring.key(i) & (window - 1)), id,
+                                 changed, join);
     }
   }
 }
@@ -154,18 +143,17 @@ void PastryNetwork::mark_routing_referencers(std::uint64_t id,
 /// (removing a non-selected candidate never changes the argmin); joins
 /// only to an X the newcomer ties-or-beats on gap to X's `preferred` id.
 void PastryNetwork::mark_if_routing_referencer(NodeHandle referencer, int row,
-                                               int col, std::uint64_t preferred,
+                                               std::uint64_t preferred,
                                                std::uint64_t id,
                                                NodeHandle changed, bool join) {
   const PastryNode* ref = node_of(referencer);
   CYCLOID_ASSERT(ref != nullptr);
   const auto& table = ref->routing_table;
-  if (table.size() != static_cast<std::size_t>(rows_)) {
+  if (table.size() != static_cast<std::size_t>(bits_)) {
     mark_dirty(referencer);  // unshaped table: be conservative
     return;
   }
-  const NodeHandle entry =
-      table[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
+  const NodeHandle entry = table[static_cast<std::size_t>(row)];
   if (!join) {
     if (entry == changed) mark_dirty(referencer);
     return;
@@ -191,11 +179,8 @@ void PastryNetwork::mark_if_routing_referencer(NodeHandle referencer, int row,
 void PastryNetwork::mark_neighborhood_referencers(const PastryNode& state,
                                                   NodeHandle changed,
                                                   bool join) {
-  if (neighborhood_size_ == 0) return;
-  const std::size_t m =
-      static_cast<std::size_t>(neighborhood_size_);
   const auto& grid = grid_;
-  const bool whole = node_count() <= m + 1;
+  const bool whole = node_count() <= kNeighborhoodSize + 1;
   const double reach = reach_.load(std::memory_order_relaxed);
   const auto visit = [&](std::size_t cell) {
     for (const PastryNetwork::GridEntry& e : grid.bucket(cell)) {
@@ -203,7 +188,7 @@ void PastryNetwork::mark_neighborhood_referencers(const PastryNode& state,
       const double prox =
           PastryNetwork::proximity(e.x, e.y, state.x, state.y);
       if (!whole && prox > reach) continue;
-      mark_if_neighborhood_holder(e.handle, prox, state, changed, join, m);
+      mark_if_neighborhood_holder(e.handle, prox, state, changed, join);
     }
   };
 
@@ -211,7 +196,7 @@ void PastryNetwork::mark_neighborhood_referencers(const PastryNode& state,
   // on each axis, the cells of [J - sqrt(R), J + sqrt(R)] under the
   // monotone cell map (§16), read with wrap. The 1e-6 and 1e-12 margins
   // are far above the rounding of the cell map and of proximity().
-  const auto side = static_cast<std::int64_t>(grid.columns());  // == rows()
+  const auto side = static_cast<std::int64_t>(grid.side());
   const double width = static_cast<double>(side);
   const double half = std::sqrt(reach + 1e-12);
   const auto span = [width, half](double center) {
@@ -243,8 +228,9 @@ void PastryNetwork::mark_neighborhood_referencers(const PastryNode& state,
 void PastryNetwork::mark_if_neighborhood_holder(NodeHandle handle,
                                                 double prox,
                                                 const PastryNode& state,
-                                                NodeHandle changed, bool join,
-                                                std::size_t m) {
+                                                NodeHandle changed,
+                                                bool join) {
+  constexpr std::size_t m = kNeighborhoodSize;
   const PastryNode* other = node_of(handle);
   CYCLOID_ASSERT(other != nullptr);
   if (other->neighborhood.size() == m && prox > other->reach) return;
@@ -266,24 +252,16 @@ void PastryNetwork::mark_if_neighborhood_holder(NodeHandle handle,
   }
 }
 
-PastryNetwork::PastryNetwork(int bits, int bits_per_digit, int leaf_set_size,
-                             int neighborhood_size)
-    : bits_(bits),
-      bits_per_digit_(bits_per_digit),
-      rows_(bits / bits_per_digit),
-      space_size_(1ULL << bits),
-      leaf_half_(leaf_set_size / 2),
-      neighborhood_size_(neighborhood_size) {
+PastryNetwork::PastryNetwork(int bits)
+    : bits_(bits), space_size_(1ULL << bits) {
   CYCLOID_EXPECTS(bits >= 2 && bits <= 32);
-  CYCLOID_EXPECTS(bits_per_digit >= 1 && bits % bits_per_digit == 0);
-  CYCLOID_EXPECTS(leaf_set_size >= 2 && leaf_set_size % 2 == 0);
-  CYCLOID_EXPECTS(neighborhood_size >= 0);
 }
 
-std::unique_ptr<PastryNetwork> PastryNetwork::build_random(
-    int bits, std::size_t count, util::Rng& rng, int bits_per_digit,
-    int threads) {
-  auto net = std::make_unique<PastryNetwork>(bits, bits_per_digit);
+std::unique_ptr<PastryNetwork> PastryNetwork::build_random(int bits,
+                                                           std::size_t count,
+                                                           util::Rng& rng,
+                                                           int threads) {
+  auto net = std::make_unique<PastryNetwork>(bits);
   CYCLOID_EXPECTS(count >= 1 && count <= net->space_size_);
   net->begin_bulk();
   while (net->node_count() < count) {
@@ -291,20 +269,6 @@ std::unique_ptr<PastryNetwork> PastryNetwork::build_random(
   }
   net->finish_bulk(threads);
   return net;
-}
-
-int PastryNetwork::digit(std::uint64_t id, int row) const {
-  CYCLOID_EXPECTS(row >= 0 && row < rows_);
-  const int shift = bits_ - (row + 1) * bits_per_digit_;
-  return static_cast<int>((id >> shift) & ((1ULL << bits_per_digit_) - 1));
-}
-
-int PastryNetwork::shared_prefix_digits(std::uint64_t a,
-                                        std::uint64_t b) const {
-  for (int row = 0; row < rows_; ++row) {
-    if (digit(a, row) != digit(b, row)) return row;
-  }
-  return rows_;
 }
 
 bool PastryNetwork::insert(std::uint64_t id, double x, double y) {
@@ -370,17 +334,15 @@ bool PastryNetwork::check_invariants() const {
     return false;
   }
 
-  // 3. Every routing table is rows x 2^b, and 4. the network's reach covers
-  //    every node's. (A stored member's coordinates cannot be re-read: its
-  //    handle may name a newcomer at the departed node's identifier.)
+  // 3. Every routing table holds one entry per bit, and 4. the network's
+  //    reach covers every node's. (A stored member's coordinates cannot be
+  //    re-read: its handle may name a newcomer at the departed node's
+  //    identifier.)
   const double reach = reach_.load(std::memory_order_relaxed);
   for (std::size_t slot = 0; slot < n; ++slot) {
     const PastryNode& node = node_at(slot);
-    if (node.routing_table.size() != static_cast<std::size_t>(rows_)) {
+    if (node.routing_table.size() != static_cast<std::size_t>(bits_)) {
       return false;
-    }
-    for (const std::vector<NodeHandle>& row : node.routing_table) {
-      if (row.size() != std::size_t{1} << bits_per_digit_) return false;
     }
     if (node.reach > reach) return false;
   }
@@ -422,10 +384,10 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
   bool changed = false;
   const std::size_t self = ring_.index_of(node.id);
   const auto fill = [&](std::vector<NodeHandle>& leaves, auto step) {
-    leaves.reserve(static_cast<std::size_t>(leaf_half_));
+    leaves.reserve(kLeafHalf);
     std::size_t count = 0;
     std::size_t at = self;
-    for (int i = 0; i < leaf_half_; ++i) {
+    for (int i = 0; i < kLeafHalf; ++i) {
       at = step(at);
       if (at == self) break;  // wrapped all the way around
       const NodeHandle h = ring_.handle(at);
@@ -450,42 +412,28 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
 
 void PastryNetwork::compute_routing_table(PastryNode& node) {
   note_maintenance();
-  // A warm table is rewritten in place; only a newcomer's rows allocate.
-  node.routing_table.resize(static_cast<std::size_t>(rows_));
-  for (int row = 0; row < rows_; ++row) {
-    std::vector<NodeHandle>& entries =
-        node.routing_table[static_cast<std::size_t>(row)];
-    entries.assign(std::size_t{1} << bits_per_digit_, kNoNode);
-    const int own = digit(node.id, row);
-    const int suffix_bits = bits_ - (row + 1) * bits_per_digit_;
-    for (int col = 0; col < (1 << bits_per_digit_); ++col) {
-      if (col == own) continue;
-      // Identifiers sharing the first `row` digits with node.id and having
-      // digit `col` at position `row` form a contiguous window.
-      const std::uint64_t prefix =
-          (node.id >> (suffix_bits + bits_per_digit_))
-              << (suffix_bits + bits_per_digit_);
-      const std::uint64_t base =
-          prefix | (static_cast<std::uint64_t>(col) << suffix_bits);
-      const std::uint64_t window = 1ULL << suffix_bits;
-      // Prefer the participant whose suffix matches the node's own.
-      const std::uint64_t preferred =
-          base | (node.id & (window - 1));
-      entries[static_cast<std::size_t>(col)] =
-          ring_.nearest_in(base, base + window, preferred);
-    }
+  // A warm table is rewritten in place; only a newcomer's allocates.
+  node.routing_table.resize(static_cast<std::size_t>(bits_));
+  for (int row = 0; row < bits_; ++row) {
+    // The identifiers sharing the first `row` bits with node.id and
+    // differing at bit `row` form one window. Prefer the participant whose
+    // suffix matches the node's own: its id with that bit flipped.
+    const std::uint64_t window = 1ULL << (bits_ - 1 - row);
+    const std::uint64_t preferred = node.id ^ window;
+    const std::uint64_t base = preferred & ~(window - 1);
+    node.routing_table[static_cast<std::size_t>(row)] =
+        ring_.nearest_in(base, base + window, preferred);
   }
 }
 
 void PastryNetwork::compute_neighborhood(PastryNode& node) {
   node.neighborhood.clear();
   node.reach = 0.0;
-  if (neighborhood_size_ == 0) return;
   // The first |M| other nodes in (proximity, handle) order, found by an
   // expanding ring of grid cells around the node's own (DESIGN.md §16).
   // One ranking buffer per thread (refresh runs on the stabilize workers),
   // so a warm search allocates nothing.
-  const std::size_t keep = static_cast<std::size_t>(neighborhood_size_);
+  constexpr std::size_t keep = kNeighborhoodSize;
   thread_local std::vector<std::pair<double, NodeHandle>> best;  // ascending
   best.clear();
   best.reserve(keep + 1);
@@ -504,7 +452,7 @@ void PastryNetwork::compute_neighborhood(PastryNode& node) {
   // rings 0..r are read, every unread node lies at least r cell widths away
   // on some axis: stop when the |M|-th best is strictly nearer than that
   // bound (its 1e-6 margin absorbs rounding), so exact ties are still read.
-  const auto side = static_cast<std::int64_t>(grid_.columns());  // == rows()
+  const auto side = static_cast<std::int64_t>(grid_.side());
   const std::int64_t cx = grid_.column_of(node.x);
   const std::int64_t cy = grid_.row_of(node.y);
   const auto cell = [side](std::int64_t c, std::int64_t offset) {
@@ -526,8 +474,8 @@ void PastryNetwork::compute_neighborhood(PastryNode& node) {
   }
   if (!done) {  // the next ring would wrap the torus: read every cell
     best.clear();
-    for (std::uint32_t row = 0; row < grid_.rows(); ++row) {
-      for (std::uint32_t column = 0; column < grid_.columns(); ++column) {
+    for (std::uint32_t row = 0; row < grid_.side(); ++row) {
+      for (std::uint32_t column = 0; column < grid_.side(); ++column) {
         visit(column, row);
       }
     }
@@ -561,8 +509,8 @@ void PastryNetwork::refresh_leafsets_around(std::uint64_t id) {
 bool PastryNetwork::key_in_leaf_range(const PastryNode& node,
                                       std::uint64_t key) const {
   if (node.leaf_smaller.empty() || node.leaf_larger.empty()) return true;
-  if (node.leaf_smaller.size() < static_cast<std::size_t>(leaf_half_) ||
-      node.leaf_larger.size() < static_cast<std::size_t>(leaf_half_)) {
+  if (node.leaf_smaller.size() < kLeafHalf ||
+      node.leaf_larger.size() < kLeafHalf) {
     return true;  // leaf sets cover the whole (tiny) network
   }
   const std::uint64_t lo = node.leaf_smaller.back();
@@ -591,21 +539,19 @@ class PastryStepPolicy {
   bool alive(NodeHandle node) const { return net_.contains(node); }
   std::size_t slot_of(NodeHandle node) const { return net_.slot_of(node); }
   int default_max_hops() const { return 8 * net_.bits(); }
-  int fallback_budget() const { return 8 * net_.digit_count() + 64; }
+  int fallback_budget() const { return 8 * net_.bits() + 64; }
 
   void prefetch(std::size_t slot) const { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const {
     // Stage 2: warm the leaf sets (both halves get scanned by best_leaf)
-    // and the routing table's row headers (the row picked depends on the
-    // key, so the header vector is the common line).
+    // and the routing table (the entry read depends on the key).
     const PastryNode& cur = net_.node_at(slot);
     util::prefetch_lines(cur.leaf_smaller.data(),
                          cur.leaf_smaller.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.leaf_larger.data(),
                          cur.leaf_larger.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.routing_table.data(),
-                         cur.routing_table.size() *
-                             sizeof(std::vector<NodeHandle>));
+                         cur.routing_table.size() * sizeof(NodeHandle));
   }
 
   dht::HopDecision next_hop(const dht::RouteState& state) {
@@ -646,12 +592,10 @@ class PastryStepPolicy {
                                        "leaf-set");
     }
 
-    // Prefix phase: correct the next digit via the routing table.
+    // Prefix phase: correct the next bit via the routing table.
     const int row = net_.shared_prefix_digits(cur.id, target_);
-    CYCLOID_ASSERT(row < net_.digit_count());
-    const NodeHandle entry =
-        cur.routing_table[static_cast<std::size_t>(row)]
-                         [static_cast<std::size_t>(net_.digit(target_, row))];
+    CYCLOID_ASSERT(row < net_.bits());
+    const NodeHandle entry = cur.routing_table[static_cast<std::size_t>(row)];
     if (entry != kNoNode && state.attempt(*this, entry)) {
       return dht::HopDecision::forward(entry, PastryNetwork::kPrefix,
                                        "prefix");
@@ -674,9 +618,7 @@ class PastryStepPolicy {
     for (const NodeHandle h : cur.leaf_smaller) consider(h);
     for (const NodeHandle h : cur.leaf_larger) consider(h);
     for (const NodeHandle h : cur.neighborhood) consider(h);
-    for (const auto& table_row : cur.routing_table) {
-      for (const NodeHandle h : table_row) consider(h);
-    }
+    for (const NodeHandle h : cur.routing_table) consider(h);
     if (best != kNoNode) {
       return dht::HopDecision::forward(best, PastryNetwork::kPrefix,
                                        "rare-case");

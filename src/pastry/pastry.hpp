@@ -1,16 +1,18 @@
 // Pastry (Rowstron & Druschel 2001) — the hypercube-class, prefix-routing
 // DHT that Cycloid is derived from (paper Sec. 2.1 and Table 1).
 //
-// Identifiers are sequences of base-2^b digits. A node keeps:
-//   * a routing table with one row per digit: row r holds, for every digit
-//     value c, some node that shares the first r digits with it and has c
-//     at position r ("nodes that match each prefix of its own identifier
-//     but differ in the next digit");
+// Identifiers are read as binary digits (Pastry's b = 1, the one setup
+// every experiment runs). A node keeps:
+//   * a routing table with one entry per bit: entry r is some node that
+//     shares the first r bits with it and differs at bit r ("nodes that
+//     match each prefix of its own identifier but differ in the next
+//     digit"); with binary digits that sibling subtree is the row's only
+//     useful column;
 //   * a leaf set L of the |L|/2 numerically closest smaller and |L|/2
 //     larger nodes;
 //   * a neighborhood set M of the |M| geographically closest nodes (we
 //     model proximity with random coordinates on a unit torus).
-// Keys live at the numerically closest node. Routing corrects one digit per
+// Keys live at the numerically closest node. Routing corrects one bit per
 // hop left-to-right and finishes numerically within the leaf set — exactly
 // the scheme Cycloid's descending phase borrows.
 //
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,6 +32,7 @@
 #include "dht/network.hpp"
 #include "dht/sorted_ring.hpp"
 #include "dht/unit_grid.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::pastry {
@@ -37,9 +41,11 @@ struct PastryNode {
   std::uint64_t id = 0;
   double x = 0.0;  ///< proximity coordinates (unit torus)
   double y = 0.0;
-  /// routing_table[row][column]; kNoNode where no participant matches (or
-  /// where the column equals the node's own digit).
-  std::vector<std::vector<dht::NodeHandle>> routing_table;
+  /// routing_table[row], one entry per bit: the member of the row's
+  /// sibling window (the ids that share the node's first `row` bits and
+  /// differ at bit `row`) nearest the node's own id with that bit flipped,
+  /// ties to the larger id; kNoNode while the window is empty.
+  std::vector<dht::NodeHandle> routing_table;
   std::vector<dht::NodeHandle> leaf_smaller;  // nearest first
   std::vector<dht::NodeHandle> leaf_larger;
   std::vector<dht::NodeHandle> neighborhood;  // closest by proximity
@@ -50,27 +56,23 @@ struct PastryNode {
 
 class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
  public:
-  /// Identifier space of 2^bits ids read as bits/bits_per_digit digits of
-  /// base 2^bits_per_digit. `bits` must be divisible by `bits_per_digit`.
-  PastryNetwork(int bits, int bits_per_digit = 2, int leaf_set_size = 8,
-                int neighborhood_size = 8);
+  /// |L|: kLeafSetSize / 2 ring neighbours on each side.
+  static constexpr int kLeafSetSize = 8;
+  /// |M|: proximity-nearest nodes kept in each neighborhood set.
+  static constexpr int kNeighborhoodSize = 8;
+
+  /// Identifier space of 2^bits ids, one binary digit per bit.
+  explicit PastryNetwork(int bits);
 
   /// Bulk mode: membership first, then one stabilize pass over `threads`
   /// workers — byte-identical to the incremental build.
   static std::unique_ptr<PastryNetwork> build_random(int bits,
                                                      std::size_t count,
                                                      util::Rng& rng,
-                                                     int bits_per_digit = 2,
                                                      int threads = 1);
 
   int bits() const noexcept { return bits_; }
   std::uint64_t space_size() const noexcept { return space_size_; }
-  int digit_count() const noexcept { return rows_; }
-  int bits_per_digit() const noexcept { return bits_per_digit_; }
-  /// |L|: leaf_set_size() / 2 ring neighbours on each side.
-  int leaf_set_size() const noexcept { return 2 * leaf_half_; }
-  /// |M|: proximity-nearest nodes kept in each neighborhood set.
-  int neighborhood_size() const noexcept { return neighborhood_size_; }
 
   /// Insert at an explicit identifier with proximity coordinates in [0, 1).
   /// Registers membership (ring and proximity grid); outside bulk mode the
@@ -80,10 +82,18 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
 
   // node_state/node_of/node_at come from dht::ArenaNetwork<PastryNode>.
 
-  /// Value of digit `row` (0 = most significant) of an identifier.
-  int digit(std::uint64_t id, int row) const;
-  /// Number of leading digits shared by two identifiers.
-  int shared_prefix_digits(std::uint64_t a, std::uint64_t b) const;
+  /// Bit `row` (0 = most significant) of an identifier: the digit routing
+  /// row `row` corrects.
+  int digit(std::uint64_t id, int row) const {
+    CYCLOID_EXPECTS(row >= 0 && row < bits_);
+    return static_cast<int>((id >> (bits_ - 1 - row)) & 1);
+  }
+  /// Number of leading bits shared by two identifiers: the routing row a
+  /// hop from one toward the other reads.
+  int shared_prefix_digits(std::uint64_t a, std::uint64_t b) const noexcept {
+    const std::uint64_t differ = (a ^ b) << (64 - bits_);
+    return differ == 0 ? bits_ : std::countl_zero(differ);
+  }
   /// True when `key` falls within the span covered by the node's leaf set.
   bool key_in_leaf_range(const PastryNode& node, std::uint64_t key) const;
   /// Squared Euclidean distance between two points of the unit torus: the
@@ -93,8 +103,8 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   /// Structural invariants: the registry, the arena and the ring hold the
   /// same members, the ring in ascending order (dht::ring_matches_registry);
   /// the proximity grid files each live node once, in the cell of its
-  /// coordinates, and no departed node; every routing table is rows x 2^b;
-  /// the network's neighbourhood reach is at least every node's.
+  /// coordinates, and no departed node; every routing table holds bits()
+  /// entries; the network's neighbourhood reach is at least every node's.
   bool check_invariants() const override;
 
   enum Phase : std::size_t { kPrefix = 0, kLeaf = 1 };
@@ -128,15 +138,13 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   void mark_routing_referencers(std::uint64_t id, dht::NodeHandle changed,
                                 bool join);
   void mark_if_routing_referencer(dht::NodeHandle referencer, int row,
-                                  int col, std::uint64_t preferred,
-                                  std::uint64_t id, dht::NodeHandle changed,
-                                  bool join);
+                                  std::uint64_t preferred, std::uint64_t id,
+                                  dht::NodeHandle changed, bool join);
   void mark_neighborhood_referencers(const PastryNode& state,
                                      dht::NodeHandle changed, bool join);
   void mark_if_neighborhood_holder(dht::NodeHandle handle, double prox,
                                    const PastryNode& state,
-                                   dht::NodeHandle changed, bool join,
-                                   std::size_t m);
+                                   dht::NodeHandle changed, bool join);
 
   /// Numerically closest node to `id` (circular distance; clockwise wins
   /// ties) — Pastry's key-assignment rule.
@@ -157,12 +165,10 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
     return proximity(a.x, a.y, b.x, b.y);
   }
 
+  static constexpr int kLeafHalf = kLeafSetSize / 2;
+
   int bits_;
-  int bits_per_digit_;
-  int rows_;
   std::uint64_t space_size_;
-  int leaf_half_;
-  int neighborhood_size_;
 
   /// Live identifiers (id == handle).
   dht::SortedRing<std::uint64_t> ring_;

@@ -2,41 +2,12 @@
 
 #include <algorithm>
 
-#include "util/contracts.hpp"
-
 namespace cycloid::stats {
 
 void Histogram::add(std::uint64_t value) {
   if (value >= buckets_.size()) buckets_.resize(value + 1, 0);
   ++buckets_[value];
   ++total_;
-}
-
-std::uint64_t Histogram::count_at(std::uint64_t value) const {
-  return value < buckets_.size() ? buckets_[value] : 0;
-}
-
-std::uint64_t Histogram::max_value() const noexcept {
-  return buckets_.empty() ? 0 : buckets_.size() - 1;
-}
-
-double Histogram::mean() const {
-  CYCLOID_EXPECTS(total_ > 0);
-  double weighted = 0.0;
-  for (std::size_t v = 0; v < buckets_.size(); ++v) {
-    weighted += static_cast<double>(v) * static_cast<double>(buckets_[v]);
-  }
-  return weighted / static_cast<double>(total_);
-}
-
-double Histogram::cumulative(std::uint64_t x) const {
-  CYCLOID_EXPECTS(total_ > 0);
-  std::uint64_t below = 0;
-  const std::uint64_t limit = std::min<std::uint64_t>(x, max_value());
-  for (std::uint64_t v = 0; v <= limit && v < buckets_.size(); ++v) {
-    below += buckets_[v];
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
 }
 
 std::string Histogram::render(std::size_t max_bar_width) const {

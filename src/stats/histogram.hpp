@@ -11,15 +11,6 @@ class Histogram {
  public:
   void add(std::uint64_t value);
 
-  std::uint64_t count() const noexcept { return total_; }
-  std::uint64_t count_at(std::uint64_t value) const;
-  std::uint64_t max_value() const noexcept;
-
-  double mean() const;
-
-  /// Fraction of samples with value <= x.
-  double cumulative(std::uint64_t x) const;
-
   /// ASCII rendering, one bucket per line, for example programs.
   std::string render(std::size_t max_bar_width = 50) const;
 

@@ -64,13 +64,4 @@ double Summary::percentile(double q) const {
   return sorted_[rank - 1];
 }
 
-double imbalance_ratio(const Summary& loads) {
-  CYCLOID_EXPECTS(!loads.empty());
-  const double m = loads.mean();
-  if (m == 0.0) return 0.0;
-  double deviation = 0.0;
-  for (const double v : loads.samples()) deviation += std::abs(v - m);
-  return deviation / (m * static_cast<double>(loads.count()));
-}
-
 }  // namespace cycloid::stats

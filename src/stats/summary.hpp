@@ -47,8 +47,4 @@ class Summary {
   mutable bool sorted_valid_ = false;
 };
 
-/// Mean of absolute deviation from a perfectly even split — the load-balance
-/// scalar used alongside the percentile plots for Figs. 8-10.
-double imbalance_ratio(const Summary& loads);
-
 }  // namespace cycloid::stats

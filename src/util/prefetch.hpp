@@ -23,16 +23,30 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 /// hides.
 inline constexpr std::size_t kMaxPrefetchBytes = 8 * kCacheLineBytes;
 
-/// Best-effort read prefetch of the cache lines covering [ptr, ptr + bytes)
-/// (clamped to kMaxPrefetchBytes). Null pointers and zero sizes are silent
-/// no-ops, so callers can pass vector.data() unconditionally.
-inline void prefetch_lines(const void* ptr, std::size_t bytes) noexcept {
+/// Best-effort read prefetch of every cache line holding a byte of
+/// [ptr, ptr + bytes) (clamped to kMaxPrefetchBytes): one prefetch per
+/// kCacheLineBytes from `ptr`, plus one at the last byte, which reaches the
+/// extra line of a span that straddles one more line boundary than
+/// bytes / kCacheLineBytes. The count depends on `bytes` alone, so a
+/// fixed-size hint compiles to straight-line prefetches; a walk from the
+/// start of `ptr`'s line would loop a number of times that depends on the
+/// address, and its exit branch would mispredict. Null pointers and zero
+/// sizes are silent no-ops, so callers can pass vector.data()
+/// unconditionally.
+///
+/// Always inlined: the body has no side effect the compiler must keep, so
+/// GCC deletes an out-of-line call to it, and a hint would then emit no
+/// instruction.
+[[gnu::always_inline]] inline void prefetch_lines(const void* ptr,
+                                                  std::size_t bytes) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   if (ptr == nullptr || bytes == 0) return;
   if (bytes > kMaxPrefetchBytes) bytes = kMaxPrefetchBytes;
-  const char* p = static_cast<const char*>(ptr);
-  const char* const end = p + bytes;
-  for (; p < end; p += kCacheLineBytes) __builtin_prefetch(p, /*rw=*/0, 3);
+  const char* const first = static_cast<const char*>(ptr);
+  for (std::size_t at = 0; at < bytes; at += kCacheLineBytes) {
+    __builtin_prefetch(first + at, /*rw=*/0, 3);
+  }
+  __builtin_prefetch(first + bytes - 1, /*rw=*/0, 3);
 #else
   (void)ptr;
   (void)bytes;

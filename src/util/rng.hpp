@@ -88,23 +88,6 @@ class Rng {
   /// Used by the Poisson churn and lookup processes in the simulator.
   double exponential(double rate) noexcept;
 
-  /// Fisher-Yates shuffle of a random-access container.
-  template <typename Container>
-  void shuffle(Container& items) noexcept {
-    if (items.size() < 2) return;
-    for (std::size_t i = items.size() - 1; i > 0; --i) {
-      using std::swap;
-      swap(items[i], items[static_cast<std::size_t>(below(i + 1))]);
-    }
-  }
-
-  /// Pick a uniformly random element of a non-empty container.
-  template <typename Container>
-  const auto& pick(const Container& items) noexcept {
-    CYCLOID_EXPECTS(!items.empty());
-    return items[static_cast<std::size_t>(below(items.size()))];
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -1,7 +1,8 @@
 #include "viceroy/viceroy.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -24,11 +25,21 @@ double cw(double a, double b) noexcept {
   return d >= 0.0 ? d : d + 1.0;
 }
 
+/// 2^-level, exactly, for a level in [0, 1022]: the IEEE-754 double with
+/// that exponent and a zero mantissa (std::ldexp's value, without the call).
+constexpr double inverse_power_of_two(int level) noexcept {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(1023 - level)
+                               << 52);
+}
+static_assert(inverse_power_of_two(0) == 1.0 &&
+              inverse_power_of_two(1) == 0.5 &&
+              inverse_power_of_two(20) == 0x1p-20);
+
 /// Where a level-`level` node at `id` aims its down-right link:
 /// id + 2^-level, wrapped into [0, 1). The sum rounds, so subtracting
 /// 2^-level from an anchor does not give back the id exactly.
 double right_anchor(double id, int level) noexcept {
-  const double anchor = id + std::ldexp(1.0, -level);
+  const double anchor = id + inverse_power_of_two(level);
   return anchor >= 1.0 ? anchor - 1.0 : anchor;
 }
 
@@ -153,8 +164,7 @@ void ViceroyNetwork::refresh(NodeHandle) {
 // stabilize_dirty.
 
 std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
-                                                             util::Rng& rng,
-                                                             int threads) {
+                                                             util::Rng& rng) {
   auto net = std::make_unique<ViceroyNetwork>();
   CYCLOID_EXPECTS(count >= 1);
   const int max_level = std::max(1, util::ceil_log2(count));
@@ -168,7 +178,7 @@ std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
                               static_cast<std::uint64_t>(max_level)));
     net->insert(id, level);
   }
-  net->finish_bulk(threads);
+  net->finish_bulk();
   return net;
 }
 
@@ -300,7 +310,7 @@ void ViceroyNetwork::retarget_down(int level, double lo, double hi,
   // A down-right link queries id + 2^-(level-1): search the arc shifted
   // back by that much, widened by the rounding, and confirm each candidate
   // with the very anchor the resolver computes.
-  const double shift = std::ldexp(1.0, -(level - 1));
+  const double shift = inverse_power_of_two(level - 1);
   const double length = lo < hi ? hi - lo : lo > hi ? hi - lo + 1.0 : 1.0;
   const bool whole = length + 2.0 * kAnchorSlack >= 1.0;
   const double from = whole ? 0.0 : wrap_unit(lo - shift - kAnchorSlack);
@@ -463,7 +473,7 @@ class ViceroyStepPolicy {
     // finishes the approach).
     if (stage_ == Stage::kDescending) {
       const double dist = cw(cur.id, target_);
-      const ViceroyLink& down = dist < std::ldexp(1.0, -cur.level)
+      const ViceroyLink& down = dist < inverse_power_of_two(cur.level)
                                     ? links[kDownLeft]
                                     : links[kDownRight];
       if (down.node != kNoNode && cw(cur.id, down.id) <= dist) {

@@ -76,12 +76,10 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   ViceroyNetwork() = default;
 
   /// A network of `count` nodes with uniform-random identifiers and levels
-  /// drawn from [1, log2(count)]. `threads` sizes the finish_bulk stabilize
-  /// pass, a no-op here (its serial before_pass fills every link) —
-  /// accepted for builder-signature uniformity across the overlays.
+  /// drawn from [1, log2(count)]. finish_bulk's serial before_pass fills
+  /// every link.
   static std::unique_ptr<ViceroyNetwork> build_random(std::size_t count,
-                                                      util::Rng& rng,
-                                                      int threads = 1);
+                                                      util::Rng& rng);
 
   /// Direct insertion; false when the identifier collides. While
   /// bulk-building the unsorted rings cannot be probed, so a collision is

@@ -18,7 +18,7 @@ using dht::kNoNode;
 using dht::NodeHandle;
 
 TEST(CanBuild, FirstNodeOwnsEverything) {
-  CanNetwork net(2);
+  CanNetwork net;
   const NodeHandle h = net.join_at(Point{0.3, 0.7});
   EXPECT_EQ(net.node_count(), 1u);
   EXPECT_DOUBLE_EQ(net.volume_of(h), 1.0);
@@ -26,7 +26,7 @@ TEST(CanBuild, FirstNodeOwnsEverything) {
 }
 
 TEST(CanBuild, SplitHalvesTheZone) {
-  CanNetwork net(2);
+  CanNetwork net;
   const NodeHandle a = net.join_at(Point{0.25, 0.5});
   const NodeHandle b = net.join_at(Point{0.75, 0.5});
   EXPECT_DOUBLE_EQ(net.volume_of(a), 0.5);
@@ -44,20 +44,6 @@ TEST(CanBuild, VolumesAlwaysSumToOne) {
   for (const NodeHandle h : net->node_handles()) total += net->volume_of(h);
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_TRUE(net->check_invariants());
-}
-
-TEST(CanBuild, ThreeDimensionalNetworksWork) {
-  util::Rng rng(2);
-  auto net = CanNetwork::build_random(64, rng, /*dims=*/3);
-  EXPECT_TRUE(net->check_invariants());
-  dht::LookupMetrics sink;
-  for (int i = 0; i < 200; ++i) {
-    const dht::KeyHash key = rng();
-    const dht::LookupResult result =
-        net->lookup(net->random_node(rng), key, sink);
-    EXPECT_TRUE(result.success);
-    EXPECT_EQ(result.destination, net->owner_of(key));
-  }
 }
 
 TEST(CanLookup, AlwaysFindsOwner) {
@@ -130,7 +116,7 @@ TEST(CanMembership, ChurnPreservesInvariantsAndCorrectness) {
 TEST(CanMembership, CoalesceMergesBuddies) {
   // Split once, then remove the newcomer: the survivor's two half-zones
   // must merge back into the full space.
-  CanNetwork net(2);
+  CanNetwork net;
   const NodeHandle a = net.join_at(Point{0.25, 0.5});
   const NodeHandle b = net.join_at(Point{0.75, 0.5});
   net.leave(b);
@@ -144,7 +130,7 @@ TEST(CanRoutingTable, CoalesceLeavesAFinerCopyThatMeasuresTheSame) {
   // Only a refresh merges them, and it leaves the neighbours' copies
   // alone: c and d still hold both boxes, and the nearest of them must be
   // exactly as far from every point as the merged zone.
-  CanNetwork net(2);
+  CanNetwork net;
   const NodeHandle a = net.join_at(Point{0.3, 0.7});
   const NodeHandle b = net.join_at(Point{0.75, 0.5});
   const NodeHandle c = net.join_at(Point{0.25, 0.25});
@@ -158,7 +144,8 @@ TEST(CanRoutingTable, CoalesceLeavesAFinerCopyThatMeasuresTheSame) {
   for (const NodeHandle h : {c, d}) {
     const CanNode& node = net.node_state(h);
     std::vector<const std::uint64_t*> boxes;
-    for (std::size_t at = 0; at < node.table.size(); at += net.entry_words()) {
+    for (std::size_t at = 0; at < node.table.size();
+         at += CanNetwork::kEntryWords) {
       if (node.table[at] == a) boxes.push_back(&node.table[at]);
     }
     ASSERT_EQ(boxes.size(), 2u) << "node " << h;
@@ -204,11 +191,10 @@ TEST(CanMembership, MassDepartureKeepsServiceCorrect) {
 }
 
 TEST(CanGeometry, PointFromHashCoversSpace) {
-  CanNetwork net(2);
   util::Rng rng(8);
   double min_x = 1.0, max_x = 0.0;
   for (int i = 0; i < 2000; ++i) {
-    const Point p = net.point_from_hash(rng());
+    const Point p = CanNetwork::point_from_hash(rng());
     ASSERT_GE(p[0], 0.0);
     ASSERT_LT(p[0], 1.0);
     ASSERT_GE(p[1], 0.0);
@@ -234,43 +220,41 @@ NodeHandle zone_scan_owner(const CanNetwork& net, dht::KeyHash key) {
 }
 
 TEST(CanOwnership, OwnerOfMatchesZoneScanThroughChurn) {
-  for (int dims = 1; dims <= kMaxDims; ++dims) {
-    util::Rng rng(20 + static_cast<std::uint64_t>(dims));
-    auto net = CanNetwork::build_random(150, rng, dims);
-    const auto check = [&](int op) {
-      ASSERT_TRUE(net->check_invariants()) << "dims " << dims << " op " << op;
-      // Cell and zone edges: the origin and the midpoint of axis 0.
-      for (const dht::KeyHash key : {dht::KeyHash{0}, dht::KeyHash{1} << 63}) {
-        ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
-            << "dims " << dims << " op " << op << " key " << key;
-      }
-      for (int i = 0; i < 8; ++i) {
-        const dht::KeyHash key = rng();
-        ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
-            << "dims " << dims << " op " << op << " key " << key;
-      }
-    };
-    check(-1);
-    for (int op = 0; op < 300; ++op) {
-      const double roll = rng.uniform01();
-      if (roll < 0.4) {
-        net->join(rng());
-      } else if (roll < 0.7 && net->node_count() > 1) {
-        net->leave(net->random_node(rng));
-      } else if (roll < 0.9 && net->node_count() > 1) {
-        net->fail_ungraceful(net->random_node(rng));
-      } else {
-        net->stabilize_all();
-      }
-      check(op);
+  util::Rng rng(22);
+  auto net = CanNetwork::build_random(150, rng);
+  const auto check = [&](int op) {
+    ASSERT_TRUE(net->check_invariants()) << "op " << op;
+    // Cell and zone edges: the origin and the midpoint of the y axis.
+    for (const dht::KeyHash key : {dht::KeyHash{0}, dht::KeyHash{1} << 63}) {
+      ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
+          << "op " << op << " key " << key;
     }
-    // Down to a single node, through every grid re-fit on the way.
-    while (net->node_count() > 1) {
+    for (int i = 0; i < 8; ++i) {
+      const dht::KeyHash key = rng();
+      ASSERT_EQ(net->owner_of(key), zone_scan_owner(*net, key))
+          << "op " << op << " key " << key;
+    }
+  };
+  check(-1);
+  for (int op = 0; op < 300; ++op) {
+    const double roll = rng.uniform01();
+    if (roll < 0.4) {
+      net->join(rng());
+    } else if (roll < 0.7 && net->node_count() > 1) {
       net->leave(net->random_node(rng));
-      check(-2);
+    } else if (roll < 0.9 && net->node_count() > 1) {
+      net->fail_ungraceful(net->random_node(rng));
+    } else {
+      net->stabilize_all();
     }
-    EXPECT_DOUBLE_EQ(net->volume_of(net->node_handles().front()), 1.0);
+    check(op);
   }
+  // Down to a single node, through every grid re-fit on the way.
+  while (net->node_count() > 1) {
+    net->leave(net->random_node(rng));
+    check(-2);
+  }
+  EXPECT_DOUBLE_EQ(net->volume_of(net->node_handles().front()), 1.0);
 }
 
 }  // namespace

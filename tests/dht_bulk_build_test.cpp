@@ -11,6 +11,7 @@
 // totals over the same workload.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -82,8 +83,7 @@ std::unique_ptr<dht::DhtNetwork> build_incremental(OverlayKind kind) {
       return net;
     }
     case OverlayKind::kPastry: {
-      auto net = std::make_unique<pastry::PastryNetwork>(bits,
-                                                         /*bits_per_digit=*/1);
+      auto net = std::make_unique<pastry::PastryNetwork>(bits);
       while (net->node_count() < kNodes) {
         net->insert(rng.below(1ULL << bits), rng.uniform01(), rng.uniform01());
       }
@@ -91,11 +91,10 @@ std::unique_ptr<dht::DhtNetwork> build_incremental(OverlayKind kind) {
       return net;
     }
     case OverlayKind::kCan: {
-      auto net = std::make_unique<can::CanNetwork>(/*dims=*/2);
+      auto net = std::make_unique<can::CanNetwork>();
       while (net->node_count() < kNodes) {
-        can::Point p{};
-        for (int d = 0; d < 2; ++d) p[static_cast<std::size_t>(d)] = rng.uniform01();
-        net->join_at(p);
+        const double x = rng.uniform01();
+        net->join_at(can::Point{x, rng.uniform01()});
       }
       return net;
     }
@@ -156,14 +155,16 @@ TEST(BulkModeTest, InsertDuringBulkDefersTableComputation) {
   ASSERT_TRUE(net.insert(5));
   ASSERT_TRUE(net.insert(200));
   // No state computed yet — membership only.
-  EXPECT_EQ(net.node_state(5).successors.size(), 0u);
+  EXPECT_EQ(net.node_state(5).successors,
+            (std::array<dht::NodeHandle, 3>{dht::kNoNode, dht::kNoNode,
+                                            dht::kNoNode}));
   EXPECT_EQ(net.node_state(5).fingers.size(), 0u);
   EXPECT_EQ(net.node_state(200).predecessor, dht::kNoNode);
   net.finish_bulk(/*threads=*/2);
   EXPECT_FALSE(net.bulk_building());
-  EXPECT_EQ(net.node_state(5).successors.size(), 3u);
+  EXPECT_EQ(net.node_state(5).successors,
+            (std::array<dht::NodeHandle, 3>{200, 5, 200}));
   EXPECT_EQ(net.node_state(5).fingers.size(), 8u);
-  EXPECT_EQ(net.node_state(5).successors[0], 200u);
   EXPECT_EQ(net.node_state(200).predecessor, 5u);
 }
 

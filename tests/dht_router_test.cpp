@@ -515,7 +515,7 @@ struct PolicyCall {
 /// Which optional prefetch hooks a HintLogPolicy has: none, as Viceroy;
 /// prefetch_tables only, as CAN; or the stage-1 prefetch too, as Cycloid,
 /// Chord, Koorde and Pastry.
-enum class Hints { kNone, kTables, kBoth };
+enum class Hints { kNone, kPrefetch, kTables, kBoth };
 
 /// Logs every hint and next_hop call of one lookup, in order. Lookup `key`
 /// forwards key % 5 hops along handles from, from + 1, ..., then ends by
@@ -536,12 +536,12 @@ class HintLogPolicy : public FakePolicy {
 
   std::size_t slot_of(NodeHandle node) const { return slot_for(node); }
   void prefetch(std::size_t slot) const
-    requires(kHints == Hints::kBoth)
+    requires(kHints == Hints::kPrefetch || kHints == Hints::kBoth)
   {
     log_->push_back({PolicyCall::Kind::kPrefetch, slot});
   }
   void prefetch_tables(std::size_t slot) const
-    requires(kHints != Hints::kNone)
+    requires(kHints == Hints::kTables || kHints == Hints::kBoth)
   {
     log_->push_back({PolicyCall::Kind::kTables, slot});
   }
@@ -571,6 +571,7 @@ class HintLogPolicy : public FakePolicy {
 
 static_assert(StepPolicy<KeyedPolicy>);
 static_assert(StepPolicy<HintLogPolicy<Hints::kNone>>);
+static_assert(StepPolicy<HintLogPolicy<Hints::kPrefetch>>);
 static_assert(StepPolicy<HintLogPolicy<Hints::kTables>>);
 static_assert(StepPolicy<HintLogPolicy<Hints::kBoth>>);
 
@@ -619,10 +620,10 @@ void expect_hint_schedule() {
       std::vector<PolicyCall> expected;
       for (int p = 0; p < positions; ++p) {
         const std::size_t slot = Policy::slot_for(froms[i] + p);
-        if (kHints == Hints::kBoth) {
+        if (kHints == Hints::kPrefetch || kHints == Hints::kBoth) {
           expected.push_back({PolicyCall::Kind::kPrefetch, slot});
         }
-        if (kHints != Hints::kNone) {
+        if (kHints == Hints::kTables || kHints == Hints::kBoth) {
           expected.push_back({PolicyCall::Kind::kTables, slot});
         }
         expected.push_back({PolicyCall::Kind::kNextHop, slot});
@@ -642,9 +643,15 @@ TEST(DhtRouterBatchTest, EveryStepFollowsItsTwoPrefetchHintsOncePerPosition) {
   // with that hook). Nothing else is called — including where a lookup
   // starts, and never for the receiver of a final hop or a hop the cap
   // refused. A policy with no hint sees next_hop alone, once per position.
+  // The four schedules are Viceroy's (no hint), Cycloid's (prefetch only),
+  // CAN's (prefetch_tables only) and Chord's, Koorde's and Pastry's (both).
   {
     SCOPED_TRACE("no hint");
     expect_hint_schedule<Hints::kNone>();
+  }
+  {
+    SCOPED_TRACE("prefetch only");
+    expect_hint_schedule<Hints::kPrefetch>();
   }
   {
     SCOPED_TRACE("prefetch_tables only");

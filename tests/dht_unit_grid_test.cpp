@@ -124,8 +124,8 @@ TEST(UnitGrid, FitResizesOnTwofoldDriftBothWays) {
   EXPECT_FALSE(grid.fit(0));  // an empty grid already fits nothing
 
   EXPECT_TRUE(grid.fit(200));
-  EXPECT_EQ(grid.columns(), 10u);  // sqrt(200 / 2)
-  EXPECT_EQ(grid.rows(), 10u);
+  EXPECT_EQ(grid.side(), 10u);  // sqrt(200 / 2)
+  EXPECT_EQ(grid.cell_count(), 100u);
   grid.add(grid.cell_of(0.55, 0.05), 7);
   EXPECT_EQ(grid.bucket(grid.cell(5, 0)), std::vector<int>{7});
 
@@ -134,21 +134,15 @@ TEST(UnitGrid, FitResizesOnTwofoldDriftBothWays) {
   EXPECT_EQ(grid.bucket(grid.cell(5, 0)).size(), 1u);
 
   EXPECT_TRUE(grid.fit(401));  // grew past 2x: re-fit and emptied
-  EXPECT_EQ(grid.columns(), 14u);
+  EXPECT_EQ(grid.side(), 14u);
   for (std::size_t c = 0; c < grid.cell_count(); ++c) {
     EXPECT_TRUE(grid.bucket(c).empty());
   }
 
   EXPECT_TRUE(grid.fit(200));  // shrank past 2x
-  EXPECT_EQ(grid.columns(), 10u);
+  EXPECT_EQ(grid.side(), 10u);
   EXPECT_TRUE(grid.fit(3));
   EXPECT_EQ(grid.cell_count(), 1u);
-
-  Grid line(1);  // one gridded axis: a single row
-  EXPECT_TRUE(line.fit(100));
-  EXPECT_EQ(line.columns(), 50u);
-  EXPECT_EQ(line.rows(), 1u);
-  EXPECT_EQ(line.cell_of(0.99, 0.99), 49u);
 }
 
 TEST(UnitGrid, RemoveTakesOneCopy) {

@@ -109,7 +109,7 @@ TEST(ChurnGolden, RowsMatchSeedValues) {
                  (golden.mode == StabilizeMode::kFull ? " full"
                                                       : " incremental"));
     const ChurnRow row =
-        run_churn_experiment(golden.kind, 6, 0.2, 600.0, 30.0, 13, golden.mode);
+        run_churn_experiment(golden.kind, 6, 0.2, 600.0, 13, golden.mode);
     EXPECT_EQ(row.lookups, golden.lookups);
     EXPECT_EQ(row.failures, golden.failures);
     EXPECT_EQ(row.final_size, golden.final_size);

@@ -192,7 +192,7 @@ TEST(ExtUngraceful, GracefulModeIsUnaffectedByTheNewAccounting) {
 TEST(Fig12Churn, StabilizationKeepsLookupsCleanAndCorrect) {
   for (const OverlayKind kind :
        {OverlayKind::kCycloid7, OverlayKind::kKoorde, OverlayKind::kViceroy}) {
-    const ChurnRow row = run_churn_experiment(kind, 6, 0.2, 600.0, 30.0, 13);
+    const ChurnRow row = run_churn_experiment(kind, 6, 0.2, 600.0, 13);
     EXPECT_GT(row.lookups, 400u) << overlay_label(kind);
     EXPECT_EQ(row.failures, 0u) << overlay_label(kind);
     // With stabilization, timeouts are rare (paper Table 5: < 0.5/lookup).
@@ -202,7 +202,7 @@ TEST(Fig12Churn, StabilizationKeepsLookupsCleanAndCorrect) {
 
 TEST(Fig12Churn, MaintenanceBreakdownCoversChurnActivity) {
   const ChurnRow row =
-      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.2, 600.0, 30.0, 13);
+      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.2, 600.0, 13);
   // Joins, leaves, and stabilization all ran, so every cause except
   // lookup-learned promotion (Koorde-only) must have charged something, and
   // the per-cause split partitions the total exactly.
@@ -221,9 +221,9 @@ TEST(Fig12Churn, MaintenanceBreakdownCoversChurnActivity) {
 
 TEST(Fig12Churn, PathLengthInsensitiveToChurnRate) {
   const ChurnRow slow =
-      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.05, 600.0, 30.0, 14);
+      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.05, 600.0, 14);
   const ChurnRow fast =
-      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.4, 600.0, 30.0, 14);
+      run_churn_experiment(OverlayKind::kCycloid7, 6, 0.4, 600.0, 14);
   EXPECT_LT(std::abs(slow.mean_path - fast.mean_path),
             0.35 * slow.mean_path);
 }

@@ -358,16 +358,16 @@ TEST(StabilizeAllocation, PastryPassAllocatesIndependentlyOfNetworkSize) {
 }
 
 // A Pastry join, a leave of the newcomer and the drain after them allocate
-// the newcomer's own state (two leaf vectors, its table's rows + 1 blocks
-// and its neighbourhood) and the drain's slot list: nothing per queued
-// handle, per repaired leaf set or per refreshed node. The second,
-// identical cycle runs on warm containers, the dirty queue's index
-// included.
+// the newcomer's own state (two leaf vectors, its routing table and its
+// neighbourhood) and the drain's slot list, five blocks at any ring width:
+// nothing per queued handle, per repaired leaf set or per refreshed node.
+// The second, identical cycle runs on warm containers, the dirty queue's
+// index included.
 TEST(MaintenanceAllocation, PastryJoinLeaveAndDrainAllocateNoPerNodeState) {
   constexpr int kBits = 16;
   const auto cycle_cost = [](std::size_t n) {
     util::Rng rng(kSeed + 14);
-    auto net = pastry::PastryNetwork::build_random(kBits, n, rng, 1);
+    auto net = pastry::PastryNetwork::build_random(kBits, n, rng);
     net->set_dirty_tracking(true);
     const std::uint64_t seed = rng();
     std::uint64_t cost = 0;
@@ -383,7 +383,7 @@ TEST(MaintenanceAllocation, PastryJoinLeaveAndDrainAllocateNoPerNodeState) {
   };
   const std::uint64_t small = cycle_cost(1u << 8);
   EXPECT_EQ(small, cycle_cost(1u << 11));
-  EXPECT_LE(small, static_cast<std::uint64_t>(kBits) + 8);
+  EXPECT_LE(small, 5u);
 }
 
 // A single call holds no per-node state: one route() + absorb() through a

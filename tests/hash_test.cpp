@@ -99,12 +99,5 @@ TEST(Keys, ReduceUnitHalfOpen) {
   }
 }
 
-TEST(Keys, Fnv1aKnownValues) {
-  // Standard FNV-1a 64-bit test vectors.
-  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
-}
-
 }  // namespace
 }  // namespace cycloid::hash

@@ -225,7 +225,7 @@ TEST(KoordeRepair, PromotionConsumesBackups) {
 TEST(KoordeDegree, HigherDegreeRingsRouteCorrectly) {
   // Degree-2^b generalization: identifiers as base-2^b digit strings.
   for (const int b : {2, 3}) {
-    KoordeNetwork net(12, 3, 3, b);
+    KoordeNetwork net(12, 3, b);
     util::Rng rng(100 + b);
     while (net.node_count() < 500) net.insert(rng.below(1ULL << 12));
     net.stabilize_all();
@@ -242,7 +242,7 @@ TEST(KoordeDegree, HigherDegreeRingsRouteCorrectly) {
 
 TEST(KoordeDegree, FewerDeBruijnHopsPerLookup) {
   const auto debruijn_hops = [](int b) {
-    KoordeNetwork net(12, 3, 3, b);
+    KoordeNetwork net(12, 3, b);
     for (std::uint64_t id = 0; id < (1ULL << 12); ++id) net.insert(id);
     net.stabilize_all();
     util::Rng rng(7);
@@ -262,7 +262,7 @@ TEST(KoordeDegree, FewerDeBruijnHopsPerLookup) {
 }
 
 TEST(KoordeDegree, RejectsIndivisibleDigitWidth) {
-  EXPECT_DEATH(KoordeNetwork(11, 3, 3, 2), "Precondition");
+  EXPECT_DEATH(KoordeNetwork(11, 3, 2), "Precondition");
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ inline std::set<dht::NodeHandle> reference_dirty_marks(
   // Leaf sets go stale only on a silent vanish: leaf_half + 1 ring
   // neighbours on each side of the victim, stopping at a wrap.
   if (event == dht::MembershipEvent::kVanish) {
-    const int walk = net.leaf_set_size() / 2 + 1;
+    const int walk = PastryNetwork::kLeafSetSize / 2 + 1;
     const auto at = static_cast<std::size_t>(
         std::lower_bound(ring.begin(), ring.end(), id) - ring.begin());
     std::size_t down = at;
@@ -51,26 +51,23 @@ inline std::set<dht::NodeHandle> reference_dirty_marks(
   }
 
   // Routing referencers: every node of J's row-r prefix window outside J's
-  // own sub-window, tested on its entry for J's sub-window.
+  // own sub-window, tested on its row-r entry, the one for J's sub-window.
   const bool join = event == dht::MembershipEvent::kJoin;
   const int bits = net.bits();
-  const int b = net.bits_per_digit();
-  const auto rows = static_cast<std::size_t>(net.digit_count());
-  for (int row = 0; row < net.digit_count(); ++row) {
+  for (int row = 0; row < bits; ++row) {
     const int col = net.digit(id, row);
-    const int suffix_bits = bits - (row + 1) * b;
-    const std::uint64_t span = 1ULL << (suffix_bits + b);
+    const int suffix_bits = bits - row - 1;
+    const std::uint64_t span = 1ULL << (suffix_bits + 1);
     const std::uint64_t start = (id / span) * span;
     for (const dht::NodeHandle x : ring) {
       if (x < start || x >= start + span) continue;
       if (net.digit(x, row) == col) continue;  // deeper row (and J itself)
       const auto& table = net.node_state(x).routing_table;
-      if (table.size() != rows) {
+      if (table.size() != static_cast<std::size_t>(bits)) {
         marks.insert(x);
         continue;
       }
-      const dht::NodeHandle entry =
-          table[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];
+      const dht::NodeHandle entry = table[static_cast<std::size_t>(row)];
       if (!join) {
         if (entry == node) marks.insert(x);
         continue;
@@ -94,8 +91,7 @@ inline std::set<dht::NodeHandle> reference_dirty_marks(
   // Neighbourhood holders: a departure stales every set holding the
   // victim; a join every set not yet full or whose farthest member the
   // newcomer ties or beats.
-  const auto m = static_cast<std::size_t>(net.neighborhood_size());
-  if (m == 0) return marks;
+  constexpr std::size_t m = PastryNetwork::kNeighborhoodSize;
   for (const dht::NodeHandle x : ring) {
     if (x == node) continue;
     const PastryNode& other = net.node_state(x);

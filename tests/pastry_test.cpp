@@ -23,51 +23,88 @@ using dht::kNoNode;
 using dht::NodeHandle;
 
 TEST(PastryDigits, ExtractionMatchesDefinition) {
-  PastryNetwork net(12, /*bits_per_digit=*/2);
-  EXPECT_EQ(net.digit_count(), 6);
-  const std::uint64_t id = 0b11'01'00'10'11'01;
-  EXPECT_EQ(net.digit(id, 0), 0b11);
-  EXPECT_EQ(net.digit(id, 1), 0b01);
-  EXPECT_EQ(net.digit(id, 2), 0b00);
-  EXPECT_EQ(net.digit(id, 3), 0b10);
-  EXPECT_EQ(net.digit(id, 5), 0b01);
+  PastryNetwork net(12);
+  const std::uint64_t id = 0b1101'0010'1101;
+  EXPECT_EQ(net.digit(id, 0), 1);
+  EXPECT_EQ(net.digit(id, 2), 0);
+  EXPECT_EQ(net.digit(id, 3), 1);
+  EXPECT_EQ(net.digit(id, 4), 0);
+  EXPECT_EQ(net.digit(id, 6), 1);
+  EXPECT_EQ(net.digit(id, 11), 1);
 }
 
 TEST(PastryDigits, SharedPrefixLength) {
-  PastryNetwork net(12, 2);
-  EXPECT_EQ(net.shared_prefix_digits(0b110100101101, 0b110100101101), 6);
-  EXPECT_EQ(net.shared_prefix_digits(0b110100101101, 0b110100101100), 5);
+  PastryNetwork net(12);
+  EXPECT_EQ(net.shared_prefix_digits(0b110100101101, 0b110100101101), 12);
+  EXPECT_EQ(net.shared_prefix_digits(0b110100101101, 0b110100101100), 11);
   EXPECT_EQ(net.shared_prefix_digits(0b110100101101, 0b000000000000), 0);
-  EXPECT_EQ(net.shared_prefix_digits(0b110100000000, 0b110111000000), 2);
+  EXPECT_EQ(net.shared_prefix_digits(0b110100000000, 0b110111000000), 4);
+  EXPECT_EQ(net.shared_prefix_digits(0b011111111111, 0b100000000000), 0);
 }
 
-TEST(PastryStructure, RoutingTableEntriesMatchPrefixPattern) {
-  util::Rng rng(1);
-  auto net = PastryNetwork::build_random(12, 150, rng, 2);
-  for (const NodeHandle h : net->node_handles()) {
-    const PastryNode& node = net->node_state(h);
-    for (int row = 0; row < net->digit_count(); ++row) {
-      for (int col = 0; col < 4; ++col) {
-        const NodeHandle entry =
-            node.routing_table[static_cast<std::size_t>(row)]
-                              [static_cast<std::size_t>(col)];
-        if (col == net->digit(node.id, row)) {
-          EXPECT_EQ(entry, kNoNode);  // own digit: column unused
-          continue;
-        }
-        if (entry == kNoNode) continue;
-        // Entry shares exactly `row` digits with the node and has digit
-        // `col` at position `row`.
-        EXPECT_GE(net->shared_prefix_digits(entry, node.id), row);
-        EXPECT_EQ(net->digit(entry, row), col);
-      }
+/// The member of `members` in [lo, hi) nearest `preferred`, ties going to
+/// the larger id; kNoNode when none lies there. A scan of every member.
+NodeHandle brute_nearest(const std::vector<NodeHandle>& members,
+                         std::uint64_t lo, std::uint64_t hi,
+                         std::uint64_t preferred) {
+  NodeHandle best = kNoNode;
+  std::uint64_t best_gap = 0;
+  for (const NodeHandle m : members) {
+    if (m < lo || m >= hi) continue;
+    const std::uint64_t gap = m >= preferred ? m - preferred : preferred - m;
+    if (best == kNoNode || gap < best_gap ||
+        (gap == best_gap && m > best)) {
+      best = m;
+      best_gap = gap;
+    }
+  }
+  return best;
+}
+
+/// Row r of a node X holds one entry: the member of X's sibling window at
+/// row r (the ids that share X's first r bits and differ at bit r) nearest
+/// X's preferred id there, X's id with bit r flipped; ties go to the
+/// larger id, and the entry is kNoNode only when the window is empty.
+void expect_rows_match_brute_force(const PastryNetwork& net,
+                                   const std::string& where) {
+  const std::vector<NodeHandle> members = net.node_handles();
+  for (const NodeHandle h : members) {
+    const PastryNode& node = net.node_state(h);
+    ASSERT_EQ(node.routing_table.size(), static_cast<std::size_t>(net.bits()))
+        << where << ": node " << h;
+    for (int row = 0; row < net.bits(); ++row) {
+      const std::uint64_t flip = 1ULL << (net.bits() - row - 1);
+      const std::uint64_t preferred = node.id ^ flip;
+      const std::uint64_t lo = preferred & ~(flip - 1);
+      ASSERT_EQ(node.routing_table[static_cast<std::size_t>(row)],
+                brute_nearest(members, lo, lo + flip, preferred))
+          << where << ": node " << h << ", row " << row;
     }
   }
 }
 
+TEST(PastryStructure, RoutingTableEntriesMatchPrefixPattern) {
+  util::Rng rng(1);
+  auto net = PastryNetwork::build_random(12, 300, rng);
+  ASSERT_NO_FATAL_FAILURE(expect_rows_match_brute_force(*net, "bulk build"));
+  for (int op = 0; op < 300; ++op) {
+    const auto roll = rng.below(3);
+    if (roll == 0 || net->node_count() <= 100) {
+      net->join(rng());
+    } else if (roll == 1) {
+      net->leave(net->random_node(rng));
+    } else {
+      net->fail_ungraceful(net->random_node(rng));
+    }
+  }
+  net->stabilize_all();
+  ASSERT_NO_FATAL_FAILURE(
+      expect_rows_match_brute_force(*net, "soup, then stabilize_all"));
+}
+
 TEST(PastryStructure, LeafSetsAreRingNeighbors) {
   util::Rng rng(2);
-  auto net = PastryNetwork::build_random(10, 60, rng, 2);
+  auto net = PastryNetwork::build_random(10, 60, rng);
   const auto handles = net->node_handles();
   for (std::size_t i = 0; i < handles.size(); ++i) {
     const PastryNode& node = net->node_state(handles[i]);
@@ -85,7 +122,7 @@ TEST(PastryStructure, LeafSetsAreRingNeighbors) {
 
 TEST(PastryStructure, NeighborhoodHoldsProximityNearestNodes) {
   util::Rng rng(3);
-  auto net = PastryNetwork::build_random(10, 40, rng, 2);
+  auto net = PastryNetwork::build_random(10, 40, rng);
   // Freshly stabilized: each node's M holds 8 nodes, none of them itself.
   for (const NodeHandle h : net->node_handles()) {
     const PastryNode& node = net->node_state(h);
@@ -128,14 +165,14 @@ void expect_exact_neighborhoods(const PastryNetwork& net, std::size_t m,
 TEST(PastryNeighborhood, MatchesBruteForceAfterBulkBuilds) {
   util::Rng rng(11);
   for (const std::size_t n : {2u, 9u, 2048u}) {
-    auto net = PastryNetwork::build_random(16, n, rng, 2);
+    auto net = PastryNetwork::build_random(16, n, rng);
     expect_exact_neighborhoods(*net, 8, "bulk build");
   }
 }
 
 TEST(PastryNeighborhood, MatchesBruteForceThroughChurn) {
   util::Rng rng(12);
-  auto net = PastryNetwork::build_random(14, 200, rng, 2);
+  auto net = PastryNetwork::build_random(14, 200, rng);
   for (int op = 0; op < 300; ++op) {
     const double roll = rng.uniform01();
     if (roll < 0.4) {
@@ -167,7 +204,7 @@ TEST(PastryNeighborhood, MatchesBruteForceThroughChurn) {
 TEST(PastryNeighborhood, TiesOnCellEdgesBreakByHandle) {
   // 128 members fit an 8 x 8 grid, so every lattice point k/8 lies on a
   // cell edge; each point holds two nodes, and equal distances abound.
-  PastryNetwork net(12, 2);
+  PastryNetwork net(12);
   std::uint64_t id = 0;
   for (int copy = 0; copy < 2; ++copy) {
     for (int i = 0; i < 8; ++i) {
@@ -193,32 +230,29 @@ TEST(PastryNeighborhood, TiesOnCellEdgesBreakByHandle) {
 }
 
 TEST(PastryNeighborhood, EmptyAndOversizedSets) {
+  // A lone node's set is empty; below |M| + 1 nodes every set holds every
+  // other node, nearest first.
   util::Rng rng(13);
-  PastryNetwork none(12, 2, /*leaf_set_size=*/8, /*neighborhood_size=*/0);
-  PastryNetwork all(12, 2, /*leaf_set_size=*/8, /*neighborhood_size=*/50);
-  while (all.node_count() < 20) {
-    const std::uint64_t id = rng.below(1ULL << 12);
-    const double x = rng.uniform01();
-    const double y = rng.uniform01();
-    none.insert(id, x, y);
-    all.insert(id, x, y);
-  }
-  none.stabilize_all();
-  all.stabilize_all();
-  for (const NodeHandle h : none.node_handles()) {
-    EXPECT_TRUE(none.node_state(h).neighborhood.empty());
-  }
-  // |M| > n - 1: every other node, nearest first.
-  expect_exact_neighborhoods(all, 50, "oversized");
-  for (const NodeHandle h : all.node_handles()) {
-    EXPECT_EQ(all.node_state(h).neighborhood.size(), 19u);
+  PastryNetwork net(12);
+  const auto insert_random = [&] {
+    net.insert(rng.below(1ULL << 12), rng.uniform01(), rng.uniform01());
+  };
+  insert_random();
+  net.stabilize_all();
+  EXPECT_TRUE(net.node_state(net.node_handles().front()).neighborhood.empty());
+  while (net.node_count() < 6) insert_random();
+  net.stabilize_all();
+  expect_exact_neighborhoods(net, PastryNetwork::kNeighborhoodSize,
+                             "oversized");
+  for (const NodeHandle h : net.node_handles()) {
+    EXPECT_EQ(net.node_state(h).neighborhood.size(), 5u);
   }
 }
 
 TEST(PastryLookup, AlwaysFindsOwner) {
   util::Rng rng(4);
   for (const std::size_t n : {2u, 9u, 77u, 400u}) {
-    auto net = PastryNetwork::build_random(12, n, rng, 2);
+    auto net = PastryNetwork::build_random(12, n, rng);
     dht::LookupMetrics sink;
     for (int i = 0; i < 300; ++i) {
       const dht::KeyHash key = rng();
@@ -233,7 +267,7 @@ TEST(PastryLookup, AlwaysFindsOwner) {
 
 TEST(PastryLookup, OwnerIsNumericallyClosest) {
   util::Rng rng(5);
-  auto net = PastryNetwork::build_random(12, 120, rng, 2);
+  auto net = PastryNetwork::build_random(12, 120, rng);
   for (int i = 0; i < 300; ++i) {
     const dht::KeyHash key = rng();
     const std::uint64_t target = key % net->space_size();
@@ -249,21 +283,22 @@ TEST(PastryLookup, OwnerIsNumericallyClosest) {
 
 TEST(PastryLookup, LogarithmicPathLength) {
   util::Rng rng(6);
-  auto net = PastryNetwork::build_random(12, 1024, rng, 2);
+  auto net = PastryNetwork::build_random(12, 1024, rng);
   double total = 0;
   const int lookups = 2000;
   dht::LookupMetrics sink;
   for (int i = 0; i < lookups; ++i) {
     total += net->lookup(net->random_node(rng), rng(), sink).hops;
   }
-  // Base-4 prefix routing: ~log_4(1024) = 5 digit corrections.
+  // Binary prefix routing: O(log n) hops, each fixing one bit or more of
+  // the log2(1024) = 10 that separate two random nodes.
   EXPECT_LT(total / lookups, 8.0);
   EXPECT_GT(total / lookups, 2.0);
 }
 
 TEST(PastryLookup, PhasePartition) {
   util::Rng rng(7);
-  auto net = PastryNetwork::build_random(12, 200, rng, 2);
+  auto net = PastryNetwork::build_random(12, 200, rng);
   dht::LookupMetrics sink;
   for (int i = 0; i < 200; ++i) {
     const dht::LookupResult result =
@@ -276,7 +311,7 @@ TEST(PastryLookup, PhasePartition) {
 
 TEST(PastryMembership, JoinLeaveKeepCorrectness) {
   util::Rng rng(8);
-  auto net = PastryNetwork::build_random(11, 90, rng, /*bits_per_digit=*/1);
+  auto net = PastryNetwork::build_random(11, 90, rng);
   for (int round = 0; round < 120; ++round) {
     if (rng.chance(0.5) && net->node_count() > 10) {
       net->leave(net->random_node(rng));
@@ -294,7 +329,7 @@ TEST(PastryMembership, JoinLeaveKeepCorrectness) {
 
 TEST(PastryFailures, TimeoutsOnStaleTablesNoFailures) {
   util::Rng rng(9);
-  auto net = PastryNetwork::build_random(11, 800, rng, 1);
+  auto net = PastryNetwork::build_random(11, 800, rng);
   net->fail_simultaneously(0.4, rng);
   int timeouts = 0;
   dht::LookupMetrics sink;
@@ -349,13 +384,13 @@ void expect_exact_marks(PastryNetwork& net, dht::MembershipEvent event,
 /// The farthest member of the widest full neighbourhood among the nodes
 /// not queued: its departure sits on the edge of the hook's disc.
 NodeHandle widest_edge(const PastryNetwork& net) {
-  const auto m = static_cast<std::size_t>(net.neighborhood_size());
+  constexpr std::size_t m = PastryNetwork::kNeighborhoodSize;
   const std::set<NodeHandle> stale = queued(net);
   NodeHandle edge = kNoNode;
   double widest = -1.0;
   for (const NodeHandle h : net.node_handles()) {
     const PastryNode& node = net.node_state(h);
-    if (m == 0 || node.neighborhood.size() != m || stale.count(h) != 0) {
+    if (node.neighborhood.size() != m || stale.count(h) != 0) {
       continue;
     }
     const PastryNode* farthest = net.node_of(node.neighborhood.back());
@@ -413,61 +448,39 @@ void run_exact_marks_soup(PastryNetwork& net, util::Rng& rng, int ops,
   }
 }
 
-std::unique_ptr<PastryNetwork> bulk_network(int bits, int bits_per_digit,
-                                            int neighborhood_size,
-                                            std::size_t n, util::Rng& rng) {
-  auto net = std::make_unique<PastryNetwork>(bits, bits_per_digit, 8,
-                                             neighborhood_size);
+TEST(PastryDirtyHook, MarksExactlyTheReferenceSetThroughChurn) {
+  util::Rng rng(108);
+  auto net = std::make_unique<PastryNetwork>(12);
   net->begin_bulk();
-  while (net->node_count() < n) {
+  while (net->node_count() < 160) {
     net->insert(rng.below(net->space_size()), rng.uniform01(),
                 rng.uniform01());
   }
   net->finish_bulk();
-  return net;
-}
-
-TEST(PastryDirtyHook, MarksExactlyTheReferenceSetThroughChurn) {
-  // |M| = 400 exceeds every network size here: the hook reads all nodes.
-  for (const int b : {1, 2}) {
-    for (const int m : {0, 8, 400}) {
-      SCOPED_TRACE("b = " + std::to_string(b) + ", |M| = " +
-                   std::to_string(m));
-      util::Rng rng(static_cast<std::uint64_t>(100 * b + m));
-      auto net = bulk_network(12, b, m, 160, rng);
-      ASSERT_TRUE(net->check_invariants());
-      net->set_dirty_tracking(true);
-      ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(*net, rng, 400, 40));
-    }
-  }
+  ASSERT_TRUE(net->check_invariants());
+  net->set_dirty_tracking(true);
+  ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(*net, rng, 400, 40));
 }
 
 TEST(PastryDirtyHook, MarksExactlyTheReferenceSetWhileGrowingFromOneNode) {
   // Joins alone from a single node cross |M| + 1 nodes, where the hook
   // switches from reading every node to the disc; then a mixed soup.
-  for (const int b : {1, 2}) {
-    SCOPED_TRACE("b = " + std::to_string(b));
-    util::Rng rng(static_cast<std::uint64_t>(b));
-    PastryNetwork net(10, b, 8, 8);
-    ASSERT_TRUE(net.insert(rng.below(net.space_size()), rng.uniform01(),
-                           rng.uniform01()));
-    net.set_dirty_tracking(true);
-    for (int op = 0; net.node_count() < 120; ++op) {
-      const std::uint64_t seed = rng();
-      const NodeHandle id = util::mix64(seed) % net.space_size();
-      if (net.contains(id)) continue;
-      ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
-          net, dht::MembershipEvent::kJoin, id,
-          [&] { ASSERT_EQ(net.join(seed), id); },
-          "growth join " + std::to_string(op)));
-      if (op % 7 == 6) net.stabilize_dirty();
-    }
-    ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(net, rng, 300, 10));
+  util::Rng rng(1);
+  PastryNetwork net(10);
+  ASSERT_TRUE(net.insert(rng.below(net.space_size()), rng.uniform01(),
+                         rng.uniform01()));
+  net.set_dirty_tracking(true);
+  for (int op = 0; net.node_count() < 120; ++op) {
+    const std::uint64_t seed = rng();
+    const NodeHandle id = util::mix64(seed) % net.space_size();
+    if (net.contains(id)) continue;
+    ASSERT_NO_FATAL_FAILURE(expect_exact_marks(
+        net, dht::MembershipEvent::kJoin, id,
+        [&] { ASSERT_EQ(net.join(seed), id); },
+        "growth join " + std::to_string(op)));
+    if (op % 7 == 6) net.stabilize_dirty();
   }
-}
-
-TEST(PastryConfig, RejectsIndivisibleDigitWidth) {
-  EXPECT_DEATH(PastryNetwork(11, 2), "Precondition");
+  ASSERT_NO_FATAL_FAILURE(run_exact_marks_soup(net, rng, 300, 10));
 }
 
 }  // namespace

@@ -112,52 +112,6 @@ TEST(Summary, AddCount) {
   EXPECT_DOUBLE_EQ(s.mean(), 7.0);
 }
 
-TEST(ImbalanceRatio, PerfectBalanceIsZero) {
-  Summary s;
-  for (int i = 0; i < 8; ++i) s.add(10.0);
-  EXPECT_DOUBLE_EQ(imbalance_ratio(s), 0.0);
-}
-
-TEST(ImbalanceRatio, SkewIncreasesRatio) {
-  Summary even;
-  even.add(9.0);
-  even.add(11.0);
-  Summary skewed;
-  skewed.add(1.0);
-  skewed.add(19.0);
-  EXPECT_LT(imbalance_ratio(even), imbalance_ratio(skewed));
-}
-
-TEST(ImbalanceRatio, AllZeroLoadsIsZero) {
-  Summary s;
-  s.add(0.0);
-  s.add(0.0);
-  EXPECT_DOUBLE_EQ(imbalance_ratio(s), 0.0);
-}
-
-TEST(Histogram, CountsAndMean) {
-  Histogram h;
-  h.add(1);
-  h.add(1);
-  h.add(3);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.count_at(1), 2u);
-  EXPECT_EQ(h.count_at(2), 0u);
-  EXPECT_EQ(h.count_at(3), 1u);
-  EXPECT_EQ(h.count_at(99), 0u);
-  EXPECT_EQ(h.max_value(), 3u);
-  EXPECT_NEAR(h.mean(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(Histogram, Cumulative) {
-  Histogram h;
-  for (std::uint64_t v = 0; v < 10; ++v) h.add(v);
-  EXPECT_DOUBLE_EQ(h.cumulative(0), 0.1);
-  EXPECT_DOUBLE_EQ(h.cumulative(4), 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.cumulative(1000), 1.0);
-}
-
 TEST(Histogram, RenderShowsEveryBucket) {
   Histogram h;
   h.add(0);

@@ -61,7 +61,7 @@ TYPED_TEST(SuccessorRingTest, BulkBuildListsAreExactOnEveryRingSize) {
 }
 
 TYPED_TEST(SuccessorRingTest, JoinsAndLeavesRepairEveryRingLinkAtOnce) {
-  // Joins and graceful leaves relink the successor_list_length + 1 members
+  // Joins and graceful leaves relink the kSuccessorListLength + 1 members
   // before the event and tell the member after it its predecessor; on
   // rings of any size that leaves no ring link stale.
   TypeParam net(6);

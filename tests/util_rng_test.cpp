@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
 #include <vector>
 
 namespace cycloid::util {
@@ -124,26 +122,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
     sum += v;
   }
   EXPECT_NEAR(sum / 100000.0, 1.0 / rate, 0.01);
-}
-
-TEST(Rng, ShuffleIsAPermutation) {
-  Rng rng(17);
-  std::vector<int> values(100);
-  std::iota(values.begin(), values.end(), 0);
-  auto shuffled = values;
-  rng.shuffle(shuffled);
-  EXPECT_NE(shuffled, values);  // astronomically unlikely to be identity
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, values);
-}
-
-TEST(Rng, PickReturnsMember) {
-  Rng rng(18);
-  const std::vector<int> values = {3, 1, 4, 1, 5};
-  for (int i = 0; i < 100; ++i) {
-    const int v = rng.pick(values);
-    EXPECT_NE(std::find(values.begin(), values.end(), v), values.end());
-  }
 }
 
 }  // namespace
